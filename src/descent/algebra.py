@@ -2,15 +2,17 @@
 
 A vector is stored by its coordinates on one of three bases, indexed by
 generator-subset bitmask: the coset-sum basis x_I, the equal-descent-class
-basis y_J, and the signed half-weight basis xp_I. Products are computed from
-the integer structure constants of the ambient Coxeter system; an independent
-slow path multiplies honest group-algebra vectors and folds the result back.
+basis y_J, and the signed half-weight basis xp_I. Coordinates are integer
+numerators over one positive common denominator. Products come from one
+batched contraction with the integer structure constants of the ambient
+Coxeter system; an independent slow path multiplies honest group-algebra
+vectors and folds the result back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -30,9 +32,6 @@ BASIS_Y = "y"
 BASIS_XPRIME = "xp"
 _TAGS = (BASIS_X, BASIS_Y, BASIS_XPRIME)
 
-_HALF = Fraction(1, 2)
-_NEG_HALF = Fraction(-1, 2)
-
 
 def _as_mask(system, subset):
     """Accept a bitmask or an iterable of generator labels."""
@@ -45,70 +44,43 @@ def _as_mask(system, subset):
 # coordinate transforms between the three bases (all invertible, per-bit)
 
 
-def _coords_y_to_x(coeffs, n):
-    # y_J = sum over I >= J of (-1)^{|I|-|J|} x_I
-    out = list(coeffs)
-    for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if m & bit:
-                out[m] = out[m] - out[m ^ bit]
-    return out
-
-
-def _coords_x_to_y(coeffs, n):
-    # x_I = sum over J >= I of y_J, so the y-coordinate at J sums c[I], I <= J
-    out = list(coeffs)
-    for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if m & bit:
-                out[m] = out[m] + out[m ^ bit]
-    return out
-
-
-def _coords_xp_to_x(coeffs, n):
-    # xp_I = sum over K <= I of (-1/2)^{|I|-|K|} x_K
-    out = list(coeffs)
+def _change_basis(nums, tag, n, sign):
+    """Integer numerators on the basis ``tag`` to x-coordinates (sign -1)
+    or back (sign +1). Returns the new numerators and the factor by which
+    the common denominator grows."""
+    out = list(nums)
+    if tag == BASIS_X:
+        return out, 1
+    if tag == BASIS_Y:
+        # y_J = sum over I >= J of (-1)^{|I|-|J|} x_I, so the y-coordinate
+        # at J sums the x-coordinates at I <= J
+        for b in range(n):
+            bit = 1 << b
+            for m in range(1 << n):
+                if m & bit:
+                    out[m] += sign * out[m ^ bit]
+        return out, 1
+    # xp_I = sum over K <= I of (-1/2)^{|I|-|K|} x_K, and x_I = sum over
+    # K <= I of (1/2)^{|I|-|K|} xp_K; after scaling by 2**n every halving
+    # is exact
+    out = [v << n for v in out]
     for b in range(n):
         bit = 1 << b
         for m in range(1 << n):
             if not m & bit:
-                out[m] = out[m] + _NEG_HALF * out[m | bit]
-    return out
-
-
-def _coords_x_to_xp(coeffs, n):
-    # inverse of the above: x_I = sum over K <= I of (1/2)^{|I|-|K|} xp_K
-    out = list(coeffs)
-    for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if not m & bit:
-                out[m] = out[m] + _HALF * out[m | bit]
-    return out
-
-
-def _to_x_coords(coeffs, tag, n):
-    if tag == BASIS_X:
-        return list(coeffs)
-    if tag == BASIS_Y:
-        return _coords_y_to_x(coeffs, n)
-    return _coords_xp_to_x(coeffs, n)
-
-
-def _from_x_coords(coeffs, tag, n):
-    if tag == BASIS_X:
-        return list(coeffs)
-    if tag == BASIS_Y:
-        return _coords_x_to_y(coeffs, n)
-    return _coords_x_to_xp(coeffs, n)
+                out[m] += sign * (out[m | bit] // 2)
+    return out, 1 << n
 
 
 class DescentVector:
-    """Immutable element of the descent algebra of one Coxeter system."""
+    """Immutable element of the descent algebra of one Coxeter system.
 
-    __slots__ = ("system", "tag", "coeffs")
+    ``nums`` are integer numerators over the positive denominator ``den``,
+    in lowest terms, on the basis named by ``tag``; ``coeffs`` gives the
+    same coordinates as Fractions.
+    """
+
+    __slots__ = ("system", "tag", "nums", "den")
 
     def __init__(self, system, coeffs, tag=BASIS_X):
         if tag not in _TAGS:
@@ -117,19 +89,44 @@ class DescentVector:
         if len(coeffs) != size:
             raise ValueError("expected %d coordinates, got %d"
                              % (size, len(coeffs)))
+        fr = linalg.as_fractions(coeffs)
+        den = lcm(*(c.denominator for c in fr))
+        self._set(system, tag,
+                  [c.numerator * (den // c.denominator) for c in fr], den)
+
+    @classmethod
+    def from_ints(cls, system, nums, den=1, tag=BASIS_X):
+        """The vector with coordinates nums[m] / den on the basis ``tag``."""
+        out = cls.__new__(cls)
+        out._set(system, tag, nums, den)
+        return out
+
+    def _set(self, system, tag, nums, den):
+        nums = [int(v) for v in nums]
+        den = int(den)
+        if den < 0:
+            nums, den = [-v for v in nums], -den
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = [v // g for v in nums], den // g
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("DescentVector is immutable")
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     # -- construction helpers ------------------------------------------
 
     @staticmethod
     def zero(system, tag=BASIS_X):
-        return DescentVector(system, [ZERO] * (1 << system.rank), tag)
+        return DescentVector.from_ints(system, [0] * (1 << system.rank), 1,
+                                       tag)
 
     @staticmethod
     def from_map(system, mapping, tag=BASIS_X):
@@ -145,34 +142,35 @@ class DescentVector:
             raise SystemMismatch(
                 "operands live over different Coxeter systems")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         if not isinstance(other, DescentVector):
             return NotImplemented
         self._check_peer(other)
         o = other.in_basis(self.tag)
-        return DescentVector(
-            self.system,
-            [a + b for a, b in zip(self.coeffs, o.coeffs)], self.tag)
+        den = lcm(self.den, o.den)
+        sa, sb = den // self.den, sign * (den // o.den)
+        return DescentVector.from_ints(
+            self.system, [a * sa + b * sb for a, b in zip(self.nums, o.nums)],
+            den, self.tag)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, DescentVector):
-            return NotImplemented
-        self._check_peer(other)
-        o = other.in_basis(self.tag)
-        return DescentVector(
-            self.system,
-            [a - b for a, b in zip(self.coeffs, o.coeffs)], self.tag)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return DescentVector(self.system, [-a for a in self.coeffs], self.tag)
+        return DescentVector.from_ints(
+            self.system, [-a for a in self.nums], self.den, self.tag)
 
     def __mul__(self, other):
         if isinstance(other, DescentVector):
             return multiply(self, other)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return DescentVector(
-                self.system, [c * a for a in self.coeffs], self.tag)
+            return DescentVector.from_ints(
+                self.system, [c.numerator * a for a in self.nums],
+                c.denominator * self.den, self.tag)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -185,38 +183,46 @@ class DescentVector:
             return NotImplemented
         if self.system is not other.system:
             return False
-        return self.x_coords() == other.x_coords()
+        a, da = self.x_ints()
+        b, db = other.x_ints()
+        return all(u * db == v * da for u, v in zip(a, b))
 
     def __hash__(self):
         return hash((id(self.system), tuple(self.x_coords())))
 
     # -- coordinates ------------------------------------------------------
 
+    def x_ints(self):
+        """x-basis coordinates as (integer numerators, denominator)."""
+        nums, scale = _change_basis(self.nums, self.tag, self.system.rank, -1)
+        return nums, self.den * scale
+
     def x_coords(self):
-        return _to_x_coords(self.coeffs, self.tag, self.system.rank)
+        nums, den = self.x_ints()
+        return [Fraction(v, den) for v in nums]
 
     def in_basis(self, tag):
         if tag == self.tag:
             return self
         if tag not in _TAGS:
             raise ValueError("unknown basis tag %r" % (tag,))
-        xc = self.x_coords()
-        return DescentVector(
-            self.system, _from_x_coords(xc, tag, self.system.rank), tag)
+        xn, den = self.x_ints()
+        nums, scale = _change_basis(xn, tag, self.system.rank, 1)
+        return DescentVector.from_ints(self.system, nums, den * scale, tag)
 
     def coefficient(self, subset):
-        return self.coeffs[_as_mask(self.system, subset)]
+        return Fraction(self.nums[_as_mask(self.system, subset)], self.den)
 
     def support(self):
         """Masks with nonzero coordinate, in the vector's own basis."""
-        return [m for m, c in enumerate(self.coeffs) if c != 0]
+        return [m for m, c in enumerate(self.nums) if c != 0]
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_positive(self):
         """Componentwise nonnegative on the x-basis."""
-        return all(c >= 0 for c in self.x_coords())
+        return all(c >= 0 for c in self.x_ints()[0])
 
     # -- text form --------------------------------------------------------
 
@@ -228,12 +234,12 @@ class DescentVector:
 
     def __str__(self):
         parts = []
-        order = sorted(range(len(self.coeffs)),
+        order = sorted(range(len(self.nums)),
                        key=lambda m: (-popcount(m), tuple(iter_bits(m))))
         for mask in order:
-            c = self.coeffs[mask]
-            if c == 0:
+            if self.nums[mask] == 0:
                 continue
+            c = Fraction(self.nums[mask], self.den)
             name = self._term_name(mask)
             mag = abs(c)
             body = name if mag == 1 else "%s*%s" % (mag, name)
@@ -327,22 +333,22 @@ class LoewyProfile:
 # basis constructors
 
 
+def _unit_vector(system, subset, tag):
+    out = [0] * (1 << system.rank)
+    out[_as_mask(system, subset)] = 1
+    return DescentVector.from_ints(system, out, 1, tag)
+
+
 def basis_x(system, subset):
-    out = [ZERO] * (1 << system.rank)
-    out[_as_mask(system, subset)] = ONE
-    return DescentVector(system, out, BASIS_X)
+    return _unit_vector(system, subset, BASIS_X)
 
 
 def basis_y(system, subset):
-    out = [ZERO] * (1 << system.rank)
-    out[_as_mask(system, subset)] = ONE
-    return DescentVector(system, out, BASIS_Y)
+    return _unit_vector(system, subset, BASIS_Y)
 
 
 def basis_xprime(system, subset):
-    out = [ZERO] * (1 << system.rank)
-    out[_as_mask(system, subset)] = ONE
-    return DescentVector(system, out, BASIS_XPRIME)
+    return _unit_vector(system, subset, BASIS_XPRIME)
 
 
 def unit(system, tag=BASIS_X):
@@ -358,152 +364,6 @@ def convert(vector, tag):
 # multiplication
 
 
-def _scaled_int_coords(coeffs):
-    """Return (numpy int array, common denominator) for exact coords."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    nums = [int(c * den) for c in coeffs]
-    return nums, den
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def multiply(left, right):
-    """Product in the descent algebra, via the structure constants."""
-    if not isinstance(left, DescentVector) or not isinstance(
-            right, DescentVector):
-        raise TypeError("multiply expects two DescentVector operands")
-    left._check_peer(right)
-    system = left.system
-    T = system.structure_tensor()
-    size = 1 << system.rank
-    a, da = _scaled_int_coords(left.x_coords())
-    b, db = _scaled_int_coords(right.x_coords())
-    amax = max((abs(v) for v in a), default=0)
-    bmax = max((abs(v) for v in b), default=0)
-    tmax = int(T.max()) if T.size else 0
-    bound = amax * bmax * tmax * size * size
-    if bound < (1 << 62):
-        av = np.array(a, dtype=np.int64)
-        bv = np.array(b, dtype=np.int64)
-        cv = np.einsum("i,ijk,j->k", av, T, bv)
-        nums = [int(v) for v in cv]
-    else:
-        nums = [0] * size
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                row = T[i, j]
-                for k in np.nonzero(row)[0]:
-                    nums[int(k)] += ai * bj * int(row[k])
-    den = da * db
-    out = [Fraction(v, den) for v in nums]
-    return DescentVector(system, out, BASIS_X).in_basis(left.tag)
-
-
-def group_vector(vector):
-    """Expand to coordinates on the group elements themselves.
-
-    The coset sum over mask I collects exactly the w whose ascent mask
-    contains I, so the group coordinate at w is the subset-sum of the
-    x-coordinates evaluated at the ascent mask of w.
-    """
-    system = vector.system
-    n = system.rank
-    z = list(vector.x_coords())
-    for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if m & bit:
-                z[m] = z[m] + z[m ^ bit]
-    return [z[int(r)] for r in system.rasc]
-
-
-def vector_from_group(system, gcoeffs, tag=BASIS_X):
-    """Fold group-algebra coordinates back onto the descent basis.
-
-    Requires constancy on each equal-ascent-set class; a violation means
-    the group vector left the descent algebra and is reported as such.
-    """
-    n = system.rank
-    size = 1 << n
-    ycoords = [None] * size
-    for w in range(system.order):
-        m = int(system.rasc[w])
-        c = gcoeffs[w]
-        if ycoords[m] is None:
-            ycoords[m] = c
-        elif ycoords[m] != c:
-            raise NotInDescentAlgebra(
-                "group vector is not constant on the descent class of "
-                "mask %d" % m)
-    ycoords = [ZERO if c is None else Fraction(c) for c in ycoords]
-    return DescentVector(system, ycoords, BASIS_Y).in_basis(tag)
-
-
-def oracle_multiply(left, right):
-    """Slow reference product: convolve honest group-algebra vectors.
-
-    Uses the full multiplication table when the group is small enough and
-    per-element translations otherwise, then folds back through the
-    equal-ascent-class constancy check.
-    """
-    if not isinstance(left, DescentVector) or not isinstance(
-            right, DescentVector):
-        raise TypeError("oracle_multiply expects two DescentVector operands")
-    left._check_peer(right)
-    system = left.system
-    order = system.order
-    ga = group_vector(left)
-    gb = group_vector(right)
-    da = 1
-    for c in ga:
-        da = da * c.denominator // _gcd(da, c.denominator)
-    db = 1
-    for c in gb:
-        db = db * c.denominator // _gcd(db, c.denominator)
-    na = np.array([int(c * da) for c in ga], dtype=np.int64)
-    nb = np.array([int(c * db) for c in gb], dtype=np.int64)
-    amax = int(np.abs(na).max()) if order else 0
-    bmax = int(np.abs(nb).max()) if order else 0
-    if amax * bmax * order < (1 << 62):
-        gc = np.zeros(order, dtype=np.int64)
-        if order <= 6000:
-            mt = system.multiplication_table()
-            for u in range(order):
-                if na[u]:
-                    np.add.at(gc, mt[u], na[u] * nb)
-        else:
-            for u in range(order):
-                if na[u]:
-                    np.add.at(gc, system.left_translation(u), na[u] * nb)
-        nums = [int(v) for v in gc]
-    else:
-        nums = [0] * order
-        mt = system.multiplication_table()
-        for u in range(order):
-            if na[u]:
-                row = mt[u]
-                for v in range(order):
-                    if nb[v]:
-                        nums[int(row[v])] += int(na[u]) * int(nb[v])
-    den = da * db
-    out = [Fraction(v, den) for v in nums]
-    return vector_from_group(system, out, left.tag)
-
-
-# ---------------------------------------------------------------------------
-# characters, radical, Loewy series
-
-
 def _algebra_context(system):
     ctx = system.__dict__.get("_algebra_ctx")
     if ctx is None:
@@ -512,8 +372,148 @@ def _algebra_context(system):
     return ctx
 
 
+def products(system, A, B):
+    """Every product of a row of A with a row of B, in one contraction.
+
+    Rows hold integer x-coordinates, one element each. Entry [a, b, k] of
+    the result is the x_k-coordinate of A[a] * B[b]: the sum over I, J of
+    A[a, I] T[I, J, k] B[b, J] with T the structure tensor. Computed in
+    int64 when a bound on that sum proves it exact, on Python integers
+    otherwise.
+    """
+    size = 1 << system.rank
+    T = system.structure_tensor()
+    ctx = _algebra_context(system)
+    tmax = ctx.get("tensor_max")
+    if tmax is None:
+        tmax = ctx["tensor_max"] = linalg.absmax(T)
+    A = linalg.integer_rows(A, size)
+    B = linalg.integer_rows(B, size)
+    # the bound also covers A and B themselves when the other is zero
+    dtype = linalg.exact_dtype((linalg.absmax(A) + 1) * (linalg.absmax(B) + 1)
+                               * tmax * size * size)
+    AT = np.tensordot(A.astype(dtype, copy=False),
+                      T.astype(dtype, copy=False), axes=(1, 0))
+    return np.tensordot(AT, B.astype(dtype, copy=False),
+                        axes=(1, 1)).transpose(0, 2, 1)
+
+
+def x_matrix(vectors, width):
+    """Integer matrix with one row per vector: its x-coordinates times its
+    own denominator, so each row spans the vector's line."""
+    return linalg.integer_rows([v.x_ints()[0] for v in vectors], width)
+
+
+def multiply(left, right):
+    """Product in the descent algebra, via the structure constants."""
+    if not isinstance(left, DescentVector) or not isinstance(
+            right, DescentVector):
+        raise TypeError("multiply expects two DescentVector operands")
+    left._check_peer(right)
+    a, da = left.x_ints()
+    b, db = right.x_ints()
+    nums = products(left.system, [a], [b])[0, 0]
+    return DescentVector.from_ints(
+        left.system, nums.tolist(), da * db).in_basis(left.tag)
+
+
+def left_multiplication(vector):
+    """Matrix of x -> vector * x: row J holds the x-coordinates of
+    vector * x_J, times the vector's denominator."""
+    size = 1 << vector.system.rank
+    eye = np.eye(size, dtype=np.int64)
+    return products(vector.system, [vector.x_ints()[0]], eye)[0]
+
+
+def right_multiplication(vector):
+    """Matrix of x -> x * vector: row J holds the x-coordinates of
+    x_J * vector, times the vector's denominator."""
+    size = 1 << vector.system.rank
+    eye = np.eye(size, dtype=np.int64)
+    return products(vector.system, eye, [vector.x_ints()[0]])[:, 0]
+
+
+def _group_ints(vector):
+    """Group-algebra coordinates as (integer array, denominator).
+
+    The coset sum over mask I collects exactly the w whose ascent mask
+    contains I, so the group coordinate at w is the y-coordinate at the
+    ascent mask of w.
+    """
+    y = vector.in_basis(BASIS_Y)
+    nums = np.array(y.nums, dtype=linalg.exact_dtype(max(map(abs, y.nums))))
+    return nums[vector.system.rasc], y.den
+
+
+def group_vector(vector):
+    """Expand to coordinates on the group elements themselves."""
+    nums, den = _group_ints(vector)
+    return [Fraction(v, den) for v in nums.tolist()]
+
+
+def _fold_group(system, nums, den, tag):
+    """The descent vector with group coordinates nums / den (an integer
+    array), after checking constancy on each equal-ascent-set class."""
+    rasc = system.rasc
+    masks, first = np.unique(rasc, return_index=True)
+    y = np.zeros(1 << system.rank, dtype=nums.dtype)
+    y[masks] = nums[first]
+    off = np.flatnonzero(y[rasc] != nums)
+    if off.size:
+        raise NotInDescentAlgebra(
+            "group vector is not constant on the descent class of "
+            "mask %d" % int(rasc[off[0]]))
+    return DescentVector.from_ints(system, y.tolist(), den,
+                                   BASIS_Y).in_basis(tag)
+
+
+def vector_from_group(system, gcoeffs, tag=BASIS_X):
+    """Fold group-algebra coordinates back onto the descent basis.
+
+    Requires constancy on each equal-ascent-set class; a violation means
+    the group vector left the descent algebra and is reported as such.
+    """
+    fr = linalg.as_fractions(gcoeffs)
+    den = lcm(*(c.denominator for c in fr))
+    nums = linalg.integer_rows(
+        [[c.numerator * (den // c.denominator) for c in fr]], len(fr))[0]
+    return _fold_group(system, nums, den, tag)
+
+
+def oracle_multiply(left, right):
+    """Slow reference product: convolve honest group-algebra vectors.
+
+    Translates by rows of the full multiplication table when the group is
+    small enough and by per-element translations otherwise, in int64 when
+    the coefficient bound allows and on Python integers beyond it, then
+    folds back through the equal-ascent-class constancy check.
+    """
+    if not isinstance(left, DescentVector) or not isinstance(
+            right, DescentVector):
+        raise TypeError("oracle_multiply expects two DescentVector operands")
+    left._check_peer(right)
+    system = left.system
+    order = system.order
+    na, da = _group_ints(left)
+    nb, db = _group_ints(right)
+    amax, bmax = linalg.absmax(na), linalg.absmax(nb)
+    dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
+    na, nb = na.astype(dtype), nb.astype(dtype)
+    mt = system.multiplication_table() if order <= 6000 else None
+    gc = np.zeros(order, dtype=dtype)
+    for u in np.flatnonzero(na):
+        rows = mt[u] if mt is not None else system.left_translation(int(u))
+        gc[rows] += na[u] * nb
+    return _fold_group(system, gc, da * db, left.tag)
+
+
+# ---------------------------------------------------------------------------
+# characters, radical, Loewy series
+
+
 def tau_matrix(system):
-    """Row k = shape class k: values of that character on the x-basis.
+    """Row k = shape class k: values of that character on the x-basis, as
+    a read-only int64 array.
 
     The value at column I is the structure constant T[I, J, J] for any
     member J of the shape; independence of the choice is asserted here.
@@ -530,56 +530,53 @@ def tau_matrix(system):
                     raise AssertionError(
                         "character value depends on the member chosen "
                         "inside shape class %d" % shape.class_id)
-            rows.append(tuple(Fraction(int(v)) for v in col))
-        mat = tuple(rows)
+            rows.append(col)
+        mat = np.array(rows, dtype=np.int64)
+        mat.flags.writeable = False
         ctx["tau_matrix"] = mat
     return mat
 
 
 def tau(vector):
     """All one-dimensional character values of the element."""
-    mat = tau_matrix(vector.system)
-    xc = vector.x_coords()
-    vals = [sum((c * v for c, v in zip(xc, row)), ZERO) for row in mat]
+    nums, den = vector.x_ints()
+    vals = [Fraction(sum(t * v for t, v in zip(row, nums)), den)
+            for row in tau_matrix(vector.system).tolist()]
     return TauVector(vector.system, vals)
 
 
-def tau_at_mask(vector, mask):
-    """Character value at the shape of one generator subset."""
-    system = vector.system
-    sid = system.shape_id_of_mask(_as_mask(system, mask))
-    return tau(vector).values[sid]
+def _radical_differences(system):
+    """Integer spanning set of the radical: same-shape differences."""
+    size = 1 << system.rank
+    out = []
+    for shape in system.shapes():
+        for member in shape.members:
+            if member != shape.canonical:
+                vec = [0] * size
+                vec[member] = 1
+                vec[shape.canonical] = -1
+                out.append(vec)
+    return linalg.integer_rows(out, size)
 
 
 def radical_basis(system):
     """Basis of the common kernel of all one-dimensional characters.
 
     Computed as an exact nullspace; the classical spanning set by
-    differences of same-shape basis elements is checked to span the same
-    subspace before returning.
+    differences of same-shape basis elements is checked to lie in the
+    kernel and to have its dimension before returning.
     """
     ctx = _algebra_context(system)
     cached = ctx.get("radical_basis")
     if cached is None:
         size = 1 << system.rank
-        rows = [list(row) for row in tau_matrix(system)]
-        kern = linalg.nullspace(rows, size)
-        span = Span(size)
-        for vec in kern:
-            span.add(vec)
-        diffs = []
-        for shape in system.shapes():
-            for member in shape.members:
-                if member != shape.canonical:
-                    vec = [ZERO] * size
-                    vec[member] = ONE
-                    vec[shape.canonical] = -ONE
-                    diffs.append(vec)
-                    if not span.contains(vec):
-                        raise AssertionError(
-                            "same-shape difference escapes the character "
-                            "kernel")
-        if len(diffs) != span.dim:
+        taus = tau_matrix(system)
+        kern = linalg.nullspace(taus, size)
+        diffs = _radical_differences(system)
+        if np.any(taus @ diffs.T):
+            raise AssertionError(
+                "same-shape difference escapes the character kernel")
+        if len(diffs) != len(kern):
             raise AssertionError(
                 "difference spanning set does not fill the radical")
         cached = tuple(DescentVector(system, vec, BASIS_X) for vec in kern)
@@ -587,41 +584,21 @@ def radical_basis(system):
     return list(cached)
 
 
-def _radical_difference_vectors(system):
-    """Integer spanning set of the radical: same-shape differences."""
+def radical_powers(system, generators):
+    """Spans of J, J^2, J^3, ... down to the last nonzero power, where J
+    is spanned by the integer x-coordinate rows ``generators``.
+
+    J^(k+1) is spanned by the products of the generators with a basis of
+    J^k: one contraction and one exact rank per power.
+    """
     size = 1 << system.rank
     out = []
-    for shape in system.shapes():
-        for member in shape.members:
-            if member != shape.canonical:
-                vec = [ZERO] * size
-                vec[member] = ONE
-                vec[shape.canonical] = -ONE
-                out.append(DescentVector(system, vec, BASIS_X))
-    return out
-
-
-def _power_dims(system, radical_vectors):
-    """Dimensions of successive powers of the span of radical_vectors."""
-    size = 1 << system.rank
-    dims = []
-    current = list(radical_vectors)
-    span = Span(size)
-    for v in current:
-        span.add(v.x_coords())
+    span = Span(size, generators)
     while span.dim > 0:
-        dims.append(span.dim)
-        basis = [DescentVector(system, row, BASIS_X)
-                 for row in span.basis()]
-        nxt = Span(size)
-        nxt_vecs = []
-        for r in radical_vectors:
-            for b in basis:
-                p = multiply(r, b)
-                if nxt.add(p.x_coords()):
-                    nxt_vecs.append(p)
-        span = nxt
-    return dims
+        out.append(span)
+        span = Span(size, products(system, generators, span.rows)
+                    .reshape(-1, size))
+    return out
 
 
 def loewy_profile(system):
@@ -629,9 +606,8 @@ def loewy_profile(system):
     ctx = _algebra_context(system)
     prof = ctx.get("loewy_profile")
     if prof is None:
-        dims = [1 << system.rank]
-        dims.extend(_power_dims(system, _radical_difference_vectors(system)))
-        prof = LoewyProfile(dims)
+        powers = radical_powers(system, _radical_differences(system))
+        prof = LoewyProfile([1 << system.rank] + [p.dim for p in powers])
         ctx["loewy_profile"] = prof
     return prof
 
@@ -690,8 +666,7 @@ def saturated_family(vector, equivariant=False):
     subsets whose shape sits below some support subset's shape.
     """
     system = vector.system
-    xc = vector.x_coords()
-    supp = [m for m, c in enumerate(xc) if c != 0]
+    supp = [m for m, c in enumerate(vector.x_ints()[0]) if c != 0]
     size = 1 << system.rank
     fam = set()
     if equivariant:
@@ -729,32 +704,17 @@ def _assert_saturated(system, fam, equivariant):
 def family_span(system, family):
     """The coordinate subspace spanned by the x-basis over the family."""
     size = 1 << system.rank
-    span = Span(size)
-    for mask in family:
-        vec = [ZERO] * size
-        vec[mask] = ONE
-        span.add(vec)
-    return span
+    return Span(size, np.eye(size, dtype=np.int64)[sorted(family)])
 
 
 def right_ideal(vector):
     """Span of the products (vector * x_J): the principal right ideal."""
-    system = vector.system
-    size = 1 << system.rank
-    span = Span(size)
-    for mask in range(size):
-        span.add(multiply(vector, basis_x(system, mask)).x_coords())
-    return span
+    return Span(1 << vector.system.rank, left_multiplication(vector))
 
 
 def left_ideal(vector):
     """Span of the products (x_J * vector): the principal left ideal."""
-    system = vector.system
-    size = 1 << system.rank
-    span = Span(size)
-    for mask in range(size):
-        span.add(multiply(basis_x(system, mask), vector).x_coords())
-    return span
+    return Span(1 << vector.system.rank, right_multiplication(vector))
 
 
 def is_invertible(vector):
@@ -764,14 +724,8 @@ def is_invertible(vector):
 
 def commutator_image(vector):
     """Span of the values of x -> vector*x - x*vector on the basis."""
-    system = vector.system
-    size = 1 << system.rank
-    span = Span(size)
-    for mask in range(size):
-        xj = basis_x(system, mask)
-        diff = multiply(vector, xj) - multiply(xj, vector)
-        span.add(diff.x_coords())
-    return span
+    return Span(1 << vector.system.rank,
+                left_multiplication(vector) - right_multiplication(vector))
 
 
 def centralizer_dimension(vector):
@@ -800,16 +754,6 @@ def eigenspace_dim_on_regular(vector, value):
         if tv.values[int(cshapes[c])] == value:
             total += size
     return total
-
-
-def element_shape_character(system, vector):
-    """Sum over the whole group of the character value at each element's
-    minimal-parabolic shape. Equals |W| when the element is a coset-sum
-    basis vector."""
-    tv = tau(vector)
-    _cls, cshapes, sizes = system.class_shape_ids()
-    return sum((tv.values[int(cshapes[c])] * sizes[c]
-                for c in range(len(sizes))), ZERO)
 
 
 # ---------------------------------------------------------------------------

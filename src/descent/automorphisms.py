@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import lcm
+
+import numpy as np
 
 from .errors import AutomorphismMismatch
-from .linalg import Span, ZERO, ONE
+from .linalg import Span
 from . import algebra as alg
 from .algebra import DescentVector, LoewyProfile
 from .coxeter import iter_bits
@@ -59,15 +62,8 @@ def _perm_order(perm):
             seen[j] = True
             j = perm[j]
             ln += 1
-        g = _gcd(order, ln)
-        order = order // g * ln
+        order = lcm(order, ln)
     return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def sigma0(system):
@@ -112,11 +108,11 @@ def apply_automorphism(sigma, vector):
     """
     system = vector.system
     _check_sigma(system, sigma)
-    out = [ZERO] * len(vector.coeffs)
-    for mask, c in enumerate(vector.coeffs):
+    out = [0] * len(vector.nums)
+    for mask, c in enumerate(vector.nums):
         if c != 0:
             out[sigma.apply_mask(mask)] = c
-    return DescentVector(system, out, vector.tag)
+    return DescentVector.from_ints(system, out, vector.den, vector.tag)
 
 
 def _check_sigma(system, sigma):
@@ -209,49 +205,28 @@ class FixedSubalgebra:
         if self._radical is None:
             system = self.parent
             size = 1 << system.rank
-            projected = Span(size)
-            proj_vecs = []
-            for r in alg.radical_basis(system):
-                avg = r
-                img = r
-                for _ in range(self.sigma.order - 1):
-                    img = apply_automorphism(self.sigma, img)
-                    avg = avg + img
-                if projected.add(avg.x_coords()):
-                    proj_vecs.append(avg)
-            # direct route: character kernel restricted to the subalgebra
-            tmat = alg.tau_matrix(system)
-            rows = []
-            for b in self.basis:
-                xb = b.x_coords()
-                rows.append([sum((c * v for c, v in zip(xb, trow)), ZERO)
-                             for trow in tmat])
-            kern = _left_kernel(rows)
-            direct = Span(size)
-            for combo in kern:
-                vec = [ZERO] * size
-                for c, b in zip(combo, self.basis):
-                    if c != 0:
-                        for m, x in enumerate(b.x_coords()):
-                            vec[m] += c * x
-                direct.add(vec)
+            # row m of the symmetrizer sums the images of x_m under the
+            # powers of sigma
+            sym = np.zeros((size, size), dtype=np.int64)
+            for m in range(size):
+                t = m
+                for _ in range(self.sigma.order):
+                    sym[m, t] += 1
+                    t = self.sigma.apply_mask(t)
+            rad = alg.x_matrix(alg.radical_basis(system), size)
+            projected = Span(size, rad @ sym)
+            # direct route: combinations of the orbit sums on which every
+            # character vanishes
+            orbit_sums = alg.x_matrix(self.basis, size)
+            chars = alg.tau_matrix(system) @ orbit_sums.T
+            combos = Span(len(self.basis), chars).kernel()
+            direct = Span(size, combos @ orbit_sums)
             if not projected.equals(direct):
                 raise AssertionError(
                     "fixed-subalgebra radical computed two ways disagrees")
-            self._radical = proj_vecs
+            self._radical = [DescentVector.from_ints(system, row)
+                             for row in projected.rows.tolist()]
         return list(self._radical)
-
-
-def _left_kernel(rows):
-    """Kernel of the linear map sending e_i to rows[i]."""
-    from . import linalg
-    if not rows:
-        return []
-    width = len(rows[0])
-    n = len(rows)
-    # transpose and take the right kernel of the transposed matrix
-    cols = [[rows[i][j] for i in range(n)] for j in range(width)]
-    return linalg.nullspace(cols, n)
 
 
 def fixed_subalgebra(system, sigma):
@@ -262,29 +237,28 @@ def fixed_subalgebra(system, sigma):
     basis = []
     span = Span(size)
     for orbit in orbits:
-        vec = [ZERO] * size
+        vec = [0] * size
         for m in orbit:
-            vec[m] = ONE
-        b = DescentVector(system, vec, alg.BASIS_X)
-        basis.append(b)
+            vec[m] = 1
+        basis.append(DescentVector.from_ints(system, vec))
         span.add(vec)
-    out = FixedSubalgebra(system, sigma, orbits, basis, span,
-                          shape_orbits(system, sigma))
-    # closure under multiplication
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            if not out.contains(alg.multiply(u, v)):
-                raise AssertionError("orbit sums are not closed under "
-                                     "multiplication")
-    return out
+    # closure under multiplication: no product of two orbit sums may
+    # leave their span
+    if span.extend(alg.products(system, span.rows, span.rows)
+                   .reshape(-1, size)):
+        raise AssertionError("orbit sums are not closed under "
+                             "multiplication")
+    return FixedSubalgebra(system, sigma, orbits, basis, span,
+                           shape_orbits(system, sigma))
 
 
 def loewy_profile_fixed(system, sigma):
     """Loewy profile of the fixed subalgebra of one automorphism."""
     fixed = fixed_subalgebra(system, sigma)
-    dims = [fixed.dimension]
-    dims.extend(alg._power_dims(system, fixed.radical_vectors()))
-    return LoewyProfile(dims)
+    size = 1 << system.rank
+    powers = alg.radical_powers(
+        system, alg.x_matrix(fixed.radical_vectors(), size))
+    return LoewyProfile([fixed.dimension] + [p.dim for p in powers])
 
 
 def w0_centrality_criterion(system):

@@ -96,7 +96,11 @@ def cache_load(type_label):
 
 
 def load_tensor(system):
-    """Dense structure tensor from cache, or None to force a recompute."""
+    """Dense structure tensor from cache, or None to force a recompute.
+
+    The triples must be distinct in-range index triples with nonzero
+    integer values, as :func:`make_entry` writes them.
+    """
     try:
         entry = cache_load(system.type_label)
     except CorruptCache as exc:
@@ -110,15 +114,27 @@ def load_tensor(system):
                       % system.type_label)
         return None
     full = 1 << system.rank
-    T = np.zeros((full, full, full), dtype=np.int64)
     try:
-        for a, b, c, v in entry["triples"]:
-            T[a, b, c] = v
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        warnings.warn("malformed cache triples for %s: %s"
-                      % (system.type_label, exc))
-        return None
+        arr = np.asarray(entry["triples"])
+    except (KeyError, ValueError) as exc:
+        return _malformed(system, exc)
+    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 4:
+        return _malformed(system, "expected integer [I, J, K, value] rows")
+    idx = arr[:, :3]
+    if ((idx < 0) | (idx >= full)).any():
+        return _malformed(system, "subset index outside 0..%d" % (full - 1))
+    T = np.zeros((full, full, full), dtype=np.int64)
+    T[idx[:, 0], idx[:, 1], idx[:, 2]] = arr[:, 3]
+    # every stored triple is a distinct nonzero entry
+    if np.count_nonzero(T) != len(arr):
+        return _malformed(system, "repeated subset triple or zero value")
     return T
+
+
+def _malformed(system, problem):
+    warnings.warn("malformed cache triples for %s: %s"
+                  % (system.type_label, problem))
+    return None
 
 
 def store_tensor(system, tensor):

@@ -292,7 +292,10 @@ class CoxeterSystem:
 
     def longest_element(self):
         w0 = self.order - 1
-        assert int(self.length[w0]) == self.nroots
+        if int(self.length[w0]) != self.nroots:
+            raise AssertionError(
+                "last enumerated element has length %d, expected %d"
+                % (int(self.length[w0]), self.nroots))
         return self.element(w0)
 
     def longest_in_parabolic(self, mask):
@@ -320,11 +323,6 @@ class CoxeterSystem:
     def coset_rep_indices(self, mask):
         mask = self.check_mask(mask)
         return np.flatnonzero((self.rasc & mask) == mask)
-
-    def min_coset_reps(self, mask):
-        """Minimal length representatives of the cosets w W_mask,
-        sorted by (length, index)."""
-        return [self.element(i) for i in self.coset_rep_indices(mask)]
 
     # ------------------------------------------------------------------
     # structure sets
@@ -386,7 +384,10 @@ class CoxeterSystem:
                 img = 0
                 for t in iter_bits(jmask):
                     u = int(row[t])
-                    assert u >= 0
+                    if u < 0:
+                        raise AssertionError(
+                            "parabolic longest element moves a generator "
+                            "of subset %d outside the generator set" % jmask)
                     img |= 1 << u
                 union(jmask, img)
 

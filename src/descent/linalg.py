@@ -1,19 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Everything here runs on plain ``fractions.Fraction`` values, so ranks,
-spans and polynomial manipulations are never subject to rounding.  The
-vectors involved are short (``2**rank`` coordinates for algebra elements,
-group order only in a few brute-force checks), which keeps dense row
-reduction comfortably fast.
+Ranks, row spaces and kernels come from one fraction-free elimination on
+integer rows: a rational row is first scaled by the lcm of its
+denominators, and elimination only ever cross-multiplies two rows and
+divides a row by the gcd of its entries. Nothing is rounded and no
+``Fraction`` is formed until a caller asks for reduced rows. Entries stay
+in int64 while a bound proves the next step cannot overflow and move to
+Python integers otherwise. Polynomials, short and rare, stay on
+``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
+
+import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# an int64 result is exact while every term stays below this
+INT64_SAFE = 1 << 62
 
 
 def as_fractions(vec: Sequence) -> list[Fraction]:
@@ -21,77 +30,181 @@ def as_fractions(vec: Sequence) -> list[Fraction]:
     return [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
 
 
-class Span:
-    """A subspace maintained as a reduced row echelon basis.
+def absmax(arr) -> int:
+    """Largest absolute entry of an integer array, as a Python int."""
+    return int(np.abs(arr).max()) if arr.size else 0
 
-    Rows are pivot-normalized to 1 and eliminated both above and below,
-    so the stored rows are a canonical basis of the row space.  That makes
-    membership tests and equality comparisons cheap.
+
+def exact_dtype(bound):
+    """int64 when every value is provably below ``bound``, else object."""
+    return np.int64 if bound < INT64_SAFE else object
+
+
+def integer_rows(rows, width: int) -> np.ndarray:
+    """The rows as a 2-D integer array, each scaled by the lcm of its
+    denominators, so every row spans the same line as the input row."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError("rows of width %d expected" % width)
+        return rows.astype(np.int64, copy=False)
+    out = []
+    for row in rows:
+        vals = list(row)
+        if len(vals) != width:
+            raise ValueError("vector width %d, expected %d"
+                             % (len(vals), width))
+        if not all(isinstance(v, (int, np.integer)) for v in vals):
+            vals = as_fractions(vals)
+            den = lcm(*(v.denominator for v in vals))
+            vals = [v.numerator * (den // v.denominator) for v in vals]
+        out.append([int(v) for v in vals])
+    if not out:
+        return np.zeros((0, width), dtype=np.int64)
+    big = max(max(abs(v) for v in row) for row in out)
+    return np.array(out, dtype=exact_dtype(big))
+
+
+def _primitive(block):
+    """Divide each row by the gcd of its entries (zero rows stay zero)."""
+    g = np.gcd.reduce(block, axis=1)
+    g[g == 0] = 1
+    return block // g[:, None]
+
+
+def eliminate(matrix) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon basis of the row space of an integer matrix.
+
+    Fraction-free Gauss-Jordan: a pivot row ``p`` clears its column from
+    every other row ``r`` by ``r * p[c] - r[c] * p``, and each changed row
+    is divided by the gcd of its entries. (Bareiss's exact division by the
+    previous pivot keeps entries as minors of the input; on radical power
+    spans those reach hundreds of digits, while primitive rows stay a few
+    digits wide.) The result is canonical: each row primitive with a
+    positive pivot, ordered by pivot column, every pivot column zero
+    outside its row. Returns ``(rows, pivots)``; the rank is
+    ``len(pivots)``.
+    """
+    M = matrix[np.any(matrix != 0, axis=1)]
+    top = absmax(M)
+    pivots: list[int] = []
+    r = 0
+    while r < M.shape[0]:
+        live = np.flatnonzero(np.any(M[r:] != 0, axis=0))
+        if not live.size:
+            break
+        c = int(live[0])
+        col = M[r:, c]
+        nz = np.flatnonzero(col)
+        # the smallest pivot keeps the cross-multiplied rows small
+        i = r + int(nz[np.argmin(np.abs(col[nz]))])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        prow = M[r].copy()
+        others = np.flatnonzero(M[:, c])
+        others = others[others != r]
+        if others.size:
+            if M.dtype != object and 2 * top * top >= INT64_SAFE:
+                M = M.astype(object)
+                prow = prow.astype(object)
+            block = _primitive(M[others] * prow[c]
+                               - M[others, c][:, None] * prow[None, :])
+            M[others] = block
+            top = max(top, absmax(block))
+            below = others[others > r]
+            gone = below[~np.any(block[others > r] != 0, axis=1)]
+            if gone.size:
+                M = np.delete(M, gone, axis=0)
+        pivots.append(c)
+        r += 1
+    rows = _primitive(M[:r])
+    if r:
+        rows *= np.sign(rows[np.arange(r), pivots])[:, None]
+    return rows, pivots
+
+
+class Span:
+    """A subspace kept as its canonical integer echelon basis.
+
+    ``rows`` is the output of :func:`eliminate`: primitive integer rows with
+    positive pivots at ``pivots``, each pivot column zero elsewhere. Equal
+    subspaces have equal ``rows``, so comparisons need no elimination.
     """
 
     __slots__ = ("width", "rows", "pivots")
 
     def __init__(self, width: int, rows: Iterable[Sequence] | None = None):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows = np.zeros((0, width), dtype=np.int64)
         self.pivots: list[int] = []
         if rows is not None:
-            for row in rows:
-                self.add(row)
+            self.extend(rows)
 
-    def _residual(self, vec: Sequence) -> list[Fraction]:
-        """Eliminate ``vec`` against the stored rows and return what is left."""
-        v = as_fractions(vec)
-        if len(v) != self.width:
-            raise ValueError("vector width %d, expected %d" % (len(v), self.width))
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.width):
-                    v[j] -= c * row[j]
-        return v
+    def _residuals(self, vecs: np.ndarray) -> np.ndarray:
+        """Scaled remainders of integer rows after projecting out the span:
+        a row lies in the span exactly when its remainder is zero."""
+        if not self.pivots:
+            return vecs
+        d = self.rows[np.arange(self.dim), self.pivots]
+        den = lcm(*(int(v) for v in d))
+        scale = np.array([den // int(v) for v in d], dtype=object)
+        coef = vecs[:, self.pivots]
+        bound = (absmax(vecs) + 1) * den * (1 + self.dim * absmax(self.rows))
+        dtype = exact_dtype(bound)
+        coef = coef.astype(object) * scale
+        return (vecs.astype(dtype) * den
+                - coef.astype(dtype) @ self.rows.astype(dtype))
+
+    def extend(self, vecs: Iterable[Sequence]) -> int:
+        """Insert vectors; return how much the dimension grew."""
+        new = integer_rows(vecs, self.width)
+        new = new[np.any(self._residuals(new) != 0, axis=1)]
+        if not new.size:
+            return 0
+        before = self.dim
+        dtype = object if object in (new.dtype, self.rows.dtype) else np.int64
+        self.rows, self.pivots = eliminate(
+            np.vstack([self.rows.astype(dtype), new.astype(dtype)]))
+        return self.dim - before
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; report whether the dimension grew."""
-        v = self._residual(vec)
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        inv = ONE / v[p]
-        for j in range(p, self.width):
-            v[j] *= inv
-        # clear the new pivot column in the existing rows
-        for row in self.rows:
-            c = row[p]
-            if c:
-                for j in range(p, self.width):
-                    row[j] -= c * v[j]
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
-        return True
-
-    def extend(self, vecs: Iterable[Sequence]) -> None:
-        for vec in vecs:
-            self.add(vec)
+        return self.extend([vec]) > 0
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self._residual(vec))
+        res = self._residuals(integer_rows([vec], self.width))
+        return not np.any(res != 0)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def basis(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(row) for row in self.rows]
+        """The reduced row echelon basis, pivots normalized to 1."""
+        return [tuple(Fraction(int(v), int(row[p])) for v in row)
+                for row, p in zip(self.rows, self.pivots)]
 
     def canonical(self) -> tuple[tuple[Fraction, ...], ...]:
         """Canonical form of the row space; equal iff the spaces are equal."""
-        return tuple(tuple(row) for row in self.rows)
+        return tuple(self.basis())
+
+    def kernel(self) -> np.ndarray:
+        """Integer basis of the right kernel, one primitive row per free
+        column, with a positive entry at that column."""
+        pivots = set(self.pivots)
+        free = [j for j in range(self.width) if j not in pivots]
+        d = [int(self.rows[i, p]) for i, p in enumerate(self.pivots)]
+        den = lcm(*d)
+        out = np.zeros((len(free), self.width), dtype=object)
+        for k, f in enumerate(free):
+            out[k, f] = den
+            for i, p in enumerate(self.pivots):
+                out[k, p] = -int(self.rows[i, f]) * (den // d[i])
+        out = _primitive(out)
+        return out.astype(exact_dtype(absmax(out)))
 
     def copy(self) -> "Span":
         out = Span(self.width)
-        out.rows = [row[:] for row in self.rows]
+        out.rows = self.rows.copy()
         out.pivots = self.pivots[:]
         return out
 
@@ -99,15 +212,15 @@ class Span:
         if other.width != self.width:
             raise ValueError("width mismatch")
         out = self.copy()
-        for row in other.rows:
-            out.add(row)
+        out.extend(other.rows)
         return out
 
     def intersection_dim(self, other: "Span") -> int:
         return self.dim + other.dim - self.sum(other).dim
 
     def equals(self, other: "Span") -> bool:
-        return self.width == other.width and self.canonical() == other.canonical()
+        return (self.width == other.width and self.pivots == other.pivots
+                and np.array_equal(self.rows, other.rows))
 
 
 class AugSpan:
@@ -181,8 +294,7 @@ class AugSpan:
 
 def rref(rows: Iterable[Sequence], width: int) -> list[tuple[Fraction, ...]]:
     """Reduced row echelon form with zero rows dropped."""
-    span = Span(width, rows)
-    return span.basis()
+    return Span(width, rows).basis()
 
 
 def rank(rows: Iterable[Sequence], width: int) -> int:
@@ -190,19 +302,16 @@ def rank(rows: Iterable[Sequence], width: int) -> int:
 
 
 def nullspace(rows: Iterable[Sequence], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel: all v with row . v = 0 for every row."""
+    """Basis of the right kernel: all v with row . v = 0 for every row.
+
+    Vector k has a 1 at the k-th non-pivot column and zeros at the other
+    non-pivot columns.
+    """
     span = Span(width, rows)
-    pivot_set = set(span.pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * width
-        v[free] = ONE
-        for row, p in zip(span.rows, span.pivots):
-            v[p] = -row[free]
-        basis.append(tuple(v))
-    return basis
+    pivots = set(span.pivots)
+    free = [j for j in range(width) if j not in pivots]
+    return [tuple(Fraction(int(v), int(vec[f])) for v in vec)
+            for f, vec in zip(free, span.kernel())]
 
 
 def solve(rows: Sequence[Sequence], target: Sequence, width: int):
@@ -217,10 +326,6 @@ def solve(rows: Sequence[Sequence], target: Sequence, width: int):
     for k, val in expr.items():
         out[k] = val
     return out
-
-
-def mat_vec(rows: Sequence[Sequence], vec: Sequence) -> list[Fraction]:
-    return [sum((Fraction(a) * b for a, b in zip(row, vec)), ZERO) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,7 @@ class AlgebraMorphism:
         return DescentVector(self.codomain, out, alg.BASIS_X)
 
     def image_span(self):
-        span = Span(1 << self.codomain.rank)
-        for col in self.columns:
-            span.add(col)
-        return span
+        return Span(1 << self.codomain.rank, self.columns)
 
     def rank(self):
         return self.image_span().dim
@@ -138,10 +135,7 @@ class AlgebraMorphism:
         csize = 1 << self.codomain.rank
         matrix_rows = [[self.columns[i][j] for i in range(ncols)]
                        for j in range(csize)]
-        span = Span(ncols)
-        for vec in nullspace(matrix_rows, ncols):
-            span.add(vec)
-        return span
+        return Span(ncols, nullspace(matrix_rows, ncols))
 
     def is_multiplicative_pair(self, u, v):
         lhs = self.apply(alg.multiply(u, v))
@@ -518,14 +512,10 @@ def decomposition_check(system, kmask, morphism=None):
     ideal = alg.left_ideal(alg.basis_x(system, kmask))
     if kern.dim + ideal.dim != size or kern.intersection_dim(ideal) != 0:
         return False
-    xk = alg.basis_x(system, kmask)
-    products = [alg.multiply(alg.basis_x(system, imask), xk).x_coords()
-                for imask in range(size)]
-    matrix_rows = [[products[i][j] for i in range(size)]
-                   for j in range(size)]
-    ann = Span(size)
-    for vec in nullspace(matrix_rows, size):
-        ann.add(vec)
+    # a annihilates x_K from the left iff a is in the left kernel of the
+    # matrix whose row I is x_I * x_K
+    products = alg.right_multiplication(alg.basis_x(system, kmask))
+    ann = Span(size, nullspace(products.T, size))
     return ann.equals(kern)
 
 

@@ -519,22 +519,6 @@ def _suite_bhs(system, report, seed):
            "%d ordered pairs" % (size * size), bad)
 
 
-def _radical_power_span(system, power):
-    rad = alg.radical_basis(system)
-    size = 1 << system.rank
-    span = Span(size)
-    for v in rad:
-        span.add(v.x_coords())
-    for _ in range(power - 1):
-        nxt = Span(size)
-        for row in span.basis():
-            u = alg.DescentVector(system, list(row), alg.BASIS_X)
-            for v in rad:
-                nxt.add(alg.multiply(u, v).x_coords())
-        span = nxt
-    return span
-
-
 def _suite_b_tau(system, report, seed):
     comps = system.components
     n = system.rank
@@ -545,11 +529,11 @@ def _suite_b_tau(system, report, seed):
               "family; %s is outside it" % system.type_label)
         return
     r = (n - 1) // 2
-    span = _radical_power_span(system, r)
+    rad = alg.x_matrix(alg.radical_basis(system), 1 << n)
+    powers = alg.radical_powers(system, rad)
+    span = powers[r - 1] if r <= len(powers) else Span(1 << n)
     _, t_list = alg.witness_elements_typeB(system)
     witness = t_list[r - 1]
-    wspan = Span(1 << n)
-    wspan.add(witness.x_coords())
     equals_line = (span.dim == 1 and not witness.is_zero()
                    and span.contains(witness.x_coords()))
     _info(report, "radical-power-dimension",

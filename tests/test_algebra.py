@@ -8,6 +8,7 @@ ordered pair of basis elements.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from descent import algebra as alg
@@ -63,6 +64,74 @@ def test_frozen_a2_table(system_factory):
     for i in range(4):
         assert alg.multiply(x[3], x[i]) == x[i]
         assert alg.multiply(x[i], x[3]) == x[i]
+
+
+def test_oracle_takes_coefficients_beyond_int64(system_factory):
+    # the group vector of the unit is supported on the identity alone, so
+    # both products are one translation each
+    a3 = system_factory("A3")
+    x1 = alg.basis_x(a3, 0b001)
+    assert alg.oracle_multiply(10**20 * alg.unit(a3), x1) == 10**20 * x1
+    # |W| > 6000: translations, never the full multiplication table
+    h4 = system_factory("H4")
+    h1 = alg.basis_x(h4, 0b0001)
+    assert alg.oracle_multiply(2**55 * alg.unit(h4), h1) == 2**55 * h1
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_products_beyond_int64_match_oracle_and_scaling(
+        system_factory, label):
+    system = system_factory(label)
+    size = 1 << system.rank
+    rng = random.Random("big:" + label)
+    for _ in range(4):
+        a = random_vector(system, rng)
+        b = random_vector(system, rng)
+        c = 10**20 + rng.randrange(10**6)
+        big = alg.multiply(c * a, b)
+        assert big == c * alg.multiply(a, b)
+        assert big == alg.oracle_multiply(c * a, b)
+    A = [[rng.randint(-9, 9) * 10**20 for _ in range(size)]
+         for _ in range(3)]
+    B = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(2)]
+    got = alg.products(system, A, B)
+    assert got.shape == (3, 2, size) and got.dtype == object
+    # a zero factor must not squeeze the other one into int64
+    assert not alg.products(system, [[0] * size], A).any()
+    small = alg.products(system, [[v // 10**20 for v in row] for row in A], B)
+    assert small.dtype == np.int64
+    assert (got == small.astype(object) * 10**20).all()
+    for i, row in enumerate(A):
+        for j, col in enumerate(B):
+            u = alg.DescentVector.from_ints(system, row)
+            v = alg.DescentVector.from_ints(system, col)
+            assert (alg.DescentVector.from_ints(system, got[i, j].tolist())
+                    == alg.oracle_multiply(u, v))
+
+
+def test_coordinates_are_numerators_over_one_denominator(system_factory):
+    system = system_factory("A2")
+    coeffs = [Fraction(1, 2), Fraction(-1, 3), 0, Fraction(4, 6)]
+    v = alg.DescentVector(system, coeffs, alg.BASIS_Y)
+    assert v.nums == (3, -2, 0, 4) and v.den == 6
+    assert v.coeffs == tuple(Fraction(c) for c in coeffs)
+    assert alg.DescentVector.from_ints(system, [2, 4, 0, 6], 4) == \
+        alg.DescentVector(system, [Fraction(1, 2), 1, 0, Fraction(3, 2)])
+    assert str(v) == "2/3*yS - 1/3*y[1] + 1/2*y[]"
+
+
+def test_multiplication_matrices(system_factory):
+    system = system_factory("B3")
+    rng = random.Random(8)
+    a = random_vector(system, rng)
+    left = alg.left_multiplication(a)
+    right = alg.right_multiplication(a)
+    for j in range(1 << system.rank):
+        xj = alg.basis_x(system, j)
+        assert alg.DescentVector.from_ints(
+            system, left[j].tolist(), a.den) == alg.multiply(a, xj)
+        assert alg.DescentVector.from_ints(
+            system, right[j].tolist(), a.den) == alg.multiply(xj, a)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "I2(6)"])

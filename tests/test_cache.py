@@ -150,6 +150,24 @@ class TestCorruption:
             assert ca.load_tensor(system) is None
 
 
+    @pytest.mark.parametrize("extra", [
+        [-1, 0, 0, 5],      # a negative index would wrap to T[3, 0, 0]
+        [0, 4, 0, 1],       # past the last subset of A2
+        [0, 0, 0, 1.5],     # not an integer
+        [0, 0, 0],          # too short
+        [3, 3, 3, 2],       # repeats an index the entry already sets
+        [0, 1, 1, 0],       # entries hold nonzero constants only
+    ])
+    def test_malformed_extra_triple_is_rejected(self, cache_env, extra):
+        system, path = self.entry_path(cache_env)
+        entry = json.load(open(path))
+        entry["triples"].append(extra)
+        entry["checksum"] = ca._checksum(
+            {k: v for k, v in entry.items() if k != "checksum"})
+        json.dump(entry, open(path, "w"))
+        with pytest.warns(UserWarning, match="malformed"):
+            assert ca.load_tensor(system) is None
+
 class TestEntryContents:
     def test_entry_fields(self, cache_env):
         system = fresh_system("B2")

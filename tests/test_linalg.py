@@ -1,15 +1,76 @@
 """Exact rational linear algebra and polynomial helpers.
 
 Cross-checked against sympy on random instances; sympy is far too slow for
-the main computations but fine as a second opinion here.
+the main computations but fine as a second opinion here. The integer
+elimination is also checked against a row-at-a-time Fraction elimination
+kept here as the reference.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from descent import linalg
+
+
+class FractionSpan:
+    """Reference row space: reduced echelon rows of Fractions, one vector
+    eliminated at a time."""
+
+    def __init__(self, width, rows=()):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+        for row in rows:
+            self.add(row)
+
+    def _residual(self, vec):
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                for j in range(p, self.width):
+                    v[j] -= c * row[j]
+        return v
+
+    def add(self, vec):
+        v = self._residual(vec)
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        v = [x * inv for x in v]
+        for row in self.rows:
+            c = row[p]
+            if c:
+                for j in range(p, self.width):
+                    row[j] -= c * v[j]
+        at = next((i for i, q in enumerate(self.pivots) if q > p),
+                  len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, p)
+        return True
+
+    def contains(self, vec):
+        return not any(self._residual(vec))
+
+    def basis(self):
+        return [tuple(row) for row in self.rows]
+
+    def nullspace(self):
+        out = []
+        for free in range(self.width):
+            if free in self.pivots:
+                continue
+            v = [Fraction(0)] * self.width
+            v[free] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[free]
+            out.append(tuple(v))
+        return out
 
 
 def random_matrix(rng, nrows, width, density=0.7):
@@ -111,6 +172,65 @@ class TestElimination:
         once = linalg.rref(rows, 3)
         twice = linalg.rref(once, 3)
         assert once == twice
+
+
+# entries on both sides of the int64 range, so both the int64 steps and
+# the Python-integer fallback run
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def int_matrices(draw):
+    width = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=width, max_size=width),
+                         min_size=nrows, max_size=nrows))
+    # a few dependent rows: integer combinations of earlier ones
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.integers(-5, 5))
+        rows.append([x + c * y for x, y in zip(a, b)])
+    return rows, width
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_rank_row_space_and_nullspace(self, case):
+        rows, width = case
+        oracle = FractionSpan(width, rows)
+        assert linalg.rank(rows, width) == len(oracle.rows)
+        assert linalg.rref(rows, width) == oracle.basis()
+        assert linalg.nullspace(rows, width) == oracle.nullspace()
+        span = linalg.Span(width, rows)
+        for vec in oracle.nullspace():
+            assert all(sum(x * v for x, v in zip(row, vec)) == 0
+                       for row in rows)
+        probe = [sum(x) for x in zip(*rows)] if rows else [0] * width
+        assert span.contains(probe)
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_matrices(), st.lists(_ENTRY, min_size=6, max_size=6))
+    # a zero probe against a basis beyond int64
+    @example(([[2**63, 1]], 2), [0] * 6)
+    @example(([[1, 2**63]], 2), [0] * 6)
+    def test_incremental_add_and_contains(self, case, extra):
+        rows, width = case
+        vec = extra[:width]
+        span = linalg.Span(width)
+        oracle = FractionSpan(width)
+        for row in rows:
+            assert span.add(row) == oracle.add(row)
+        assert span.contains(vec) == oracle.contains(vec)
+        assert span.canonical() == tuple(oracle.basis())
+
+    def test_int64_and_object_inputs_agree(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(6)]
+            small = linalg.Span(5, np.array(rows, dtype=np.int64))
+            big = linalg.Span(5, [[x * 2**64 for x in row] for row in rows])
+            assert small.equals(big)
 
 
 class TestPolynomials:
