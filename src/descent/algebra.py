@@ -760,6 +760,12 @@ def eigenspace_dim_on_regular(vector, value):
 # permutation-character pairing
 
 
+# at most this many element indices are conjugated in one block, so that
+# the memory of theta_value_table stays bounded on rank 7 (E7 has 60
+# classes of 2,903,040 elements)
+_CONJ_BLOCK = 1 << 23
+
+
 def theta_value_table(system):
     """value[c][I]: value at class c of the permutation character of the
     coset action for mask I, as exact integers."""
@@ -770,37 +776,34 @@ def theta_value_table(system):
         size = 1 << n
         order = system.order
         conj = system.conj_tables()
+        parent, lastgen, supp = system.parent, system.lastgen, system.supp
         _cls, reps, _sizes = system.element_classes()
-        table = []
-        for r in reps:
-            m = np.empty(order, dtype=np.int32)
-            m[0] = r
-            for w in range(1, order):
-                m[w] = conj[m[int(system.parent[w])], int(system.lastgen[w])]
-            sup = system.supp[m]
-            cnts = np.bincount(sup, minlength=size).astype(np.int64)
-            for b in range(n):
-                bit = 1 << b
-                for msk in range(size):
-                    if msk & bit:
-                        cnts[msk] += cnts[msk ^ bit]
-            table.append([int(cnts[msk]) for msk in range(size)])
-        # each entry currently counts all u with supp(u^-1 r u) inside I;
+        starts = np.searchsorted(system.length, np.arange(system.nroots + 2))
+        cnts = np.zeros((len(reps), size), dtype=np.int64)
+        block = max(1, _CONJ_BLOCK // order)
+        for first in range(0, len(reps), block):
+            chunk = reps[first:first + block]
+            # row c holds u^-1 r_c u for every u, one length level at a time
+            m = np.empty((len(chunk), order), dtype=np.int32)
+            m[:, 0] = chunk
+            for lo, hi in zip(starts[1:-1], starts[2:]):
+                m[:, lo:hi] = conj[m[:, parent[lo:hi]], lastgen[lo:hi]]
+            for c, row in enumerate(m, first):
+                cnts[c] = np.bincount(supp[row], minlength=size)
+        for b in range(n):
+            bit = 1 << b
+            for msk in range(size):
+                if msk & bit:
+                    cnts[:, msk] += cnts[:, msk ^ bit]
+        # each entry now counts all u with supp(u^-1 r u) inside I;
         # divide by |W_I| to count fixed cosets
         par_orders = [len(system.parabolic_indices(msk))
                       for msk in range(size)]
-        out = []
-        for row in table:
-            vals = []
-            for msk in range(size):
-                q, rem = divmod(row[msk], par_orders[msk])
-                if rem:
-                    raise AssertionError(
-                        "fixed-point count not divisible by the parabolic "
-                        "order")
-                vals.append(q)
-            out.append(tuple(vals))
-        cached = tuple(out)
+        vals, rem = np.divmod(cnts, par_orders)
+        if rem.any():
+            raise AssertionError(
+                "fixed-point count not divisible by the parabolic order")
+        cached = tuple(tuple(row) for row in vals.tolist())
         ctx["theta_table"] = cached
     return cached
 
@@ -808,31 +811,21 @@ def theta_value_table(system):
 def bhs_pairing(system):
     """Matrix N[I][J]: the I-th coset character summed over the J-th
     distinguished-representative set. Symmetric by the character identity."""
-    size = 1 << system.rank
-    theta = theta_value_table(system)
-    cls, _reps, _sizes = system.element_classes()
-    ncls = len(_sizes)
-    cnt = np.zeros((ncls, size), dtype=np.int64)
-    rasc = system.rasc
-    for w in range(system.order):
-        cnt[int(cls[w]), int(rasc[w])] += 1
-    # superset sums per class: X_J collects w with ascent mask containing J
     n = system.rank
+    size = 1 << n
+    theta = theta_value_table(system)
+    cls, _reps, sizes = system.element_classes()
+    cnt = np.bincount(cls.astype(np.int64) * size + system.rasc,
+                      minlength=len(sizes) * size).reshape(len(sizes), size)
+    # superset sums per class: X_J collects w with ascent mask containing J
     for b in range(n):
         bit = 1 << b
-        for msk in range(1 << n):
+        for msk in range(size):
             if not msk & bit:
                 cnt[:, msk] += cnt[:, msk | bit]
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            total = 0
-            for c in range(ncls):
-                total += theta[c][i] * int(cnt[c, j])
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+    # each entry is at most |W| * |W|, exact in int64 up to rank 7
+    pairing = np.array(theta, dtype=np.int64).T @ cnt
+    return tuple(tuple(row) for row in pairing.tolist())
 
 
 # ---------------------------------------------------------------------------

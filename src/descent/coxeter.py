@@ -6,6 +6,12 @@ and the last index is the longest element. Each element is represented by
 the signed permutation it induces on the positive roots; everything else
 (lengths, ascent sets, conjugation of generators, coset representatives)
 derives from that action.
+
+The group is enumerated on first use, not on construction: the first read
+of any group table (``perms``, ``parent``, ``lastgen``, ``length``,
+``supp``, ``rmul``, ``rasc``, ``lasc``, ``csany``, ``inv``) builds all ten,
+in the element order described above. A caller that only needs the
+structure tensor, loaded from the cache, never enumerates.
 """
 
 from __future__ import annotations
@@ -36,6 +42,19 @@ class GroupElement:
     length: int
 
 
+class _GroupTable:
+    """A group table; the first read of any one builds them all."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            return self
+        system._build()
+        return system.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class Shape:
     """One W-conjugacy class of generator subsets."""
@@ -46,6 +65,17 @@ class Shape:
 
 
 class CoxeterSystem:
+    perms = _GroupTable()     # signed permutation of the positive roots
+    parent = _GroupTable()    # w = parent[w] s_{lastgen[w]}, one shorter
+    lastgen = _GroupTable()
+    length = _GroupTable()
+    supp = _GroupTable()      # mask of the generators in a reduced word
+    rmul = _GroupTable()      # rmul[w, s] = w s
+    rasc = _GroupTable()      # R(w) = {s : l(ws) > l(w)}
+    lasc = _GroupTable()      # {s : l(sw) > l(w)} = R(w^{-1})
+    csany = _GroupTable()     # csany[w, s] = t iff w^{-1} s w = s_t, else -1
+    inv = _GroupTable()
+
     def __init__(self, matrix, labels=None, type_label=None, components=None,
                  from_label=False, allow_rank7=False, cache=True):
         n = len(matrix)
@@ -78,7 +108,6 @@ class CoxeterSystem:
         self.nroots = nroots
         self.sperm = sperm
         self.simple_index = list(simple_index)
-        self._build()
         self._lmul = None
         self._conjs = None
         self._shapes = None
@@ -92,91 +121,113 @@ class CoxeterSystem:
     # enumeration
 
     def _build(self):
+        """Enumerate W and fill the group tables, one vectorized step per
+        length level.
+
+        The pairs (w, s) of a level with s a right ascent of w are taken in
+        row-major order; the new element ws is numbered by its first pair,
+        which becomes its parent and last generator. Elements are told
+        apart by one int64 key packing the images of the simple roots.
+        """
         n, N, order = self.rank, self.nroots, self.order
-        gidx = [np.abs(s).astype(np.intp) - 1 for s in self.sperm]
-        gsgn = [np.sign(s).astype(np.int16) for s in self.sperm]
-        spos = self.simple_index
+        spos = np.asarray(self.simple_index, dtype=np.intp)
+        sperm = np.asarray(self.sperm, dtype=np.intp).reshape(n, N)
+        gidx, gsgn = np.abs(sperm) - 1, np.sign(sperm).astype(np.int16)
+        # where each generator sends the simple roots
+        sidx, ssgn = gidx[:, spos], gsgn[:, spos]
+        width = (2 * N).bit_length()
+        if n * width > 63:
+            raise UnsupportedType(
+                "%d roots of rank %d do not fit one int64 element key"
+                % (N, n))
+
+        def pack(cols):
+            """One key per row of signed root numbers, one per generator."""
+            key = np.zeros(len(cols), dtype=np.int64)
+            for t in range(n):
+                key |= (cols[:, t].astype(np.int64) + N) << (t * width)
+            return key
 
         P = np.empty((order, N), dtype=np.int16)
         P[0] = np.arange(1, N + 1, dtype=np.int16)
-        index = {P[0].tobytes(): 0}
         parent = np.empty(order, dtype=np.int32)
         lastgen = np.empty(order, dtype=np.int8)
         length = np.empty(order, dtype=np.int16)
         supp = np.empty(order, dtype=np.int16)
         parent[0], lastgen[0], length[0], supp[0] = -1, -1, 0, 0
         rmul = np.full((order, n), -1, dtype=np.int32)
+        keys = np.empty(order, dtype=np.int64)
+        keys[0] = pack(P[:1, spos])[0]
 
-        count = 1
-        lv_start = 0
-        while lv_start < count:
-            lv_end = count
-            F = P[lv_start:lv_end]
-            asc = [F[:, spos[s]] > 0 for s in range(n)]
-            new_rows = [
-                (gsgn[s][None, :] * F[:, gidx[s]]).astype(np.int16)
-                for s in range(n)
-            ]
-            for pos in range(lv_end - lv_start):
-                w = lv_start + pos
-                for s in range(n):
-                    if not asc[s][pos]:
-                        continue
-                    row = new_rows[s][pos]
-                    key = row.tobytes()
-                    v = index.get(key)
-                    if v is None:
-                        v = count
-                        index[key] = v
-                        P[v] = row
-                        parent[v] = w
-                        lastgen[v] = s
-                        length[v] = length[w] + 1
-                        supp[v] = supp[w] | (1 << s)
-                        count += 1
-                    rmul[w, s] = v
-                    rmul[v, s] = w
-            lv_start = lv_end
-        if count != order:
+        lo, hi = 0, 1
+        while lo < hi:
+            w, s = np.nonzero(P[lo:hi, spos] > 0)
+            w += lo
+            # images of the simple roots under ws
+            cols = ssgn[s] * P[w[:, None], sidx[s]]
+            uniq, first, which = np.unique(
+                pack(cols), return_index=True, return_inverse=True)
+            by_first = np.argsort(first)
+            number = np.empty_like(by_first)
+            number[by_first] = np.arange(hi, hi + len(uniq))
+            if hi + len(uniq) > order:
+                raise AssertionError(
+                    "enumeration found more than %d elements" % order)
+            v = number[which]
+            rmul[w, s] = v
+            rmul[v, s] = w
+            new = slice(hi, hi + len(uniq))
+            pw, ps = w[first[by_first]], s[first[by_first]]
+            parent[new] = pw
+            lastgen[new] = ps
+            length[new] = length[lo] + 1
+            supp[new] = supp[pw] | (1 << ps)
+            keys[new] = uniq[by_first]
+            P[new] = gsgn[ps] * P[pw[:, None], gidx[ps]]
+            lo, hi = hi, hi + len(uniq)
+        if hi != order:
             raise AssertionError(
-                "enumeration found %d elements, expected %d" % (count, order))
+                "enumeration found %d elements, expected %d" % (hi, order))
 
-        # inverse permutations, used for left descents and conjugation data
-        PI = np.empty_like(P)
-        cols = np.abs(P).astype(np.intp) - 1
-        vals = np.sign(P).astype(np.int16) * np.arange(
-            1, N + 1, dtype=np.int16)[None, :]
-        np.put_along_axis(PI, cols, vals, axis=1)
-
+        # w(alpha_i) = +-alpha_j gives w^{-1}(alpha_j) = +-alpha_i; only the
+        # simple-root columns of the inverse permutations are formed
+        root_to_gen = np.full(N, -1, dtype=np.int8)
+        root_to_gen[spos] = np.arange(n)
         right_cols = P[:, spos]    # image of each simple root under w
-        left_cols = PI[:, spos]    # image under w^{-1}
+        left_cols = np.empty((order, n), dtype=np.int16)   # under w^{-1}
+        for i in range(N):
+            col = P[:, i]
+            gen = root_to_gen[np.abs(col) - 1]
+            hit = np.flatnonzero(gen >= 0)
+            left_cols[hit, gen[hit]] = np.sign(col[hit]) * (i + 1)
         rasc = np.zeros(order, dtype=np.int16)
         lasc = np.zeros(order, dtype=np.int16)
         for s in range(n):
             rasc |= (right_cols[:, s] > 0).astype(np.int16) << s
             lasc |= (left_cols[:, s] > 0).astype(np.int16) << s
 
-        root_to_gen = np.full(N, -1, dtype=np.int8)
-        for g in range(n):
-            root_to_gen[spos[g]] = g
         csany = np.empty((order, n), dtype=np.int8)
         for s in range(n):
-            csany[:, s] = root_to_gen[np.abs(left_cols[:, s]).astype(np.intp) - 1]
+            csany[:, s] = root_to_gen[np.abs(left_cols[:, s]) - 1]
 
-        inv = np.empty(order, dtype=np.int32)
-        for w in range(order):
-            inv[w] = index[PI[w].tobytes()]
+        ranked = np.argsort(keys)
+        inv_keys = pack(left_cols)
+        at = np.minimum(np.searchsorted(keys[ranked], inv_keys), order - 1)
+        missing = np.flatnonzero(keys[ranked[at]] != inv_keys)
+        if missing.size:
+            raise AssertionError(
+                "inverse of element %d is not enumerated" % missing[0])
+        inv = ranked[at].astype(np.int32)
 
         self.perms = P
-        self.index = index
         self.parent = parent
         self.lastgen = lastgen
         self.length = length
         self.supp = supp
         self.rmul = rmul
-        self.rasc = rasc      # R(w) = {s : l(ws) > l(w)}
-        self.lasc = lasc      # {s : l(sw) > l(w)} = R(w^{-1})
-        self.csany = csany    # csany[w, s] = t iff w^{-1} s w = s_t, else -1
+        self.rasc = rasc
+        self.lasc = lasc
+        self.csany = csany
         self.inv = inv
 
     # ------------------------------------------------------------------
@@ -333,24 +384,23 @@ class CoxeterSystem:
         hit = ((self.lasc & imask) == imask) & ((self.rasc & jmask) == jmask)
         return np.flatnonzero(hit)
 
-    def _refine_mask(self, d, imask, jmask):
-        """(d^{-1} I d) cap J as a mask, for d with I among its left ascents."""
-        out = 0
-        row = self.csany[d]
+    def _refine_masks(self, idxs, imask, jmask):
+        """(d^{-1} I d) cap J as masks, for each d in idxs with I among its
+        left ascents."""
+        rows = self.csany[idxs]
+        out = np.zeros(len(idxs), dtype=np.int64)
         for s in iter_bits(imask):
-            t = int(row[s])
-            if t >= 0:
-                out |= 1 << t
+            t = rows[:, s].astype(np.int64)
+            out |= np.where(t >= 0, 1 << np.maximum(t, 0), 0)
         return out & jmask
 
     def structure_set(self, imask, jmask, kmask=None):
         """X_{I,J} (or its refinement X_{I,J,K}) as GroupElements."""
         idxs = self._xij_indices(imask, jmask)
-        if kmask is None:
-            return [self.element(i) for i in idxs]
-        kmask = self.check_mask(kmask)
-        return [self.element(int(d)) for d in idxs
-                if self._refine_mask(int(d), imask, jmask) == kmask]
+        if kmask is not None:
+            kmask = self.check_mask(kmask)
+            idxs = idxs[self._refine_masks(idxs, imask, jmask) == kmask]
+        return [self.element(i) for i in idxs]
 
     # ------------------------------------------------------------------
     # shapes (conjugacy classes of generator subsets)

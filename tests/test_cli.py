@@ -195,10 +195,12 @@ class TestRankGate:
         assert "--allow-rank7" in err
 
     def test_memory_estimate_value(self):
-        # 2903040 elements, 63 positive roots at 2 bytes, 7 generator
-        # actions on each side at 4 bytes, 32 bytes of bookkeeping
-        per_element = 63 * 2 + 7 * 4 * 2 + 32
-        assert cli.rank7_memory_estimate("E7") == 2903040 * per_element
+        # 2903040 elements, 63 positive roots at 2 bytes, 7 generators at
+        # 9 bytes, 64 bytes of index tables and keys; 32 MB of interpreter
+        # and the int64 tensor over 128**3 subset triples
+        per_element = 63 * 2 + 7 * 9 + 64
+        assert cli.rank7_memory_estimate("E7") == (
+            32 * 10**6 + 2903040 * per_element + 8 * 128**3)
 
     def test_estimate_printed_only_for_rank_seven(self, capsys):
         cli._maybe_print_rank7_estimate("E7", True)

@@ -8,9 +8,13 @@ conjugacy of subsets by conjugating every generator by every element.
 import numpy as np
 import pytest
 
-from descent import build_system
+from descent import algebra, build_system, cartan
+from descent.algebra import bhs_pairing, multiply, theta_value_table
 from descent.coxeter import iter_bits, popcount
-from descent.errors import InvalidSubset, UnsupportedType
+from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
+                            UnsupportedType)
+from descent.exprs import parse_expression
+from descent.table import SUPPORTED_TYPES
 
 SMALL = ["A1", "A2", "A3", "B2", "B3", "I2(5)", "I2(7)", "A1xA1", "A2xA1"]
 
@@ -302,3 +306,228 @@ def test_bit_helpers():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
     assert popcount(0) == 0
     assert popcount(0b1011) == 3
+
+
+# ---------------------------------------------------------------------------
+# lazy, level-by-level enumeration against the per-element reference
+
+GROUP_TABLES = ("perms", "parent", "lastgen", "length", "supp", "rmul",
+                "rasc", "lasc", "csany", "inv")
+
+
+def enumerate_by_element(system):
+    """Reference enumeration: one element and one generator at a time,
+    new elements found through a dict keyed by their root permutation."""
+    n, N, order = system.rank, system.nroots, system.order
+    gidx = [np.abs(s).astype(np.intp) - 1 for s in system.sperm]
+    gsgn = [np.sign(s).astype(np.int16) for s in system.sperm]
+    spos = system.simple_index
+
+    P = np.empty((order, N), dtype=np.int16)
+    P[0] = np.arange(1, N + 1, dtype=np.int16)
+    index = {P[0].tobytes(): 0}
+    parent = np.empty(order, dtype=np.int32)
+    lastgen = np.empty(order, dtype=np.int8)
+    length = np.empty(order, dtype=np.int16)
+    supp = np.empty(order, dtype=np.int16)
+    parent[0], lastgen[0], length[0], supp[0] = -1, -1, 0, 0
+    rmul = np.full((order, n), -1, dtype=np.int32)
+    count = 1
+    lv_start = 0
+    while lv_start < count:
+        lv_end = count
+        F = P[lv_start:lv_end]
+        for pos in range(lv_end - lv_start):
+            w = lv_start + pos
+            for s in range(n):
+                if F[pos, spos[s]] <= 0:
+                    continue
+                row = (gsgn[s] * F[pos, gidx[s]]).astype(np.int16)
+                key = row.tobytes()
+                v = index.get(key)
+                if v is None:
+                    v = count
+                    index[key] = v
+                    P[v] = row
+                    parent[v] = w
+                    lastgen[v] = s
+                    length[v] = length[w] + 1
+                    supp[v] = supp[w] | (1 << s)
+                    count += 1
+                rmul[w, s] = v
+                rmul[v, s] = w
+        lv_start = lv_end
+    assert count == order
+
+    PI = np.empty_like(P)
+    cols = np.abs(P).astype(np.intp) - 1
+    vals = np.sign(P).astype(np.int16) * np.arange(
+        1, N + 1, dtype=np.int16)[None, :]
+    np.put_along_axis(PI, cols, vals, axis=1)
+    right_cols = P[:, spos]
+    left_cols = PI[:, spos]
+    rasc = np.zeros(order, dtype=np.int16)
+    lasc = np.zeros(order, dtype=np.int16)
+    for s in range(n):
+        rasc |= (right_cols[:, s] > 0).astype(np.int16) << s
+        lasc |= (left_cols[:, s] > 0).astype(np.int16) << s
+    root_to_gen = np.full(N, -1, dtype=np.int8)
+    for g in range(n):
+        root_to_gen[spos[g]] = g
+    csany = np.empty((order, n), dtype=np.int8)
+    for s in range(n):
+        csany[:, s] = root_to_gen[np.abs(left_cols[:, s]).astype(np.intp) - 1]
+    inv = np.array([index[PI[w].tobytes()] for w in range(order)],
+                   dtype=np.int32)
+    return {"perms": P, "parent": parent, "lastgen": lastgen,
+            "length": length, "supp": supp, "rmul": rmul, "rasc": rasc,
+            "lasc": lasc, "csany": csany, "inv": inv}
+
+
+def assert_tables_match_reference(system):
+    expected = enumerate_by_element(system)
+    for name in GROUP_TABLES:
+        got = getattr(system, name)
+        assert got.dtype == expected[name].dtype, name
+        assert np.array_equal(got, expected[name]), name
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_group_tables_match_per_element_enumeration(system_factory, label):
+    assert_tables_match_reference(system_factory(label))
+
+
+def test_a7_group_tables_match_per_element_enumeration():
+    assert_tables_match_reference(
+        build_system(type="A7", allow_rank7=True, cache=False))
+
+
+def test_rank_zero_group_tables_match_per_element_enumeration():
+    assert_tables_match_reference(build_system(matrix=[]))
+
+
+@pytest.mark.parametrize("label,perm", [
+    ("F4", (2, 0, 3, 1)), ("D5", (4, 1, 3, 0, 2)), ("A2xB2", (3, 0, 2, 1)),
+])
+def test_permuted_matrix_group_tables_match_per_element_enumeration(
+        label, perm):
+    _labels, mat = cartan.matrix_for_components(cartan.parse_label(label))
+    permuted = [[mat[a][b] for b in perm] for a in perm]
+    assert_tables_match_reference(build_system(matrix=permuted))
+
+
+def test_warm_multiply_never_enumerates(system_factory):
+    system_factory("B4").structure_tensor()     # primes the cache
+    system = build_system(type="B4")
+    left = parse_expression(system, "x[1,2] + 2*x[3]")
+    right = parse_expression(system, "x[2,4] - x[]")
+    text = str(multiply(left, right))
+    assert text
+    assert "rmul" not in system.__dict__
+    assert not set(GROUP_TABLES) & set(system.__dict__)
+
+
+@pytest.mark.parametrize("name", GROUP_TABLES)
+def test_reading_one_table_builds_all(name):
+    system = build_system(type="B3", cache=False)
+    assert not set(GROUP_TABLES) & set(system.__dict__)
+    getattr(system, name)
+    assert set(GROUP_TABLES) <= set(system.__dict__)
+
+
+def test_construction_errors_raise_before_enumeration():
+    with pytest.raises(RankCapExceeded):
+        build_system(type="E7")
+    with pytest.raises(RankCapExceeded):
+        build_system(type="A8", allow_rank7=True)
+    with pytest.raises(UnsupportedType):
+        build_system(matrix=[[1, 3], [2, 1]])
+    with pytest.raises(UnsupportedType):
+        build_system(matrix=[[1, 3, 2], [3, 1, 3]])
+    with pytest.raises(InfiniteGroup):
+        build_system(matrix=[[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+
+
+# ---------------------------------------------------------------------------
+# vectorized consumers of the group tables against per-element loops
+
+
+def theta_by_element(system):
+    """Reference coset-character table: each class walked element by
+    element through the parent tree."""
+    size = 1 << system.rank
+    conj = system.conj_tables()
+    _cls, reps, _sizes = system.element_classes()
+    par_orders = [len(system.parabolic_indices(m)) for m in range(size)]
+    out = []
+    for r in reps:
+        m = np.empty(system.order, dtype=np.int32)
+        m[0] = r
+        for w in range(1, system.order):
+            m[w] = conj[m[int(system.parent[w])], int(system.lastgen[w])]
+        cnts = np.bincount(system.supp[m], minlength=size).astype(np.int64)
+        for b in range(system.rank):
+            for msk in range(size):
+                if msk >> b & 1:
+                    cnts[msk] += cnts[msk ^ (1 << b)]
+        out.append(tuple(int(cnts[msk]) // par_orders[msk]
+                         for msk in range(size)))
+    return tuple(out)
+
+
+def bhs_by_element(system, theta):
+    """Reference BHS pairing: class-by-ascent-set counts one element at
+    a time."""
+    size = 1 << system.rank
+    cls, _reps, sizes = system.element_classes()
+    cnt = np.zeros((len(sizes), size), dtype=np.int64)
+    for w in range(system.order):
+        cnt[int(cls[w]), int(system.rasc[w])] += 1
+    for b in range(system.rank):
+        for msk in range(size):
+            if not msk >> b & 1:
+                cnt[:, msk] += cnt[:, msk | (1 << b)]
+    return tuple(
+        tuple(sum(theta[c][i] * int(cnt[c, j]) for c in range(len(sizes)))
+              for j in range(size))
+        for i in range(size))
+
+
+def refine_mask_by_element(system, d, imask, jmask):
+    out = 0
+    for s in iter_bits(imask):
+        t = int(system.csany[d, s])
+        if t >= 0:
+            out |= 1 << t
+    return out & jmask
+
+
+@pytest.mark.parametrize("label", ["B4", "D5", "F4", "H4"])
+def test_theta_and_bhs_match_per_element_loops(system_factory, label):
+    system = system_factory(label)
+    theta = theta_value_table(system)
+    assert theta == theta_by_element(system)
+    assert bhs_pairing(system) == bhs_by_element(system, theta)
+
+
+@pytest.mark.parametrize("label", ["B4", "D5", "F4", "H4"])
+def test_refined_structure_sets_match_per_element_masks(system_factory,
+                                                        label):
+    system = system_factory(label)
+    size = system.full_mask + 1
+    # every I against a spread of J keeps H4 and D5 quick
+    for imask in range(size):
+        for jmask in range(imask % 4, size, 4):
+            both = system.structure_set(imask, jmask)
+            masks = [refine_mask_by_element(system, e.index, imask, jmask)
+                     for e in both]
+            for kmask in set(masks) | {jmask, 0}:
+                expect = [e for e, m in zip(both, masks) if m == kmask]
+                assert system.structure_set(imask, jmask, kmask) == expect
+
+
+def test_theta_in_several_conjugation_blocks_matches(monkeypatch):
+    system = build_system(type="B4")
+    # three class representatives per block
+    monkeypatch.setattr(algebra, "_CONJ_BLOCK", 3 * system.order)
+    assert theta_value_table(system) == theta_by_element(system)
