@@ -108,6 +108,7 @@ class CoxeterSystem:
         self.nroots = nroots
         self.sperm = sperm
         self.simple_index = list(simple_index)
+        self._key_layout = self._element_key_layout()
         self._lmul = None
         self._conjs = None
         self._shapes = None
@@ -119,6 +120,33 @@ class CoxeterSystem:
 
     # ------------------------------------------------------------------
     # enumeration
+
+    def _element_key_layout(self):
+        """First root number and bit shift of each generator's field in
+        the int64 element key.
+
+        w sends alpha_t to a root of t's own irreducible component. Those
+        roots are one contiguous block of the root numbering, the roots
+        that the component's generators move, so the image is coded inside
+        the block: twice its offset there, plus one if it is negative.
+        """
+        n, N = self.rank, self.nroots
+        sperm = np.asarray(self.sperm, dtype=np.int64).reshape(n, N)
+        moved = (sperm != np.arange(1, N + 1)).astype(np.int64)
+        linked = (np.asarray(self.matrix, dtype=np.int64).reshape(n, n) > 2
+                  ) | np.eye(n, dtype=bool)
+        for _ in range(n):
+            linked = (linked.astype(np.int64) @ linked) > 0
+        block = (linked.astype(np.int64) @ moved) > 0
+        first = [int(np.flatnonzero(row)[0]) for row in block]
+        width = [int(2 * row.sum() - 1).bit_length() for row in block]
+        if sum(width) > 63:
+            # the smallest such system, A3xI2(2049)xI2(2049), has about
+            # 4 * 10**8 elements and 4104 roots
+            raise UnsupportedType(
+                "the elements of %s do not fit one int64 key"
+                % self.type_label)
+        return first, [sum(width[:t]) for t in range(n)]
 
     def _build(self):
         """Enumerate W and fill the group tables, one vectorized step per
@@ -135,17 +163,15 @@ class CoxeterSystem:
         gidx, gsgn = np.abs(sperm) - 1, np.sign(sperm).astype(np.int16)
         # where each generator sends the simple roots
         sidx, ssgn = gidx[:, spos], gsgn[:, spos]
-        width = (2 * N).bit_length()
-        if n * width > 63:
-            raise UnsupportedType(
-                "%d roots of rank %d do not fit one int64 element key"
-                % (N, n))
+        first_root, shift = self._key_layout
 
         def pack(cols):
             """One key per row of signed root numbers, one per generator."""
             key = np.zeros(len(cols), dtype=np.int64)
             for t in range(n):
-                key |= (cols[:, t].astype(np.int64) + N) << (t * width)
+                col = cols[:, t].astype(np.int64)
+                key |= (2 * (np.abs(col) - 1 - first_root[t]) + (col < 0)
+                        ) << shift[t]
             return key
 
         P = np.empty((order, N), dtype=np.int16)

@@ -416,6 +416,37 @@ def test_permuted_matrix_group_tables_match_per_element_enumeration(
     assert_tables_match_reference(build_system(matrix=permuted))
 
 
+@pytest.mark.parametrize("label", [
+    "I2(509)xA1xA1xA1xA1", "I2(251)xA1xA1xA1xA1xA1", "A1xI2(300)xA2",
+])
+def test_many_root_group_tables_match_per_element_enumeration(label):
+    # a large dihedral factor gives more roots than one key field per
+    # generator of the same width could hold
+    assert_tables_match_reference(
+        build_system(type=label, allow_rank7=True, cache=False))
+
+
+def test_large_dihedral_product_enumerates():
+    system = build_system(type="I2(250)xA2xA2xA1", allow_rank7=True,
+                          cache=False)
+    assert system.order == 36000
+    ids = np.arange(system.order)
+    assert np.array_equal(system.inv[system.inv], ids)
+    for s in range(system.rank):
+        assert np.array_equal(system.rmul[system.rmul[:, s], s], ids)
+    assert int(system.length[-1]) == system.nroots == 257
+
+
+def test_element_key_overflow_raises_on_construction():
+    # the smallest system whose element key needs more than 63 bits
+    with pytest.raises(UnsupportedType, match="int64 key"):
+        build_system(type="A3xI2(2049)xI2(2049)", allow_rank7=True,
+                     cache=False)
+    system = build_system(type="A3xI2(2048)xI2(2049)", allow_rank7=True,
+                          cache=False)
+    assert not set(GROUP_TABLES) & set(system.__dict__)
+
+
 def test_warm_multiply_never_enumerates(system_factory):
     system_factory("B4").structure_tensor()     # primes the cache
     system = build_system(type="B4")
