@@ -16,7 +16,7 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from .coxeter import CoxeterSystem, iter_bits, popcount
+from .coxeter import CoxeterSystem, iter_bits, popcount, subset_sums
 from .errors import (
     InvalidSubset,
     NotInDescentAlgebra,
@@ -790,11 +790,7 @@ def theta_value_table(system):
                 m[:, lo:hi] = conj[m[:, parent[lo:hi]], lastgen[lo:hi]]
             for c, row in enumerate(m, first):
                 cnts[c] = np.bincount(supp[row], minlength=size)
-        for b in range(n):
-            bit = 1 << b
-            for msk in range(size):
-                if msk & bit:
-                    cnts[:, msk] += cnts[:, msk ^ bit]
+        subset_sums(cnts, n)
         # each entry now counts all u with supp(u^-1 r u) inside I;
         # divide by |W_I| to count fixed cosets
         par_orders = [len(system.parabolic_indices(msk))
@@ -818,11 +814,7 @@ def bhs_pairing(system):
     cnt = np.bincount(cls.astype(np.int64) * size + system.rasc,
                       minlength=len(sizes) * size).reshape(len(sizes), size)
     # superset sums per class: X_J collects w with ascent mask containing J
-    for b in range(n):
-        bit = 1 << b
-        for msk in range(size):
-            if not msk & bit:
-                cnt[:, msk] += cnt[:, msk | bit]
+    subset_sums(cnt, n, supersets=True)
     # each entry is at most |W| * |W|, exact in int64 up to rank 7
     pairing = np.array(theta, dtype=np.int64).T @ cnt
     return tuple(tuple(row) for row in pairing.tolist())

@@ -40,8 +40,7 @@ def _checksum(payload):
 
 def make_entry(system, tensor):
     ii, jj, kk = np.nonzero(tensor)
-    triples = [[int(a), int(b), int(c), int(tensor[a, b, c])]
-               for a, b, c in zip(ii, jj, kk)]
+    triples = np.column_stack((ii, jj, kk, tensor[ii, jj, kk])).tolist()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "type_label": system.type_label,
@@ -63,7 +62,8 @@ def cache_store(entry):
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(entry, fh)
+            # dumps runs the C encoder; dump streams through the Python one
+            fh.write(json.dumps(entry))
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):

@@ -35,6 +35,20 @@ def popcount(mask):
     return bin(mask).count("1")
 
 
+def subset_sums(arr, rank, supersets=False):
+    """Sum over subsets in place along the last axis, of length 2**rank:
+    entry J becomes the sum of the entries of the subsets of J (of the
+    supersets of J with ``supersets``). ``arr`` must be C-contiguous, so
+    that each reshape below is a view of it."""
+    for s in range(rank):
+        pairs = arr.reshape(arr.shape[:-1] + (-1, 2, 1 << s))
+        if supersets:
+            pairs[..., 0, :] += pairs[..., 1, :]
+        else:
+            pairs[..., 1, :] += pairs[..., 0, :]
+    return arr
+
+
 @dataclass(frozen=True)
 class GroupElement:
     index: int
@@ -621,47 +635,95 @@ class CoxeterSystem:
                 self._tensor = T
                 return T
         T = self._compute_tensor()
+        self._check_tensor(T)
         self._tensor = T
         if self.cache_enabled:
             cache_mod.store_tensor(self, T)
         return T
 
     def _compute_tensor(self):
+        """T[I, J, K] from a histogram of element signatures.
+
+        d counts towards T[I, J, K] when I is among its left ascents a,
+        J among its right ascents b, and (d^{-1} I d) cap J = K, so only
+        the signature of d matters: a, b and, for each s in a, the
+        generator d^{-1} s d when it is one. Four vectorized passes:
+
+        1. one int64 key per element packs its signature, and
+           ``np.unique`` counts the keys;
+        2. H[I, D, b] sums the counts of the signatures with I a subset
+           of a, image D = (d^{-1} I d) cap S and right ascents b, filled
+           one left-ascent mask a at a time;
+        3. n in-place steps of a superset sum over the last axis give
+           G[I, D, J] = sum of H[I, D, b] over b containing J;
+        4. T[I, J, D cap J] += G[I, D, J], one I row at a time, each
+           row of T written over the row of G it came from.
+        """
         n = self.rank
         full = 1 << n
-        lasc, rasc, csany = self.lasc, self.rasc, self.csany
-        sigs = {}
-        for d in range(self.order):
-            amask = int(lasc[d])
-            row = csany[d]
-            cmap = tuple(int(row[s]) for s in iter_bits(amask))
-            key = (amask, int(rasc[d]), cmap)
-            sigs[key] = sigs.get(key, 0) + 1
-        T = np.zeros((full, full, full), dtype=np.int64)
-        for (amask, bmask, cmap), mult in sigs.items():
-            abits = list(iter_bits(amask))
-            images = {}
-            for pos, s in enumerate(abits):
-                t = cmap[pos]
-                images[1 << s] = (1 << t) if t >= 0 else 0
-            imask = amask
-            while True:
-                dmask = 0
-                rem = imask
-                while rem:
-                    low = rem & -rem
-                    dmask |= images[low]
-                    rem ^= low
-                jmask = bmask
-                while True:
-                    T[imask, jmask, dmask & jmask] += mult
-                    if jmask == 0:
-                        break
-                    jmask = (jmask - 1) & bmask
-                if imask == 0:
-                    break
-                imask = (imask - 1) & amask
-        return T
+        # the image code of s is 0 (s not a left ascent, or d^{-1} s d not
+        # a generator) or t + 1 for d^{-1} s d = s_t, so it lies in 0..n
+        # and takes n.bit_length() <= 3 bits for n <= 7, so the key
+        # (codes, then b, then a) takes n (3 + 2) <= 35 bits
+        width = n.bit_length()
+        if n * (width + 2) > 63:
+            raise AssertionError(
+                "signature keys of rank %d do not fit 63 bits" % n)
+        lasc = self.lasc.astype(np.int64)
+        key = (lasc << n | self.rasc) << (n * width)
+        for s in range(n):
+            t = self.csany[:, s].astype(np.int64)
+            ascent = (lasc >> s & 1).astype(bool)
+            key |= np.where(ascent & (t >= 0), t + 1, 0) << (s * width)
+        sigs, mult = np.unique(key, return_counts=True)
+
+        # sorted keys group the signatures by a, the top field
+        amask = sigs >> (n * width + n)
+        bmask = sigs >> (n * width) & (full - 1)
+        masks = np.arange(full)
+        G = np.zeros((full, full, full), dtype=np.int64)
+        starts = np.flatnonzero(np.diff(amask, prepend=-1))
+        for lo, hi in zip(starts, np.append(starts[1:], len(sigs))):
+            a = int(amask[lo])
+            subs = masks[(masks & ~a) == 0]
+            D = np.zeros((hi - lo, len(subs)), dtype=np.intp)
+            for s in iter_bits(a):
+                code = sigs[lo:hi] >> (s * width) & ((1 << width) - 1)
+                D |= np.where(subs >> s & 1, ((1 << code) >> 1)[:, None], 0)
+            np.add.at(G, (subs, D, bmask[lo:hi, None]), mult[lo:hi, None])
+
+        subset_sums(G, n, supersets=True)
+        meet = masks[:, None] & masks    # D cap J, indexed [D, J]
+        for i in range(full):
+            row = np.zeros((full, full), dtype=np.int64)
+            np.add.at(row, (masks, meet), G[i])
+            G[i] = row
+        return G
+
+    def _check_tensor(self, T):
+        """Raise AssertionError unless T has the unit rows, the support and
+        the Mackey counts of a structure tensor of this system."""
+        full = 1 << self.rank
+        S = full - 1
+        eye = np.eye(full, dtype=T.dtype)
+        if not (np.array_equal(T[S], eye) and np.array_equal(T[:, S], eye)):
+            raise AssertionError(
+                "structure tensor of %s: T[S, J, K] or T[J, S, K] is not "
+                "the identity" % self.type_label)
+        masks = np.arange(full)
+        outside = (masks[None, :] & ~masks[:, None]) != 0   # [J, K]
+        if T.any(axis=0)[outside].any():
+            raise AssertionError(
+                "structure tensor of %s: T[I, J, K] is nonzero for some K "
+                "not inside J" % self.type_label)
+        # |W_K| = #{w : supp(w) inside K}, a subset sum of the supports
+        par = subset_sums(np.bincount(self.supp, minlength=full).astype(
+            np.int64), self.rank)
+        index = self.order // par      # |W : W_K| = |X_K|
+        if not np.array_equal(T @ index, np.outer(index, index)):
+            raise AssertionError(
+                "structure tensor of %s fails the Mackey count "
+                "|X_I| |X_J| = sum_K T[I, J, K] |X_K|" % self.type_label)
 
 
 def build_system(type=None, matrix=None, labels=None, allow_rank7=False,

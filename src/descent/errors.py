@@ -53,6 +53,10 @@ class UnavailableAutomorphism(DescentError):
     """No diagram automorphism of the requested order exists."""
 
 
+class AutomorphismRowsDiffer(DescentError):
+    """Diagram automorphisms of one order give different table rows."""
+
+
 class UnknownSuite(DescentError):
     """Verification suite name not recognized."""
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from . import algebra as alg
 from . import automorphisms as auto
 from .coxeter import build_system
-from .errors import UnavailableAutomorphism, UnsupportedType
+from .errors import (AutomorphismRowsDiffer, UnavailableAutomorphism,
+                     UnsupportedType)
 
 SUPPORTED_TYPES = (
     "A1", "A2", "A3", "A4", "A5",
@@ -52,7 +53,9 @@ def available_sigma_orders(system):
 def build_row(type_label, sigma_order=1, system=None, allow_rank7=False):
     """Compute one row. Several automorphisms of the same order must give
     identical profiles; they are computed separately and compared before
-    the single row is emitted."""
+    the single row is emitted. Automorphisms of equal order that are not
+    conjugate (a transposition and a double transposition of four A1
+    factors) can differ, and then AutomorphismRowsDiffer is raised."""
     if system is None:
         system = build_system(type=type_label, allow_rank7=allow_rank7)
     sigmas = auto.automorphism_of_order(system, sigma_order)
@@ -78,8 +81,9 @@ def build_row(type_label, sigma_order=1, system=None, allow_rank7=False):
     first = rows[0]
     for other in rows[1:]:
         if other != first:
-            raise AssertionError(
-                "automorphisms of equal order gave different profiles")
+            raise AutomorphismRowsDiffer(
+                "diagram automorphisms of order %d of %s give different "
+                "rows" % (sigma_order, system.type_label))
     return first
 
 

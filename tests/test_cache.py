@@ -1,6 +1,7 @@
 """Structure-constant cache: round trips, corruption handling, and the
 environment override for the directory."""
 
+import io
 import json
 import os
 
@@ -181,3 +182,16 @@ class TestEntryContents:
         for a, b, c, v in entry["triples"]:
             assert tensor[a, b, c] == v
         assert len(entry["triples"]) == int(np.count_nonzero(tensor))
+
+    def test_store_writes_what_json_dump_wrote(self, cache_env):
+        system = fresh_system("B4")
+        tensor = system.structure_tensor()
+        entry = ca.make_entry(system, tensor)
+        ii, jj, kk = np.nonzero(tensor)
+        assert entry["triples"] == [
+            [int(a), int(b), int(c), int(tensor[a, b, c])]
+            for a, b, c in zip(ii, jj, kk)]
+        streamed = io.StringIO()
+        json.dump(entry, streamed)
+        with open(ca.cache_store(entry), "rb") as fh:
+            assert fh.read() == streamed.getvalue().encode("utf-8")

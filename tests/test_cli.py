@@ -101,6 +101,13 @@ class TestTable:
         assert code == 2
         assert "positive integer" in err
 
+    def test_differing_automorphism_rows_are_exit_two(self, capsys):
+        code, out, err = run(capsys, "table", "--type", "A1xA1xA1xA1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "order 2 of A1xA1xA1xA1" in err
+
     def test_unavailable_order_is_exit_two(self, capsys):
         code, _, err = run(capsys, "table", "--type", "B3",
                            "--sigma", "2")

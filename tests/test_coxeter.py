@@ -562,3 +562,98 @@ def test_theta_in_several_conjugation_blocks_matches(monkeypatch):
     # three class representatives per block
     monkeypatch.setattr(algebra, "_CONJ_BLOCK", 3 * system.order)
     assert theta_value_table(system) == theta_by_element(system)
+
+
+# ---------------------------------------------------------------------------
+# vectorized structure tensor against the per-signature loop
+
+
+def tensor_by_signature_loop(system):
+    """Reference structure tensor: signatures counted in a dict, then every
+    pair of subsets I of L(d) and J of R(d) visited one at a time."""
+    full = 1 << system.rank
+    sigs = {}
+    for d in range(system.order):
+        amask = int(system.lasc[d])
+        row = system.csany[d]
+        cmap = tuple(int(row[s]) for s in iter_bits(amask))
+        key = (amask, int(system.rasc[d]), cmap)
+        sigs[key] = sigs.get(key, 0) + 1
+    T = np.zeros((full, full, full), dtype=np.int64)
+    for (amask, bmask, cmap), mult in sigs.items():
+        images = {}
+        for pos, s in enumerate(iter_bits(amask)):
+            t = cmap[pos]
+            images[1 << s] = (1 << t) if t >= 0 else 0
+        imask = amask
+        while True:
+            dmask = 0
+            rem = imask
+            while rem:
+                low = rem & -rem
+                dmask |= images[low]
+                rem ^= low
+            jmask = bmask
+            while True:
+                T[imask, jmask, dmask & jmask] += mult
+                if jmask == 0:
+                    break
+                jmask = (jmask - 1) & bmask
+            if imask == 0:
+                break
+            imask = (imask - 1) & amask
+    return T
+
+
+def assert_tensor_matches_reference(system):
+    got = system._compute_tensor()
+    assert got.dtype == np.int64
+    assert np.array_equal(got, tensor_by_signature_loop(system))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_tensor_matches_signature_loop(system_factory, label):
+    assert_tensor_matches_reference(system_factory(label))
+
+
+@pytest.mark.parametrize("system", [
+    lambda: build_system(type="A7", allow_rank7=True, cache=False),
+    lambda: build_system(matrix=[]),
+    lambda: build_system(type="I2(509)xA1xA1xA1xA1", cache=False),
+], ids=["A7", "rank0", "I2(509)xA1xA1xA1xA1"])
+def test_more_tensors_match_signature_loop(system):
+    assert_tensor_matches_reference(system())
+
+
+@pytest.mark.parametrize("label,perm", [
+    ("F4", (2, 0, 3, 1)), ("D5", (4, 1, 3, 0, 2)), ("A2xB2", (3, 0, 2, 1)),
+])
+def test_permuted_matrix_tensor_matches_signature_loop(label, perm):
+    _labels, mat = cartan.matrix_for_components(cartan.parse_label(label))
+    permuted = [[mat[a][b] for b in perm] for a in perm]
+    assert_tensor_matches_reference(build_system(matrix=permuted))
+
+
+@pytest.mark.parametrize("index,delta,problem", [
+    ((0b111, 1, 1), 1, "is not the identity"),      # S = 0b111 in B3
+    ((1, 0b111, 1), -1, "is not the identity"),
+    ((0, 0b001, 0b010), 1, "not inside J"),
+    ((0, 0, 0), 1, "Mackey"),
+], ids=["unit-row", "unit-column", "support", "mackey"])
+def test_corrupted_tensor_trips_invariant(system_factory, index, delta,
+                                          problem):
+    system = system_factory("B3")
+    T = system.structure_tensor().copy()
+    system._check_tensor(T)
+    T[index] += delta
+    with pytest.raises(AssertionError, match=problem):
+        system._check_tensor(T)
+
+
+def test_fresh_tensor_is_checked(monkeypatch):
+    system = build_system(type="A3", cache=False)
+    bad = system._compute_tensor()
+    bad[0, 0, 0] += 1
+    monkeypatch.setattr(system, "_compute_tensor", lambda: bad)
+    with pytest.raises(AssertionError, match="Mackey"):
+        system.structure_tensor()

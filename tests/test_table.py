@@ -11,7 +11,8 @@ import json
 import pytest
 
 import descent.table as tb
-from descent.errors import UnavailableAutomorphism, UnsupportedType
+from descent.errors import (AutomorphismRowsDiffer, DescentError,
+                            UnavailableAutomorphism, UnsupportedType)
 
 
 GOLDEN = [
@@ -88,6 +89,15 @@ class TestRowConstruction:
             tb.build_row("A3", 3)
         with pytest.raises(UnavailableAutomorphism):
             tb.build_row("D4", 4)
+
+    @pytest.mark.parametrize("label", ["A1xA1xA1xA1", "A2xA2xA1xA1"])
+    def test_non_conjugate_automorphisms_of_one_order_raise(self, label):
+        # a transposition and a double transposition of the A1 factors
+        # both have order 2 but fix different subalgebras
+        with pytest.raises(AutomorphismRowsDiffer,
+                           match="order 2 of %s" % label) as info:
+            tb.build_row(label, 2)
+        assert isinstance(info.value, DescentError)
 
     def test_all_orders_for_one_type(self):
         rows = tb.build_all_rows(["D4"])
