@@ -372,6 +372,19 @@ def _algebra_context(system):
     return ctx
 
 
+def _exact_tensor(system, factor):
+    """The structure tensor, in int64 when ``factor`` times its largest
+    entry is below the int64 bound and on Python integers otherwise.
+    ``factor`` bounds, for one entry of a contraction with T, the sum of
+    the absolute values of what multiplies the entries of T in it."""
+    T = system.structure_tensor()
+    ctx = _algebra_context(system)
+    tmax = ctx.get("tensor_max")
+    if tmax is None:
+        tmax = ctx["tensor_max"] = linalg.absmax(T)
+    return T.astype(linalg.exact_dtype(tmax * factor), copy=False)
+
+
 def products(system, A, B):
     """Every product of a row of A with a row of B, in one contraction.
 
@@ -382,19 +395,13 @@ def products(system, A, B):
     otherwise.
     """
     size = 1 << system.rank
-    T = system.structure_tensor()
-    ctx = _algebra_context(system)
-    tmax = ctx.get("tensor_max")
-    if tmax is None:
-        tmax = ctx["tensor_max"] = linalg.absmax(T)
     A = linalg.integer_rows(A, size)
     B = linalg.integer_rows(B, size)
     # the bound also covers A and B themselves when the other is zero
-    dtype = linalg.exact_dtype((linalg.absmax(A) + 1) * (linalg.absmax(B) + 1)
-                               * tmax * size * size)
-    AT = np.tensordot(A.astype(dtype, copy=False),
-                      T.astype(dtype, copy=False), axes=(1, 0))
-    return np.tensordot(AT, B.astype(dtype, copy=False),
+    T = _exact_tensor(system, (linalg.absmax(A) + 1) * (linalg.absmax(B) + 1)
+                      * size * size)
+    AT = np.tensordot(A.astype(T.dtype, copy=False), T, axes=(1, 0))
+    return np.tensordot(AT, B.astype(T.dtype, copy=False),
                         axes=(1, 1)).transpose(0, 2, 1)
 
 
@@ -417,20 +424,25 @@ def multiply(left, right):
         left.system, nums.tolist(), da * db).in_basis(left.tag)
 
 
+def _multiplication(vector, axis):
+    """T contracted with the vector's integer x-coordinates along its
+    axis ``axis``: the left factor for 0, the right factor for 1."""
+    size = 1 << vector.system.rank
+    v = linalg.integer_rows([vector.x_ints()[0]], size)[0]
+    T = _exact_tensor(vector.system, (linalg.absmax(v) + 1) * size)
+    return np.tensordot(v.astype(T.dtype, copy=False), T, axes=(0, axis))
+
+
 def left_multiplication(vector):
     """Matrix of x -> vector * x: row J holds the x-coordinates of
     vector * x_J, times the vector's denominator."""
-    size = 1 << vector.system.rank
-    eye = np.eye(size, dtype=np.int64)
-    return products(vector.system, [vector.x_ints()[0]], eye)[0]
+    return _multiplication(vector, 0)
 
 
 def right_multiplication(vector):
     """Matrix of x -> x * vector: row J holds the x-coordinates of
     x_J * vector, times the vector's denominator."""
-    size = 1 << vector.system.rank
-    eye = np.eye(size, dtype=np.int64)
-    return products(vector.system, eye, [vector.x_ints()[0]])[:, 0]
+    return _multiplication(vector, 1)
 
 
 def _group_ints(vector):
@@ -480,31 +492,45 @@ def vector_from_group(system, gcoeffs, tag=BASIS_X):
     return _fold_group(system, nums, den, tag)
 
 
-def oracle_multiply(left, right):
-    """Slow reference product: convolve honest group-algebra vectors.
+def convolve(system, na, nb):
+    """Product of two integer group-algebra vectors.
 
-    Translates by rows of the full multiplication table when the group is
-    small enough and by per-element translations otherwise, in int64 when
-    the coefficient bound allows and on Python integers beyond it, then
-    folds back through the equal-ascent-class constancy check.
+    Translates by the sparser factor, through rows or columns of the full
+    multiplication table when the group is small enough and through
+    per-element translations otherwise; translation index arrays are
+    permutations, so fancy-indexed += is exact. In int64 when the
+    coefficient bound allows and on Python integers beyond it.
+    """
+    order = system.order
+    amax, bmax = linalg.absmax(na), linalg.absmax(nb)
+    dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
+    na, nb = na.astype(dtype), nb.astype(dtype)
+    mt = system.multiplication_table() if order <= 6000 else None
+    out = np.zeros(order, dtype=dtype)
+    if np.count_nonzero(na) <= np.count_nonzero(nb):
+        for u in np.flatnonzero(na):
+            at = mt[u] if mt is not None else system.left_translation(int(u))
+            out[at] += na[u] * nb
+    else:
+        for v in np.flatnonzero(nb):
+            at = (mt[:, v] if mt is not None
+                  else system.right_translation(int(v)))
+            out[at] += nb[v] * na
+    return out
+
+
+def oracle_multiply(left, right):
+    """Slow reference product: convolve honest group-algebra vectors and
+    fold the result back through the equal-ascent-class constancy check.
     """
     if not isinstance(left, DescentVector) or not isinstance(
             right, DescentVector):
         raise TypeError("oracle_multiply expects two DescentVector operands")
     left._check_peer(right)
-    system = left.system
-    order = system.order
     na, da = _group_ints(left)
     nb, db = _group_ints(right)
-    amax, bmax = linalg.absmax(na), linalg.absmax(nb)
-    dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
-    na, nb = na.astype(dtype), nb.astype(dtype)
-    mt = system.multiplication_table() if order <= 6000 else None
-    gc = np.zeros(order, dtype=dtype)
-    for u in np.flatnonzero(na):
-        rows = mt[u] if mt is not None else system.left_translation(int(u))
-        gc[rows] += na[u] * nb
-    return _fold_group(system, gc, da * db, left.tag)
+    return _fold_group(left.system, convolve(left.system, na, nb), da * db,
+                       left.tag)
 
 
 # ---------------------------------------------------------------------------

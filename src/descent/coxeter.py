@@ -107,6 +107,12 @@ class CoxeterSystem:
                 if type_label is None:
                     type_label = canonical
         cartan.enforce_rank_cap(n, allow_rank7)
+        nroots = sum(cartan.component_nroots(fam, p) for fam, p in components)
+        if nroots > np.iinfo(np.int16).max:
+            # the signed root numbers are int16
+            raise UnsupportedType(
+                "%s has %d positive roots; at most %d are supported"
+                % (type_label, nroots, np.iinfo(np.int16).max))
         self.matrix = [list(row) for row in matrix]
         self.rank = n
         self.labels = list(labels) if labels else [str(i + 1) for i in range(n)]
@@ -118,7 +124,7 @@ class CoxeterSystem:
         self.cache_enabled = cache and from_label
         self.order = cartan.order_for_components(components)
         self.full_mask = (1 << n) - 1
-        nroots, sperm, simple_index = rootperm.build_root_action(self.matrix)
+        _, sperm, simple_index = rootperm.build_root_action(self.matrix)
         self.nroots = nroots
         self.sperm = sperm
         self.simple_index = list(simple_index)
@@ -440,7 +446,17 @@ class CoxeterSystem:
         if kmask is not None:
             kmask = self.check_mask(kmask)
             idxs = idxs[self._refine_masks(idxs, imask, jmask) == kmask]
-        return [self.element(i) for i in idxs]
+        # all reduced words in one walk up the parent links, one step per
+        # length level; row k ends with the word of idxs[k]
+        lengths = self.length[idxs].tolist()
+        top = max(lengths, default=0)
+        letters = np.empty((len(idxs), top), dtype=np.int64)
+        cur = idxs
+        for col in range(top - 1, -1, -1):
+            letters[:, col] = self.lastgen[cur]
+            cur = np.maximum(self.parent[cur], 0)
+        return [GroupElement(i, tuple(row[top - n:]), n) for i, n, row
+                in zip(idxs.tolist(), lengths, letters.tolist())]
 
     # ------------------------------------------------------------------
     # shapes (conjugacy classes of generator subsets)

@@ -40,6 +40,14 @@ def exact_dtype(bound):
     return np.int64 if bound < INT64_SAFE else object
 
 
+def matmul(A, B) -> np.ndarray:
+    """Exact product of two integer matrices: in int64 when a bound on
+    every entry proves it exact, on Python integers otherwise."""
+    dtype = exact_dtype((absmax(A) + 1) * (absmax(B) + 1)
+                        * max(A.shape[-1], 1))
+    return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
+
+
 def integer_rows(rows, width: int) -> np.ndarray:
     """The rows as a 2-D integer array, each scaled by the lcm of its
     denominators, so every row spans the same line as the input row."""

@@ -9,11 +9,10 @@ by an explicit generator correspondence.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import algebra as alg
+from . import linalg
 from .algebra import DescentVector
 from .coxeter import build_system, iter_bits, popcount
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     NotSelfOpposed,
     RankTooSmall,
 )
-from .linalg import ONE, ZERO, Span, nullspace
+from .linalg import Span
 
 RES_K = "RES_K"
 RES_BD = "RES_BD"
@@ -50,6 +49,14 @@ def expand_mask(cmask, positions):
     for i, p in enumerate(positions):
         if cmask & (1 << i):
             out |= 1 << p
+    return out
+
+
+def expand_masks(positions):
+    """expand_mask of every codomain mask, as an index array."""
+    out = np.zeros(1 << len(positions), dtype=np.intp)
+    for i, p in enumerate(positions):
+        out[1 << i:2 << i] = out[:1 << i] | (1 << p)
     return out
 
 
@@ -100,29 +107,31 @@ def matrix_preserving_bijections(sys_a, sys_b):
 
 
 class AlgebraMorphism:
-    """Linear map between two descent algebras, stored on the x-bases."""
+    """Linear map between two descent algebras, stored on the x-bases.
+
+    ``columns`` is a read-only integer array: row I holds the
+    x-coordinates of the image of x_I, in int64 when its entries allow
+    and on Python integers otherwise.
+    """
 
     __slots__ = ("domain", "codomain", "columns", "kind", "metadata")
 
     def __init__(self, domain, codomain, columns, kind, metadata=None):
         self.domain = domain
         self.codomain = codomain
-        self.columns = tuple(tuple(col) for col in columns)
+        self.columns = linalg.integer_rows(columns, 1 << codomain.rank)
+        self.columns.flags.writeable = False
         self.kind = kind
         self.metadata = dict(metadata or {})
 
     def apply(self, vector):
         if vector.system is not self.domain:
             raise InvalidSubset("vector does not live in the domain")
-        xc = vector.x_coords()
-        out = [ZERO] * (1 << self.codomain.rank)
-        for mask, c in enumerate(xc):
-            if c != 0:
-                col = self.columns[mask]
-                for k, v in enumerate(col):
-                    if v != 0:
-                        out[k] += c * v
-        return DescentVector(self.codomain, out, alg.BASIS_X)
+        nums, den = vector.x_ints()
+        row = linalg.integer_rows([nums], len(self.columns))
+        return DescentVector.from_ints(
+            self.codomain, linalg.matmul(row, self.columns)[0].tolist(), den,
+            alg.BASIS_X)
 
     def image_span(self):
         return Span(1 << self.codomain.rank, self.columns)
@@ -132,10 +141,7 @@ class AlgebraMorphism:
 
     def kernel_span(self):
         ncols = len(self.columns)
-        csize = 1 << self.codomain.rank
-        matrix_rows = [[self.columns[i][j] for i in range(ncols)]
-                       for j in range(csize)]
-        return Span(ncols, nullspace(matrix_rows, ncols))
+        return Span(ncols, Span(ncols, self.columns.T).kernel())
 
     def is_multiplicative_pair(self, u, v):
         lhs = self.apply(alg.multiply(u, v))
@@ -147,53 +153,27 @@ class AlgebraMorphism:
 
     def equal_matrix(self, other, codomain_perm=None):
         """Columnwise equality, optionally permuting codomain generators."""
-        if len(self.columns) != len(other.columns):
+        if self.columns.shape != other.columns.shape:
             return False
-        if codomain_perm is None:
-            return self.columns == other.columns
-        size = 1 << self.codomain.rank
-        for mask in range(len(self.columns)):
-            mine = self.columns[mask]
-            theirs = other.columns[mask]
-            for cmask in range(size):
-                image = 0
-                for b in iter_bits(cmask):
-                    image |= 1 << codomain_perm[b]
-                if mine[cmask] != theirs[image]:
-                    return False
-        return True
+        theirs = other.columns
+        if codomain_perm is not None:
+            theirs = theirs[:, expand_masks(codomain_perm)]
+        return np.array_equal(self.columns, theirs)
 
 
 def compose(outer, inner, align=True):
     """outer after inner; inner's codomain is aligned to outer's domain
     by generator labels when they are distinct instances."""
-    if inner.codomain is outer.domain:
-        perm = None
-    elif align:
+    cols = inner.columns
+    if inner.codomain is not outer.domain:
+        if not align:
+            raise InvalidSubset("morphisms do not chain")
         perm = align_positions(inner.codomain, outer.domain)
-    else:
-        raise InvalidSubset("morphisms do not chain")
-    cols = []
-    for col in inner.columns:
-        vec = [ZERO] * (1 << inner.codomain.rank)
-        for cmask, c in enumerate(col):
-            if c == 0:
-                continue
-            if perm is None:
-                tgt = cmask
-            else:
-                tgt = 0
-                for b in iter_bits(cmask):
-                    tgt |= 1 << perm[b]
-            vec[tgt] += c
-        out = [ZERO] * (1 << outer.codomain.rank)
-        for mask, c in enumerate(vec):
-            if c != 0:
-                for k, v in enumerate(outer.columns[mask]):
-                    if v != 0:
-                        out[k] += c * v
-        cols.append(out)
-    return AlgebraMorphism(inner.domain, outer.codomain, cols,
+        # perm is a bijection, so the scatter moves every entry once
+        cols = np.zeros_like(cols)
+        cols[:, expand_masks(perm)] = inner.columns
+    return AlgebraMorphism(inner.domain, outer.codomain,
+                           linalg.matmul(cols, outer.columns),
                            kind=outer.kind + "*" + inner.kind)
 
 
@@ -224,16 +204,8 @@ def res_K(system, K):
     codomain = parabolic_system(system, kmask)
     positions = mask_positions(kmask)
     T = system.structure_tensor()
-    size = 1 << system.rank
-    csize = 1 << codomain.rank
-    cols = []
-    for imask in range(size):
-        col = [ZERO] * csize
-        for cmask in range(csize):
-            col[cmask] = Fraction(int(T[imask, kmask,
-                                        expand_mask(cmask, positions)]))
-        cols.append(col)
-    return AlgebraMorphism(system, codomain, cols, RES_K,
+    return AlgebraMorphism(system, codomain,
+                           T[:, kmask, expand_masks(positions)], RES_K,
                            {"K": kmask, "positions": positions})
 
 
@@ -241,60 +213,32 @@ def res_K(system, K):
 # group-algebra cross-checks for the restriction
 
 
-def _conv_group(system, na, nb):
-    """Convolution of two integer group-algebra vectors.
-
-    Iterates over the sparser factor; translation index arrays are
-    permutations, so plain fancy-indexed += is exact.
-    """
-    order = system.order
-    gc = np.zeros(order, dtype=np.int64)
-    sa = np.flatnonzero(na)
-    sb = np.flatnonzero(nb)
-    if order <= 6000:
-        mt = system.multiplication_table()
-        if len(sa) <= len(sb):
-            for u in sa:
-                gc[mt[u]] += int(na[u]) * nb
-        else:
-            for v in sb:
-                gc[mt[:, v]] += int(nb[v]) * na
-    elif len(sa) <= len(sb):
-        for u in sa:
-            gc[system.left_translation(int(u))] += int(na[u]) * nb
-    else:
-        for v in sb:
-            gc[system.right_translation(int(v))] += int(nb[v]) * na
-    return gc
-
-
 def _int_group_vector(vector):
-    gv = alg.group_vector(vector)
-    if any(c.denominator != 1 for c in gv):
+    nums, den = alg._group_ints(vector)
+    if den != 1:
         raise AssertionError("expected integral group vector")
-    return np.array([int(c) for c in gv], dtype=np.int64)
+    return nums
 
 
 def iota_group_vector(system, kmask, codomain_vector):
-    """Embed a parabolic-algebra element as a group-algebra vector.
+    """Embed a parabolic-algebra element as an integer group-algebra
+    vector.
 
     The parabolic's coset sums become sums over the subgroup's elements
-    inside the big group, located by support and by ascents within the
-    subset.
+    inside the big group: the coordinate at a member is the y-coordinate
+    at its ascent mask within the subset.
     """
     positions = mask_positions(kmask)
-    csize = 1 << len(positions)
-    z = list(codomain_vector.x_coords())
-    for b in range(len(positions)):
-        bit = 1 << b
-        for m in range(csize):
-            if m & bit:
-                z[m] = z[m] + z[m ^ bit]
-    out = [ZERO] * system.order
+    y = codomain_vector.in_basis(alg.BASIS_Y)
+    if y.den != 1:
+        raise AssertionError("expected integral coefficients")
+    nums = linalg.integer_rows([y.nums], len(y.nums))[0]
+    # the codomain mask of each subset of K
+    local = np.zeros(1 << system.rank, dtype=np.intp)
+    local[expand_masks(positions)] = np.arange(len(nums))
     members = system.parabolic_indices(kmask)
-    for w in members:
-        local = project_mask(int(system.rasc[w]) & kmask, positions)
-        out[int(w)] = z[local]
+    out = np.zeros(system.order, dtype=nums.dtype)
+    out[members] = nums[local[system.rasc[members] & kmask]]
     return out
 
 
@@ -306,8 +250,7 @@ def factorization_check(system, kmask):
     for cmask in range(1 << len(positions)):
         emb = iota_group_vector(
             system, kmask, alg.basis_x(codomain, cmask))
-        nb = np.array([int(c) for c in emb], dtype=np.int64)
-        got = _conv_group(system, xk, nb)
+        got = alg.convolve(system, xk, emb)
         want = _int_group_vector(
             alg.basis_x(system, expand_mask(cmask, positions)))
         if not np.array_equal(got, want):
@@ -321,20 +264,12 @@ def res_linear_check(system, kmask, morphism=None):
     multiplication by the subset's basis element."""
     if morphism is None:
         morphism = res_K(system, kmask)
-    positions = morphism.metadata["positions"]
-    xk = alg.basis_x(system, kmask)
-    for imask in range(1 << system.rank):
-        xi = alg.basis_x(system, imask)
-        rhs = alg.multiply(xi, xk)
-        acc = DescentVector.zero(system)
-        col = morphism.columns[imask]
-        for cmask, c in enumerate(col):
-            if c != 0:
-                acc = acc + c * alg.basis_x(
-                    system, expand_mask(cmask, positions))
-        if acc != rhs:
-            return False
-    return True
+    size = 1 << system.rank
+    expanded = np.zeros((size, size), dtype=morphism.columns.dtype)
+    expanded[:, expand_masks(morphism.metadata["positions"])] = \
+        morphism.columns
+    return np.array_equal(
+        expanded, alg.right_multiplication(alg.basis_x(system, kmask)))
 
 
 def bbht_a_check(system, kmask, morphism=None):
@@ -357,14 +292,23 @@ def bbht_a_check_direct(system, kmask, morphism=None):
     xk = _int_group_vector(alg.basis_x(system, kmask))
     for imask in range(1 << system.rank):
         xi = alg.basis_x(system, imask)
-        image = morphism.apply(xi)
-        emb = iota_group_vector(system, kmask, image)
-        nb = np.array([int(c) for c in emb], dtype=np.int64)
-        lhs = _conv_group(system, xk, nb)
-        rhs = _conv_group(system, _int_group_vector(xi), xk)
+        emb = iota_group_vector(system, kmask, morphism.apply(xi))
+        lhs = alg.convolve(system, xk, emb)
+        rhs = alg.convolve(system, _int_group_vector(xi), xk)
         if not np.array_equal(lhs, rhs):
             return False
     return True
+
+
+def _characters_factor(morphism, big_masks):
+    """Each one-dimensional character of the codomain, evaluated after the
+    morphism, equals the domain's character at the matching subset:
+    codomain mask c matches domain mask big_masks[c]."""
+    dom, cod = morphism.domain, morphism.codomain
+    big_shapes = np.asarray(dom.shape_classes()[1])[big_masks]
+    small = alg.tau_matrix(cod)[cod.shape_classes()[1]]
+    return np.array_equal(alg.tau_matrix(dom)[big_shapes],
+                          linalg.matmul(small, morphism.columns.T))
 
 
 def res_tau_check(system, kmask, morphism=None):
@@ -373,18 +317,8 @@ def res_tau_check(system, kmask, morphism=None):
     the matching character upstairs."""
     if morphism is None:
         morphism = res_K(system, kmask)
-    positions = morphism.metadata["positions"]
-    codomain = morphism.codomain
-    for imask in range(1 << system.rank):
-        v = alg.basis_x(system, imask)
-        tv_big = alg.tau(v)
-        tv_small = alg.tau(morphism.apply(v))
-        for cmask in range(1 << codomain.rank):
-            big_id = system.shape_id_of_mask(expand_mask(cmask, positions))
-            small_id = codomain.shape_id_of_mask(cmask)
-            if tv_big.values[big_id] != tv_small.values[small_id]:
-                return False
-    return True
+    return _characters_factor(
+        morphism, expand_masks(morphism.metadata["positions"]))
 
 
 def res_conjugate_check(system, kmask, kpmask):
@@ -400,25 +334,15 @@ def res_conjugate_check(system, kmask, kpmask):
     d = int(idx[0])
     mk = res_K(system, kmask)
     mkp = res_K(system, kpmask)
-    ppos = mkp.metadata["positions"]
     kpos = mk.metadata["positions"]
-    # mask map of d_*: a subset of K' goes to its conjugate inside K
-    size_p = 1 << len(ppos)
-    dmap = []
-    for cmask in range(size_p):
-        img = conjugate_mask(system, d, expand_mask(cmask, ppos))
-        if img < 0 or img & ~kmask:
-            raise AssertionError("conjugator does not carry subsets over")
-        dmap.append(project_mask(img, kpos))
-    for imask in range(1 << system.rank):
-        want = mk.columns[imask]
-        got = [ZERO] * (1 << len(kpos))
-        for cmask, c in enumerate(mkp.columns[imask]):
-            if c != 0:
-                got[dmap[cmask]] += c
-        if tuple(got) != tuple(want):
-            return False
-    return True
+    # d_* sends generator p of K' to generator t of K; as a map of the
+    # codomain masks it is a permutation
+    row = system.csany[int(system.inv[d])]
+    images = [int(row[p]) for p in mkp.metadata["positions"]]
+    if any(t not in kpos for t in images):
+        raise AssertionError("conjugator does not carry subsets over")
+    dmap = expand_masks([kpos.index(t) for t in images])
+    return np.array_equal(mk.columns[:, dmap], mkp.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +411,9 @@ def points_fixes_check(system, kmask, morphism=None):
     """The image lies in the fixed points of the complement group."""
     if morphism is None:
         morphism = res_K(system, kmask)
-    positions = morphism.metadata["positions"]
-    csize = 1 << len(positions)
-    for perm in wk_action_permutations(system, kmask):
-        for col in morphism.columns:
-            for cmask in range(csize):
-                img = 0
-                for b in iter_bits(cmask):
-                    img |= 1 << perm[b]
-                if col[cmask] != col[img]:
-                    return False
-    return True
+    cols = morphism.columns
+    return all(np.array_equal(cols, cols[:, expand_masks(perm)])
+               for perm in wk_action_permutations(system, kmask))
 
 
 def decomposition_check(system, kmask, morphism=None):
@@ -515,7 +431,7 @@ def decomposition_check(system, kmask, morphism=None):
     # a annihilates x_K from the left iff a is in the left kernel of the
     # matrix whose row I is x_I * x_K
     products = alg.right_multiplication(alg.basis_x(system, kmask))
-    ann = Span(size, nullspace(products.T, size))
+    ann = Span(size, Span(size, products.T).kernel())
     return ann.equals(kern)
 
 
@@ -603,21 +519,15 @@ def res_BD(n):
     bn = build_system(type="B%d" % n)
     dn = fork_system(n)
     size = 1 << n
-    cols = []
+    cols = np.zeros((size, size), dtype=np.int64)
     for imask in range(size):
-        col = [ZERO] * size
         if imask & 1:
-            img = imask & ~1
-            if imask & 2:
-                img |= 1
-            col[img] = ONE
+            # drop the short generator; the first chain generator brings
+            # in the fork twin
+            cols[imask, (imask & ~1) | (imask >> 1 & 1)] = 1
         else:
-            col[imask] += ONE
-            timg = imask
-            if imask & 2:
-                timg = (imask & ~2) | 1
-            col[timg] += ONE
-        cols.append(col)
+            cols[imask, imask] += 1
+            cols[imask, (imask & ~2) | 1 if imask & 2 else imask] += 1
     return AlgebraMorphism(bn, dn, cols, RES_BD, {"n": n})
 
 
@@ -654,14 +564,9 @@ def res_bd_a_check(n, morphism=None):
     for imask in range(1 << n):
         xvec = _int_group_vector(alg.basis_x(bn, imask))
         rhs = xvec + xvec[rt]
-        dvec = alg.group_vector(morphism.apply(alg.basis_x(bn, imask)))
-        emb = np.zeros(bn.order, dtype=np.int64)
-        for w in range(dn.order):
-            c = dvec[w]
-            if c != 0:
-                if c.denominator != 1:
-                    raise AssertionError("expected integral coefficients")
-                emb[int(images[w])] += int(c)
+        dvec = _int_group_vector(morphism.apply(alg.basis_x(bn, imask)))
+        emb = np.zeros(bn.order, dtype=dvec.dtype)
+        emb[images] = dvec
         lhs = emb + emb[lt]
         if not np.array_equal(lhs, rhs):
             return False
@@ -724,17 +629,12 @@ def res_b_triangular_check(n):
                 tuple(-(1 if cmask & (1 << b) else 0)
                       for b in range(len(positions))))
 
-    for cmask in range(1 << (n - 1)):
-        col = morphism.columns[expand_mask(cmask, positions)]
-        diag = col[cmask]
-        if diag <= 0:
-            return False
-        me = rank_key(cmask)
-        for other, c in enumerate(col):
-            if c != 0 and other != cmask:
-                if not rank_key(other) < me:
-                    return False
-    return True
+    # the square block on the chain's own subsets, rows and columns in
+    # that order, must be lower triangular with a positive diagonal
+    order = sorted(range(1 << (n - 1)), key=rank_key)
+    block = morphism.columns[expand_masks(positions)[order]][:, order]
+    return bool((np.diag(block) > 0).all()) and np.array_equal(
+        block, np.tril(block))
 
 
 # ---------------------------------------------------------------------------
@@ -766,18 +666,11 @@ class SelfOpposedContext:
 
     def varpi(self, qmask):
         """Subset of S (containing K) matching a quotient-system subset."""
-        out = self.kmask
-        for b in iter_bits(qmask):
-            out |= 1 << self.outer_positions[b]
-        return out
+        return self.kmask | expand_mask(qmask, self.outer_positions)
 
     def quotient_mask(self, imask):
         """Inverse of varpi on subsets containing K."""
-        out = 0
-        for i, p in enumerate(self.outer_positions):
-            if imask & (1 << p):
-                out |= 1 << i
-        return out
+        return project_mask(imask, self.outer_positions)
 
 
 def build_context(system, K):
@@ -835,14 +728,9 @@ def psi_K(system, K, context=None):
     if context is None:
         context = build_context(system, K)
     kmask = context.kmask
-    size = 1 << system.rank
-    csize = 1 << context.quotient.rank
-    cols = []
-    for imask in range(size):
-        col = [ZERO] * csize
-        if imask & kmask == kmask:
-            col[context.quotient_mask(imask)] = ONE
-        cols.append(col)
+    big = kmask | expand_masks(context.outer_positions)
+    cols = np.zeros((1 << system.rank, len(big)), dtype=np.int64)
+    cols[big, np.arange(len(big))] = 1
     return AlgebraMorphism(system, context.quotient, cols, PSI_K,
                            {"K": kmask, "context": context})
 
@@ -850,44 +738,38 @@ def psi_K(system, K, context=None):
 def goetz1_set_check(system, context, imask, jmask):
     """Set-level equality of the refining double-coset pieces, for one pair
     of subsets containing K: the quotient's pieces, pushed through the
-    embedding, must coincide exactly with the big group's pieces."""
+    embedding, must coincide exactly with the big group's pieces.
+
+    Each structure set is split by the piece subset of its elements. The
+    (element, piece subset) pairs of the big group's members of the
+    quotient group must be the images of the quotient's pairs, and every
+    other element of the big set must lie in a piece whose subset misses
+    part of K.
+    """
     kmask = context.kmask
     q = context.quotient
-    for lmask in range(1 << system.rank):
-        if lmask & kmask != kmask:
-            # the big group's piece must then be disjoint from the
-            # quotient group entirely
-            big = {e.index for e in system.structure_set(
-                imask, jmask, lmask)}
-            if big & context.member_set:
-                return False
-            continue
-        qI = context.quotient_mask(imask)
-        qJ = context.quotient_mask(jmask)
-        qL = context.quotient_mask(lmask)
-        small = {int(context.images[e.index])
-                 for e in q.structure_set(qI, qJ, qL)}
-        big = {e.index for e in system.structure_set(imask, jmask, lmask)}
-        if small != big:
-            return False
-    return True
+    qI = context.quotient_mask(imask)
+    qJ = context.quotient_mask(jmask)
+    big = np.array([e.index for e in system.structure_set(imask, jmask)],
+                   dtype=np.int64)
+    small = np.array([e.index for e in q.structure_set(qI, qJ)],
+                     dtype=np.int64)
+    big_l = system._refine_masks(big, imask, jmask)
+    small_l = (kmask | expand_masks(context.outer_positions))[
+        q._refine_masks(small, qI, qJ)]
+    member = np.isin(big, context.images)
+    if np.any((big_l[~member] & kmask) == kmask):
+        return False
+    size = 1 << system.rank
+    return np.array_equal(np.sort(big[member] * size + big_l[member]),
+                          np.sort(context.images[small] * size + small_l))
 
 
 def varpi_tau_check(system, context):
     """Character factorization through the quotient morphism."""
     morphism = psi_K(system, context.kmask, context)
-    q = context.quotient
-    for imask in range(1 << system.rank):
-        v = alg.basis_x(system, imask)
-        image = morphism.apply(v)
-        tv_big = alg.tau(v)
-        tv_small = alg.tau(image)
-        for qmask in range(1 << q.rank):
-            lam_big = system.shape_id_of_mask(context.varpi(qmask))
-            lam_small = q.shape_id_of_mask(qmask)
-            if tv_big.values[lam_big] != tv_small.values[lam_small]:
-                return False
-    return True
+    return _characters_factor(
+        morphism, context.kmask | expand_masks(context.outer_positions))
 
 
 def e7_f4_quotient():

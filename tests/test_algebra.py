@@ -422,3 +422,28 @@ def test_positivity_predicate(system_factory):
     # positivity is an x-basis notion, so it survives basis changes
     v = alg.basis_y(system, 1)
     assert v.is_positive() == all(c >= 0 for c in v.x_coords())
+
+
+def direct_convolution(system, na, nb):
+    out = [0] * system.order
+    for u in np.flatnonzero(na):
+        for v in np.flatnonzero(nb):
+            out[system.mul(int(u), int(v))] += int(na[u]) * int(nb[v])
+    return out
+
+
+@pytest.mark.parametrize("label,dense", [("A3", 24), ("H4", 30)])
+def test_convolve_matches_direct_double_sum(system_factory, label, dense):
+    # A3 translates through the full table, H4 through translations
+    system = system_factory(label)
+    rng = np.random.default_rng(17)
+    for scale in (9, 2**40):
+        sparse = np.zeros(system.order, dtype=np.int64)
+        sparse[rng.choice(system.order, 3, replace=False)] = \
+            rng.integers(1, scale, 3)
+        full = np.zeros(system.order, dtype=np.int64)
+        full[rng.choice(system.order, dense, replace=False)] = \
+            rng.integers(-scale, scale, dense)
+        for na, nb in ((sparse, full), (full, sparse)):
+            got = alg.convolve(system, na, nb)
+            assert got.tolist() == direct_convolution(system, na, nb)

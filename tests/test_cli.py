@@ -55,6 +55,15 @@ class TestMult:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("label", ["I2(32768)", "I2(20000)xI2(20000)"])
+    def test_too_many_roots_is_exit_two(self, capsys, label):
+        code, out, err = run(capsys, "mult", "--type", label,
+                             "--left", "x[1]", "--right", "x[2]")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s has" % label)
+        assert "Traceback" not in err
+
 
 class TestTable:
     def test_single_type_single_order(self, capsys):

@@ -657,3 +657,26 @@ def test_fresh_tensor_is_checked(monkeypatch):
     monkeypatch.setattr(system, "_compute_tensor", lambda: bad)
     with pytest.raises(AssertionError, match="Mackey"):
         system.structure_tensor()
+
+
+@pytest.mark.parametrize("label", ["B4", "D4", "H3"])
+def test_structure_set_elements_match_element(system_factory, label):
+    system = system_factory(label)
+    size = system.full_mask + 1
+    for imask in range(size):
+        for jmask in range(size):
+            both = system.structure_set(imask, jmask)
+            assert both == [system.element(e.index) for e in both]
+            piece = system.structure_set(imask, jmask, imask & jmask)
+            assert piece == [system.element(e.index) for e in piece]
+
+
+def test_int16_root_numbering_limit():
+    # the signed root numbers are int16: 32767 positive roots at most
+    system = build_system(type="I2(32767)", cache=False)
+    assert system.nroots == 32767
+    for label in ("I2(32768)", "I2(20000)xI2(20000)"):
+        with pytest.raises(UnsupportedType, match="positive roots"):
+            build_system(type=label, cache=False)
+    with pytest.raises(UnsupportedType, match="positive roots"):
+        build_system(matrix=[[1, 32768], [32768, 1]])

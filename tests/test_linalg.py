@@ -270,3 +270,31 @@ class TestPolynomials:
         p = linalg.poly_from_roots([Fraction(1), Fraction(-2)])
         # (T-1)(T+2) = T^2 + T - 2
         assert list(p) == [Fraction(-2), Fraction(1), Fraction(1)]
+
+
+_MATMUL_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def matmul_pairs(draw):
+    rows, inner, cols = (draw(st.integers(0, 4)), draw(st.integers(1, 4)),
+                         draw(st.integers(1, 4)))
+    a = draw(st.lists(st.lists(_MATMUL_ENTRY, min_size=inner,
+                               max_size=inner), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(_MATMUL_ENTRY, min_size=cols, max_size=cols),
+                      min_size=inner, max_size=inner))
+    return a, b, inner, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(matmul_pairs())
+@example(([[2**31] * 4], [[2**31]] * 4, 4, 1))
+@example(([[-2**62]], [[1]], 1, 1))
+def test_matmul_matches_python_int_products(case):
+    a, b, inner, cols = case
+    want = [[sum(row[t] * b[t][j] for t in range(inner))
+             for j in range(cols)] for row in a]
+    got = linalg.matmul(linalg.integer_rows(a, inner),
+                        linalg.integer_rows(b, cols))
+    assert got.shape == (len(a), cols)
+    assert got.tolist() == want

@@ -9,6 +9,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from descent import algebra as alg
@@ -337,3 +338,227 @@ def test_e7_quotient_lands_in_f4():
     ctx = mo.e7_f4_quotient()
     assert ctx.quotient.type_label == "F4"
     assert mo.varpi_tau_check(ctx.system, ctx)
+
+
+# ---------------------------------------------------------------------------
+# integer columns against the Fraction loops they replaced
+
+
+def fraction_columns(morphism):
+    return [[Fraction(int(v)) for v in row] for row in morphism.columns]
+
+
+def permuted_mask(cmask, perm):
+    out = 0
+    for b, p in enumerate(perm):
+        if cmask & (1 << b):
+            out |= 1 << p
+    return out
+
+
+def oracle_apply(morphism, vector):
+    cols = fraction_columns(morphism)
+    out = [Fraction(0)] * (1 << morphism.codomain.rank)
+    for mask, c in enumerate(vector.x_coords()):
+        if c != 0:
+            for k, v in enumerate(cols[mask]):
+                if v != 0:
+                    out[k] += c * v
+    return alg.DescentVector(morphism.codomain, out, alg.BASIS_X)
+
+
+def oracle_compose(outer, inner):
+    """Fraction columns of outer after inner."""
+    perm = (None if inner.codomain is outer.domain
+            else mo.align_positions(inner.codomain, outer.domain))
+    outer_cols = fraction_columns(outer)
+    cols = []
+    for col in fraction_columns(inner):
+        vec = [Fraction(0)] * (1 << inner.codomain.rank)
+        for cmask, c in enumerate(col):
+            if c != 0:
+                vec[cmask if perm is None else permuted_mask(cmask, perm)] += c
+        out = [Fraction(0)] * (1 << outer.codomain.rank)
+        for mask, c in enumerate(vec):
+            if c != 0:
+                for k, v in enumerate(outer_cols[mask]):
+                    if v != 0:
+                        out[k] += c * v
+        cols.append(out)
+    return cols
+
+
+def oracle_equal_matrix(mine, theirs, codomain_perm=None):
+    a, b = fraction_columns(mine), fraction_columns(theirs)
+    if len(a) != len(b):
+        return False
+    if codomain_perm is None:
+        return a == b
+    for mask in range(len(a)):
+        for cmask in range(1 << mine.codomain.rank):
+            if a[mask][cmask] != b[mask][permuted_mask(cmask,
+                                                       codomain_perm)]:
+                return False
+    return True
+
+
+def reordered_copy(system):
+    """The same Coxeter system with its generator order rotated by one,
+    a permutation that is not its own inverse from rank 3 on."""
+    order = list(range(1, system.rank)) + [0][:system.rank]
+    return mo.build_system(
+        matrix=[[system.matrix[p][q] for q in order] for p in order],
+        labels=[system.labels[p] for p in order])
+
+
+def random_rational_vector(system, rng, tag):
+    coeffs = [Fraction(rng.randint(-10**25, 10**25), rng.randint(1, 2**70))
+              if rng.random() < 0.6 else Fraction(0)
+              for _ in range(system.full_mask + 1)]
+    return alg.DescentVector(system, coeffs, tag)
+
+
+def sample_morphisms(system):
+    out = [mo.res_K(system, k) for k in all_masks(system)]
+    for k in [0, system.full_mask] + [1 << p for p in range(system.rank)]:
+        if mo.is_self_opposed(system, k):
+            out.append(mo.psi_K(system, k))
+    return out
+
+
+class TestIntegerColumnsAgainstFractionLoops:
+    @pytest.mark.parametrize("positions", [
+        (), (0,), (2,), (1, 0), (1, 3, 4), (2, 0, 1), (3, 2, 1, 0)])
+    def test_expand_masks(self, positions):
+        got = mo.expand_masks(positions)
+        assert got.tolist() == [mo.expand_mask(c, positions)
+                                for c in range(1 << len(positions))]
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "H3"])
+    def test_apply(self, system_factory, label):
+        system = system_factory(label)
+        rng = random.Random("apply:" + label)
+        morphisms = sample_morphisms(system)
+        if label in ("B3", "D4"):
+            morphisms.append(mo.res_BD(system.rank))
+        for morphism in morphisms:
+            for tag in (alg.BASIS_X, alg.BASIS_Y, alg.BASIS_XPRIME):
+                v = random_rational_vector(morphism.domain, rng, tag)
+                assert str(morphism.apply(v)) == str(oracle_apply(morphism, v))
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "H3"])
+    def test_compose_and_equal_matrix(self, system_factory, label):
+        system = system_factory(label)
+        for lmask in all_masks(system):
+            outer_sys = mo.res_K(system, lmask).codomain
+            copy = reordered_copy(outer_sys)
+            inner = mo.res_K(system, lmask)
+            for kmask in all_masks(outer_sys):
+                for outer in (mo.res_K(outer_sys, kmask),
+                              mo.res_K(copy, kmask)):
+                    got = mo.compose(outer, inner)
+                    assert fraction_columns(got) == oracle_compose(
+                        outer, inner)
+                    # the one-step restriction onto the same labels
+                    direct = mo.res_K(system, system.mask_of_labels(
+                        outer.domain.labels_of_mask(kmask)))
+                    perm = (None if got.codomain is direct.codomain
+                            else mo.align_positions(got.codomain,
+                                                    direct.codomain))
+                    assert got.equal_matrix(direct, perm)
+                    assert oracle_equal_matrix(got, direct, perm)
+
+    @pytest.mark.parametrize("label", ["B3", "B4"])
+    def test_equal_matrix_under_every_matching(self, system_factory, label):
+        system = system_factory(label)
+        psi = mo.psi_K(system, 0b001)
+        res = mo.res_K(system, system.full_mask >> 1)
+        for perm in mo.matrix_preserving_bijections(res.codomain,
+                                                    psi.codomain):
+            assert res.equal_matrix(psi, perm) == oracle_equal_matrix(
+                res, psi, perm)
+        ident = mo.res_K(system, system.full_mask)
+        psi0 = mo.psi_K(system, 0)
+        for perm in mo.matrix_preserving_bijections(psi0.codomain, system):
+            assert psi0.equal_matrix(ident, perm) == oracle_equal_matrix(
+                psi0, ident, perm)
+
+    def test_fork_square_compositions(self):
+        for n in (3, 4):
+            top = mo.res_BD(n)
+            bottom = mo.res_BD(n - 1)
+            bn, dn = top.domain, top.codomain
+            res_b = mo.res_K(bn, bn.full_mask & ~(1 << (n - 1)))
+            res_d = mo.res_K(dn, dn.full_mask & ~(1 << (n - 1)))
+            for outer, inner in ((res_d, top), (bottom, res_b)):
+                assert fraction_columns(mo.compose(outer, inner)) == \
+                    oracle_compose(outer, inner)
+
+
+def corrupted(morphism, row, col):
+    cols = np.array(morphism.columns)
+    cols[row, col] += 1
+    return mo.AlgebraMorphism(morphism.domain, morphism.codomain, cols,
+                              morphism.kind, morphism.metadata)
+
+
+class TestChecksRejectCorruptedInput:
+    def test_columns_are_read_only(self, system_factory):
+        morphism = mo.res_K(system_factory("B3"), 0b011)
+        with pytest.raises(ValueError):
+            morphism.columns[0, 0] = 7
+
+    @pytest.mark.parametrize("label", ["A3", "B3"])
+    def test_restriction_checks(self, system_factory, label):
+        system = system_factory(label)
+        rng = random.Random("corrupt:" + label)
+        for kmask in all_masks(system):
+            morphism = mo.res_K(system, kmask)
+            assert mo.res_linear_check(system, kmask, morphism)
+            assert mo.res_tau_check(system, kmask, morphism)
+            bad = corrupted(morphism, rng.randrange(len(morphism.columns)),
+                            rng.randrange(morphism.columns.shape[1]))
+            assert not mo.res_linear_check(system, kmask, bad)
+            assert not mo.res_tau_check(system, kmask, bad)
+
+    def test_points_fixes_check(self, system_factory):
+        system = system_factory("A3")
+        kmask = 0b101
+        perms = mo.wk_action_permutations(system, kmask)
+        assert (1, 0) in perms
+        morphism = mo.res_K(system, kmask)
+        assert mo.points_fixes_check(system, kmask, morphism)
+        # codomain mask 0b01 is moved to 0b10 by the complement
+        assert not mo.points_fixes_check(system, kmask,
+                                         corrupted(morphism, 3, 0b01))
+
+    def test_goetz1_set_check(self, system_factory):
+        system = system_factory("B3")
+        ctx = mo.build_context(system, 0b001)
+        images = ctx.images.copy()
+        images[[0, 1]] = images[[1, 0]]
+        bad = mo.SelfOpposedContext(
+            system, ctx.kmask, ctx.generator_indices, ctx.outer_positions,
+            ctx.quotient, images, ctx.member_set)
+        pairs = [(i, j) for i in all_masks(system) for j in all_masks(system)
+                 if i & 1 and j & 1]
+        assert all(mo.goetz1_set_check(system, ctx, i, j) for i, j in pairs)
+        assert not all(mo.goetz1_set_check(system, bad, i, j)
+                       for i, j in pairs)
+
+    def test_goetz1_set_check_rejects_non_member_in_k_piece(
+            self, system_factory, monkeypatch):
+        system = system_factory("B3")
+        ctx = mo.build_context(system, 0b001)
+        refine = system._refine_masks
+
+        def moved(idxs, imask, jmask):
+            # every element outside the quotient group lands in a piece
+            # whose subset holds K; the members keep their pieces
+            out = refine(idxs, imask, jmask)
+            out[~np.isin(idxs, ctx.images)] |= ctx.kmask
+            return out
+
+        assert mo.goetz1_set_check(system, ctx, 0b001, 0b001)
+        monkeypatch.setattr(system, "_refine_masks", moved)
+        assert not mo.goetz1_set_check(system, ctx, 0b001, 0b001)
