@@ -277,12 +277,6 @@ class TauVector:
     def __hash__(self):
         return hash((id(self.system), self.values))
 
-    def pointwise(self, other):
-        if self.system is not other.system:
-            raise SystemMismatch("tau vectors over different systems")
-        return TauVector(self.system,
-                         [a * b for a, b in zip(self.values, other.values)])
-
     def __repr__(self):
         return "<TauVector %s>" % (tuple(str(v) for v in self.values),)
 
@@ -311,11 +305,6 @@ class LoewyProfile:
     @property
     def dimension(self):
         return self.dims[0]
-
-    @property
-    def irreducible_count(self):
-        d1 = self.dims[1] if len(self.dims) > 1 else 0
-        return self.dims[0] - d1
 
     def __eq__(self, other):
         if not isinstance(other, LoewyProfile):
@@ -354,10 +343,6 @@ def basis_xprime(system, subset):
 def unit(system, tag=BASIS_X):
     """The multiplicative unit: the coset sum over the full generator set."""
     return basis_x(system, system.full_mask).in_basis(tag)
-
-
-def convert(vector, tag):
-    return vector.in_basis(tag)
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +527,15 @@ def tau_matrix(system):
     a read-only int64 array.
 
     The value at column I is the structure constant T[I, J, J] for any
-    member J of the shape; independence of the choice is asserted here.
+    member J of the shape; the shapes are the classes of equal columns, so
+    the canonical member's column stands for all of them.
     """
     ctx = _algebra_context(system)
     mat = ctx.get("tau_matrix")
     if mat is None:
+        canon = [shape.canonical for shape in system.shapes()]
         T = system.structure_tensor()
-        rows = []
-        for shape in system.shapes():
-            col = T[:, shape.canonical, shape.canonical]
-            for other in shape.members:
-                if not np.array_equal(T[:, other, other], col):
-                    raise AssertionError(
-                        "character value depends on the member chosen "
-                        "inside shape class %d" % shape.class_id)
-            rows.append(col)
-        mat = np.array(rows, dtype=np.int64)
+        mat = np.ascontiguousarray(T[:, canon, canon].T, dtype=np.int64)
         mat.flags.writeable = False
         ctx["tau_matrix"] = mat
     return mat

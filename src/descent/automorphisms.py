@@ -28,9 +28,6 @@ class DiagramAutomorphism:
     order: int
     is_inner_by_w0: bool
 
-    def apply_position(self, pos):
-        return self.permutation[pos]
-
     def apply_mask(self, mask):
         out = 0
         for b in iter_bits(mask):
@@ -68,11 +65,7 @@ def _perm_order(perm):
 
 def sigma0(system):
     """The automorphism induced by conjugating with the longest element."""
-    w0 = system.longest_element().index
-    perm = tuple(int(system.csany[w0, s]) for s in range(system.rank))
-    if any(p < 0 for p in perm):
-        raise AssertionError("longest element does not normalize the "
-                             "generator set")
+    perm = system.w0_twist()
     return DiagramAutomorphism(permutation=perm, order=_perm_order(perm),
                                is_inner_by_w0=True)
 

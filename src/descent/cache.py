@@ -1,6 +1,9 @@
 """Persistent structure-constant cache: one JSON file per type label.
 
-Entries carry a schema version and a truncated sha256 checksum. A version
+An entry holds the schema version, the type label, the rank, the group
+order, the nonzero structure constants as [I, J, K, value] triples, and a
+truncated sha256 checksum over the rest. Everything else a warm system
+needs, the shapes included, is derived from the tensor. A version
 mismatch or a failed checksum never aborts a computation; the caller just
 recomputes (with a warning on corruption) and overwrites the file.
 """
@@ -47,7 +50,6 @@ def make_entry(system, tensor):
         "rank": system.rank,
         "group_order": system.order,
         "triples": triples,
-        "shape_classes": [list(s.members) for s in system.shapes()],
     }
     payload["checksum"] = _checksum(
         {k: v for k, v in payload.items() if k != "checksum"})

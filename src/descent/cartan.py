@@ -282,14 +282,9 @@ def _classify_component(nodes, mat):
     raise InfiniteGroup("branching pattern %r is not of finite type" % (legs,))
 
 
-def classify_matrix(mat):
-    """Canonical label of the finite Coxeter group defined by `mat`.
-
-    Raises InfiniteGroup if the matrix is not of finite type. Components are
-    sorted (family, param) in the label, so this is a true isomorphism-class
-    name: D3 classifies as A3, D2 as A1xA1.
-    """
-    validate_matrix(mat)
+def diagram_components(mat):
+    """Node lists of the connected components of the Coxeter diagram
+    (edges where m > 2), each sorted, in order of their smallest node."""
     n = len(mat)
     seen = [False] * n
     comps = []
@@ -306,5 +301,17 @@ def classify_matrix(mat):
                     seen[j] = True
                     stack.append(j)
         comps.append(sorted(nodes))
-    kinds = sorted(_classify_component(nodes, mat) for nodes in comps)
+    return comps
+
+
+def classify_matrix(mat):
+    """Canonical label of the finite Coxeter group defined by `mat`.
+
+    Raises InfiniteGroup if the matrix is not of finite type. Components are
+    sorted (family, param) in the label, so this is a true isomorphism-class
+    name: D3 classifies as A3, D2 as A1xA1.
+    """
+    validate_matrix(mat)
+    kinds = sorted(_classify_component(nodes, mat)
+                   for nodes in diagram_components(mat))
     return normalized_label(kinds)

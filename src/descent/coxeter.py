@@ -10,8 +10,11 @@ derives from that action.
 The group is enumerated on first use, not on construction: the first read
 of any group table (``perms``, ``parent``, ``lastgen``, ``length``,
 ``supp``, ``rmul``, ``rasc``, ``lasc``, ``csany``, ``inv``) builds all ten,
-in the element order described above. A caller that only needs the
-structure tensor, loaded from the cache, never enumerates.
+in the element order described above. The structure tensor, loaded from
+the cache, and the root action answer the rest without enumerating: the
+shapes are read off the tensor and the twist of the longest element off
+one walk on the roots, so a warm ``descent table`` row or ``descent mult``
+product never enumerates.
 """
 
 from __future__ import annotations
@@ -206,8 +209,12 @@ class CoxeterSystem:
         keys[0] = pack(P[:1, spos])[0]
 
         lo, hi = 0, 1
-        while lo < hi:
+        while True:
             w, s = np.nonzero(P[lo:hi, spos] > 0)
+            if not w.size:
+                # the level of the longest element: leave before its
+                # length plus one can overflow int16
+                break
             w += lo
             # images of the simple roots under ws
             cols = ssgn[s] * P[w[:, None], sidx[s]]
@@ -408,10 +415,34 @@ class CoxeterSystem:
             self._w0par[mask] = got = w
         return got
 
+    def w0_twist(self):
+        """The permutation t -> sigma_0(t) with w0 s_t w0 = s_{sigma_0(t)}.
+
+        Walks w <- w s on the signed root permutation while some simple
+        root has w(alpha_s) > 0; each step adds one to the length, so after
+        at most N steps w = w0, and w0(alpha_t) = -alpha_{sigma_0(t)}.
+        """
+        n, N = self.rank, self.nroots
+        spos = np.asarray(self.simple_index, dtype=np.intp)
+        sperm = np.asarray(self.sperm, dtype=np.intp).reshape(n, N)
+        gidx, gsgn = np.abs(sperm) - 1, np.sign(sperm).astype(np.int16)
+        w = np.arange(1, N + 1, dtype=np.int16)
+        while True:
+            up = np.flatnonzero(w[spos] > 0)
+            if not up.size:
+                break
+            s = up[0]
+            w = gsgn[s] * w[gidx[s]]
+        root_to_gen = np.full(N, -1, dtype=np.intp)
+        root_to_gen[spos] = np.arange(n)
+        perm = tuple(int(t) for t in root_to_gen[-w[spos] - 1])
+        if any(t < 0 for t in perm):
+            raise AssertionError("longest element does not normalize the "
+                                 "generator set")
+        return perm
+
     def is_w0_central(self):
-        w0 = self.order - 1
-        conj = self.conj_tables()
-        return all(int(conj[w0, s]) == w0 for s in range(self.rank))
+        return self.w0_twist() == tuple(range(self.rank))
 
     def parabolic_indices(self, mask):
         mask = self.check_mask(mask)
@@ -462,50 +493,29 @@ class CoxeterSystem:
     # shapes (conjugacy classes of generator subsets)
 
     def shape_classes(self):
+        """(shapes, mask_to_shape): the W-conjugacy classes of generator
+        subsets, ordered by (size, smallest member).
+
+        J and K are conjugate exactly when the columns T[:, J, J] and
+        T[:, K, K] of the structure tensor agree: that column is the
+        character of the shape, and T[J, J, J] >= 1 makes equal columns
+        give K inside a conjugate of J and J inside a conjugate of K.
+        """
         if self._shapes is not None:
             return self._shapes
-        full = 1 << self.rank
-        uf = list(range(full))
-
-        def find(x):
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                uf[max(ra, rb)] = min(ra, rb)
-
-        # elementary conjugations: the longest element of W_{J+s} maps J
-        # to another subset of J+s; iterating these reaches every conjugate
-        for jmask in range(full):
-            for s in range(self.rank):
-                if jmask >> s & 1:
-                    continue
-                big = jmask | (1 << s)
-                w0m = self.longest_in_parabolic(big)
-                row = self.csany[w0m]
-                img = 0
-                for t in iter_bits(jmask):
-                    u = int(row[t])
-                    if u < 0:
-                        raise AssertionError(
-                            "parabolic longest element moves a generator "
-                            "of subset %d outside the generator set" % jmask)
-                    img |= 1 << u
-                union(jmask, img)
-
+        masks = np.arange(1 << self.rank)
+        T = self.structure_tensor()
+        _, label = np.unique(T[:, masks, masks].T, axis=0,
+                             return_inverse=True)
         groups = {}
-        for jmask in range(full):
-            groups.setdefault(find(jmask), []).append(jmask)
+        for jmask, cid in enumerate(label.ravel().tolist()):
+            groups.setdefault(cid, []).append(jmask)
         classes = sorted(groups.values(),
                          key=lambda ms: (popcount(ms[0]), ms[0]))
         shapes = []
-        mask_to_shape = [0] * full
+        mask_to_shape = [0] * len(masks)
         for cid, members in enumerate(classes):
-            members = tuple(sorted(members))
+            members = tuple(members)
             for m in members:
                 mask_to_shape[m] = cid
             shapes.append(Shape(class_id=cid, members=members,
@@ -516,10 +526,6 @@ class CoxeterSystem:
 
     def shapes(self):
         return self.shape_classes()[0]
-
-    def shape_of_mask(self, mask):
-        shapes, m2s = self.shape_classes()
-        return shapes[m2s[self.check_mask(mask)]]
 
     def shape_id_of_mask(self, mask):
         _, m2s = self.shape_classes()
@@ -541,40 +547,6 @@ class CoxeterSystem:
                 if jm & km == jm:
                     return True
         return False
-
-    def conjugate_subsets_brute(self, jmask):
-        """All masks w^{-1} J w over the whole group. Test oracle, O(|W| n)."""
-        jmask = self.check_mask(jmask)
-        out = set()
-        for d in range(self.order):
-            row = self.csany[d]
-            img = 0
-            for t in iter_bits(jmask):
-                u = int(row[t])
-                if u < 0:
-                    img = -1
-                    break
-                img |= 1 << u
-            if img >= 0:
-                out.add(img)
-        return out
-
-    def subset_conjugator(self, jmask, kmask):
-        """Some d with d^{-1} J d = K, or None."""
-        jmask = self.check_mask(jmask)
-        kmask = self.check_mask(kmask)
-        for d in range(self.order):
-            row = self.csany[d]
-            img = 0
-            for t in iter_bits(jmask):
-                u = int(row[t])
-                if u < 0:
-                    img = -1
-                    break
-                img |= 1 << u
-            if img == kmask:
-                return int(d)
-        return None
 
     # ------------------------------------------------------------------
     # conjugacy classes of elements
@@ -605,17 +577,6 @@ class CoxeterSystem:
             sizes.append(members)
         self._eclasses = (cid, reps, sizes)
         return self._eclasses
-
-    def shape_of_element(self, i):
-        """Shape of the smallest parabolic subgroup containing element i.
-
-        Computed as the unique minimum, under conjugate-inclusion of shapes,
-        of the support shapes occurring in the conjugacy class of i.
-        """
-        cid, _, _ = self.element_classes()
-        _, class_shapes, _ = self.class_shape_ids()
-        shapes, _ = self.shape_classes()
-        return shapes[int(class_shapes[int(cid[int(i)])])]
 
     def class_shape_ids(self):
         """Shape class_id attached to each element conjugacy class."""

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cartan import _component_edges, component_nroots, _classify_component
+from .cartan import (_classify_component, _component_edges, component_nroots,
+                     diagram_components)
 from .errors import UnsupportedType
 
 
@@ -193,25 +194,9 @@ def build_root_action(mat):
     index of generator g's simple root.
     """
     n = len(mat)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, nodes = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            nodes.append(i)
-            for j in range(n):
-                if not seen[j] and mat[i][j] > 2:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(nodes))
-
     total = 0
     plans = []
-    for nodes in comps:
+    for nodes in diagram_components(mat):
         fam, p = _classify_component(nodes, mat)
         order = _standard_order(nodes, mat, fam, p)
         local = _component_sperm(fam, p)
@@ -225,12 +210,9 @@ def build_root_action(mat):
         nroots = len(local[0])
         for k, node in enumerate(order):
             block = local[k]
-            sg = sperm[node]
-            for i in range(nroots):
-                v = int(block[i])
-                sg[offset + i] = (abs(v) + offset) * (1 if v > 0 else -1)
-                if v < 0:
-                    # the root a generator negates is its own simple root
-                    simple_index[node] = offset + i
+            sperm[node][offset:offset + nroots] = (
+                block + np.sign(block) * offset)
+            # the root a generator negates is its own simple root
+            simple_index[node] = offset + int(np.flatnonzero(block < 0)[0])
         offset += nroots
     return total, sperm, simple_index

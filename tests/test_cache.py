@@ -4,6 +4,7 @@ environment override for the directory."""
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -195,3 +196,27 @@ class TestEntryContents:
         json.dump(entry, streamed)
         with open(ca.cache_store(entry), "rb") as fh:
             assert fh.read() == streamed.getvalue().encode("utf-8")
+
+    def test_entry_holds_no_shape_classes(self, cache_env):
+        system = fresh_system("B3")
+        ca.store_tensor(system, system.structure_tensor())
+        with open(ca.path_for("B3")) as fh:
+            assert "shape_classes" not in json.load(fh)
+
+    def test_entry_with_shape_classes_still_loads(self, cache_env):
+        # files written before the shapes were derived from the tensor
+        # carry them; with a valid checksum they are still hits
+        system = fresh_system("B3")
+        tensor = system.structure_tensor()
+        entry = ca.make_entry(system, tensor)
+        entry["shape_classes"] = [list(s.members) for s in system.shapes()]
+        entry["checksum"] = ca._checksum(
+            {k: v for k, v in entry.items() if k != "checksum"})
+        with open(ca.path_for("B3"), "w") as fh:
+            json.dump(entry, fh)
+        warm = build_system(type="B3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(ca.load_tensor(warm), tensor)
+            assert np.array_equal(warm.structure_tensor(), tensor)
+        assert "rasc" not in warm.__dict__

@@ -8,13 +8,14 @@ conjugacy of subsets by conjugating every generator by every element.
 import numpy as np
 import pytest
 
-from descent import algebra, build_system, cartan
+from descent import algebra, automorphisms, build_system, cartan, rootperm
 from descent.algebra import bhs_pairing, multiply, theta_value_table
 from descent.coxeter import iter_bits, popcount
 from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
                             UnsupportedType)
 from descent.exprs import parse_expression
-from descent.table import SUPPORTED_TYPES
+from descent.morphisms import _conjugate_masks_all
+from descent.table import SUPPORTED_TYPES, available_sigma_orders, build_row
 
 SMALL = ["A1", "A2", "A3", "B2", "B3", "I2(5)", "I2(7)", "A1xA1", "A2xA1"]
 
@@ -157,6 +158,12 @@ def test_structure_sets_partition_double_reps(system_factory, label):
             assert total == len(both)
 
 
+def brute_conjugates(system, jmask):
+    """All masks w J w^{-1}, conjugating by every element of W."""
+    img = _conjugate_masks_all(system, jmask)
+    return set(img[img >= 0].tolist())
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "H3"])
 def test_shapes_match_brute_conjugacy(system_factory, label):
     system = system_factory(label)
@@ -166,7 +173,7 @@ def test_shapes_match_brute_conjugacy(system_factory, label):
         for member in shape.members:
             assert member not in seen
             seen.add(member)
-            brute = set(system.conjugate_subsets_brute(member))
+            brute = brute_conjugates(system, member)
             assert brute == set(shape.members)
             assert popcount(member) == shape.cardinality_of_member
     assert seen == set(range(system.full_mask + 1))
@@ -178,8 +185,10 @@ def test_subset_conjugator_witnesses(system_factory, label):
     for shape in system.shapes():
         kmask = shape.canonical
         for jmask in shape.members:
-            w = system.subset_conjugator(jmask, kmask)
-            assert w is not None
+            hits = np.flatnonzero(_conjugate_masks_all(system, jmask) == kmask)
+            assert hits.size
+            # w J w^{-1} = K, so d = w^{-1} has d^{-1} J d = K
+            w = int(system.inv[hits[0]])
             got = 0
             row = system.csany[w]
             for s in iter_bits(jmask):
@@ -187,6 +196,49 @@ def test_subset_conjugator_witnesses(system_factory, label):
                 assert t >= 0
                 got |= 1 << t
             assert got == kmask
+
+
+def permuted_system(label, perm):
+    _labels, mat = cartan.matrix_for_components(cartan.parse_label(label))
+    return build_system(matrix=[[mat[a][b] for b in perm] for a in perm])
+
+
+SHAPE_ROSTER = [(label, None) for label in SUPPORTED_TYPES + (
+    "A2xA1", "A1xA1xA1xA1", "B3xA2", "H3xA1", "I2(509)xA1xA1xA1xA1")] + [
+    ("F4", (2, 0, 3, 1)), ("D5", (4, 1, 3, 0, 2)), ("A2xB2", (3, 0, 2, 1))]
+
+
+def roster_system(system_factory, label, perm):
+    if perm is None:
+        return system_factory(label)
+    return permuted_system(label, perm)
+
+
+@pytest.mark.parametrize("label,perm", SHAPE_ROSTER)
+def test_tensor_shapes_are_the_brute_conjugacy_classes(system_factory, label,
+                                                       perm):
+    system = roster_system(system_factory, label, perm)
+    shapes = system.shapes()
+    brute = {frozenset(brute_conjugates(system, jmask))
+             for jmask in range(system.full_mask + 1)}
+    assert {frozenset(shape.members) for shape in shapes} == brute
+    keys = [(popcount(shape.canonical), shape.canonical) for shape in shapes]
+    assert keys == sorted(keys)
+    for cid, shape in enumerate(shapes):
+        assert shape.class_id == cid
+        assert shape.members == tuple(sorted(shape.members))
+        assert shape.canonical == shape.members[0]
+        assert all(system.shape_id_of_mask(m) == cid for m in shape.members)
+
+
+@pytest.mark.parametrize("label,perm", SHAPE_ROSTER)
+def test_walked_w0_twist_matches_enumerated_w0(system_factory, label, perm):
+    system = roster_system(system_factory, label, perm)
+    twist = system.w0_twist()
+    w0 = system.order - 1
+    assert int(system.length[w0]) == system.nroots
+    assert twist == tuple(int(t) for t in system.csany[w0])
+    assert system.is_w0_central() == (twist == tuple(range(system.rank)))
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
@@ -458,6 +510,19 @@ def test_warm_multiply_never_enumerates(system_factory):
     assert not set(GROUP_TABLES) & set(system.__dict__)
 
 
+def test_warm_table_rows_never_enumerate(system_factory):
+    for label in SUPPORTED_TYPES:
+        system_factory(label).structure_tensor()    # primes the cache
+        system = build_system(type=label)
+        for order in available_sigma_orders(system):
+            build_row(label, order, system=system)
+        automorphisms.sigma0(system)
+        system.is_w0_central()
+        system.shapes()
+        algebra.tau_matrix(system)
+        assert not set(GROUP_TABLES) & set(system.__dict__), label
+
+
 @pytest.mark.parametrize("name", GROUP_TABLES)
 def test_reading_one_table_builds_all(name):
     system = build_system(type="B3", cache=False)
@@ -680,3 +745,51 @@ def test_int16_root_numbering_limit():
             build_system(type=label, cache=False)
     with pytest.raises(UnsupportedType, match="positive roots"):
         build_system(matrix=[[1, 32768], [32768, 1]])
+
+
+# ---------------------------------------------------------------------------
+# root action against the per-root splice
+
+
+def root_action_by_root(mat):
+    """Reference root action: each component block spliced into the
+    global numbering one root at a time."""
+    n = len(mat)
+    plans, total = [], 0
+    for nodes in cartan.diagram_components(mat):
+        fam, p = rootperm._classify_component(nodes, mat)
+        order = rootperm._standard_order(nodes, mat, fam, p)
+        local = rootperm._component_sperm(fam, p)
+        plans.append((order, local))
+        total += len(local[0])
+    sperm = [np.arange(1, total + 1, dtype=np.int16) for _ in range(n)]
+    simple_index = [0] * n
+    offset = 0
+    for order, local in plans:
+        nroots = len(local[0])
+        for k, node in enumerate(order):
+            block = local[k]
+            sg = sperm[node]
+            for i in range(nroots):
+                v = int(block[i])
+                sg[offset + i] = (abs(v) + offset) * (1 if v > 0 else -1)
+                if v < 0:
+                    simple_index[node] = offset + i
+        offset += nroots
+    return total, sperm, simple_index
+
+
+@pytest.mark.parametrize("label,perm", [
+    (label, None) for label in SUPPORTED_TYPES + ("A2xB2xA1",)] + [
+    ("F4", (2, 0, 3, 1)), ("D5", (4, 1, 3, 0, 2))])
+def test_root_action_matches_per_root_splice(label, perm):
+    _labels, mat = cartan.matrix_for_components(cartan.parse_label(label))
+    if perm is not None:
+        mat = [[mat[a][b] for b in perm] for a in perm]
+    total, sperm, simple_index = rootperm.build_root_action(mat)
+    ref_total, ref_sperm, ref_simple = root_action_by_root(mat)
+    assert total == ref_total
+    assert simple_index == ref_simple
+    for got, expect in zip(sperm, ref_sperm, strict=True):
+        assert got.dtype == np.int16
+        assert np.array_equal(got, expect)
