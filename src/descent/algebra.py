@@ -12,6 +12,7 @@ vectors and folds the result back.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -44,32 +45,34 @@ def _as_mask(system, subset):
 # coordinate transforms between the three bases (all invertible, per-bit)
 
 
+@lru_cache(maxsize=None)
+def _basis_weights(n, sign):
+    """Per-mask weights of the subset-sum passes of ``_change_basis``:
+    sign^|m|, and the xp weights sign^|m| 2^(n-|m|) before and
+    sign^|m| 2^|m| after, as Python integers."""
+    sgn = np.array([sign ** popcount(m) for m in range(1 << n)], dtype=object)
+    half = np.array([1 << popcount(m) for m in range(1 << n)], dtype=object)
+    return sgn, sgn * ((1 << n) // half), sgn * half
+
+
 def _change_basis(nums, tag, n, sign):
     """Integer numerators on the basis ``tag`` to x-coordinates (sign -1)
     or back (sign +1). Returns the new numerators and the factor by which
     the common denominator grows."""
-    out = list(nums)
     if tag == BASIS_X:
-        return out, 1
+        return list(nums), 1
+    sgn, pre, post = _basis_weights(n, sign)
+    v = np.array(nums, dtype=object)
     if tag == BASIS_Y:
         # y_J = sum over I >= J of (-1)^{|I|-|J|} x_I, so the y-coordinate
-        # at J sums the x-coordinates at I <= J
-        for b in range(n):
-            bit = 1 << b
-            for m in range(1 << n):
-                if m & bit:
-                    out[m] += sign * out[m ^ bit]
-        return out, 1
+        # at J sums the x-coordinates at I <= J; the inverse is the same
+        # sum with (-1)^|I| before and (-1)^|J| after
+        return (sgn * subset_sums(sgn * v, n)).tolist(), 1
     # xp_I = sum over K <= I of (-1/2)^{|I|-|K|} x_K, and x_I = sum over
-    # K <= I of (1/2)^{|I|-|K|} xp_K; after scaling by 2**n every halving
-    # is exact
-    out = [v << n for v in out]
-    for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if not m & bit:
-                out[m] += sign * (out[m | bit] // 2)
-    return out, 1 << n
+    # K <= I of (1/2)^{|I|-|K|} xp_K: the coordinate at K is
+    # sign^|K| 2^|K| times the sum over I >= K of sign^|I| 2^-|I| v_I,
+    # exact after scaling by 2**n
+    return (post * subset_sums(pre * v, n, supersets=True)).tolist(), 1 << n
 
 
 class DescentVector:
@@ -619,27 +622,26 @@ def loewy_profile(system):
 def minimal_polynomial(vector):
     """Monic minimal polynomial, as a low-to-high coefficient tuple.
 
-    Power iteration: feed 1, a, a^2, ... into an augmented span until the
-    next power becomes dependent; the dependency coefficients are the
-    polynomial.
+    Krylov iteration on integer rows: L = left_multiplication(a) is
+    den * a on the x-basis, so p_0 = 1 and p_k = p_{k-1} L are the integer
+    x-coordinates of den^k a^k. They go into an AugSpan until p_m is
+    dependent; then p_m = sum c_k p_k, and the coefficient of x^k is
+    -c_k den^(k-m).
     """
     system = vector.system
     size = 1 << system.rank
+    den = vector.x_ints()[1]
+    L = left_multiplication(vector)
     span = AugSpan(size)
-    powers = [unit(system)]
-    span.add(powers[0].x_coords())
-    while True:
-        nxt = multiply(vector, powers[-1])
-        expr = span.express(nxt.x_coords())
-        if expr is not None:
-            m = len(powers)
-            coeffs = [ZERO] * (m + 1)
-            coeffs[m] = ONE
-            for k, c in expr.items():
-                coeffs[k] -= c
-            return tuple(coeffs)
-        span.add(nxt.x_coords())
-        powers.append(nxt)
+    p = np.zeros(size, dtype=np.int64)
+    p[system.full_mask] = 1
+    while span.add(p):
+        p = linalg.matmul(p[None], L)[0]
+    m = span.count - 1
+    coeffs = [ZERO] * m + [ONE]
+    for k, c in span.express(p).items():
+        coeffs[k] = -c * Fraction(den) ** (k - m)
+    return tuple(coeffs)
 
 
 def characteristic_polynomial_positive(vector):

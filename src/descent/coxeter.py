@@ -394,14 +394,6 @@ class CoxeterSystem:
     def labels_of_mask(self, mask):
         return [self.labels[s] for s in iter_bits(self.check_mask(mask))]
 
-    def longest_element(self):
-        w0 = self.order - 1
-        if int(self.length[w0]) != self.nroots:
-            raise AssertionError(
-                "last enumerated element has length %d, expected %d"
-                % (int(self.length[w0]), self.nroots))
-        return self.element(w0)
-
     def longest_in_parabolic(self, mask):
         mask = self.check_mask(mask)
         got = self._w0par.get(mask)

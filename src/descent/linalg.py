@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Ranks, row spaces and kernels come from one fraction-free elimination on
-integer rows: a rational row is first scaled by the lcm of its
-denominators, and elimination only ever cross-multiplies two rows and
-divides a row by the gcd of its entries. Nothing is rounded and no
-``Fraction`` is formed until a caller asks for reduced rows. Entries stay
-in int64 while a bound proves the next step cannot overflow and move to
-Python integers otherwise. Polynomials, short and rare, stay on
-``fractions.Fraction`` values.
+Ranks, row spaces, kernels and linear dependencies (``AugSpan``) come
+from one fraction-free elimination on integer rows: a rational row is
+first scaled by the lcm of its denominators, and elimination only ever
+cross-multiplies two rows and divides a row by the gcd of its entries.
+Nothing is rounded and no ``Fraction`` is formed until a caller asks for
+reduced rows or coefficients. Entries stay in int64 while a bound proves
+the next step cannot overflow and move to Python integers otherwise.
+Polynomials, short and rare, stay on ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -232,72 +232,64 @@ class Span:
 
 
 class AugSpan:
-    """Echelon basis that remembers how each row was built.
+    """A span that remembers which added vectors grew it, so that a vector
+    inside it can be written over them.
 
-    Every inserted vector gets an expression vector alongside it, so once a
-    new vector turns out to be dependent we can read off the exact linear
-    combination of previously added vectors that produces it.  This is what
-    drives minimal polynomial extraction.
+    Every call to :meth:`add` takes the next index, a dependent vector's
+    too. The vectors that grew the :class:`Span` are kept as integer rows,
+    each with its index and the factor ``integer_rows`` scaled it by;
+    :meth:`express` reads its combination off the one-row kernel of those
+    rows stacked with the target, by the same elimination.
     """
 
-    __slots__ = ("width", "rows", "pivots", "exprs", "count")
+    __slots__ = ("span", "grown", "count")
 
     def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        self.exprs: list[dict[int, Fraction]] = []
+        self.span = Span(width)
+        self.grown: list[tuple[int, np.ndarray, Fraction]] = []
         self.count = 0
 
-    def _residual(self, vec: Sequence):
-        v = as_fractions(vec)
-        if len(v) != self.width:
-            raise ValueError("vector width %d, expected %d" % (len(v), self.width))
-        expr: dict[int, Fraction] = {}
-        for row, p, e in zip(self.rows, self.pivots, self.exprs):
-            c = v[p]
-            if c:
-                for j in range(p, self.width):
-                    v[j] -= c * row[j]
-                for k, val in e.items():
-                    expr[k] = expr.get(k, ZERO) - c * val
-        return v, expr
-
-    def express(self, vec: Sequence) -> dict[int, Fraction] | None:
-        """Write ``vec`` over the added vectors, or return None if outside."""
-        v, expr = self._residual(vec)
-        if any(x for x in v):
-            return None
-        return {k: -val for k, val in expr.items() if val}
+    def _scaled(self, vec: Sequence) -> tuple[np.ndarray, Fraction]:
+        """``vec`` as the integer row ``s * vec``, and the factor ``s``."""
+        row = integer_rows([vec], self.span.width)[0]
+        nz = np.flatnonzero(row)
+        if not nz.size:
+            return row, ONE
+        j = int(nz[0])
+        x = vec[j]
+        # a Fraction of a numpy integer would keep int64 parts
+        if isinstance(x, np.integer):
+            x = int(x)
+        return row, Fraction(int(row[j])) / Fraction(x)
 
     def add(self, vec: Sequence) -> bool:
-        v, expr = self._residual(vec)
+        """Insert a vector under the next index; report whether the
+        dimension grew."""
+        row, scale = self._scaled(vec)
         idx = self.count
         self.count += 1
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
+        if not self.span.extend(row[None]):
             return False
-        expr[idx] = ONE
-        inv = ONE / v[p]
-        for j in range(p, self.width):
-            v[j] *= inv
-        expr = {k: val * inv for k, val in expr.items() if val}
-        for row, e in zip(self.rows, self.exprs):
-            c = row[p]
-            if c:
-                for j in range(p, self.width):
-                    row[j] -= c * v[j]
-                for k, val in expr.items():
-                    e[k] = e.get(k, ZERO) - c * val
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
-        self.exprs.insert(at, expr)
+        self.grown.append((idx, row, scale))
         return True
+
+    def express(self, vec: Sequence) -> dict[int, Fraction] | None:
+        """Write ``vec`` over the added vectors, as {index: coefficient}
+        with zero coefficients left out, or return None if outside."""
+        row, scale = self._scaled(vec)
+        if not self.span.contains(row):
+            return None
+        # the added rows are independent, so the kernel is one row with a
+        # positive entry k at the target: target = -sum k_i s_i v_i / (k s)
+        stacked = np.vstack([r for _, r, _ in self.grown] + [row])
+        kern = Span(len(self.grown) + 1, stacked.T).kernel()[0]
+        den = -int(kern[-1]) * scale
+        return {idx: Fraction(int(c)) * s / den
+                for (idx, _, s), c in zip(self.grown, kern) if c}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.span.dim
 
 
 def rref(rows: Iterable[Sequence], width: int) -> list[tuple[Fraction, ...]]:
@@ -320,20 +312,6 @@ def nullspace(rows: Iterable[Sequence], width: int) -> list[tuple[Fraction, ...]
     free = [j for j in range(width) if j not in pivots]
     return [tuple(Fraction(int(v), int(vec[f])) for v in vec)
             for f, vec in zip(free, span.kernel())]
-
-
-def solve(rows: Sequence[Sequence], target: Sequence, width: int):
-    """Coefficients c with sum(c[i] * rows[i]) == target, or None."""
-    aug = AugSpan(width)
-    for row in rows:
-        aug.add(row)
-    expr = aug.express(target)
-    if expr is None:
-        return None
-    out = [ZERO] * len(rows)
-    for k, val in expr.items():
-        out[k] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +392,3 @@ def poly_from_roots(roots: Iterable) -> tuple[Fraction, ...]:
     for r in roots:
         out = poly_mul(out, (-Fraction(r), ONE))
     return out
-
-
-def poly_eval(p: Sequence, x) -> Fraction:
-    acc = ZERO
-    for c in reversed(poly_trim(p)):
-        acc = acc * x + c
-    return acc

@@ -129,8 +129,7 @@ def _random_positive(system, rng):
     coeffs = [rng.randrange(10) for _ in range(size)]
     if not any(coeffs):
         coeffs[size - 1] = 1
-    return alg.DescentVector(
-        system, [alg.Fraction(c) for c in coeffs], alg.BASIS_X)
+    return alg.DescentVector.from_ints(system, coeffs)
 
 
 def _subset_pairs(size):

@@ -171,6 +171,39 @@ def test_basis_round_trips(system_factory, label):
             assert w == v  # equality is basis independent
 
 
+def loop_change_basis(nums, tag, n, sign):
+    """The per-bit mask loops that ``_change_basis`` replaced, kept as
+    its reference."""
+    out = list(nums)
+    if tag == alg.BASIS_X:
+        return out, 1
+    if tag == alg.BASIS_Y:
+        for b in range(n):
+            bit = 1 << b
+            for m in range(1 << n):
+                if m & bit:
+                    out[m] += sign * out[m ^ bit]
+        return out, 1
+    out = [v << n for v in out]
+    for b in range(n):
+        bit = 1 << b
+        for m in range(1 << n):
+            if not m & bit:
+                out[m] += sign * (out[m | bit] // 2)
+    return out, 1 << n
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_change_basis_matches_mask_loops(n):
+    rng = random.Random("change-basis:%d" % n)
+    for tag in (alg.BASIS_X, alg.BASIS_Y, alg.BASIS_XPRIME):
+        for sign in (-1, 1):
+            for _ in range(3):
+                nums = [rng.randint(-10**25, 10**25) for _ in range(1 << n)]
+                assert (alg._change_basis(nums, tag, n, sign)
+                        == loop_change_basis(nums, tag, n, sign))
+
+
 @pytest.mark.parametrize("label", ["A2", "A3", "B3", "I2(5)", "I2(6)", "D4"])
 def test_longest_element_shifts_y_basis(system_factory, label):
     # y over the empty subset is the longest element itself, and left

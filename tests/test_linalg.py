@@ -2,18 +2,22 @@
 
 Cross-checked against sympy on random instances; sympy is far too slow for
 the main computations but fine as a second opinion here. The integer
-elimination is also checked against a row-at-a-time Fraction elimination
-kept here as the reference.
+elimination, its dependency tracker ``AugSpan`` and the minimal
+polynomials built on it are also checked against row-at-a-time Fraction
+eliminations kept here as the reference.
 """
 
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from descent import algebra as alg
 from descent import linalg
+from descent import verify
 
 
 class FractionSpan:
@@ -71,6 +75,72 @@ class FractionSpan:
                 v[p] = -row[free]
             out.append(tuple(v))
         return out
+
+
+class FractionAugSpan:
+    """Reference dependency tracker: reduced echelon rows of Fractions, each
+    with the combination of added vectors that built it, one vector
+    eliminated at a time. Every add takes the next index, a dependent
+    vector's too."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+        self.exprs = []
+        self.count = 0
+
+    def _residual(self, vec):
+        v = [Fraction(x) for x in vec]
+        if len(v) != self.width:
+            raise ValueError("vector width %d, expected %d"
+                             % (len(v), self.width))
+        expr = {}
+        for row, p, e in zip(self.rows, self.pivots, self.exprs):
+            c = v[p]
+            if c:
+                for j in range(p, self.width):
+                    v[j] -= c * row[j]
+                for k, val in e.items():
+                    expr[k] = expr.get(k, Fraction(0)) - c * val
+        return v, expr
+
+    def express(self, vec):
+        """Write ``vec`` over the added vectors, or return None if outside."""
+        v, expr = self._residual(vec)
+        if any(x for x in v):
+            return None
+        return {k: -val for k, val in expr.items() if val}
+
+    def add(self, vec):
+        v, expr = self._residual(vec)
+        idx = self.count
+        self.count += 1
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        expr[idx] = Fraction(1)
+        inv = 1 / v[p]
+        for j in range(p, self.width):
+            v[j] *= inv
+        expr = {k: val * inv for k, val in expr.items() if val}
+        for row, e in zip(self.rows, self.exprs):
+            c = row[p]
+            if c:
+                for j in range(p, self.width):
+                    row[j] -= c * v[j]
+                for k, val in expr.items():
+                    e[k] = e.get(k, Fraction(0)) - c * val
+        at = next((i for i, q in enumerate(self.pivots) if q > p),
+                  len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, p)
+        self.exprs.insert(at, expr)
+        return True
+
+    @property
+    def dim(self):
+        return len(self.rows)
 
 
 def random_matrix(rng, nrows, width, density=0.7):
@@ -136,6 +206,30 @@ class TestAugSpan:
         assert total == [2, 5, 1]
         assert aug.express([0, 0, 5]) is None
 
+    def test_express_solves_square_system_and_rejects_outside(self):
+        rows = [[1, 2], [3, 4]]
+        aug = linalg.AugSpan(2)
+        assert all(aug.add(row) for row in rows)
+        combo = aug.express([5, 6])
+        assert [sum(combo.get(i, 0) * row[k] for i, row in enumerate(rows))
+                for k in range(2)] == [5, 6]
+        # a dependent add takes an index; the target is outside the span
+        aug = linalg.AugSpan(2)
+        assert aug.add([1, 1])
+        assert not aug.add([2, 2])
+        assert aug.count == 2 and aug.dim == 1
+        assert aug.express([0, 1]) is None
+        assert aug.express([3, 3]) == {0: 3}
+        assert aug.express([0, 0]) == {}
+
+    def test_rational_vectors_keep_their_scale(self):
+        aug = linalg.AugSpan(2)
+        assert aug.add([Fraction(1, 2), 1])
+        assert aug.add([0, Fraction(2, 3)])
+        assert aug.express([1, 2]) == {0: 2}
+        assert aug.express([Fraction(1, 4), 1]) == {
+            0: Fraction(1, 2), 1: Fraction(3, 4)}
+
 
 class TestElimination:
     def test_nullspace_against_sympy(self):
@@ -156,16 +250,6 @@ class TestElimination:
             rows = random_matrix(rng, rng.randint(1, 5), 6)
             assert (linalg.rank(rows, 6)
                     + len(linalg.nullspace(rows, 6)) == 6)
-
-    def test_solve_expresses_target_in_rows(self):
-        rows = [[1, 2], [3, 4]]
-        sol = linalg.solve(rows, [5, 6], 2)
-        assert sol is not None
-        combo = [sum(c * row[k] for c, row in zip(sol, rows))
-                 for k in range(2)]
-        assert combo == [5, 6]
-        # target outside the row span
-        assert linalg.solve([[1, 1], [2, 2]], [0, 1], 2) is None
 
     def test_rref_idempotent(self):
         rows = [[2, 4, 6], [1, 2, 4]]
@@ -233,6 +317,100 @@ class TestAgainstFractionOracle:
             assert small.equals(big)
 
 
+@st.composite
+def aug_cases(draw):
+    """Integer rows with dependent ones in the middle, and probes: an
+    integer combination of the rows, a free vector and zero."""
+    width = draw(st.integers(1, 6))
+    vectors = st.lists(_ENTRY, min_size=width, max_size=width)
+    rows = draw(st.lists(vectors, max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        at = draw(st.integers(1, len(rows)))
+        a = draw(st.sampled_from(rows[:at]))
+        b = draw(st.sampled_from(rows[:at]))
+        c = draw(st.integers(-5, 5))
+        rows.insert(at, [x + c * y for x, y in zip(a, b)])
+    coef = draw(st.lists(st.integers(-9, 9), min_size=len(rows),
+                         max_size=len(rows)))
+    inside = [sum(c * row[k] for c, row in zip(coef, rows))
+              for k in range(width)]
+    return rows, [inside, draw(vectors), [0] * width], width
+
+
+class TestAugSpanAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(aug_cases())
+    @example(([[2**63, 1], [2**64, 2], [0, 3]], [[2**63, 4], [0, 1], [0, 0]],
+              2))
+    def test_add_indices_and_express(self, case):
+        rows, probes, width = case
+        aug, oracle = linalg.AugSpan(width), FractionAugSpan(width)
+        # the same vectors as int64 arrays where they fit
+        arrays = linalg.AugSpan(width)
+        for row in rows:
+            assert aug.add(row) == oracle.add(row) == arrays.add(
+                linalg.integer_rows([row], width)[0])
+        assert aug.count == oracle.count == len(rows)
+        assert aug.dim == oracle.dim
+        for vec in probes:
+            combo = aug.express(vec)
+            assert combo == oracle.express(vec)
+            assert arrays.express(linalg.integer_rows([vec], width)[0]) == (
+                combo)
+            if combo is not None:
+                assert [sum(c * rows[i][k] for i, c in combo.items())
+                        for k in range(width)] == vec
+        assert aug.express(probes[0]) is not None
+
+
+def fraction_krylov_minimal_polynomial(a):
+    """Minimal polynomial the row-at-a-time way: the Fraction
+    x-coordinates of 1, a, a^2, ... go into a FractionAugSpan until one
+    is dependent."""
+    system = a.system
+    span = FractionAugSpan(1 << system.rank)
+    power = alg.unit(system)
+    span.add(power.x_coords())
+    while True:
+        power = alg.multiply(a, power)
+        expr = span.express(power.x_coords())
+        if expr is not None:
+            coeffs = [Fraction(0)] * span.count + [Fraction(1)]
+            for k, c in expr.items():
+                coeffs[k] -= c
+            return tuple(coeffs)
+        span.add(power.x_coords())
+
+
+def positivity_elements(system, count):
+    """The first ``count`` seeded elements of the positivity suite."""
+    rng = random.Random("positivity:0:%s" % system.type_label)
+    return [verify._random_positive(system, rng) for _ in range(count)]
+
+
+class TestMinimalPolynomialAgainstFractionKrylov:
+    @pytest.mark.parametrize("label,count", [
+        ("A3", 100), ("B3", 100), ("H3", 100), ("I2(5)", 100),
+        ("B4", 8), ("D4", 8)])
+    def test_positivity_suite_elements(self, system_factory, label, count):
+        system = system_factory(label)
+        for a in positivity_elements(system, count):
+            assert (alg.minimal_polynomial(a)
+                    == fraction_krylov_minimal_polynomial(a)), str(a)
+
+    @pytest.mark.parametrize("label", ["B3", "D4"])
+    def test_shifted_scaled_and_fractional_elements(self, system_factory,
+                                                    label):
+        system = system_factory(label)
+        one = alg.unit(system)
+        for a in positivity_elements(system, 4):
+            # 2**40 a leaves int64 in the first power
+            for b in (a - 3 * one, 2**40 * a, a * Fraction(1, 7),
+                      a.in_basis(alg.BASIS_XPRIME)):
+                assert (alg.minimal_polynomial(b)
+                        == fraction_krylov_minimal_polynomial(b)), str(b)
+
+
 class TestPolynomials:
     def test_divmod_and_gcd_against_sympy(self):
         rng = random.Random(23)
@@ -260,11 +438,6 @@ class TestPolynomials:
         assert not linalg.poly_is_squarefree(linalg.poly_from_roots([1, 1]))
         assert not linalg.poly_is_squarefree([0, 0, 1])  # T^2
         assert linalg.poly_is_squarefree([0, 1])         # T
-
-    def test_poly_eval_low_to_high_order(self):
-        # coefficient tuples are little-endian: p = 1 + 2T + 3T^2
-        p = [Fraction(1), Fraction(2), Fraction(3)]
-        assert linalg.poly_eval(p, Fraction(2)) == 1 + 4 + 12
 
     def test_from_roots(self):
         p = linalg.poly_from_roots([Fraction(1), Fraction(-2)])
