@@ -17,7 +17,7 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from .coxeter import CoxeterSystem, iter_bits, popcount, subset_sums
+from .coxeter import iter_bits, popcount, subset_sums
 from .errors import (
     InvalidSubset,
     NotInDescentAlgebra,
@@ -552,42 +552,27 @@ def tau(vector):
     return TauVector(vector.system, vals)
 
 
-def _radical_differences(system):
-    """Integer spanning set of the radical: same-shape differences."""
-    size = 1 << system.rank
-    out = []
-    for shape in system.shapes():
-        for member in shape.members:
-            if member != shape.canonical:
-                vec = [0] * size
-                vec[member] = 1
-                vec[shape.canonical] = -1
-                out.append(vec)
-    return linalg.integer_rows(out, size)
-
-
 def radical_basis(system):
-    """Basis of the common kernel of all one-dimensional characters.
+    """Basis of the radical, the common kernel of all one-dimensional
+    characters.
 
-    Computed as an exact nullspace; the classical spanning set by
-    differences of same-shape basis elements is checked to lie in the
-    kernel and to have its dimension before returning.
+    Solomon's basis: x_J - x_c for every member J of a shape other than
+    its canonical member c. Each vector has its own J, so they are
+    independent, and there are 2^n minus the number of shapes of them.
     """
     ctx = _algebra_context(system)
     cached = ctx.get("radical_basis")
     if cached is None:
         size = 1 << system.rank
-        taus = tau_matrix(system)
-        kern = linalg.nullspace(taus, size)
-        diffs = _radical_differences(system)
-        if np.any(taus @ diffs.T):
-            raise AssertionError(
-                "same-shape difference escapes the character kernel")
-        if len(diffs) != len(kern):
-            raise AssertionError(
-                "difference spanning set does not fill the radical")
-        cached = tuple(DescentVector(system, vec, BASIS_X) for vec in kern)
-        ctx["radical_basis"] = cached
+        out = []
+        for shape in system.shapes():
+            for member in shape.members:
+                if member != shape.canonical:
+                    vec = [0] * size
+                    vec[member] = 1
+                    vec[shape.canonical] = -1
+                    out.append(DescentVector.from_ints(system, vec))
+        cached = ctx["radical_basis"] = tuple(out)
     return list(cached)
 
 
@@ -613,7 +598,8 @@ def loewy_profile(system):
     ctx = _algebra_context(system)
     prof = ctx.get("loewy_profile")
     if prof is None:
-        powers = radical_powers(system, _radical_differences(system))
+        powers = radical_powers(
+            system, x_matrix(radical_basis(system), 1 << system.rank))
         prof = LoewyProfile([1 << system.rank] + [p.dim for p in powers])
         ctx["loewy_profile"] = prof
     return prof
@@ -688,23 +674,7 @@ def saturated_family(vector, equivariant=False):
                 if i & ~j == 0:
                     fam.add(i)
                     break
-    _assert_saturated(system, fam, equivariant)
     return frozenset(fam)
-
-
-def _assert_saturated(system, fam, equivariant):
-    for i in fam:
-        for b in iter_bits(i):
-            if i ^ (1 << b) not in fam:
-                raise AssertionError("family is not downward closed")
-    if equivariant:
-        for i in fam:
-            si = system.shape_id_of_mask(i)
-            for j in range(1 << system.rank):
-                sj = system.shape_id_of_mask(j)
-                if system.shape_order_leq(sj, si) and j not in fam:
-                    raise AssertionError(
-                        "family is not closed under the shape order")
 
 
 def family_span(system, family):

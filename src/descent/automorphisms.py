@@ -3,7 +3,8 @@
 A diagram automorphism is a permutation of the generator positions that
 preserves the Coxeter matrix. It acts on the algebra by permuting the
 coset-sum basis; the fixed points of that action form a subalgebra whose
-radical and Loewy series this module computes two independent ways.
+radical and Loewy series this module computes. Its radical is the
+ambient radical symmetrized over the powers of the automorphism.
 """
 
 from __future__ import annotations
@@ -189,12 +190,8 @@ class FixedSubalgebra:
         return self.span.contains(vector.x_coords())
 
     def radical_vectors(self):
-        """Basis of the radical of the fixed subalgebra.
-
-        Two computations must agree: symmetrizing the ambient radical over
-        the automorphism powers, and the direct character kernel inside
-        the subalgebra.
-        """
+        """Basis of the radical of the fixed subalgebra: the ambient
+        radical basis symmetrized over the automorphism powers."""
         if self._radical is None:
             system = self.parent
             size = 1 << system.rank
@@ -208,15 +205,6 @@ class FixedSubalgebra:
                     t = self.sigma.apply_mask(t)
             rad = alg.x_matrix(alg.radical_basis(system), size)
             projected = Span(size, rad @ sym)
-            # direct route: combinations of the orbit sums on which every
-            # character vanishes
-            orbit_sums = alg.x_matrix(self.basis, size)
-            chars = alg.tau_matrix(system) @ orbit_sums.T
-            combos = Span(len(self.basis), chars).kernel()
-            direct = Span(size, combos @ orbit_sums)
-            if not projected.equals(direct):
-                raise AssertionError(
-                    "fixed-subalgebra radical computed two ways disagrees")
             self._radical = [DescentVector.from_ints(system, row)
                              for row in projected.rows.tolist()]
         return list(self._radical)
@@ -235,12 +223,6 @@ def fixed_subalgebra(system, sigma):
             vec[m] = 1
         basis.append(DescentVector.from_ints(system, vec))
         span.add(vec)
-    # closure under multiplication: no product of two orbit sums may
-    # leave their span
-    if span.extend(alg.products(system, span.rows, span.rows)
-                   .reshape(-1, size)):
-        raise AssertionError("orbit sums are not closed under "
-                             "multiplication")
     return FixedSubalgebra(system, sigma, orbits, basis, span,
                            shape_orbits(system, sigma))
 
@@ -261,12 +243,6 @@ def w0_centrality_criterion(system):
     sum is invertible; when it is not, at least one such sum has a
     vanishing character value, and those masks are returned as witnesses.
     """
-    bad = []
-    for mask in range(1 << system.rank):
-        if not alg.is_invertible(alg.basis_y(system, mask)):
-            bad.append(mask)
-    is_central = not bad
-    if is_central != system.is_w0_central():
-        raise AssertionError(
-            "unit criterion disagrees with the direct centrality check")
-    return is_central, bad
+    bad = [mask for mask in range(1 << system.rank)
+           if not alg.is_invertible(alg.basis_y(system, mask))]
+    return not bad, bad

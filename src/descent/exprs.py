@@ -2,7 +2,7 @@
 
 Grammar, informally:
 
-    expr  := ['+'|'-'] term (('+'|'-') term)*
+    expr  := '0' | ['+'|'-'] term (('+'|'-') term)*
     term  := [rational '*'] atom | rational '*' atom
     atom  := basis '[' labels ']' | basis 'S'
     basis := 'x' | 'y' | 'xp'
@@ -10,6 +10,7 @@ Grammar, informally:
 Labels are the system's own generator names, comma separated (1-based
 numbers, plus the primed fork label in the D family). 'xS' abbreviates
 the full subset, 'x[]' the empty one. Rationals look like '3' or '5/2'.
+A lone '0' is the zero element, as ``str`` prints it.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def parse_expression(system, text):
     scanner = _Scanner(text)
     if scanner.done():
         raise ParseError("empty expression", 0)
+    if text.strip() == "0":
+        return DescentVector.zero(system)
     sign = 1
     ch = scanner.peek()
     if ch in "+-":

@@ -15,6 +15,7 @@ from descent import algebra as alg
 from descent.coxeter import iter_bits, popcount
 from descent.errors import NotPositive, SystemMismatch, WrongType
 from descent import linalg
+from descent.table import SUPPORTED_TYPES
 
 # every named system of rank <= 3, plus the two mandated larger ones
 ORACLE_ROSTER = [
@@ -270,6 +271,26 @@ def test_radical_is_character_kernel(system_factory, label):
         assert len(rad) == 0
 
 
+@pytest.mark.parametrize(
+    "label", SUPPORTED_TYPES + ("A2xA1", "A1xA1xA1", "H3xA1"))
+def test_radical_basis_spans_character_nullspace(system_factory, label):
+    # Solomon's differences x_J - x_c against the exact nullspace of the
+    # character table
+    system = system_factory(label)
+    size = 1 << system.rank
+    taus = alg.tau_matrix(system)
+    kern = linalg.nullspace(taus, size)
+    diffs = alg.x_matrix(alg.radical_basis(system), size)
+    assert not np.any(taus @ diffs.T)
+    assert len(diffs) == len(kern) == size - len(system.shapes())
+    assert linalg.Span(size, diffs).equals(linalg.Span(size, kern))
+    for row in diffs:
+        plus, minus = np.flatnonzero(row == 1), np.flatnonzero(row == -1)
+        assert np.count_nonzero(row) == 2 and len(plus) == len(minus) == 1
+        assert (system.shape_id_of_mask(int(plus[0]))
+                == system.shape_id_of_mask(int(minus[0])))
+
+
 @pytest.mark.parametrize("label,dims", [
     ("A1", (2,)),
     ("B2", (4,)),        # four shapes, semisimple
@@ -388,6 +409,50 @@ def test_saturated_family_closures(system_factory):
                    for m in a.support())
     span = alg.family_span(system, plain)
     assert span.dim == len(plain)
+
+
+def assert_saturated(system, fam, equivariant):
+    """The family is closed under dropping a generator and, when
+    equivariant, under the shape order."""
+    for i in fam:
+        for b in iter_bits(i):
+            assert i ^ (1 << b) in fam, "family is not downward closed"
+    if equivariant:
+        for i in fam:
+            si = system.shape_id_of_mask(i)
+            for j in range(1 << system.rank):
+                if system.shape_order_leq(system.shape_id_of_mask(j), si):
+                    assert j in fam, "family is not closed under the " \
+                        "shape order"
+
+
+def test_assert_saturated_rejects_open_families(system_factory):
+    system = system_factory("A3")
+    with pytest.raises(AssertionError):
+        assert_saturated(system, {0b011, 0b001}, False)
+    plain = alg.saturated_family(alg.basis_x(system, 0b001))
+    assert plain == {0b000, 0b001}
+    assert_saturated(system, plain, False)
+    # the singletons of the linear type are all conjugate
+    with pytest.raises(AssertionError):
+        assert_saturated(system, plain, True)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "H3", "I2(5)",
+                                   "A2xA1"])
+def test_saturated_families_are_closed(system_factory, label):
+    system = system_factory(label)
+    size = 1 << system.rank
+    rng = random.Random("saturated:" + label)
+    for _ in range(30):
+        # sparse supports, so that the families are proper
+        coeffs = [rng.randrange(1, 10) if rng.random() < 0.25 else 0
+                  for _ in range(size)]
+        coeffs[rng.randrange(size)] = 1
+        a = alg.DescentVector.from_ints(system, coeffs)
+        for equivariant in (False, True):
+            assert_saturated(system, alg.saturated_family(a, equivariant),
+                             equivariant)
 
 
 def test_group_vector_round_trip(system_factory):

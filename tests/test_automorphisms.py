@@ -8,6 +8,11 @@ import pytest
 from descent import algebra as alg
 from descent import automorphisms as auto
 from descent.errors import AutomorphismMismatch
+from descent.linalg import Span
+from descent.table import SUPPORTED_TYPES
+
+# every table type, plus two products with large automorphism groups
+FIXED_ROSTER = SUPPORTED_TYPES + ("A1xA1xA1xA1", "A2xA2xA1xA1")
 
 
 def random_vector(system, rng):
@@ -170,7 +175,49 @@ class TestFixedSubalgebra:
         assert orbits[0] == orbits[1] == 7
 
 
+def direct_fixed_radical(fixed):
+    """The fixed subalgebra's radical as the combinations of its orbit
+    sums on which every one-dimensional character vanishes."""
+    size = 1 << fixed.parent.rank
+    orbit_sums = alg.x_matrix(fixed.basis, size)
+    chars = alg.tau_matrix(fixed.parent) @ orbit_sums.T
+    combos = Span(len(fixed.basis), chars).kernel()
+    return Span(size, combos @ orbit_sums)
+
+
+@pytest.mark.parametrize("label", FIXED_ROSTER)
+class TestFixedSubalgebraOracles:
+    def test_radical_routes_agree(self, system_factory, label):
+        # the symmetrized ambient radical against the character kernel
+        # inside the subalgebra
+        system = system_factory(label)
+        size = 1 << system.rank
+        for sigma in auto.diagram_automorphisms(system):
+            fixed = auto.fixed_subalgebra(system, sigma)
+            rad = fixed.radical_vectors()
+            projected = Span(size, alg.x_matrix(rad, size))
+            assert projected.dim == len(rad)
+            assert projected.equals(direct_fixed_radical(fixed)), sigma
+
+    def test_orbit_sums_closed_under_products(self, system_factory, label):
+        system = system_factory(label)
+        size = 1 << system.rank
+        for sigma in auto.diagram_automorphisms(system):
+            fixed = auto.fixed_subalgebra(system, sigma)
+            assert fixed.span.dim == fixed.dimension
+            rows = alg.x_matrix(fixed.basis, size)
+            prods = alg.products(system, rows, rows).reshape(-1, size)
+            assert fixed.span.copy().extend(prods) == 0, sigma
+
+
 class TestW0Criterion:
+    @pytest.mark.parametrize("label", SUPPORTED_TYPES)
+    def test_agrees_with_is_w0_central(self, system_factory, label):
+        system = system_factory(label)
+        is_central, bad = auto.w0_centrality_criterion(system)
+        assert is_central == system.is_w0_central()
+        assert (not bad) == is_central
+
     @pytest.mark.parametrize("label,central", [
         ("A2", False), ("A3", False), ("B3", True), ("D4", True),
         ("I2(5)", False), ("I2(6)", True), ("H3", True),

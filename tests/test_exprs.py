@@ -2,10 +2,29 @@
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 import descent.algebra as alg
 import descent.exprs as ex
 from descent.errors import ParseError
+
+from conftest import get_system
+
+ROUND_TRIP_TYPES = ("A2", "B3", "H3", "I2(5)", "A1xA2")
+
+
+@st.composite
+def rational_vectors(draw):
+    """A system of the round-trip roster, and a vector on one of its three
+    bases with sparse rational coordinates of up to 20 digits."""
+    system = get_system(draw(st.sampled_from(ROUND_TRIP_TYPES)))
+    coeff = st.one_of(st.just(Fraction(0)), st.fractions(
+        min_value=-10**20, max_value=10**20, max_denominator=10**6))
+    coeffs = draw(st.lists(coeff, min_size=1 << system.rank,
+                           max_size=1 << system.rank))
+    tag = draw(st.sampled_from((alg.BASIS_X, alg.BASIS_Y,
+                                alg.BASIS_XPRIME)))
+    return alg.DescentVector(system, coeffs, tag)
 
 
 class TestHappyPath:
@@ -87,6 +106,12 @@ class TestHappyPath:
             v = ex.parse_expression(system, text)
             again = ex.parse_expression(system, str(v))
             assert again == v
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_vectors())
+    @example(alg.DescentVector.zero(get_system("A2")))
+    def test_str_round_trips_random_vectors(self, v):
+        assert ex.parse_expression(v.system, str(v)) == v
 
 
 class TestErrorPositions:

@@ -5,6 +5,7 @@ Slow full-group verifications run on rank <= 3; rank 4 gets the linear
 formulations plus targeted full-group spot checks.
 """
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -15,11 +16,64 @@ import pytest
 from descent import algebra as alg
 from descent import automorphisms as auto
 from descent import morphisms as mo
+from descent import verify as ve
+from descent.coxeter import iter_bits, popcount
 from descent.errors import InvalidSubset, NotSelfOpposed, RankTooSmall
 
 
 def all_masks(system):
     return range(system.full_mask + 1)
+
+
+# ---------------------------------------------------------------------------
+# element-by-element oracles for the vectorized routes of the module
+
+
+def conjugate_mask(system, w, mask):
+    """Image of a generator subset under conjugation by element w, or -1
+    when some generator leaves the generator set."""
+    row = system.csany[int(system.inv[w])]
+    out = 0
+    for s in iter_bits(mask):
+        t = int(row[s])
+        if t < 0:
+            return -1
+        out |= 1 << t
+    return out
+
+
+def matrix_preserving_bijections(sys_a, sys_b):
+    """All generator bijections a -> b preserving the Coxeter matrices."""
+    n = sys_a.rank
+    if sys_b.rank != n:
+        return []
+    return [perm for perm in itertools.permutations(range(n))
+            if all(sys_a.matrix[i][j] == sys_b.matrix[perm[i]][perm[j]]
+                   for i in range(n) for j in range(n))]
+
+
+def bbht_a_check_direct(system, kmask):
+    """x_K * embedded(Res(x)) = x * x_K, computed wholly by group-algebra
+    convolution."""
+    morphism = mo.res_K(system, kmask)
+    xk = mo._int_group_vector(alg.basis_x(system, kmask))
+    for imask in all_masks(system):
+        xi = alg.basis_x(system, imask)
+        emb = mo.iota_group_vector(system, kmask, morphism.apply(xi))
+        lhs = alg.convolve(system, xk, emb)
+        rhs = alg.convolve(system, mo._int_group_vector(xi), xk)
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def surjective_by_left_ideal(system, kmask):
+    """The two left-ideal formulations of surjectivity: x_K's left ideal
+    has dimension 2^|K|, and it is the span of the x_J with J inside K."""
+    ideal = alg.left_ideal(alg.basis_x(system, kmask))
+    lattice = alg.family_span(
+        system, [m for m in all_masks(system) if m & ~kmask == 0])
+    return ideal.dim == 1 << popcount(kmask), ideal.equals(lattice)
 
 
 class TestMaskHelpers:
@@ -32,11 +86,20 @@ class TestMaskHelpers:
     def test_conjugate_mask(self, system_factory):
         system = system_factory("A3")
         w0 = system.order - 1
-        assert mo.conjugate_mask(system, w0, 0b001) == 0b100
-        assert mo.conjugate_mask(system, 0, 0b011) == 0b011
+        assert conjugate_mask(system, w0, 0b001) == 0b100
+        assert conjugate_mask(system, 0, 0b011) == 0b011
         # a generic element moves singletons out of the generator set
         s1 = int(system.rmul[0, 0])
-        assert mo.conjugate_mask(system, s1, 0b010) == -1
+        assert conjugate_mask(system, s1, 0b010) == -1
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "A2xA1"])
+    def test_conjugate_masks_all_matches_elementwise(self, system_factory,
+                                                     label):
+        system = system_factory(label)
+        for kmask in all_masks(system):
+            assert mo._conjugate_masks_all(system, kmask).tolist() == [
+                conjugate_mask(system, w, kmask)
+                for w in range(system.order)]
 
 
 class TestRestriction:
@@ -46,7 +109,7 @@ class TestRestriction:
         for kmask in all_masks(system):
             assert mo.factorization_check(system, kmask)
             assert mo.res_linear_check(system, kmask)
-            assert mo.bbht_a_check_direct(system, kmask)
+            assert bbht_a_check_direct(system, kmask)
 
     @pytest.mark.parametrize("label", ["A3", "B3"])
     def test_multiplicative_on_all_pairs(self, system_factory, label):
@@ -133,6 +196,9 @@ class TestRestriction:
             assert mo.points_fixes_check(system, kmask)
 
 
+SURJECTIVITY_ROSTER = ["A3", "B3", "B4", "D4", "F4", "H3", "H4", "E6"]
+
+
 class TestSurjectivity:
     def test_a3_verdicts(self, system_factory):
         system = system_factory("A3")
@@ -180,7 +246,15 @@ class TestSurjectivity:
             report = mo.surjectivity_report(system, kmask)
             assert not report["surjective"], kmask
 
-    @pytest.mark.parametrize("label", ["A3", "B3", "B4"])
+    @pytest.mark.parametrize("label", SURJECTIVITY_ROSTER)
+    def test_formulations_agree(self, system_factory, label):
+        # morphism rank, left-ideal dimension, left ideal = lattice span
+        system = system_factory(label)
+        for kmask in all_masks(system):
+            by_dim, by_lattice = surjective_by_left_ideal(system, kmask)
+            assert mo.res_surjective(system, kmask) == by_dim == by_lattice
+
+    @pytest.mark.parametrize("label", SURJECTIVITY_ROSTER)
     def test_surjective_implies_necessary_conditions(
             self, system_factory, label):
         system = system_factory(label)
@@ -189,6 +263,15 @@ class TestSurjectivity:
             if report["surjective"]:
                 assert report["pi_injective"]
                 assert report["complement_acts_trivially"]
+
+    def test_suite_applies_size_rule_to_g2(self):
+        # G2 is named I2(6) once parsed
+        report = ve.run_suite("morphisms", "G2")
+        found = [r for r in report.results
+                 if r.name == "surjectivity-verdicts"]
+        assert len(found) == 1
+        assert found[0].passed
+        assert found[0].detail == "size rule |K| in {0, 1, |S|}"
 
 
 class TestForkRestriction:
@@ -299,7 +382,7 @@ class TestQuotients:
         assert ctx.quotient.rank == system.rank
         psi = mo.psi_K(system, 0, ctx)
         ident = mo.res_K(system, system.full_mask)
-        perms = mo.matrix_preserving_bijections(psi.codomain, system)
+        perms = matrix_preserving_bijections(psi.codomain, system)
         assert any(psi.equal_matrix(ident, perm) for perm in perms)
 
     def test_full_subset_gives_trivial_quotient(self, system_factory):
@@ -319,7 +402,7 @@ class TestQuotients:
         ctx = mo.build_context(system, 0b001)
         psi = mo.psi_K(system, 0b001, ctx)
         res = mo.res_K(system, system.full_mask >> 1)
-        perms = mo.matrix_preserving_bijections(res.codomain, psi.codomain)
+        perms = matrix_preserving_bijections(res.codomain, psi.codomain)
         assert perms
         assert not any(res.equal_matrix(psi, perm) for perm in perms)
 
@@ -473,13 +556,13 @@ class TestIntegerColumnsAgainstFractionLoops:
         system = system_factory(label)
         psi = mo.psi_K(system, 0b001)
         res = mo.res_K(system, system.full_mask >> 1)
-        for perm in mo.matrix_preserving_bijections(res.codomain,
+        for perm in matrix_preserving_bijections(res.codomain,
                                                     psi.codomain):
             assert res.equal_matrix(psi, perm) == oracle_equal_matrix(
                 res, psi, perm)
         ident = mo.res_K(system, system.full_mask)
         psi0 = mo.psi_K(system, 0)
-        for perm in mo.matrix_preserving_bijections(psi0.codomain, system):
+        for perm in matrix_preserving_bijections(psi0.codomain, system):
             assert psi0.equal_matrix(ident, perm) == oracle_equal_matrix(
                 psi0, ident, perm)
 
