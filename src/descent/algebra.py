@@ -92,10 +92,7 @@ class DescentVector:
         if len(coeffs) != size:
             raise ValueError("expected %d coordinates, got %d"
                              % (size, len(coeffs)))
-        fr = linalg.as_fractions(coeffs)
-        den = lcm(*(c.denominator for c in fr))
-        self._set(system, tag,
-                  [c.numerator * (den // c.denominator) for c in fr], den)
+        self._set(system, tag, *linalg.scaled_integers(coeffs))
 
     @classmethod
     def from_ints(cls, system, nums, den=1, tag=BASIS_X):
@@ -473,11 +470,9 @@ def vector_from_group(system, gcoeffs, tag=BASIS_X):
     Requires constancy on each equal-ascent-set class; a violation means
     the group vector left the descent algebra and is reported as such.
     """
-    fr = linalg.as_fractions(gcoeffs)
-    den = lcm(*(c.denominator for c in fr))
-    nums = linalg.integer_rows(
-        [[c.numerator * (den // c.denominator) for c in fr]], len(fr))[0]
-    return _fold_group(system, nums, den, tag)
+    nums, den = linalg.scaled_integers(gcoeffs)
+    return _fold_group(system, linalg.integer_rows([nums], len(nums))[0],
+                       den, tag)
 
 
 def convolve(system, na, nb):

@@ -26,8 +26,23 @@ INT64_SAFE = 1 << 62
 
 
 def as_fractions(vec: Sequence) -> list[Fraction]:
-    """Copy a sequence of numbers into a list of Fractions."""
-    return [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
+    """Copy a sequence of numbers into a list of Fractions. A numpy
+    integer becomes a Python int first: a Fraction would keep its
+    fixed-width parts, and arithmetic on them wraps."""
+    return [x if isinstance(x, Fraction)
+            else Fraction(int(x) if isinstance(x, np.integer) else x)
+            for x in vec]
+
+
+def scaled_integers(vec: Sequence) -> tuple[list[int], int]:
+    """The numbers as Python-int numerators over one common denominator,
+    the lcm of theirs: ``vec == [n / den for n in nums]``."""
+    vals = list(vec)
+    if all(isinstance(v, (int, np.integer)) for v in vals):
+        return [int(v) for v in vals], 1
+    fr = as_fractions(vals)
+    den = lcm(*(v.denominator for v in fr))
+    return [v.numerator * (den // v.denominator) for v in fr], den
 
 
 def absmax(arr) -> int:
@@ -57,15 +72,11 @@ def integer_rows(rows, width: int) -> np.ndarray:
         return rows.astype(np.int64, copy=False)
     out = []
     for row in rows:
-        vals = list(row)
+        vals = scaled_integers(row)[0]
         if len(vals) != width:
             raise ValueError("vector width %d, expected %d"
                              % (len(vals), width))
-        if not all(isinstance(v, (int, np.integer)) for v in vals):
-            vals = as_fractions(vals)
-            den = lcm(*(v.denominator for v in vals))
-            vals = [v.numerator * (den // v.denominator) for v in vals]
-        out.append([int(v) for v in vals])
+        out.append(vals)
     if not out:
         return np.zeros((0, width), dtype=np.int64)
     big = max(max(abs(v) for v in row) for row in out)
@@ -251,16 +262,8 @@ class AugSpan:
 
     def _scaled(self, vec: Sequence) -> tuple[np.ndarray, Fraction]:
         """``vec`` as the integer row ``s * vec``, and the factor ``s``."""
-        row = integer_rows([vec], self.span.width)[0]
-        nz = np.flatnonzero(row)
-        if not nz.size:
-            return row, ONE
-        j = int(nz[0])
-        x = vec[j]
-        # a Fraction of a numpy integer would keep int64 parts
-        if isinstance(x, np.integer):
-            x = int(x)
-        return row, Fraction(int(row[j])) / Fraction(x)
+        nums, den = scaled_integers(vec)
+        return integer_rows([nums], self.span.width)[0], Fraction(den)
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector under the next index; report whether the

@@ -110,14 +110,19 @@ class AlgebraMorphism:
     def rank(self):
         return self.image_span().dim
 
-    def kernel_span(self):
-        ncols = len(self.columns)
-        return Span(ncols, Span(ncols, self.columns.T).kernel())
-
     def is_multiplicative_pair(self, u, v):
         lhs = self.apply(alg.multiply(u, v))
         rhs = alg.multiply(self.apply(u), self.apply(v))
         return lhs == rhs
+
+    def multiplicative_pairs(self):
+        """Boolean matrix whose entry [I, J] says whether the map sends
+        x_I * x_J to the product of the images of x_I and x_J: the image
+        of every basis product against every product of two columns."""
+        T = self.domain.structure_tensor()
+        images = linalg.matmul(T, self.columns)
+        return (images == alg.products(self.codomain, self.columns,
+                                       self.columns)).all(axis=2)
 
     def maps_unit_to_unit(self):
         return self.apply(alg.unit(self.domain)) == alg.unit(self.codomain)
@@ -225,31 +230,28 @@ def factorization_check(system, kmask):
     return True
 
 
-def res_linear_check(system, kmask, morphism=None):
+def res_linear_check(morphism):
     """The descent-algebra half of the factorization identity: expanding
     the restriction's columns back upstairs must reproduce right
     multiplication by the subset's basis element."""
-    if morphism is None:
-        morphism = res_K(system, kmask)
+    system = morphism.domain
     size = 1 << system.rank
     expanded = np.zeros((size, size), dtype=morphism.columns.dtype)
     expanded[:, expand_masks(morphism.metadata["positions"])] = \
         morphism.columns
-    return np.array_equal(
-        expanded, alg.right_multiplication(alg.basis_x(system, kmask)))
+    return np.array_equal(expanded, alg.right_multiplication(
+        alg.basis_x(system, morphism.metadata["K"])))
 
 
-def bbht_a_check(system, kmask, morphism=None):
+def bbht_a_check(morphism):
     """x_K * embedded(Res(x)) = x * x_K, for every basis element.
 
     Split into the coset-sum factorization (a genuine group-algebra
     computation) plus the linear comparison in the descent algebra.
     """
-    if morphism is None:
-        morphism = res_K(system, kmask)
-    if not factorization_check(system, kmask):
+    if not factorization_check(morphism.domain, morphism.metadata["K"]):
         return False
-    return res_linear_check(system, kmask, morphism)
+    return res_linear_check(morphism)
 
 
 def _characters_factor(morphism, big_masks):
@@ -263,12 +265,10 @@ def _characters_factor(morphism, big_masks):
                           linalg.matmul(small, morphism.columns.T))
 
 
-def res_tau_check(system, kmask, morphism=None):
+def res_tau_check(morphism):
     """Parabolic characters factor through the restriction: evaluating a
     character of the small algebra after restricting equals evaluating
     the matching character upstairs."""
-    if morphism is None:
-        morphism = res_K(system, kmask)
     return _characters_factor(
         morphism, expand_masks(morphism.metadata["positions"]))
 
@@ -347,44 +347,39 @@ def wk_acts_trivially(system, kmask):
 
 def pi_K_injective(system, kmask):
     """Whether distinct parabolic shapes of the subset stay distinct."""
-    codomain = parabolic_system(system, kmask)
     positions = mask_positions(kmask)
-    seen = {}
-    for shape in codomain.shapes():
-        big = system.shape_id_of_mask(expand_mask(shape.canonical,
-                                                  positions))
-        if big in seen:
-            return False
-        seen[big] = shape.class_id
-    return True
+    big = [system.shape_id_of_mask(expand_mask(shape.canonical, positions))
+           for shape in parabolic_system(system, kmask).shapes()]
+    return len(set(big)) == len(big)
 
 
-def points_fixes_check(system, kmask, morphism=None):
+def points_fixes_check(morphism):
     """The image lies in the fixed points of the complement group."""
-    if morphism is None:
-        morphism = res_K(system, kmask)
     cols = morphism.columns
     return all(np.array_equal(cols, cols[:, expand_masks(perm)])
-               for perm in wk_action_permutations(system, kmask))
+               for perm in wk_action_permutations(morphism.domain,
+                                                  morphism.metadata["K"]))
 
 
-def decomposition_check(system, kmask, morphism=None):
+def decomposition_check(morphism):
     """The algebra splits as the restriction's kernel plus the parabolic
     basis element's left ideal, and the kernel is exactly that element's
     right annihilator."""
-    kmask = system.check_mask(kmask)
-    if morphism is None:
-        morphism = res_K(system, kmask)
+    system = morphism.domain
     size = 1 << system.rank
-    kern = morphism.kernel_span()
-    ideal = alg.left_ideal(alg.basis_x(system, kmask))
-    if kern.dim + ideal.dim != size or kern.intersection_dim(ideal) != 0:
+    # row I is x_I * x_K: its row space is the left ideal, and a
+    # annihilates x_K from the left iff a is in its left kernel
+    products = alg.right_multiplication(
+        alg.basis_x(system, morphism.metadata["K"]))
+    # two matrices have the same left kernel iff their columns span the
+    # same space
+    columns = Span(size, morphism.columns.T)
+    if not columns.equals(Span(size, products.T)):
         return False
-    # a annihilates x_K from the left iff a is in the left kernel of the
-    # matrix whose row I is x_I * x_K
-    products = alg.right_multiplication(alg.basis_x(system, kmask))
-    ann = Span(size, Span(size, products.T).kernel())
-    return ann.equals(kern)
+    # then the kernel has dimension size - rank(products), and kernel
+    # plus ideal is direct exactly when the map is injective on the ideal
+    return linalg.rank(linalg.matmul(products, morphism.columns),
+                       morphism.columns.shape[1]) == columns.dim
 
 
 def surjectivity_report(system, K):

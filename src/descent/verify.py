@@ -87,6 +87,18 @@ def _info(report, name, detail):
     report.results.append(SuiteResult(name, True, detail, REPORT))
 
 
+def _first_failure(outcomes):
+    """Walk lazily computed outcomes, each None for a case that holds and
+    a counterexample payload for one that fails, up to the first failure.
+    Returns how many cases were walked and that payload, or None."""
+    count = 0
+    for bad in outcomes:
+        count += 1
+        if bad is not None:
+            return count, bad
+    return count, None
+
+
 def _mask_name(system, mask):
     return "{" + ",".join(system.labels[p] for p in iter_bits(mask)) + "}"
 
@@ -104,22 +116,18 @@ def _partitions(k):
 
 
 def _suite_solomon_oracle(system, report, seed):
-    size = 1 << system.rank
-    count = 0
-    bad = None
-    for i in range(size):
-        vi = alg.basis_x(system, i)
-        for j in range(size):
-            vj = alg.basis_x(system, j)
-            fast = alg.multiply(vi, vj)
-            slow = alg.oracle_multiply(vi, vj)
-            count += 1
-            if fast != slow:
-                bad = {"left": str(vi), "right": str(vj),
-                       "tensor_route": str(fast), "group_route": str(slow)}
-                break
-        if bad:
-            break
+    basis = [alg.basis_x(system, i) for i in range(1 << system.rank)]
+
+    def mismatch(vi, vj):
+        fast = alg.multiply(vi, vj)
+        slow = alg.oracle_multiply(vi, vj)
+        if fast != slow:
+            return {"left": str(vi), "right": str(vj),
+                    "tensor_route": str(fast), "group_route": str(slow)}
+        return None
+
+    count, bad = _first_failure(mismatch(vi, vj)
+                                for vi in basis for vj in basis)
     _check(report, "product-matches-group-algebra", bad is None,
            "%d ordered basis pairs checked" % count, bad)
 
@@ -147,56 +155,50 @@ def _subset_pairs(size):
 def _suite_positivity(system, report, seed):
     rng = random.Random("positivity:%d:%s" % (seed, system.type_label))
     size = 1 << system.rank
-    names = ["minimal-polynomial-squarefree",
-             "square-right-ideal-stable",
-             "square-left-ideal-stable",
-             "square-centralizer-stable",
-             "right-ideal-is-saturated-span",
-             "tau-antitone-in-subsets"]
-    bad = {n: None for n in names}
     count = 100
-    for _ in range(count):
-        a = _random_positive(system, rng)
-        a2 = alg.multiply(a, a)
-        if bad[names[0]] is None:
-            if not poly_is_squarefree(alg.minimal_polynomial(a)):
-                bad[names[0]] = {"element": str(a)}
-        if bad[names[1]] is None:
-            if not alg.right_ideal(a2).equals(alg.right_ideal(a)):
-                bad[names[1]] = {"element": str(a)}
-        if bad[names[2]] is None:
-            if not alg.left_ideal(a2).equals(alg.left_ideal(a)):
-                bad[names[2]] = {"element": str(a)}
-        if bad[names[3]] is None:
-            if (alg.centralizer_dimension(a2)
-                    != alg.centralizer_dimension(a)):
-                bad[names[3]] = {"element": str(a)}
-        if bad[names[4]] is None:
-            fam = alg.saturated_family(a, equivariant=True)
-            if not alg.right_ideal(a).equals(
-                    alg.family_span(system, fam)):
-                bad[names[4]] = {"element": str(a)}
-        if bad[names[5]] is None:
-            tv = alg.tau(a)
-            for jmask, kmask in _subset_pairs(size):
-                tj = tv.values[system.shape_id_of_mask(jmask)]
-                tk = tv.values[system.shape_id_of_mask(kmask)]
-                if tk > tj:
-                    bad[names[5]] = {
-                        "element": str(a),
-                        "inner": _mask_name(system, jmask),
-                        "outer": _mask_name(system, kmask)}
-                    break
-    for n in names:
-        _check(report, n, bad[n] is None,
-               "%d seeded positive elements" % count, bad[n])
+    elements = [_random_positive(system, rng) for _ in range(count)]
+    squares = [alg.multiply(a, a) for a in elements]
+    checks = {
+        "minimal-polynomial-squarefree":
+            lambda a, a2: poly_is_squarefree(alg.minimal_polynomial(a)),
+        "square-right-ideal-stable":
+            lambda a, a2: alg.right_ideal(a2).equals(alg.right_ideal(a)),
+        "square-left-ideal-stable":
+            lambda a, a2: alg.left_ideal(a2).equals(alg.left_ideal(a)),
+        "square-centralizer-stable":
+            lambda a, a2: (alg.centralizer_dimension(a2)
+                           == alg.centralizer_dimension(a)),
+        "right-ideal-is-saturated-span":
+            lambda a, a2: alg.right_ideal(a).equals(alg.family_span(
+                system, alg.saturated_family(a, equivariant=True))),
+    }
+    for name, holds in checks.items():
+        bad = _first_failure(None if holds(a, a2) else {"element": str(a)}
+                             for a, a2 in zip(elements, squares))[1]
+        _check(report, name, bad is None,
+               "%d seeded positive elements" % count, bad)
+
+    def tau_rise(a):
+        tv = alg.tau(a).values
+        shape = system.shape_id_of_mask
+        return _first_failure(
+            None if tv[shape(kmask)] <= tv[shape(jmask)]
+            else {"element": str(a),
+                  "inner": _mask_name(system, jmask),
+                  "outer": _mask_name(system, kmask)}
+            for jmask, kmask in _subset_pairs(size))[1]
+
+    bad = _first_failure(tau_rise(a) for a in elements)[1]
+    _check(report, "tau-antitone-in-subsets", bad is None,
+           "%d seeded positive elements" % count, bad)
 
 
-_F4_SURJECTIVE_LABELS = frozenset({
-    "1234", "123", "234", "13", "14", "23", "24",
-    "1", "2", "3", "4", ""})
-_H4_SURJECTIVE_LABELS = frozenset({
-    "1234", "123", "1", "2", "3", "4", ""})
+# the subsets (as sorted label strings) with a surjective restriction
+_FROZEN_SURJECTIVE_LABELS = {
+    "F4": frozenset({"1234", "123", "234", "13", "14", "23", "24",
+                     "1", "2", "3", "4", ""}),
+    "H4": frozenset({"1234", "123", "1", "2", "3", "4", ""}),
+}
 
 
 def _label_key(system, mask):
@@ -207,39 +209,38 @@ def _suite_morphisms(system, report, seed):
     rng = random.Random("morphisms:%d:%s" % (seed, system.type_label))
     size = 1 << system.rank
     all_masks = range(size)
+    morphisms = [mor.res_K(system, K) for K in all_masks]
+
+    def every_subset(check):
+        return _first_failure(
+            None if check(m) else {"K": _mask_name(system, K)}
+            for K, m in enumerate(morphisms))[1]
 
     group_level = system.rank <= 4
-    bad = None
-    for K in all_masks:
-        ok = (mor.bbht_a_check(system, K) if group_level
-              else mor.res_linear_check(system, K))
-        if not ok:
-            bad = {"K": _mask_name(system, K)}
-            break
+    bad = every_subset(mor.bbht_a_check if group_level
+                       else mor.res_linear_check)
     _check(report, "restriction-factorization", bad is None,
            "%d subsets%s" % (size,
                              "" if group_level else " (linear level)"),
            bad)
 
-    bad = None
-    pair_count = 0
-    for K in all_masks:
-        m = mor.res_K(system, K)
+    def sampled_pairs(count):
         if system.rank <= 3:
-            pairs = [(i, j) for i in all_masks for j in all_masks]
-        else:
-            pairs = [(rng.randrange(size), rng.randrange(size))
-                     for _ in range(50)]
-        for i, j in pairs:
-            pair_count += 1
-            if not m.is_multiplicative_pair(alg.basis_x(system, i),
-                                            alg.basis_x(system, j)):
-                bad = {"K": _mask_name(system, K),
-                       "left": _mask_name(system, i),
-                       "right": _mask_name(system, j)}
-                break
-        if bad:
-            break
+            return [(i, j) for i in all_masks for j in all_masks]
+        return [(rng.randrange(size), rng.randrange(size))
+                for _ in range(count)]
+
+    def restriction_pairs():
+        for K, m in enumerate(morphisms):
+            ok = m.multiplicative_pairs()
+            # drawn only once the earlier subsets passed, as the later
+            # checks go on from the same generator
+            for i, j in sampled_pairs(50):
+                yield None if ok[i, j] else {"K": _mask_name(system, K),
+                                             "left": _mask_name(system, i),
+                                             "right": _mask_name(system, j)}
+
+    pair_count, bad = _first_failure(restriction_pairs())
     _check(report, "restriction-multiplicative", bad is None,
            "%d (K, pair) combinations" % pair_count, bad)
 
@@ -252,78 +253,49 @@ def _suite_morphisms(system, report, seed):
             L = rng.randrange(size)
             K = rng.randrange(size) & L
             nested.append((K, L))
-    bad = None
-    for K, L in nested:
-        wl = mor.parabolic_system(system, L)
-        mL = mor.res_K(system, L)
-        lpos = mL.metadata["positions"]
-        inner = mor.res_K(wl, mor.project_mask(K, lpos))
+
+    def transitive(K, L):
+        mL = morphisms[L]
+        inner = mor.res_K(mL.codomain,
+                          mor.project_mask(K, mL.metadata["positions"]))
         two_step = mor.compose(inner, mL)
-        one_step = mor.res_K(system, K)
+        one_step = morphisms[K]
         perm = mor.align_positions(two_step.codomain, one_step.codomain)
-        if not two_step.equal_matrix(one_step, codomain_perm=perm):
-            bad = {"K": _mask_name(system, K),
-                   "L": _mask_name(system, L)}
-            break
+        return two_step.equal_matrix(one_step, codomain_perm=perm)
+
+    bad = _first_failure(
+        None if transitive(K, L) else {"K": _mask_name(system, K),
+                                       "L": _mask_name(system, L)}
+        for K, L in nested)[1]
     _check(report, "restriction-transitive", bad is None,
            "%d nested subset pairs" % len(nested), bad)
 
-    bad = None
-    count = 0
-    for shape in system.shapes():
-        members = list(shape.members)
-        for other in members[1:]:
-            count += 1
-            if not mor.res_conjugate_check(system, members[0], other):
-                bad = {"K": _mask_name(system, members[0]),
-                       "K'": _mask_name(system, other)}
-                break
-        if bad:
-            break
+    count, bad = _first_failure(
+        None if mor.res_conjugate_check(system, shape.members[0], other)
+        else {"K": _mask_name(system, shape.members[0]),
+              "K'": _mask_name(system, other)}
+        for shape in system.shapes() for other in shape.members[1:])
     _check(report, "restriction-conjugate-compatible", bad is None,
            "%d conjugate subset pairs" % count, bad)
 
-    bad = None
-    for K in all_masks:
-        if not mor.res_tau_check(system, K):
-            bad = {"K": _mask_name(system, K)}
-            break
-    _check(report, "restriction-character-factorization", bad is None,
-           "%d subsets" % size, bad)
+    for name, check in (
+            ("restriction-character-factorization", mor.res_tau_check),
+            ("kernel-ideal-decomposition", mor.decomposition_check),
+            ("image-in-complement-fixed-points", mor.points_fixes_check)):
+        bad = every_subset(check)
+        _check(report, name, bad is None, "%d subsets" % size, bad)
 
-    bad = None
-    for K in all_masks:
-        if not mor.decomposition_check(system, K):
-            bad = {"K": _mask_name(system, K)}
-            break
-    _check(report, "kernel-ideal-decomposition", bad is None,
-           "%d subsets" % size, bad)
-
-    bad = None
-    for K in all_masks:
-        if not mor.points_fixes_check(system, K):
-            bad = {"K": _mask_name(system, K)}
-            break
-    _check(report, "image-in-complement-fixed-points", bad is None,
-           "%d subsets" % size, bad)
-
-    verdicts = {}
-    for K in all_masks:
-        r = mor.surjectivity_report(system, K)
-        verdicts[K] = r
+    verdicts = [mor.surjectivity_report(system, K) for K in all_masks]
+    for K, r in enumerate(verdicts):
         _info(report, "surjectivity[%s]" % _mask_name(system, K),
               "surjective=%s pi-injective=%s complement-trivial=%s"
               % (r["surjective"], r["pi_injective"],
                  r["complement_acts_trivially"]))
 
     expected = None
-    if system.type_label == "F4":
-        expected = {K: _label_key(system, K) in _F4_SURJECTIVE_LABELS
-                    for K in all_masks}
-        rule = "frozen verdict list"
-    elif system.type_label == "H4":
-        expected = {K: _label_key(system, K) in _H4_SURJECTIVE_LABELS
-                    for K in all_masks}
+    frozen = _FROZEN_SURJECTIVE_LABELS.get(system.type_label)
+    if frozen is not None:
+        expected = {K: _label_key(system, K) in frozen for K in all_masks}
         rule = "frozen verdict list"
     elif (len(system.components) == 1 and system.components[0]
           in (("E", 6), ("E", 7), ("I", 6), ("H", 3))):
@@ -336,13 +308,12 @@ def _suite_morphisms(system, report, seed):
                     for K in all_masks}
         rule = "connected-subset rule"
     if expected is not None:
-        bad = None
-        for K in all_masks:
-            if verdicts[K]["surjective"] != expected[K]:
-                bad = {"K": _mask_name(system, K),
-                       "computed": verdicts[K]["surjective"],
-                       "expected": expected[K]}
-                break
+        bad = _first_failure(
+            None if verdicts[K]["surjective"] == expected[K]
+            else {"K": _mask_name(system, K),
+                  "computed": verdicts[K]["surjective"],
+                  "expected": expected[K]}
+            for K in all_masks)[1]
         _check(report, "surjectivity-verdicts", bad is None, rule, bad)
 
     comps = system.components
@@ -351,18 +322,12 @@ def _suite_morphisms(system, report, seed):
         m = mor.res_BD(n)
         _check(report, "fork-restriction-factorization",
                mor.res_bd_a_check(n, m), "group-algebra identity")
-        bad = None
-        if n <= 3:
-            pairs = [(i, j) for i in all_masks for j in all_masks]
-        else:
-            pairs = [(rng.randrange(size), rng.randrange(size))
-                     for _ in range(60)]
-        for i, j in pairs:
-            if not m.is_multiplicative_pair(alg.basis_x(m.domain, i),
-                                            alg.basis_x(m.domain, j)):
-                bad = {"left": _mask_name(m.domain, i),
-                       "right": _mask_name(m.domain, j)}
-                break
+        pairs = sampled_pairs(60)
+        ok = m.multiplicative_pairs()
+        bad = _first_failure(
+            None if ok[i, j] else {"left": _mask_name(m.domain, i),
+                                   "right": _mask_name(m.domain, j)}
+            for i, j in pairs)[1]
         _check(report, "fork-restriction-multiplicative", bad is None,
                "%d pairs" % len(pairs), bad)
         _check(report, "fork-restriction-image-is-swap-fixed",
@@ -387,30 +352,23 @@ def _suite_morphisms(system, report, seed):
     if system.rank <= 4:
         candidates = [0, system.full_mask] + [
             1 << p for p in range(system.rank)]
-        ran = 0
-        bad = None
-        for K in candidates:
-            if not mor.is_self_opposed(system, K):
-                continue
+
+        def quotient_failure(K):
             ctx = mor.build_context(system, K)
-            ran += 1
-            for i in all_masks:
-                if i & K != K:
-                    continue
-                for j in all_masks:
-                    if j & K != K:
-                        continue
-                    if not mor.goetz1_set_check(system, ctx, i, j):
-                        bad = {"K": _mask_name(system, K),
-                               "I": _mask_name(system, i),
-                               "J": _mask_name(system, j)}
-                        break
-                if bad:
-                    break
+            above = [i for i in all_masks if i & K == K]
+            bad = _first_failure(
+                None if mor.goetz1_set_check(system, ctx, i, j)
+                else {"K": _mask_name(system, K),
+                      "I": _mask_name(system, i),
+                      "J": _mask_name(system, j)}
+                for i in above for j in above)[1]
             if bad is None and not mor.varpi_tau_check(system, ctx):
                 bad = {"K": _mask_name(system, K), "stage": "characters"}
-            if bad:
-                break
+            return bad
+
+        ran, bad = _first_failure(
+            quotient_failure(K) for K in candidates
+            if mor.is_self_opposed(system, K))
         _check(report, "quotient-morphism-identities", bad is None,
                "%d self-opposed subsets (empty, full, singletons)" % ran,
                bad)
@@ -484,17 +442,11 @@ def _suite_loewy_bounds(system, report, seed):
 def _suite_bhs(system, report, seed):
     pairing = alg.bhs_pairing(system)
     size = 1 << system.rank
-    bad = None
-    for i in range(size):
-        for j in range(size):
-            if pairing[i][j] != pairing[j][i]:
-                bad = {"I": _mask_name(system, i),
-                       "J": _mask_name(system, j),
-                       "values": [int(pairing[i][j]),
-                                  int(pairing[j][i])]}
-                break
-        if bad:
-            break
+    bad = _first_failure(
+        None if pairing[i][j] == pairing[j][i]
+        else {"I": _mask_name(system, i), "J": _mask_name(system, j),
+              "values": [int(pairing[i][j]), int(pairing[j][i])]}
+        for i in range(size) for j in range(size))[1]
     _check(report, "character-pairing-symmetric", bad is None,
            "%d ordered pairs" % (size * size), bad)
 

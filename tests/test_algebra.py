@@ -121,6 +121,23 @@ def test_coordinates_are_numerators_over_one_denominator(system_factory):
     assert str(v) == "2/3*yS - 1/3*y[1] + 1/2*y[]"
 
 
+def test_numpy_integer_coordinates_do_not_wrap(system_factory):
+    # a numpy integer numerator times a common denominator used to wrap
+    # around in int64
+    system = system_factory("A1")
+    v = alg.DescentVector(system, [np.int64(2**62), Fraction(1, 3)])
+    assert v.coeffs == (Fraction(2**62), Fraction(1, 3))
+    assert v.nums == (3 * 2**62, 1) and v.den == 3
+
+
+def test_vector_from_group_numpy_integers_do_not_wrap(system_factory):
+    system = system_factory("A1")
+    # the identity has ascent set {1}, the generator the empty set
+    v = alg.vector_from_group(system, [np.int64(2**62), Fraction(1, 3)],
+                              alg.BASIS_Y)
+    assert v.coeffs == (Fraction(1, 3), Fraction(2**62))
+
+
 def test_multiplication_matrices(system_factory):
     system = system_factory("B3")
     rng = random.Random(8)

@@ -183,6 +183,14 @@ class TestSpan:
             for row in rows_a + rows_b:
                 assert total.contains(row)
 
+    def test_numpy_integers_beside_fractions_do_not_wrap(self):
+        row = [np.int64(2**62), Fraction(1, 3)]
+        assert linalg.integer_rows([row], 2).tolist() == [[3 * 2**62, 1]]
+        span = linalg.Span(2, [row])
+        assert span.rows.tolist() == [[3 * 2**62, 1]]
+        assert span.contains([2**62, Fraction(1, 3)])
+        assert not span.contains([-2**62, Fraction(1, 3)])
+
     def test_rank_against_sympy(self):
         rng = random.Random(11)
         for _ in range(20):
