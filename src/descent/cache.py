@@ -1,26 +1,54 @@
-"""Persistent structure-constant cache: one JSON file per type label.
+"""Persistent structure-constant cache: one binary file per type label.
 
-An entry holds the schema version, the type label, the rank, the group
-order, the nonzero structure constants as [I, J, K, value] triples, and a
-truncated sha256 checksum over the rest. Everything else a warm system
-needs, the shapes included, is derived from the tensor. A version
-mismatch or a failed checksum never aborts a computation; the caller just
-recomputes (with a warning on corruption) and overwrites the file.
+A file ``<label>.npz`` is an uncompressed numpy archive of two members:
+
+- ``triples``: the nonzero structure constants as [I, J, K, value] rows,
+  int32 when every number fits, in the order of ``np.nonzero``;
+- ``header``: UTF-8 JSON holding the schema version, the type label, the
+  rank, the group order, the sha256 of the raw triple bytes, and a digest
+  of the Coxeter matrix, the generator labels and the schema version.
+
+The zip metadata is fixed, so equal content gives equal bytes. A load
+checks, in this order: the file parses and is byte for byte the archive
+its content encodes; the schema version and the matrix digest are
+current (otherwise the entry is stale); the sha256 matches; the label,
+rank and order match the system; the triples are distinct in-range rows
+with nonzero integer values; and the tensor has the unit rows, the
+support and the Mackey counts of :func:`coxeter.check_tensor`.
+Everything a warm system needs, the shapes included, is derived from the
+tensor, so a load enumerates nothing. No failure aborts a computation:
+the caller recomputes (with a warning unless the entry is merely missing
+or stale) and overwrites the file. Files of schema 1 (``<label>.json``)
+are never read and can be deleted.
+
+Events go to the ``descent.cache`` logger: hits, misses and stale entries
+at debug level, corrupt or malformed entries at warning level, the latter
+also through ``warnings.warn``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import logging
 import os
 import tempfile
 import warnings
+import zipfile
 
 import numpy as np
 
+from . import cartan
+from .coxeter import check_tensor
 from .errors import CorruptCache
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+_log = logging.getLogger(__name__)
+# warnings already reach the user; keep logging's last-resort handler
+# from printing them a second time
+_log.addHandler(logging.NullHandler())
 
 
 def cache_dir():
@@ -32,28 +60,57 @@ def cache_dir():
 
 def path_for(type_label):
     safe = type_label.replace("(", "_").replace(")", "")
-    return os.path.join(cache_dir(), safe + ".json")
+    return os.path.join(cache_dir(), safe + ".npz")
 
 
-def _checksum(payload):
-    blob = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+def matrix_digest(matrix, labels):
+    blob = json.dumps([matrix, list(labels), SCHEMA_VERSION])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _label_system(type_label):
+    """(generator labels, Coxeter matrix) that ``build_system`` gives the
+    label."""
+    return cartan.matrix_for_components(cartan.parse_label(type_label))
+
+
+def _sha256(triples):
+    return hashlib.sha256(triples.tobytes()).hexdigest()
 
 
 def make_entry(system, tensor):
     ii, jj, kk = np.nonzero(tensor)
-    triples = np.column_stack((ii, jj, kk, tensor[ii, jj, kk])).tolist()
-    payload = {
+    triples = np.column_stack((ii, jj, kk, tensor[ii, jj, kk]))
+    small = np.iinfo(np.int32)
+    if small.min <= triples.min() and triples.max() <= small.max:
+        triples = triples.astype(np.int32)
+    return {
         "schema_version": SCHEMA_VERSION,
         "type_label": system.type_label,
         "rank": system.rank,
         "group_order": system.order,
+        "sha256": _sha256(triples),
+        "matrix_digest": matrix_digest(system.matrix, system.labels),
         "triples": triples,
     }
-    payload["checksum"] = _checksum(
-        {k: v for k, v in payload.items() if k != "checksum"})
-    return payload
+
+
+def encode(entry):
+    """The bytes of the file holding `entry`."""
+    header = {k: v for k, v in entry.items() if k != "triples"}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, arr in (("header", np.frombuffer(blob, dtype=np.uint8)),
+                          ("triples", entry["triples"])):
+            member = io.BytesIO()
+            np.lib.format.write_array(member, arr, allow_pickle=False)
+            # ZipInfo stamps 1980-01-01; fix the host field too, so the
+            # bytes do not depend on the platform
+            info = zipfile.ZipInfo(name + ".npy")
+            info.create_system = 3
+            zf.writestr(info, member.getvalue())
+    return buf.getvalue()
 
 
 def cache_store(entry):
@@ -63,9 +120,8 @@ def cache_store(entry):
     target = path_for(entry["type_label"])
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            # dumps runs the C encoder; dump streams through the Python one
-            fh.write(json.dumps(entry))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(encode(entry))
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -74,25 +130,40 @@ def cache_store(entry):
 
 
 def cache_load(type_label):
-    """Load and validate an entry; raises CorruptCache on a bad file.
+    """Load and verify an entry; raises CorruptCache on a damaged file.
 
-    Returns None when no file exists or the schema version is stale.
+    Returns None when no file exists or the entry is stale: another
+    schema version, or a matrix digest other than the label's.
     """
     target = path_for(type_label)
-    if not os.path.exists(target):
+    try:
+        with open(target, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        _log.debug("miss %s", target)
         return None
     try:
-        with open(target, "r") as fh:
-            entry = json.load(fh)
-    except (OSError, ValueError) as exc:
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            entry = json.loads(npz["header"].tobytes())
+            if not isinstance(entry, dict):
+                raise CorruptCache("header of %s is not an object" % target)
+            entry["triples"] = npz["triples"]
+        canonical = encode(entry) == data
+    # a damaged archive fails in zipfile, in numpy's reader or in json;
+    # zipfile refuses a flipped compression method or version with
+    # NotImplementedError and a flipped encryption flag with RuntimeError
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError,
+            NotImplementedError, RuntimeError) as exc:
         raise CorruptCache("unreadable cache file %s: %s" % (target, exc))
-    if not isinstance(entry, dict):
-        raise CorruptCache("cache file %s is not an object" % target)
-    if entry.get("schema_version") != SCHEMA_VERSION:
+    if not canonical:
+        raise CorruptCache("%s is not the archive its content encodes"
+                           % target)
+    labels, matrix = _label_system(type_label)
+    if (entry.get("schema_version") != SCHEMA_VERSION
+            or entry.get("matrix_digest") != matrix_digest(matrix, labels)):
+        _log.debug("stale %s", target)
         return None
-    expected = entry.get("checksum")
-    actual = _checksum({k: v for k, v in entry.items() if k != "checksum"})
-    if expected != actual:
+    if entry.get("sha256") != _sha256(entry["triples"]):
         raise CorruptCache("checksum mismatch in %s" % target)
     return entry
 
@@ -100,48 +171,53 @@ def cache_load(type_label):
 def load_tensor(system):
     """Dense structure tensor from cache, or None to force a recompute.
 
-    The triples must be distinct in-range index triples with nonzero
-    integer values, as :func:`make_entry` writes them.
+    Reads only ``type_label``, ``rank`` and ``order`` of `system`; the
+    matrix the tensor is checked against is the label's.
     """
+    label = system.type_label
     try:
-        entry = cache_load(system.type_label)
+        entry = cache_load(label)
     except CorruptCache as exc:
-        warnings.warn("ignoring corrupt cache entry: %s" % exc)
-        return None
+        return _reject("ignoring corrupt cache entry: %s" % exc)
     if entry is None:
         return None
-    if (entry.get("rank") != system.rank
+    if (entry.get("type_label") != label or entry.get("rank") != system.rank
             or entry.get("group_order") != system.order):
-        warnings.warn("cache entry for %s does not match the built system"
-                      % system.type_label)
-        return None
+        return _reject("cache entry for %s does not match the built system"
+                       % label)
     full = 1 << system.rank
-    try:
-        arr = np.asarray(entry["triples"])
-    except (KeyError, ValueError) as exc:
-        return _malformed(system, exc)
+    arr = entry["triples"]
     if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 4:
-        return _malformed(system, "expected integer [I, J, K, value] rows")
+        return _malformed(label, "expected integer [I, J, K, value] rows")
     idx = arr[:, :3]
     if ((idx < 0) | (idx >= full)).any():
-        return _malformed(system, "subset index outside 0..%d" % (full - 1))
+        return _malformed(label, "subset index outside 0..%d" % (full - 1))
     T = np.zeros((full, full, full), dtype=np.int64)
     T[idx[:, 0], idx[:, 1], idx[:, 2]] = arr[:, 3]
     # every stored triple is a distinct nonzero entry
     if np.count_nonzero(T) != len(arr):
-        return _malformed(system, "repeated subset triple or zero value")
+        return _malformed(label, "repeated subset triple or zero value")
+    try:
+        check_tensor(T, _label_system(label)[1], system.order, label)
+    except AssertionError as exc:
+        return _reject("cache entry for %s fails the tensor invariants: %s"
+                       % (label, exc))
+    _log.debug("hit %s", path_for(label))
     return T
 
 
-def _malformed(system, problem):
-    warnings.warn("malformed cache triples for %s: %s"
-                  % (system.type_label, problem))
+def _reject(message):
+    warnings.warn(message)
+    _log.warning("%s", message)
     return None
+
+
+def _malformed(label, problem):
+    return _reject("malformed cache triples for %s: %s" % (label, problem))
 
 
 def store_tensor(system, tensor):
     try:
         return cache_store(make_entry(system, tensor))
     except OSError as exc:
-        warnings.warn("could not write cache: %s" % exc)
-        return None
+        return _reject("could not write cache: %s" % exc)

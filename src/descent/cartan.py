@@ -6,6 +6,7 @@ order of s_i s_j (1 on the diagonal, 2 for commuting pairs).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -315,3 +316,23 @@ def classify_matrix(mat):
     kinds = sorted(_classify_component(nodes, mat)
                    for nodes in diagram_components(mat))
     return normalized_label(kinds)
+
+
+def parabolic_orders(mat):
+    """|W_K| for every generator subset K, as a tuple indexed by its bit
+    mask: the order of the group whose Coxeter matrix is the principal
+    sub-block of `mat` on K, found by classifying that block, so nothing
+    is enumerated. Memoized per matrix, since every cache load asks."""
+    return _parabolic_orders(tuple(map(tuple, mat)))
+
+
+@functools.lru_cache(maxsize=64)
+def _parabolic_orders(mat):
+    n = len(mat)
+    out = [1] * (1 << n)
+    for kmask in range(1, 1 << n):
+        nodes = [i for i in range(n) if kmask >> i & 1]
+        block = [[mat[a][b] for b in nodes] for a in nodes]
+        out[kmask] = order_for_components(
+            parse_label(classify_matrix(block)))
+    return tuple(out)

@@ -604,7 +604,7 @@ class CoxeterSystem:
                 self._tensor = T
                 return T
         T = self._compute_tensor()
-        self._check_tensor(T)
+        check_tensor(T, self.matrix, self.order, self.type_label)
         self._tensor = T
         if self.cache_enabled:
             cache_mod.store_tensor(self, T)
@@ -669,30 +669,33 @@ class CoxeterSystem:
             G[i] = row
         return G
 
-    def _check_tensor(self, T):
-        """Raise AssertionError unless T has the unit rows, the support and
-        the Mackey counts of a structure tensor of this system."""
-        full = 1 << self.rank
-        S = full - 1
-        eye = np.eye(full, dtype=T.dtype)
-        if not (np.array_equal(T[S], eye) and np.array_equal(T[:, S], eye)):
-            raise AssertionError(
-                "structure tensor of %s: T[S, J, K] or T[J, S, K] is not "
-                "the identity" % self.type_label)
-        masks = np.arange(full)
-        outside = (masks[None, :] & ~masks[:, None]) != 0   # [J, K]
-        if T.any(axis=0)[outside].any():
-            raise AssertionError(
-                "structure tensor of %s: T[I, J, K] is nonzero for some K "
-                "not inside J" % self.type_label)
-        # |W_K| = #{w : supp(w) inside K}, a subset sum of the supports
-        par = subset_sums(np.bincount(self.supp, minlength=full).astype(
-            np.int64), self.rank)
-        index = self.order // par      # |W : W_K| = |X_K|
-        if not np.array_equal(T @ index, np.outer(index, index)):
-            raise AssertionError(
-                "structure tensor of %s fails the Mackey count "
-                "|X_I| |X_J| = sum_K T[I, J, K] |X_K|" % self.type_label)
+
+def check_tensor(T, matrix, order, type_label):
+    """Raise AssertionError unless T has the unit rows, the support and
+    the Mackey counts of the structure tensor of the group of order
+    `order` with Coxeter matrix `matrix`. Fresh and cached tensors pass
+    the same check; |W_K| comes from classifying each parabolic
+    subsystem, so it enumerates nothing."""
+    full = 1 << len(matrix)
+    S = full - 1
+    eye = np.eye(full, dtype=T.dtype)
+    if not (np.array_equal(T[S], eye) and np.array_equal(T[:, S], eye)):
+        raise AssertionError(
+            "structure tensor of %s: T[S, J, K] or T[J, S, K] is not "
+            "the identity" % type_label)
+    masks = np.arange(full)
+    outside = (masks[None, :] & ~masks[:, None]) != 0   # [J, K]
+    if T.any(axis=0)[outside].any():
+        raise AssertionError(
+            "structure tensor of %s: T[I, J, K] is nonzero for some K "
+            "not inside J" % type_label)
+    # |W : W_K| = |X_K|
+    index = order // np.array(cartan.parabolic_orders(matrix),
+                              dtype=np.int64)
+    if not np.array_equal(T @ index, np.outer(index, index)):
+        raise AssertionError(
+            "structure tensor of %s fails the Mackey count "
+            "|X_I| |X_J| = sum_K T[I, J, K] |X_K|" % type_label)
 
 
 def build_system(type=None, matrix=None, labels=None, allow_rank7=False,

@@ -1,15 +1,18 @@
 """Structure-constant cache: round trips, corruption handling, and the
 environment override for the directory."""
 
-import io
 import json
+import logging
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import descent.cache as ca
+from descent import cartan
 from descent.coxeter import build_system
 from descent.errors import CorruptCache
 
@@ -24,6 +27,31 @@ def fresh_system(label):
     # bypass the shared session factory: cache tests need systems whose
     # tensors were computed rather than loaded
     return build_system(type=label, cache=False)
+
+
+def read_entry(path):
+    """The header and triples of a cache file, unchecked."""
+    with np.load(path) as npz:
+        entry = json.loads(npz["header"].tobytes())
+        entry["triples"] = npz["triples"]
+    return entry
+
+
+def write_entry(path, entry):
+    """Write `entry` with a sha256 that matches its triples."""
+    entry["sha256"] = ca._sha256(entry["triples"])
+    with open(path, "wb") as fh:
+        fh.write(ca.encode(entry))
+
+
+def with_rows(triples, rows):
+    """`triples` with `rows` appended; when the rows are not all four
+    long the result is the flat list of numbers, which no longer splits
+    into [I, J, K, value] rows."""
+    rows = triples.tolist() + rows
+    if any(len(r) != 4 for r in rows):
+        return np.array([v for r in rows for v in r])
+    return np.array(rows)
 
 
 class TestPaths:
@@ -43,7 +71,7 @@ class TestPaths:
 
     def test_parenthesized_labels_are_sanitized(self, cache_env):
         path = ca.path_for("I2(5)")
-        assert os.path.basename(path) == "I2_5.json"
+        assert os.path.basename(path) == "I2_5.npz"
         assert os.path.dirname(path) == str(cache_env)
 
 
@@ -84,6 +112,18 @@ class TestRoundTrip:
         system.structure_tensor()
         assert not os.path.exists(ca.path_for("A2"))
 
+    def test_leftover_schema_1_json_file_is_never_read(self, cache_env):
+        old = cache_env / "B2.json"
+        old.write_text('{"schema_version": 1, "triples": []}')
+        system = build_system(type="B2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ca.load_tensor(system) is None
+            tensor = system.structure_tensor()
+        assert np.array_equal(tensor, fresh_system("B2").structure_tensor())
+        assert os.path.exists(ca.path_for("B2"))
+        assert old.read_text() == '{"schema_version": 1, "triples": []}'
+
 
 class TestCorruption:
     def entry_path(self, cache_env, label="A2"):
@@ -93,64 +133,78 @@ class TestCorruption:
 
     def test_truncation_raises(self, cache_env):
         _, path = self.entry_path(cache_env)
-        blob = open(path).read()
-        open(path, "w").write(blob[:len(blob) // 2])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CorruptCache):
             ca.cache_load("A2")
 
     def test_checksum_tamper_raises(self, cache_env):
+        # a changed constant under the old sha256
         _, path = self.entry_path(cache_env)
-        entry = json.load(open(path))
-        entry["group_order"] = 7
-        json.dump(entry, open(path, "w"))
-        with pytest.raises(CorruptCache):
+        entry = read_entry(path)
+        entry["triples"][0, 3] += 1
+        with open(path, "wb") as fh:
+            fh.write(ca.encode(entry))
+        with pytest.raises(CorruptCache, match="checksum"):
             ca.cache_load("A2")
 
     def test_non_object_payload_raises(self, cache_env):
-        _, path = self.entry_path(cache_env)
-        json.dump([1, 2, 3], open(path, "w"))
-        with pytest.raises(CorruptCache):
+        system, path = self.entry_path(cache_env)
+        triples = read_entry(path)["triples"]
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(b"[1, 2, 3]", dtype=np.uint8),
+                     triples=triples)
+        with pytest.raises(CorruptCache, match="not an object"):
             ca.cache_load("A2")
 
     def test_load_tensor_warns_and_recomputes(self, cache_env):
         system, path = self.entry_path(cache_env)
-        blob = open(path).read()
-        open(path, "w").write(blob[:len(blob) // 2])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:len(blob) // 2])
         with pytest.warns(UserWarning, match="corrupt"):
             assert ca.load_tensor(system) is None
 
     def test_stale_schema_version_recomputes_silently(self, cache_env):
         system, path = self.entry_path(cache_env)
-        entry = json.load(open(path))
+        entry = read_entry(path)
         entry["schema_version"] = ca.SCHEMA_VERSION + 1
-        entry["checksum"] = ca._checksum(
-            {k: v for k, v in entry.items() if k != "checksum"})
-        json.dump(entry, open(path, "w"))
-        assert ca.cache_load("A2") is None
-        assert ca.load_tensor(system) is None
+        write_entry(path, entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ca.cache_load("A2") is None
+            assert ca.load_tensor(system) is None
+
+    def test_foreign_matrix_digest_is_stale(self, cache_env):
+        # the B3 tensor stored by a system whose generators come in
+        # another order: same label, rank and order, another matrix
+        system, path = self.entry_path(cache_env, "B3")
+        _labels, mat = cartan.matrix_for_components(cartan.parse_label("B3"))
+        permuted = [[mat[a][b] for b in (2, 0, 1)] for a in (2, 0, 1)]
+        entry = read_entry(path)
+        entry["matrix_digest"] = ca.matrix_digest(permuted, system.labels)
+        write_entry(path, entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ca.cache_load("B3") is None
+            assert ca.load_tensor(system) is None
 
     def test_mismatched_system_is_rejected(self, cache_env):
         # an entry whose label says A2 but whose numbers disagree with
         # the built system must not be trusted
         system, path = self.entry_path(cache_env)
-        entry = json.load(open(path))
+        entry = read_entry(path)
         entry["rank"] = 5
-        entry["checksum"] = ca._checksum(
-            {k: v for k, v in entry.items() if k != "checksum"})
-        json.dump(entry, open(path, "w"))
+        write_entry(path, entry)
         with pytest.warns(UserWarning, match="does not match"):
             assert ca.load_tensor(system) is None
 
     def test_malformed_triples_warn(self, cache_env):
         system, path = self.entry_path(cache_env)
-        entry = json.load(open(path))
-        entry["triples"] = [[0, 0]]
-        entry["checksum"] = ca._checksum(
-            {k: v for k, v in entry.items() if k != "checksum"})
-        json.dump(entry, open(path, "w"))
+        entry = read_entry(path)
+        entry["triples"] = np.array([[0, 0]])
+        write_entry(path, entry)
         with pytest.warns(UserWarning, match="malformed"):
             assert ca.load_tensor(system) is None
-
 
     @pytest.mark.parametrize("extra", [
         [-1, 0, 0, 5],      # a negative index would wrap to T[3, 0, 0]
@@ -162,58 +216,194 @@ class TestCorruption:
     ])
     def test_malformed_extra_triple_is_rejected(self, cache_env, extra):
         system, path = self.entry_path(cache_env)
-        entry = json.load(open(path))
-        entry["triples"].append(extra)
-        entry["checksum"] = ca._checksum(
-            {k: v for k, v in entry.items() if k != "checksum"})
-        json.dump(entry, open(path, "w"))
+        entry = read_entry(path)
+        entry["triples"] = with_rows(entry["triples"], [extra])
+        write_entry(path, entry)
         with pytest.warns(UserWarning, match="malformed"):
             assert ca.load_tensor(system) is None
+
+    def test_invariant_failure_warns_and_recomputes(self, cache_env):
+        # one constant bumped under a matching sha256: the file is sound,
+        # the tensor fails the Mackey count
+        system, path = self.entry_path(cache_env, "B3")
+        fresh = system.structure_tensor()
+        entry = read_entry(path)
+        assert entry["triples"][0].tolist() == [0, 0, 0, 48]
+        entry["triples"][0, 3] += 1
+        write_entry(path, entry)
+        with pytest.warns(UserWarning, match="Mackey"):
+            assert ca.load_tensor(system) is None
+        with pytest.warns(UserWarning, match="invariants"):
+            rebuilt = build_system(type="B3").structure_tensor()
+        assert np.array_equal(rebuilt, fresh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(ca.load_tensor(system), fresh)
+
+
+def _stored_a2():
+    # reads through no cache directory: make_entry and encode are pure
+    system = fresh_system("A2")
+    tensor = system.structure_tensor()
+    return ca.encode(ca.make_entry(system, tensor)), tensor
+
+
+_GOOD_A2, _A2_TENSOR = _stored_a2()
+
+
+def damaged(draw_kind, offset, xor):
+    if draw_kind == "truncate":
+        return _GOOD_A2[:offset]
+    blob = bytearray(_GOOD_A2)
+    blob[offset] ^= xor
+    return bytes(blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["truncate", "flip"]),
+       st.integers(0, len(_GOOD_A2) - 1), st.integers(1, 255))
+@example("truncate", 0, 1)
+@example("flip", 0, 1)
+@example("flip", len(_GOOD_A2) - 1, 0xff)
+def test_damaged_file_warns_and_recomputes(tmp_path_factory, kind, offset,
+                                           xor):
+    # a truncated file or one flipped byte anywhere, zip metadata
+    # included, loads as None with a warning and never raises
+    path = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DESCENT_CACHE_DIR", str(path))
+        with open(ca.path_for("A2"), "wb") as fh:
+            fh.write(damaged(kind, offset, xor))
+        system = build_system(type="A2")
+        with pytest.warns(UserWarning):
+            assert ca.load_tensor(system) is None
+        with pytest.warns(UserWarning):
+            tensor = system.structure_tensor()
+        assert np.array_equal(tensor, _A2_TENSOR)
+        with open(ca.path_for("A2"), "rb") as fh:
+            assert fh.read() == _GOOD_A2
+
+
+class TestPermutedMatrix:
+    @pytest.mark.parametrize("label,perm", [
+        ("F4", (2, 0, 3, 1)), ("D5", (4, 1, 3, 0, 2)),
+    ])
+    def test_permuted_matrix_never_reads_the_label_file(
+            self, cache_env, monkeypatch, label, perm):
+        tensor = build_system(type=label).structure_tensor()   # primes
+        path = ca.path_for(label)
+        blob = Path(path).read_bytes()
+        reads = []
+        monkeypatch.setattr(ca, "cache_load",
+                            lambda lab: reads.append(lab))
+        _labels, mat = cartan.matrix_for_components(
+            cartan.parse_label(label))
+        permuted = build_system(
+            matrix=[[mat[a][b] for b in perm] for a in perm])
+        T = permuted.structure_tensor()
+        assert reads == []
+        # mask M of the permuted system is the mask of {perm[i] : i in M}
+        full = 1 << len(perm)
+        image = np.array([sum(1 << perm[i] for i in range(len(perm))
+                              if m >> i & 1) for m in range(full)])
+        assert np.array_equal(T, tensor[np.ix_(image, image, image)])
+        assert Path(path).read_bytes() == blob
+
+
+class TestLogging:
+    def test_events_reach_the_cache_logger(self, cache_env, caplog):
+        caplog.set_level(logging.DEBUG, logger="descent.cache")
+        system = build_system(type="A2")
+        system.structure_tensor()
+        build_system(type="A2").structure_tensor()
+        path = ca.path_for("A2")
+        entry = read_entry(path)
+        entry["schema_version"] = ca.SCHEMA_VERSION + 1
+        write_entry(path, entry)
+        ca.load_tensor(system)
+        Path(path).write_bytes(b"PK")
+        with pytest.warns(UserWarning):
+            ca.load_tensor(system)
+        events = [(r.levelno, r.getMessage().split()[0])
+                  for r in caplog.records if r.name == "descent.cache"]
+        assert events == [(logging.DEBUG, "miss"), (logging.DEBUG, "hit"),
+                          (logging.DEBUG, "stale"),
+                          (logging.WARNING, "ignoring")]
+
+    def test_no_record_is_made_below_the_level(self, cache_env,
+                                               monkeypatch):
+        # logging off (the default WARNING level): a miss, a store and a
+        # hit build no log record at all
+        assert not ca._log.isEnabledFor(logging.DEBUG)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a log record was built")
+
+        monkeypatch.setattr(logging.Logger, "makeRecord", refuse)
+        build_system(type="A2").structure_tensor()
+        assert ca.load_tensor(build_system(type="A2")) is not None
+
 
 class TestEntryContents:
     def test_entry_fields(self, cache_env):
         system = fresh_system("B2")
-        entry = ca.make_entry(system, system.structure_tensor())
+        tensor = system.structure_tensor()
+        entry = ca.make_entry(system, tensor)
         assert entry["schema_version"] == ca.SCHEMA_VERSION
         assert entry["type_label"] == "B2"
         assert entry["rank"] == 2
         assert entry["group_order"] == 8
-        assert len(entry["checksum"]) == 16
-        tensor = system.structure_tensor()
+        assert len(entry["sha256"]) == 64
+        assert entry["matrix_digest"] == ca.matrix_digest(system.matrix,
+                                                          system.labels)
         for a, b, c, v in entry["triples"]:
             assert tensor[a, b, c] == v
         assert len(entry["triples"]) == int(np.count_nonzero(tensor))
 
-    def test_store_writes_what_json_dump_wrote(self, cache_env):
+    def test_store_writes_int32_triples_in_nonzero_order(self, cache_env):
         system = fresh_system("B4")
         tensor = system.structure_tensor()
         entry = ca.make_entry(system, tensor)
+        path = ca.cache_store(entry)
+        with open(path, "rb") as fh:
+            assert fh.read() == ca.encode(entry)
+        stored = read_entry(path)["triples"]
+        assert stored.dtype == np.int32
         ii, jj, kk = np.nonzero(tensor)
-        assert entry["triples"] == [
+        assert stored.tolist() == [
             [int(a), int(b), int(c), int(tensor[a, b, c])]
             for a, b, c in zip(ii, jj, kk)]
-        streamed = io.StringIO()
-        json.dump(entry, streamed)
-        with open(ca.cache_store(entry), "rb") as fh:
-            assert fh.read() == streamed.getvalue().encode("utf-8")
+
+    def test_triples_beyond_int32_stay_int64(self, cache_env):
+        system = fresh_system("A2")
+        tensor = system.structure_tensor().copy()
+        tensor[0, 0, 0] = 1 << 40
+        entry = ca.make_entry(system, tensor)
+        assert entry["triples"].dtype == np.int64
+        assert entry["triples"][0].tolist() == [0, 0, 0, 1 << 40]
+
+    def test_encoding_is_canonical(self, cache_env):
+        # equal content, equal bytes: the zip metadata carries no clock
+        system = fresh_system("B3")
+        entry = ca.make_entry(system, system.structure_tensor())
+        first = ca.encode(entry)
+        assert ca.encode(dict(entry)) == first
+        assert read_entry(ca.cache_store(entry))["sha256"] == \
+            entry["sha256"]
 
     def test_entry_holds_no_shape_classes(self, cache_env):
         system = fresh_system("B3")
         ca.store_tensor(system, system.structure_tensor())
-        with open(ca.path_for("B3")) as fh:
-            assert "shape_classes" not in json.load(fh)
+        assert "shape_classes" not in read_entry(ca.path_for("B3"))
 
     def test_entry_with_shape_classes_still_loads(self, cache_env):
-        # files written before the shapes were derived from the tensor
-        # carry them; with a valid checksum they are still hits
+        # a header carrying shapes, as schema-1 files did, is a hit when
+        # its sha256 matches; the shapes are still read off the tensor
         system = fresh_system("B3")
         tensor = system.structure_tensor()
         entry = ca.make_entry(system, tensor)
         entry["shape_classes"] = [list(s.members) for s in system.shapes()]
-        entry["checksum"] = ca._checksum(
-            {k: v for k, v in entry.items() if k != "checksum"})
-        with open(ca.path_for("B3"), "w") as fh:
-            json.dump(entry, fh)
+        write_entry(ca.path_for("B3"), entry)
         warm = build_system(type="B3")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

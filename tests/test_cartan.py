@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from descent import cartan
+from descent.coxeter import subset_sums
+from descent.table import SUPPORTED_TYPES
 from descent.errors import InfiniteGroup, RankCapExceeded, UnsupportedType
 
 
@@ -71,6 +74,20 @@ class TestOrders:
     def test_a_order_is_factorial(self):
         for p in range(1, 7):
             assert cartan.component_order("A", p) == math.factorial(p + 1)
+
+    def test_parabolic_orders_of_b3(self):
+        # masks over (s1, s2, s3) with m(s1, s2) = 4, m(s2, s3) = 3
+        _labels, mat = cartan.matrix_for_components([("B", 3)])
+        assert cartan.parabolic_orders(mat) == (1, 2, 2, 8, 2, 4, 6, 48)
+
+    @pytest.mark.parametrize("label", SUPPORTED_TYPES)
+    def test_parabolic_orders_count_supports(self, system_factory, label):
+        # the enumeration route: |W_K| = #{w : supp(w) inside K}
+        system = system_factory(label)
+        full = system.full_mask + 1
+        by_support = subset_sums(np.bincount(
+            system.supp, minlength=full).astype(np.int64), system.rank)
+        assert cartan.parabolic_orders(system.matrix) == tuple(by_support)
 
 
 class TestRankCap:

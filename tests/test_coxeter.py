@@ -10,7 +10,7 @@ import pytest
 
 from descent import algebra, automorphisms, build_system, cartan, rootperm
 from descent.algebra import bhs_pairing, multiply, theta_value_table
-from descent.coxeter import iter_bits, popcount
+from descent.coxeter import check_tensor, iter_bits, popcount
 from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
                             UnsupportedType)
 from descent.exprs import parse_expression
@@ -709,10 +709,11 @@ def test_corrupted_tensor_trips_invariant(system_factory, index, delta,
                                           problem):
     system = system_factory("B3")
     T = system.structure_tensor().copy()
-    system._check_tensor(T)
+    args = (system.matrix, system.order, system.type_label)
+    check_tensor(T, *args)
     T[index] += delta
     with pytest.raises(AssertionError, match=problem):
-        system._check_tensor(T)
+        check_tensor(T, *args)
 
 
 def test_fresh_tensor_is_checked(monkeypatch):
