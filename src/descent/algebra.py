@@ -5,8 +5,8 @@ generator-subset bitmask: the coset-sum basis x_I, the equal-descent-class
 basis y_J, and the signed half-weight basis xp_I. Coordinates are integer
 numerators over one positive common denominator. Products come from one
 batched contraction with the integer structure constants of the ambient
-Coxeter system; an independent slow path multiplies honest group-algebra
-vectors and folds the result back.
+Coxeter system, over their support, K inside J; an independent slow path
+multiplies honest group-algebra vectors and folds the result back.
 """
 
 from __future__ import annotations
@@ -357,37 +357,67 @@ def _algebra_context(system):
     return ctx
 
 
-def _exact_tensor(system, factor):
-    """The structure tensor, in int64 when ``factor`` times its largest
-    entry is below the int64 bound and on Python integers otherwise.
-    ``factor`` bounds, for one entry of a contraction with T, the sum of
-    the absolute values of what multiplies the entries of T in it."""
-    T = system.structure_tensor()
+@lru_cache(maxsize=None)
+def _support_pairs(n):
+    """The 3^n pairs (J, K) with K a subset of J, sorted by K, as read-only
+    index arrays J and K, and the start of each K segment."""
+    masks = np.arange(1 << n)
+    K, J = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
+    starts = np.searchsorted(K, masks)
+    for arr in (J, K, starts):
+        arr.flags.writeable = False
+    return J, K, starts
+
+
+def _support_tensor(system, factor):
+    """Tc[I, p] = T[I, J_p, K_p] over the pairs of ``_support_pairs``:
+    Solomon's Mackey formula makes x_I x_J a sum of x_K with K inside J,
+    and ``coxeter.check_tensor`` proves T vanishes elsewhere on every
+    load and build, so Tc holds every nonzero entry of T. Built on the
+    first product of a system and kept. In int64 when ``factor`` times
+    its largest entry is below the int64 bound and on Python integers
+    otherwise; ``factor`` bounds, for one entry of a contraction with T,
+    the sum of the absolute values of what multiplies the entries of T
+    in it."""
     ctx = _algebra_context(system)
-    tmax = ctx.get("tensor_max")
-    if tmax is None:
-        tmax = ctx["tensor_max"] = linalg.absmax(T)
-    return T.astype(linalg.exact_dtype(tmax * factor), copy=False)
+    Tc = ctx.get("tensor_support")
+    if Tc is None:
+        J, K, _starts = _support_pairs(system.rank)
+        Tc = system.structure_tensor()[:, J, K]
+        Tc.flags.writeable = False
+        ctx["tensor_support"] = Tc
+        ctx["tensor_max"] = linalg.absmax(Tc)
+    return Tc.astype(linalg.exact_dtype(ctx["tensor_max"] * factor),
+                     copy=False)
 
 
 def products(system, A, B):
-    """Every product of a row of A with a row of B, in one contraction.
+    """Every product of a row of A with a row of B.
 
     Rows hold integer x-coordinates, one element each. Entry [a, b, k] of
     the result is the x_k-coordinate of A[a] * B[b]: the sum over I, J of
-    A[a, I] T[I, J, k] B[b, J] with T the structure tensor. Computed in
-    int64 when a bound on that sum proves it exact, on Python integers
-    otherwise.
+    A[a, I] T[I, J, k] B[b, J] with T the structure tensor. Only the
+    pairs (J, k) with k inside J enter, the support that
+    ``coxeter.check_tensor`` proves on every load: AT = A @ Tc over those
+    pairs, and row a of the result sums AT[a] * B[:, J] over each k
+    segment, one row at a time so no (a, b, 3^n) array is formed.
+    Computed in int64 when a bound on that sum proves it exact, on Python
+    integers otherwise.
     """
     size = 1 << system.rank
     A = linalg.integer_rows(A, size)
     B = linalg.integer_rows(B, size)
     # the bound also covers A and B themselves when the other is zero
-    T = _exact_tensor(system, (linalg.absmax(A) + 1) * (linalg.absmax(B) + 1)
-                      * size * size)
-    AT = np.tensordot(A.astype(T.dtype, copy=False), T, axes=(1, 0))
-    return np.tensordot(AT, B.astype(T.dtype, copy=False),
-                        axes=(1, 1)).transpose(0, 2, 1)
+    Tc = _support_tensor(system, (linalg.absmax(A) + 1)
+                         * (linalg.absmax(B) + 1) * size * size)
+    J, _K, starts = _support_pairs(system.rank)
+    AT = A.astype(Tc.dtype, copy=False) @ Tc
+    BJ = B.astype(Tc.dtype, copy=False)[:, J]
+    out = np.empty((len(A), len(B), size), dtype=Tc.dtype)
+    # every k segment holds the pair (k, k), so none is empty
+    for a, row in enumerate(AT):
+        out[a] = np.add.reduceat(row * BJ, starts, axis=1)
+    return out
 
 
 def x_matrix(vectors, width):
@@ -409,25 +439,31 @@ def multiply(left, right):
         left.system, nums.tolist(), da * db).in_basis(left.tag)
 
 
-def _multiplication(vector, axis):
-    """T contracted with the vector's integer x-coordinates along its
-    axis ``axis``: the left factor for 0, the right factor for 1."""
+def _support_row(vector):
+    """The vector's integer x-coordinates and the support tensor, both in
+    a dtype that keeps one contraction of them exact."""
     size = 1 << vector.system.rank
     v = linalg.integer_rows([vector.x_ints()[0]], size)[0]
-    T = _exact_tensor(vector.system, (linalg.absmax(v) + 1) * size)
-    return np.tensordot(v.astype(T.dtype, copy=False), T, axes=(0, axis))
+    Tc = _support_tensor(vector.system, (linalg.absmax(v) + 1) * size)
+    return v.astype(Tc.dtype, copy=False), Tc
 
 
 def left_multiplication(vector):
     """Matrix of x -> vector * x: row J holds the x-coordinates of
     vector * x_J, times the vector's denominator."""
-    return _multiplication(vector, 0)
+    v, Tc = _support_row(vector)
+    J, K, _starts = _support_pairs(vector.system.rank)
+    out = np.zeros((1 << vector.system.rank,) * 2, dtype=Tc.dtype)
+    out[J, K] = v @ Tc
+    return out
 
 
 def right_multiplication(vector):
     """Matrix of x -> x * vector: row J holds the x-coordinates of
     x_J * vector, times the vector's denominator."""
-    return _multiplication(vector, 1)
+    v, Tc = _support_row(vector)
+    J, _K, starts = _support_pairs(vector.system.rank)
+    return np.add.reduceat(Tc * v[J], starts, axis=1)
 
 
 def _group_ints(vector):
@@ -475,30 +511,45 @@ def vector_from_group(system, gcoeffs, tag=BASIS_X):
                        den, tag)
 
 
+# at most this many products are scattered in one block of ``convolve``,
+# so its index and value arrays stay bounded
+_SCATTER_CELLS = 1 << 16
+
+
 def convolve(system, na, nb):
     """Product of two integer group-algebra vectors.
 
-    Translates by the sparser factor, through rows or columns of the full
-    multiplication table when the group is small enough and through
-    per-element translations otherwise; translation index arrays are
-    permutations, so fancy-indexed += is exact. In int64 when the
-    coefficient bound allows and on Python integers beyond it.
+    When the group is small enough for the full multiplication table,
+    every product of a support element u of the sparser factor with every
+    element of the other lands at mt[u] (or at column u when the right
+    factor is the sparser), added in with one ``np.add.at`` scatter per
+    block of at most ``_SCATTER_CELLS`` products. Larger groups translate
+    by one element of the sparser factor at a time; translation index
+    arrays are permutations, so fancy-indexed += is exact. In int64 when
+    the coefficient bound allows and on Python integers beyond it.
     """
     order = system.order
     amax, bmax = linalg.absmax(na), linalg.absmax(nb)
     dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
     na, nb = na.astype(dtype), nb.astype(dtype)
-    mt = system.multiplication_table() if order <= 6000 else None
     out = np.zeros(order, dtype=dtype)
-    if np.count_nonzero(na) <= np.count_nonzero(nb):
+    left_sparser = np.count_nonzero(na) <= np.count_nonzero(nb)
+    if order <= 6000:
+        mt = system.multiplication_table()
+        block = max(1, _SCATTER_CELLS // order)
+        sparse, dense = (na, nb) if left_sparser else (nb, na)
+        support = np.flatnonzero(sparse)
+        for first in range(0, len(support), block):
+            blk = support[first:first + block]
+            at = mt[blk] if left_sparser else mt[:, blk].T
+            np.add.at(out, at.astype(np.intp).ravel(),
+                      np.multiply.outer(sparse[blk], dense).ravel())
+    elif left_sparser:
         for u in np.flatnonzero(na):
-            at = mt[u] if mt is not None else system.left_translation(int(u))
-            out[at] += na[u] * nb
+            out[system.left_translation(int(u))] += na[u] * nb
     else:
         for v in np.flatnonzero(nb):
-            at = (mt[:, v] if mt is not None
-                  else system.right_translation(int(v)))
-            out[at] += nb[v] * na
+            out[system.right_translation(int(v))] += nb[v] * na
     return out
 
 

@@ -174,16 +174,27 @@ class Span:
                 - coef.astype(dtype) @ self.rows.astype(dtype))
 
     def extend(self, vecs: Iterable[Sequence]) -> int:
-        """Insert vectors; return how much the dimension grew."""
-        new = integer_rows(vecs, self.width)
-        new = new[np.any(self._residuals(new) != 0, axis=1)]
-        if not new.size:
+        """Insert vectors; return how much the dimension grew.
+
+        The residuals of the new rows vanish on every pivot column of the
+        span, so they are eliminated alone; their pivot columns are then
+        cleared from the old rows by one residual step against them, and
+        the two blocks merge by pivot. The canonical form is unique, so
+        the result equals the elimination of all rows stacked."""
+        res = self._residuals(integer_rows(vecs, self.width))
+        grown = Span(self.width)
+        grown.rows, grown.pivots = eliminate(res)
+        if not grown.pivots:
             return 0
-        before = self.dim
-        dtype = object if object in (new.dtype, self.rows.dtype) else np.int64
-        self.rows, self.pivots = eliminate(
-            np.vstack([self.rows.astype(dtype), new.astype(dtype)]))
-        return self.dim - before
+        old = (_primitive(grown._residuals(self.rows)) if self.pivots
+               else self.rows)
+        dtype = object if object in (old.dtype, grown.rows.dtype) else np.int64
+        pivots = np.array(self.pivots + grown.pivots)
+        order = np.argsort(pivots)
+        self.rows = np.vstack([old.astype(dtype),
+                               grown.rows.astype(dtype)])[order]
+        self.pivots = pivots[order].tolist()
+        return grown.dim
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; report whether the dimension grew."""

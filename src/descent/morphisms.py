@@ -317,19 +317,23 @@ def _conjugate_masks_all(system, kmask):
 
 def wk_members(system, kmask):
     """The complement group: distinguished double-coset representatives
-    normalizing the subset."""
+    normalizing the subset, found once per system and subset."""
     kmask = system.check_mask(kmask)
-    rasc = system.rasc
-    inv = system.inv
-    hit = ((rasc & kmask) == kmask) & ((rasc[inv] & kmask) == kmask)
-    hit &= _conjugate_masks_all(system, kmask) == kmask
-    return [int(w) for w in np.flatnonzero(hit)]
-
-
-def wk_action_permutations(system, kmask, members=None):
-    """Distinct permutations the complement group induces on the subset."""
+    ctx = alg._algebra_context(system)
+    key = ("wk_members", kmask)
+    members = ctx.get(key)
     if members is None:
-        members = wk_members(system, kmask)
+        rasc = system.rasc
+        inv = system.inv
+        hit = ((rasc & kmask) == kmask) & ((rasc[inv] & kmask) == kmask)
+        hit &= _conjugate_masks_all(system, kmask) == kmask
+        members = ctx[key] = tuple(int(w) for w in np.flatnonzero(hit))
+    return list(members)
+
+
+def wk_action_permutations(system, kmask):
+    """Distinct permutations the complement group induces on the subset."""
+    members = wk_members(system, kmask)
     if not members:
         return []
     positions = mask_positions(kmask)

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from descent import algebra as alg
+from descent import morphisms as mo
 from descent.coxeter import iter_bits, popcount
 from descent.errors import NotPositive, SystemMismatch, WrongType
 from descent import linalg
 from descent.table import SUPPORTED_TYPES
+from test_coxeter import permuted_system
 
 # every named system of rank <= 3, plus the two mandated larger ones
 ORACLE_ROSTER = [
@@ -108,6 +110,84 @@ def test_products_beyond_int64_match_oracle_and_scaling(
             v = alg.DescentVector.from_ints(system, col)
             assert (alg.DescentVector.from_ints(system, got[i, j].tolist())
                     == alg.oracle_multiply(u, v))
+
+
+def dense_products(system, A, B):
+    """The dense route of ``alg.products``: two ``tensordot`` contractions
+    over the whole structure tensor, under the same int64 bound."""
+    size = 1 << system.rank
+    A = linalg.integer_rows(A, size)
+    B = linalg.integer_rows(B, size)
+    T = system.structure_tensor()
+    T = T.astype(linalg.exact_dtype(
+        linalg.absmax(T) * (linalg.absmax(A) + 1) * (linalg.absmax(B) + 1)
+        * size * size), copy=False)
+    AT = np.tensordot(A.astype(T.dtype, copy=False), T, axes=(1, 0))
+    return np.tensordot(AT, B.astype(T.dtype, copy=False),
+                        axes=(1, 1)).transpose(0, 2, 1)
+
+
+def dense_multiplication(vector, axis):
+    """T contracted with the vector's integer x-coordinates along its axis
+    ``axis``: the dense route of the left (0) and right (1)
+    multiplication matrices."""
+    size = 1 << vector.system.rank
+    v = linalg.integer_rows([vector.x_ints()[0]], size)[0]
+    T = vector.system.structure_tensor()
+    T = T.astype(linalg.exact_dtype(
+        linalg.absmax(T) * (linalg.absmax(v) + 1) * size), copy=False)
+    return np.tensordot(v.astype(T.dtype, copy=False), T, axes=(0, axis))
+
+
+def dense_multiplicative_pairs(morphism):
+    images = linalg.matmul(morphism.domain.structure_tensor(),
+                           morphism.columns)
+    return (images == dense_products(morphism.codomain, morphism.columns,
+                                     morphism.columns)).all(axis=2)
+
+
+def assert_matches_dense_route(system, scale, seed):
+    size = 1 << system.rank
+    rng = np.random.default_rng(seed)
+    A = [[int(v) * scale for v in row]
+         for row in rng.integers(-9, 10, (3, size))]
+    B = rng.integers(-9, 10, (2, size))
+    got, want = alg.products(system, A, B), dense_products(system, A, B)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    vector = alg.DescentVector.from_ints(system, A[0])
+    for axis, route in enumerate((alg.left_multiplication,
+                                  alg.right_multiplication)):
+        got, want = route(vector), dense_multiplication(vector, axis)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the identity map with the image of x_{s} moved: the pairs through
+    # it fail, the others hold
+    columns = np.eye(size, dtype=object)
+    columns[1] += A[0]
+    morphism = mo.AlgebraMorphism(system, system, columns, "test")
+    got, want = morphism.multiplicative_pairs(), dense_multiplicative_pairs(
+        morphism)
+    assert want.any() and not want.all()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("label,perm", [
+    (label, None) for label in SUPPORTED_TYPES] + [
+    ("F4", (2, 0, 3, 1)), ("D5", (4, 1, 3, 0, 2)), ("A2xB2", (3, 0, 2, 1))])
+def test_support_contraction_matches_dense_route(system_factory, label,
+                                                 perm):
+    system = (system_factory(label) if perm is None
+              else permuted_system(label, perm))
+    assert_matches_dense_route(system, 1, 11)
+
+
+@pytest.mark.parametrize("label", ["B3", "D4"])
+def test_support_contraction_beyond_int64_matches_dense_route(
+        system_factory, label):
+    system = system_factory(label)
+    size = 1 << system.rank
+    assert alg.products(system, [[10**20] * size],
+                        [[1] * size]).dtype == object
+    assert_matches_dense_route(system, 10**20, 12)
 
 
 def test_coordinates_are_numerators_over_one_denominator(system_factory):
@@ -537,6 +617,52 @@ def test_positivity_predicate(system_factory):
     # positivity is an x-basis notion, so it survives basis changes
     v = alg.basis_y(system, 1)
     assert v.is_positive() == all(c >= 0 for c in v.x_coords())
+
+
+def loop_convolve(system, na, nb):
+    """The per-element route of ``alg.convolve``: one translation of the
+    denser factor per support element of the sparser one."""
+    order = system.order
+    amax, bmax = linalg.absmax(na), linalg.absmax(nb)
+    dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
+    na, nb = na.astype(dtype), nb.astype(dtype)
+    mt = system.multiplication_table() if order <= 6000 else None
+    out = np.zeros(order, dtype=dtype)
+    if np.count_nonzero(na) <= np.count_nonzero(nb):
+        for u in np.flatnonzero(na):
+            at = mt[u] if mt is not None else system.left_translation(int(u))
+            out[at] += na[u] * nb
+    else:
+        for v in np.flatnonzero(nb):
+            at = (mt[:, v] if mt is not None
+                  else system.right_translation(int(v)))
+            out[at] += nb[v] * na
+    return out
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "F4", "B5", "H4"])
+def test_convolve_matches_per_element_translations(system_factory, label):
+    # H4 (order 14,400) translates; the others scatter through the table.
+    # Beyond rank 3, large subsets: x_I has |W| / |W_I| group terms
+    system = system_factory(label)
+    size = 1 << system.rank
+    if system.rank <= 3:
+        masks = range(size)
+    else:
+        masks = [size - 1 - m for m in ((0, 8) if label == "H4"
+                                        else (0, 1, 2, 5, 6))]
+    basis = [alg._group_ints(alg.basis_x(system, m))[0] for m in masks]
+    pairs = [(a, b) for a in basis for b in basis]
+    # the left factor is the sparser and the denser
+    assert {np.count_nonzero(a) <= np.count_nonzero(b)
+            for a, b in pairs} == {True, False}
+    zero = np.zeros(system.order, dtype=np.int64)
+    pairs += [(zero, basis[1]), (basis[1], zero),
+              (basis[1].astype(object) * 10**20, basis[-1] - basis[0])]
+    for na, nb in pairs:
+        got, want = alg.convolve(system, na, nb), loop_convolve(
+            system, na, nb)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def direct_convolution(system, na, nb):

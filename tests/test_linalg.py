@@ -316,6 +316,28 @@ class TestAgainstFractionOracle:
         assert span.contains(vec) == oracle.contains(vec)
         assert span.canonical() == tuple(oracle.basis())
 
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(), st.lists(st.integers(0, 4), max_size=4))
+    @example(([[1, 2, 3], [0, 1, 1], [2, 5, 7]], 3), [1, 1])
+    @example(([[2**63, 1, 0], [0, 1, 2**63]], 3), [1])
+    def test_extend_equals_elimination_of_the_stacked_rows(self, case, cuts):
+        # extend by consecutive blocks, int64 when every entry fits
+        rows, width = case
+        span = linalg.Span(width)
+        start = 0
+        for size in cuts + [len(rows)]:
+            block = rows[start:start + size]
+            start += len(block)
+            if all(abs(x) < 2**62 for row in block for x in row):
+                block = np.array(block, dtype=np.int64).reshape(-1, width)
+            before = span.dim
+            grew = span.extend(block)
+            stacked = np.array(rows[:start], dtype=object).reshape(-1, width)
+            want, pivots = linalg.eliminate(stacked)
+            assert span.pivots == pivots
+            assert span.rows.tolist() == want.tolist()
+            assert grew == span.dim - before
+
     def test_int64_and_object_inputs_agree(self):
         rng = random.Random(29)
         for _ in range(20):
