@@ -1,6 +1,6 @@
 """Finite Coxeter groups and their descent algebras over exact rationals."""
 
-from .coxeter import CoxeterSystem, GroupElement, Shape, build_system
+from .coxeter import CoxeterSystem, Shape, build_system
 from .algebra import (
     DescentVector,
     basis_x,
@@ -16,7 +16,6 @@ from . import errors
 __all__ = [
     "CoxeterSystem",
     "DescentVector",
-    "GroupElement",
     "Shape",
     "basis_x",
     "basis_xprime",

@@ -21,7 +21,6 @@ from .coxeter import iter_bits, popcount, subset_sums
 from .errors import (
     InvalidSubset,
     NotInDescentAlgebra,
-    NotPositive,
     SystemMismatch,
     WrongType,
 )
@@ -132,7 +131,7 @@ class DescentVector:
     def from_map(system, mapping, tag=BASIS_X):
         out = [ZERO] * (1 << system.rank)
         for subset, c in mapping.items():
-            out[_as_mask(system, subset)] += Fraction(c)
+            out[_as_mask(system, subset)] += linalg.as_fractions([c])[0]
         return DescentVector(system, out, tag)
 
     # -- ring structure -------------------------------------------------
@@ -219,10 +218,6 @@ class DescentVector:
 
     def is_zero(self):
         return not any(self.nums)
-
-    def is_positive(self):
-        """Componentwise nonnegative on the x-basis."""
-        return all(c >= 0 for c in self.x_ints()[0])
 
     # -- text form --------------------------------------------------------
 
@@ -478,12 +473,6 @@ def _group_ints(vector):
     return nums[vector.system.rasc], y.den
 
 
-def group_vector(vector):
-    """Expand to coordinates on the group elements themselves."""
-    nums, den = _group_ints(vector)
-    return [Fraction(v, den) for v in nums.tolist()]
-
-
 def _fold_group(system, nums, den, tag):
     """The descent vector with group coordinates nums / den (an integer
     array), after checking constancy on each equal-ascent-set class."""
@@ -498,17 +487,6 @@ def _fold_group(system, nums, den, tag):
             "mask %d" % int(rasc[off[0]]))
     return DescentVector.from_ints(system, y.tolist(), den,
                                    BASIS_Y).in_basis(tag)
-
-
-def vector_from_group(system, gcoeffs, tag=BASIS_X):
-    """Fold group-algebra coordinates back onto the descent basis.
-
-    Requires constancy on each equal-ascent-set class; a violation means
-    the group vector left the descent algebra and is reported as such.
-    """
-    nums, den = linalg.scaled_integers(gcoeffs)
-    return _fold_group(system, linalg.integer_rows([nums], len(nums))[0],
-                       den, tag)
 
 
 # at most this many products are scattered in one block of ``convolve``,
@@ -676,23 +654,6 @@ def minimal_polynomial(vector):
     return tuple(coeffs)
 
 
-def characteristic_polynomial_positive(vector):
-    """Split characteristic polynomial of left multiplication.
-
-    For a componentwise-nonnegative element this is the product over all
-    generator subsets J of (T - tau_{shape(J)}(a)).
-    """
-    if not vector.is_positive():
-        raise NotPositive("characteristic factorization needs nonnegative "
-                          "x-coordinates")
-    system = vector.system
-    tv = tau(vector)
-    roots = []
-    for mask in range(1 << system.rank):
-        roots.append(tv.values[system.shape_id_of_mask(mask)])
-    return linalg.poly_from_roots(roots)
-
-
 # ---------------------------------------------------------------------------
 # positivity, families, ideals
 
@@ -739,11 +700,6 @@ def left_ideal(vector):
     return Span(1 << vector.system.rank, right_multiplication(vector))
 
 
-def is_invertible(vector):
-    """A unit precisely when no one-dimensional character vanishes on it."""
-    return all(v != 0 for v in tau(vector).values)
-
-
 def commutator_image(vector):
     """Span of the values of x -> vector*x - x*vector on the basis."""
     return Span(1 << vector.system.rank,
@@ -754,28 +710,6 @@ def centralizer_dimension(vector):
     """Dimension of the commutant {x : vector*x = x*vector}."""
     size = 1 << vector.system.rank
     return size - commutator_image(vector).dim
-
-
-def eigenspace_dim_on_regular(vector, value):
-    """Multiplicity of an eigenvalue of the element on the group algebra.
-
-    Valid for componentwise-nonnegative elements: the multiplicity of xi
-    counts the group elements whose minimal-parabolic shape gives character
-    value xi.
-    """
-    if not vector.is_positive():
-        raise NotPositive(
-            "regular-representation eigenvalue count needs nonnegative "
-            "x-coordinates")
-    system = vector.system
-    value = Fraction(value)
-    tv = tau(vector)
-    _cls, cshapes, sizes = system.class_shape_ids()
-    total = 0
-    for c, size in enumerate(sizes):
-        if tv.values[int(cshapes[c])] == value:
-            total += size
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -856,21 +790,6 @@ def _positions_mask(system, lo, hi):
             raise InvalidSubset("generator position %d out of range" % p)
         mask |= 1 << p
     return mask
-
-
-def witness_element_typeA(system):
-    """Radical element whose powers realize the maximal Loewy length in
-    the single-laced linear type: difference of the two maximal proper
-    interval subsets."""
-    comps = system.components
-    if len(comps) != 1 or comps[0][0] != "A":
-        raise WrongType("expected an irreducible linear-diagram system")
-    n = system.rank
-    if n < 2:
-        raise WrongType("need rank at least 2 for a nonzero witness")
-    left = _positions_mask(system, 0, n - 2)
-    right = _positions_mask(system, 1, n - 1)
-    return basis_x(system, left) - basis_x(system, right)
 
 
 def witness_elements_typeB(system):

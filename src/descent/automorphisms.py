@@ -94,21 +94,6 @@ def automorphism_of_order(system, order):
     return [s for s in diagram_automorphisms(system) if s.order == order]
 
 
-def apply_automorphism(sigma, vector):
-    """Permute the element by the automorphism, in its own basis.
-
-    Subset permutation commutes with all three coordinate transforms, so
-    the coordinates move by the induced mask permutation directly.
-    """
-    system = vector.system
-    _check_sigma(system, sigma)
-    out = [0] * len(vector.nums)
-    for mask, c in enumerate(vector.nums):
-        if c != 0:
-            out[sigma.apply_mask(mask)] = c
-    return DescentVector.from_ints(system, out, vector.den, vector.tag)
-
-
 def _check_sigma(system, sigma):
     if len(sigma.permutation) != system.rank or not _preserves_matrix(
             system.matrix, sigma.permutation):
@@ -166,28 +151,19 @@ def mask_orbits(system, sigma):
 class FixedSubalgebra:
     """The subalgebra of elements fixed by one diagram automorphism."""
 
-    __slots__ = ("parent", "sigma", "orbits", "basis", "span",
-                 "shape_orbit_list", "_radical")
+    __slots__ = ("parent", "sigma", "orbits", "basis", "span", "_radical")
 
-    def __init__(self, parent, sigma, orbits, basis, span, shape_orbit_list):
+    def __init__(self, parent, sigma, orbits, basis, span):
         self.parent = parent
         self.sigma = sigma
         self.orbits = orbits
         self.basis = basis
         self.span = span
-        self.shape_orbit_list = shape_orbit_list
         self._radical = None
 
     @property
     def dimension(self):
         return len(self.basis)
-
-    @property
-    def shape_orbit_count(self):
-        return len(self.shape_orbit_list)
-
-    def contains(self, vector):
-        return self.span.contains(vector.x_coords())
 
     def radical_vectors(self):
         """Basis of the radical of the fixed subalgebra: the ambient
@@ -223,8 +199,7 @@ def fixed_subalgebra(system, sigma):
             vec[m] = 1
         basis.append(DescentVector.from_ints(system, vec))
         span.add(vec)
-    return FixedSubalgebra(system, sigma, orbits, basis, span,
-                           shape_orbits(system, sigma))
+    return FixedSubalgebra(system, sigma, orbits, basis, span)
 
 
 def loewy_profile_fixed(system, sigma):
@@ -235,14 +210,3 @@ def loewy_profile_fixed(system, sigma):
         system, alg.x_matrix(fixed.radical_vectors(), size))
     return LoewyProfile([fixed.dimension] + [p.dim for p in powers])
 
-
-def w0_centrality_criterion(system):
-    """Centrality of the longest element, read off the y-basis units.
-
-    The longest element is central exactly when every equal-descent-class
-    sum is invertible; when it is not, at least one such sum has a
-    vanishing character value, and those masks are returned as witnesses.
-    """
-    bad = [mask for mask in range(1 << system.rank)
-           if not alg.is_invertible(alg.basis_y(system, mask))]
-    return not bad, bad

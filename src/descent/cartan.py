@@ -83,7 +83,7 @@ def enforce_rank_cap(rank, allow_rank7=False):
             % (rank, RANK_CAP))
 
 
-def _component_edges(fam, p):
+def component_edges(fam, p):
     """Edges (i, j, bond order) of one irreducible diagram, local indices."""
     if fam == "A":
         return [(i, i + 1, 3) for i in range(p - 1)]
@@ -125,7 +125,7 @@ def matrix_for_components(components):
     counter = 1
     for fam, p in components:
         r = component_rank(fam, p)
-        for (i, j, val) in _component_edges(fam, p):
+        for (i, j, val) in component_edges(fam, p):
             mat[offset + i][offset + j] = val
             mat[offset + j][offset + i] = val
         if fam == "D":
@@ -201,14 +201,29 @@ def validate_matrix(mat):
                     "off-diagonal entries must be symmetric ints >= 2")
 
 
-def _classify_component(nodes, mat):
-    """Classify one connected diagram; returns (family, param).
+def _path(adj, first, second):
+    """The walk first, second, ... along the tree `adj`, never turning
+    back, until it reaches a leaf; every node after `first` has degree
+    at most two."""
+    out = [first, second]
+    while True:
+        nxt = [x for x in adj[out[-1]] if x != out[-2]]
+        if not nxt:
+            return out
+        out.append(nxt[0])
 
-    Raises InfiniteGroup when the component is not of finite type.
+
+def classify_component(nodes, mat):
+    """Classify one connected diagram on the sorted node list `nodes`.
+
+    Returns (family, param, order): order lists the nodes in the
+    generator numbering of ``matrix_for_components``, so that order[k]
+    plays generator k of the standard component. Raises InfiniteGroup
+    when the component is not of finite type.
     """
     n = len(nodes)
     if n == 1:
-        return ("A", 1)
+        return ("A", 1, list(nodes))
     edges = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -217,11 +232,8 @@ def _classify_component(nodes, mat):
                 edges.append((a, b, v))
     if n == 2:
         v = edges[0][2]
-        if v == 3:
-            return ("A", 2)
-        if v == 4:
-            return ("B", 2)
-        return ("I", v)
+        fam, p = {3: ("A", 2), 4: ("B", 2)}.get(v, ("I", v))
+        return (fam, p, list(nodes))
     # rank >= 3: diagram must be a tree
     if len(edges) != n - 1:
         raise InfiniteGroup("diagram component has a cycle")
@@ -230,6 +242,7 @@ def _classify_component(nodes, mat):
         adj[a].append(b)
         adj[b].append(a)
     degrees = sorted(len(adj[i]) for i in range(n))
+    ends = [i for i in range(n) if len(adj[i]) == 1]
     big = [(a, b, v) for a, b, v in edges if v > 3]
     if len(big) > 1:
         raise InfiniteGroup("more than one marked bond at rank >= 3")
@@ -239,48 +252,45 @@ def _classify_component(nodes, mat):
             raise InfiniteGroup("branch node plus marked bond")
         if v > 5:
             raise InfiniteGroup("bond order > 5 at rank >= 3")
-        ends = {i for i in range(n) if len(adj[i]) == 1}
-        at_end = a in ends or b in ends
+        # B and H are numbered from the leaf on the marked bond, F4 from
+        # its smallest end
+        first, second = (a, b) if a in ends else (b, a)
         if v == 4:
-            if at_end:
-                return ("B", n)
-            if n == 4:
+            if first in ends:
+                fam = "B"
+            elif n == 4:
                 # the only interior 4-bond of finite type: both middle nodes
-                mids = {a, b}
-                if all(len(adj[i]) == 2 for i in mids):
-                    return ("F", 4)
-            raise InfiniteGroup("interior 4-bond outside F4")
-        # v == 5
-        if at_end and n in (3, 4):
+                fam = "F"
+                first, second = ends[0], adj[ends[0]][0]
+            else:
+                raise InfiniteGroup("interior 4-bond outside F4")
+        elif first in ends and n in (3, 4):
             # 5-bond must touch a leaf whose neighbor continues a path
-            return ("H", n)
-        raise InfiniteGroup("5-bond only supported in H3/H4")
+            fam = "H"
+        else:
+            raise InfiniteGroup("5-bond only supported in H3/H4")
+        return (fam, n, [nodes[i] for i in _path(adj, first, second)])
     # simply laced
     if degrees[-1] == 2:
-        return ("A", n)
+        return ("A", n, [nodes[i] for i in _path(adj, ends[0],
+                                                 adj[ends[0]][0])])
     if degrees[-1] > 3 or degrees.count(3) > 1:
         raise InfiniteGroup("diagram branches too much")
     center = next(i for i in range(n) if len(adj[i]) == 3)
-    legs = []
-    for start in adj[center]:
-        ln, prev, cur = 1, center, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        legs.append(ln)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return ("D", n)
-    if legs == [1, 2, 2]:
-        return ("E", 6)
-    if legs == [1, 2, 3]:
-        return ("E", 7)
-    if legs == [1, 2, 4]:
-        return ("E", 8)
-    raise InfiniteGroup("branching pattern %r is not of finite type" % (legs,))
+    legs = [_path(adj, center, start)[1:] for start in adj[center]]
+    legs.sort(key=lambda leg: (len(leg), leg[0]))
+    lengths = [len(leg) for leg in legs]
+    if lengths[:2] == [1, 1]:
+        # the two one-node legs form the fork, the longest leg the tail
+        fam, order = "D", [legs[0][0], legs[1][0], center] + legs[2]
+    elif lengths in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
+        # positions 0 and 2 take the two-node leg, position 1 the leaf
+        short, two, tail = legs
+        fam, order = "E", [two[1], short[0], two[0], center] + tail
+    else:
+        raise InfiniteGroup(
+            "branching pattern %r is not of finite type" % (lengths,))
+    return (fam, n, [nodes[i] for i in order])
 
 
 def diagram_components(mat):
@@ -313,7 +323,7 @@ def classify_matrix(mat):
     name: D3 classifies as A3, D2 as A1xA1.
     """
     validate_matrix(mat)
-    kinds = sorted(_classify_component(nodes, mat)
+    kinds = sorted(classify_component(nodes, mat)[:2]
                    for nodes in diagram_components(mat))
     return normalized_label(kinds)
 

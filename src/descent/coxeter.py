@@ -52,13 +52,6 @@ def subset_sums(arr, rank, supersets=False):
     return arr
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    index: int
-    word: tuple
-    length: int
-
-
 class _GroupTable:
     """A group table; the first read of any one builds them all."""
 
@@ -136,7 +129,6 @@ class CoxeterSystem:
         self._conjs = None
         self._shapes = None
         self._eclasses = None
-        self._cshapes = None
         self._tensor = None
         self._multable = None
         self._w0par = {}
@@ -294,18 +286,6 @@ class CoxeterSystem:
             i = int(self.parent[i])
         return tuple(reversed(out))
 
-    def element(self, i):
-        i = int(i)
-        return GroupElement(i, self.word(i), int(self.length[i]))
-
-    def element_by_word(self, word):
-        w = 0
-        for s in word:
-            if not 0 <= s < self.rank:
-                raise InvalidSubset("generator position %r out of range" % (s,))
-            w = int(self.rmul[w, s])
-        return w
-
     def mul(self, a, b):
         w = int(a)
         for s in self.word(b):
@@ -433,25 +413,12 @@ class CoxeterSystem:
                                  "generator set")
         return perm
 
-    def is_w0_central(self):
-        return self.w0_twist() == tuple(range(self.rank))
-
     def parabolic_indices(self, mask):
         mask = self.check_mask(mask)
         return np.flatnonzero((self.supp & ~mask) == 0)
 
-    def coset_rep_indices(self, mask):
-        mask = self.check_mask(mask)
-        return np.flatnonzero((self.rasc & mask) == mask)
-
     # ------------------------------------------------------------------
     # structure sets
-
-    def _xij_indices(self, imask, jmask):
-        imask = self.check_mask(imask)
-        jmask = self.check_mask(jmask)
-        hit = ((self.lasc & imask) == imask) & ((self.rasc & jmask) == jmask)
-        return np.flatnonzero(hit)
 
     def _refine_masks(self, idxs, imask, jmask):
         """(d^{-1} I d) cap J as masks, for each d in idxs with I among its
@@ -464,22 +431,17 @@ class CoxeterSystem:
         return out & jmask
 
     def structure_set(self, imask, jmask, kmask=None):
-        """X_{I,J} (or its refinement X_{I,J,K}) as GroupElements."""
-        idxs = self._xij_indices(imask, jmask)
+        """X_{I,J}, the elements with I among their left ascents and J
+        among their right ascents (or its refinement X_{I,J,K}, those
+        with (d^{-1} I d) cap J = K), as a sorted int64 index array."""
+        imask = self.check_mask(imask)
+        jmask = self.check_mask(jmask)
+        hit = ((self.lasc & imask) == imask) & ((self.rasc & jmask) == jmask)
+        idxs = np.flatnonzero(hit).astype(np.int64, copy=False)
         if kmask is not None:
             kmask = self.check_mask(kmask)
             idxs = idxs[self._refine_masks(idxs, imask, jmask) == kmask]
-        # all reduced words in one walk up the parent links, one step per
-        # length level; row k ends with the word of idxs[k]
-        lengths = self.length[idxs].tolist()
-        top = max(lengths, default=0)
-        letters = np.empty((len(idxs), top), dtype=np.int64)
-        cur = idxs
-        for col in range(top - 1, -1, -1):
-            letters[:, col] = self.lastgen[cur]
-            cur = np.maximum(self.parent[cur], 0)
-        return [GroupElement(i, tuple(row[top - n:]), n) for i, n, row
-                in zip(idxs.tolist(), lengths, letters.tolist())]
+        return idxs
 
     # ------------------------------------------------------------------
     # shapes (conjugacy classes of generator subsets)
@@ -569,26 +531,6 @@ class CoxeterSystem:
             sizes.append(members)
         self._eclasses = (cid, reps, sizes)
         return self._eclasses
-
-    def class_shape_ids(self):
-        """Shape class_id attached to each element conjugacy class."""
-        if self._cshapes is not None:
-            return self._cshapes
-        cid, reps, sizes = self.element_classes()
-        shapes, m2s = self.shape_classes()
-        m2s_arr = np.asarray(m2s, dtype=np.int32)
-        supp_shape = m2s_arr[self.supp.astype(np.intp)]
-        class_shapes = np.empty(len(reps), dtype=np.int32)
-        for c in range(len(reps)):
-            seen = set(int(v) for v in np.unique(supp_shape[cid == c]))
-            best = [s for s in seen
-                    if all(self.shape_order_leq(s, t) for t in seen)]
-            if len(best) != 1:
-                raise AssertionError(
-                    "no unique minimal support shape in class %d" % c)
-            class_shapes[c] = best[0]
-        self._cshapes = (cid, class_shapes, sizes)
-        return self._cshapes
 
     # ------------------------------------------------------------------
     # structure constants

@@ -245,9 +245,6 @@ class Span:
         out.extend(other.rows)
         return out
 
-    def intersection_dim(self, other: "Span") -> int:
-        return self.dim + other.dim - self.sum(other).dim
-
     def equals(self, other: "Span") -> bool:
         return (self.width == other.width and self.pivots == other.pivots
                 and np.array_equal(self.rows, other.rows))
@@ -306,11 +303,6 @@ class AugSpan:
         return self.span.dim
 
 
-def rref(rows: Iterable[Sequence], width: int) -> list[tuple[Fraction, ...]]:
-    """Reduced row echelon form with zero rows dropped."""
-    return Span(width, rows).basis()
-
-
 def rank(rows: Iterable[Sequence], width: int) -> int:
     return Span(width, rows).dim
 
@@ -352,18 +344,6 @@ def poly_monic(p: Sequence) -> tuple[Fraction, ...]:
     return tuple(x / lead for x in q)
 
 
-def poly_mul(p: Sequence, q: Sequence) -> tuple[Fraction, ...]:
-    a, b = poly_trim(p), poly_trim(q)
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly_trim(out)
-
-
 def poly_divmod(p: Sequence, q: Sequence):
     a = list(poly_trim(p))
     b = poly_trim(q)
@@ -399,10 +379,3 @@ def poly_is_squarefree(p: Sequence) -> bool:
         return True
     return poly_degree(poly_gcd(q, poly_derivative(q))) == 0
 
-
-def poly_from_roots(roots: Iterable) -> tuple[Fraction, ...]:
-    """Monic polynomial with the given roots, one factor per root."""
-    out: tuple[Fraction, ...] = (ONE,)
-    for r in roots:
-        out = poly_mul(out, (-Fraction(r), ONE))
-    return out

@@ -110,11 +110,6 @@ class AlgebraMorphism:
     def rank(self):
         return self.image_span().dim
 
-    def is_multiplicative_pair(self, u, v):
-        lhs = self.apply(alg.multiply(u, v))
-        rhs = alg.multiply(self.apply(u), self.apply(v))
-        return lhs == rhs
-
     def multiplicative_pairs(self):
         """Boolean matrix whose entry [I, J] says whether the map sends
         x_I * x_J to the product of the images of x_I and x_J: the image
@@ -123,9 +118,6 @@ class AlgebraMorphism:
         images = linalg.matmul(T, self.columns)
         return (images == alg.products(self.codomain, self.columns,
                                        self.columns)).all(axis=2)
-
-    def maps_unit_to_unit(self):
-        return self.apply(alg.unit(self.domain)) == alg.unit(self.codomain)
 
     def equal_matrix(self, other, codomain_perm=None):
         """Columnwise equality, optionally permuting codomain generators."""
@@ -399,10 +391,6 @@ def surjectivity_report(system, K):
         "pi_injective": pi_K_injective(system, kmask),
         "complement_acts_trivially": wk_acts_trivially(system, kmask),
     }
-
-
-def res_surjective(system, K):
-    return surjectivity_report(system, K)["surjective"]
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +667,8 @@ def goetz1_set_check(system, context, imask, jmask):
     q = context.quotient
     qI = context.quotient_mask(imask)
     qJ = context.quotient_mask(jmask)
-    big = np.array([e.index for e in system.structure_set(imask, jmask)],
-                   dtype=np.int64)
-    small = np.array([e.index for e in q.structure_set(qI, qJ)],
-                     dtype=np.int64)
+    big = system.structure_set(imask, jmask)
+    small = q.structure_set(qI, qJ)
     big_l = system._refine_masks(big, imask, jmask)
     small_l = (kmask | expand_masks(context.outer_positions))[
         q._refine_masks(small, qI, qJ)]
@@ -699,35 +685,3 @@ def varpi_tau_check(system, context):
     morphism = psi_K(system, context.kmask, context)
     return _characters_factor(
         morphism, context.kmask | expand_masks(context.outer_positions))
-
-
-def e7_f4_quotient():
-    """Rank-7 showcase: the alternating three-node subset is self-opposed
-    and its quotient system is the doubled-bond rank-4 type. Expensive
-    to build; callers gate it explicitly."""
-    e7 = build_system(type="E7", allow_rank7=True)
-    kmask = e7.mask_of_labels(["2", "5", "7"])
-    return build_context(e7, kmask)
-
-
-def commuting_square_check(system, K, L):
-    """Quotient-then-restrict equals restrict-then-quotient."""
-    kmask = alg._as_mask(system, K)
-    lmask = alg._as_mask(system, L)
-    if kmask & ~lmask:
-        raise InvalidSubset("need K inside L")
-    ctx = build_context(system, kmask)
-    psi_top = psi_K(system, kmask, ctx)
-    res_left = res_K(system, lmask)
-    wl = res_left.codomain
-    # positions of K inside the parabolic system
-    k_in_l = project_mask(kmask, res_left.metadata["positions"])
-    ctx_l = build_context(wl, k_in_l)
-    psi_bottom = psi_K(wl, k_in_l, ctx_l)
-    # restriction inside the quotient system to the image of L
-    lk_mask = ctx.quotient_mask(lmask)
-    res_right = res_K(ctx.quotient, lk_mask)
-    left = compose(psi_bottom, res_left)
-    right = compose(res_right, psi_top)
-    return right.equal_matrix(
-        left, codomain_perm=align_positions(right.codomain, left.codomain))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cartan import (_classify_component, _component_edges, component_nroots,
+from .cartan import (classify_component, component_edges, component_nroots,
                      diagram_components)
 from .errors import UnsupportedType
 
@@ -46,7 +46,7 @@ def _dihedral_sperm(m):
 
 def _closure_sperm(fam, p):
     """Root action of a standard component via closure of the simple roots."""
-    edges = _component_edges(fam, p)
+    edges = component_edges(fam, p)
     n = 2 if fam == "I" else p
     golden = fam == "H"
     zero = (0, 0) if golden else 0
@@ -123,67 +123,6 @@ def _component_sperm(fam, p):
     return _closure_sperm(fam, p)
 
 
-def _standard_order(nodes, mat, fam, p):
-    """Original node indices arranged in the standard generator order."""
-    n = len(nodes)
-    adj = {i: [] for i in nodes}
-    marked = {}
-    for a in nodes:
-        for b in nodes:
-            if a < b and mat[a][b] > 2:
-                adj[a].append(b)
-                adj[b].append(a)
-                if mat[a][b] > 3:
-                    marked[(a, b)] = mat[a][b]
-
-    def walk(first, second):
-        out = [first, second]
-        prev, cur = first, second
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                return out
-            prev, cur = cur, nxt[0]
-            out.append(cur)
-
-    if n == 1:
-        return list(nodes)
-    if fam == "I" or (fam, p) in (("A", 2), ("B", 2)):
-        return sorted(nodes)
-    if fam == "A":
-        ends = sorted(i for i in nodes if len(adj[i]) == 1)
-        return walk(ends[0], adj[ends[0]][0])
-    if fam in ("B", "H"):
-        (a, b), = list(marked)
-        first = a if len(adj[a]) == 1 else b
-        other = b if first == a else a
-        return walk(first, other)
-    if fam == "F":
-        ends = sorted(i for i in nodes if len(adj[i]) == 1)
-        return walk(ends[0], adj[ends[0]][0])
-    # D and E: unique branch node
-    center = next(i for i in nodes if len(adj[i]) == 3)
-    legs = []
-    for start in adj[center]:
-        leg, prev, cur = [start], center, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            leg.append(cur)
-        legs.append(leg)
-    legs.sort(key=lambda L: (len(L), L[0]))
-    if fam == "D":
-        # two one-node legs form the fork, longest leg is the tail
-        return [legs[0][0], legs[1][0], center] + legs[2]
-    # E6/E7/E8: positions (0,2) take a two-node leg, position 1 the leaf
-    twolegs = [L for L in legs if len(L) == 2]
-    short = legs[0]
-    tail = [L for L in legs if L is not short and L is not twolegs[0]][0]
-    return [twolegs[0][1], short[0], twolegs[0][0], center] + tail
-
-
 def build_root_action(mat):
     """Return (nroots, sperm) for a validated finite Coxeter matrix.
 
@@ -197,16 +136,15 @@ def build_root_action(mat):
     total = 0
     plans = []
     for nodes in diagram_components(mat):
-        fam, p = _classify_component(nodes, mat)
-        order = _standard_order(nodes, mat, fam, p)
+        fam, p, order = classify_component(nodes, mat)
         local = _component_sperm(fam, p)
-        plans.append((nodes, order, local))
+        plans.append((order, local))
         total += len(local[0])
 
     sperm = [np.arange(1, total + 1, dtype=np.int16) for _ in range(n)]
     simple_index = [0] * n
     offset = 0
-    for nodes, order, local in plans:
+    for order, local in plans:
         nroots = len(local[0])
         for k, node in enumerate(order):
             block = local[k]

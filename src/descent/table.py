@@ -87,24 +87,6 @@ def build_row(type_label, sigma_order=1, system=None, allow_rank7=False):
     return first
 
 
-def build_all_rows(type_labels=None, sigma_order=None, allow_rank7=False):
-    """Rows for many systems; sigma_order=None emits every available
-    order for each system, ascending."""
-    if type_labels is None:
-        type_labels = SUPPORTED_TYPES
-    out = []
-    for label in type_labels:
-        system = build_system(type=label, allow_rank7=allow_rank7)
-        if sigma_order is None:
-            orders = available_sigma_orders(system)
-        else:
-            orders = [sigma_order]
-        for k in orders:
-            out.append(build_row(label, k, system=system,
-                                 allow_rank7=allow_rank7))
-    return out
-
-
 def row_dict(row):
     return {
         "type": row.type_label,

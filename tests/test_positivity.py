@@ -11,6 +11,8 @@ from descent import verify as vfy
 from descent.coxeter import popcount
 from descent import linalg
 
+import oracles
+
 
 def seeded_positive(system, rng):
     size = 1 << system.rank
@@ -92,10 +94,10 @@ def test_positive_spectrum_counts_group_elements(system_factory):
     for _ in range(6):
         a = seeded_positive(system, rng)
         values = set(alg.tau(a).values)
-        total = sum(alg.eigenspace_dim_on_regular(a, v) for v in values)
+        total = sum(oracles.eigenspace_dim_on_regular(a, v) for v in values)
         assert total == system.order
         outside = max(values) + 1
-        assert alg.eigenspace_dim_on_regular(a, outside) == 0
+        assert oracles.eigenspace_dim_on_regular(a, outside) == 0
 
 
 class TestCounterexamples:
@@ -129,7 +131,7 @@ class TestCounterexamples:
         system = system_factory("A2")
         a = alg.basis_x(system, 0b11) - alg.basis_x(system, 0b10)
         assert a.coefficient(system.full_mask) == 1
-        assert not alg.is_invertible(a)
+        assert not oracles.is_invertible(a)
         assert 0 in alg.tau(a).values
 
     def test_sum_of_ideals_is_not_ideal_of_sum(self, system_factory):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 import descent.table as tb
+from descent import build_system
 from descent.errors import (AutomorphismRowsDiffer, DescentError,
                             UnavailableAutomorphism, UnsupportedType)
 
@@ -100,18 +101,25 @@ class TestRowConstruction:
         assert isinstance(info.value, DescentError)
 
     def test_all_orders_for_one_type(self):
-        rows = tb.build_all_rows(["D4"])
+        system = build_system(type="D4")
+        assert tb.available_sigma_orders(system) == [1, 2, 3]
+        rows = [tb.build_row("D4", k, system=system) for k in (1, 2, 3)]
         assert [r.sigma_order for r in rows] == [1, 2, 3]
-        one = tb.build_all_rows(["D4"], sigma_order=3)
-        assert len(one) == 1 and one[0] == rows[2]
+        assert tb.build_row("D4", 3) == rows[2]
 
     def test_fixed_order_on_wrong_type_raises(self):
         with pytest.raises(UnavailableAutomorphism):
-            tb.build_all_rows(["A1"], sigma_order=2)
+            tb.build_row("A1", 2)
 
     def test_rows_are_deterministic(self):
         labels = ["A3", "B4", "D4", "I2(6)", "H3"]
-        assert tb.build_all_rows(labels) == tb.build_all_rows(labels)
+
+        def rows():
+            return [tb.build_row(label, k) for label in labels
+                    for k in tb.available_sigma_orders(
+                        build_system(type=label))]
+
+        assert rows() == rows()
 
     def test_row_invariants_are_enforced(self):
         with pytest.raises(AssertionError):
