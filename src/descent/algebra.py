@@ -24,7 +24,7 @@ from .errors import (
     SystemMismatch,
     WrongType,
 )
-from . import linalg
+from . import cartan, linalg
 from .linalg import ONE, ZERO, AugSpan, Span
 
 BASIS_X = "x"
@@ -208,9 +208,6 @@ class DescentVector:
         xn, den = self.x_ints()
         nums, scale = _change_basis(xn, tag, self.system.rank, 1)
         return DescentVector.from_ints(self.system, nums, den * scale, tag)
-
-    def coefficient(self, subset):
-        return Fraction(self.nums[_as_mask(self.system, subset)], self.den)
 
     def support(self):
         """Masks with nonzero coordinate, in the vector's own basis."""
@@ -661,27 +658,20 @@ def minimal_polynomial(vector):
 def saturated_family(vector, equivariant=False):
     """Downward closure of the support, plainly or through the shape order.
 
-    Plain: all subsets contained in some support subset. Equivariant: all
-    subsets whose shape sits below some support subset's shape.
+    Plain: all subsets J contained in some support subset I. Equivariant:
+    all J conjugate into some support subset I, that is T[I, J, J] > 0
+    (Solomon; Kilmoyer: d^{-1} I d contains J for some d in X_{I,J}
+    exactly when some conjugate of J lies inside I).
     """
     system = vector.system
-    supp = [m for m, c in enumerate(vector.x_ints()[0]) if c != 0]
-    size = 1 << system.rank
-    fam = set()
+    supp = np.array([m for m, c in enumerate(vector.x_ints()[0]) if c],
+                    dtype=np.intp)
+    masks = np.arange(1 << system.rank)
     if equivariant:
-        for i in range(size):
-            si = system.shape_id_of_mask(i)
-            for j in supp:
-                if system.shape_order_leq(si, system.shape_id_of_mask(j)):
-                    fam.add(i)
-                    break
+        hit = system.structure_tensor()[supp[:, None], masks, masks] > 0
     else:
-        for i in range(size):
-            for j in supp:
-                if i & ~j == 0:
-                    fam.add(i)
-                    break
-    return frozenset(fam)
+        hit = (masks & ~supp[:, None]) == 0
+    return frozenset(np.flatnonzero(hit.any(axis=0)).tolist())
 
 
 def family_span(system, family):
@@ -716,42 +706,25 @@ def centralizer_dimension(vector):
 # permutation-character pairing
 
 
-# at most this many element indices are conjugated in one block, so that
-# the memory of theta_value_table stays bounded on rank 7 (E7 has 60
-# classes of 2,903,040 elements)
-_CONJ_BLOCK = 1 << 23
-
-
 def theta_value_table(system):
     """value[c][I]: value at class c of the permutation character of the
-    coset action for mask I, as exact integers."""
+    coset action for mask I, as exact integers.
+
+    By orbit-stabilizer, the u with u^-1 r_c u in W_I number |W| / |c|
+    times the members of class c inside W_I, those with support in I;
+    dividing by |W_I| counts the cosets u W_I that r_c fixes.
+    """
     ctx = _algebra_context(system)
     cached = ctx.get("theta_table")
     if cached is None:
         n = system.rank
         size = 1 << n
-        order = system.order
-        conj = system.conj_tables()
-        parent, lastgen, supp = system.parent, system.lastgen, system.supp
-        _cls, reps, _sizes = system.element_classes()
-        starts = np.searchsorted(system.length, np.arange(system.nroots + 2))
-        cnts = np.zeros((len(reps), size), dtype=np.int64)
-        block = max(1, _CONJ_BLOCK // order)
-        for first in range(0, len(reps), block):
-            chunk = reps[first:first + block]
-            # row c holds u^-1 r_c u for every u, one length level at a time
-            m = np.empty((len(chunk), order), dtype=np.int32)
-            m[:, 0] = chunk
-            for lo, hi in zip(starts[1:-1], starts[2:]):
-                m[:, lo:hi] = conj[m[:, parent[lo:hi]], lastgen[lo:hi]]
-            for c, row in enumerate(m, first):
-                cnts[c] = np.bincount(supp[row], minlength=size)
+        cls, _reps, sizes = system.element_classes()
+        cnts = np.bincount(cls.astype(np.int64) * size + system.supp,
+                           minlength=len(sizes) * size).reshape(-1, size)
         subset_sums(cnts, n)
-        # each entry now counts all u with supp(u^-1 r u) inside I;
-        # divide by |W_I| to count fixed cosets
-        par_orders = [len(system.parabolic_indices(msk))
-                      for msk in range(size)]
-        vals, rem = np.divmod(cnts, par_orders)
+        cnts *= (system.order // np.array(sizes, dtype=np.int64))[:, None]
+        vals, rem = np.divmod(cnts, cartan.parabolic_orders(system.matrix))
         if rem.any():
             raise AssertionError(
                 "fixed-point count not divisible by the parabolic order")

@@ -19,7 +19,7 @@ from .errors import AutomorphismMismatch
 from .linalg import Span
 from . import algebra as alg
 from .algebra import DescentVector, LoewyProfile
-from .coxeter import iter_bits
+from .coxeter import expand_masks
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,6 @@ class DiagramAutomorphism:
     permutation: tuple
     order: int
     is_inner_by_w0: bool
-
-    def apply_mask(self, mask):
-        out = 0
-        for b in iter_bits(mask):
-            out |= 1 << self.permutation[b]
-        return out
 
     def is_identity(self):
         return all(p == i for i, p in enumerate(self.permutation))
@@ -48,20 +42,24 @@ def _preserves_matrix(matrix, perm):
     return True
 
 
-def _perm_order(perm):
-    n = len(perm)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 0, i
+def _cycles(perm):
+    """The cycles of a permutation of range(len(perm)), each walked from
+    its least point, in the order of those points."""
+    seen = [False] * len(perm)
+    out = []
+    for first in range(len(perm)):
+        cycle, j = [], first
         while not seen[j]:
             seen[j] = True
-            j = perm[j]
-            ln += 1
-        order = lcm(order, ln)
-    return order
+            cycle.append(j)
+            j = int(perm[j])
+        if cycle:
+            out.append(tuple(cycle))
+    return out
+
+
+def _perm_order(perm):
+    return lcm(*(len(cycle) for cycle in _cycles(perm)))
 
 
 def sigma0(system):
@@ -102,50 +100,20 @@ def _check_sigma(system, sigma):
             % (sigma.permutation, system.type_label))
 
 
-def shape_image(system, sigma, shape_id):
-    """Image of a shape class under the automorphism; well defined."""
-    shapes = system.shapes()
-    members = shapes[shape_id].members
-    images = {system.shape_id_of_mask(sigma.apply_mask(m)) for m in members}
-    if len(images) != 1:
-        raise AssertionError("automorphism does not act on shape classes")
-    return images.pop()
-
-
 def shape_orbits(system, sigma):
-    """Orbits of the cyclic group generated by sigma on shape classes."""
-    nshapes = len(system.shapes())
-    seen = [False] * nshapes
-    orbits = []
-    for s in range(nshapes):
-        if seen[s]:
-            continue
-        orbit = []
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            orbit.append(t)
-            t = shape_image(system, sigma, t)
-        orbits.append(tuple(orbit))
-    return orbits
+    """Orbits of the cyclic group generated by sigma on shape classes.
+
+    sigma permutes the shapes: it sends a shape to the shape of the image
+    of its canonical member."""
+    shapes, mask_to_shape = system.shape_classes()
+    images = expand_masks(sigma.permutation)[[s.canonical for s in shapes]]
+    return _cycles(np.asarray(mask_to_shape)[images])
 
 
 def mask_orbits(system, sigma):
     """Orbits of the cyclic group generated by sigma on generator subsets."""
-    size = 1 << system.rank
-    seen = [False] * size
-    orbits = []
-    for m in range(size):
-        if seen[m]:
-            continue
-        orbit = []
-        t = m
-        while not seen[t]:
-            seen[t] = True
-            orbit.append(t)
-            t = sigma.apply_mask(t)
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+    return [tuple(sorted(cycle))
+            for cycle in _cycles(expand_masks(sigma.permutation))]
 
 
 class FixedSubalgebra:
@@ -172,13 +140,10 @@ class FixedSubalgebra:
             system = self.parent
             size = 1 << system.rank
             # row m of the symmetrizer sums the images of x_m under the
-            # powers of sigma
+            # powers of sigma: order / |orbit| times each orbit member
             sym = np.zeros((size, size), dtype=np.int64)
-            for m in range(size):
-                t = m
-                for _ in range(self.sigma.order):
-                    sym[m, t] += 1
-                    t = self.sigma.apply_mask(t)
+            for orbit in self.orbits:
+                sym[np.ix_(orbit, orbit)] = self.sigma.order // len(orbit)
             rad = alg.x_matrix(alg.radical_basis(system), size)
             projected = Span(size, rad @ sym)
             self._radical = [DescentVector.from_ints(system, row)

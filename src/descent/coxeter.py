@@ -38,6 +38,15 @@ def popcount(mask):
     return bin(mask).count("1")
 
 
+def expand_masks(positions):
+    """The mask with bit positions[i] for each bit i, for every mask of
+    len(positions) bits, as an index array."""
+    out = np.zeros(1 << len(positions), dtype=np.intp)
+    for i, p in enumerate(positions):
+        out[1 << i:2 << i] = out[:1 << i] | (1 << p)
+    return out
+
+
 def subset_sums(arr, rank, supersets=False):
     """Sum over subsets in place along the last axis, of length 2**rank:
     entry J becomes the sum of the entries of the subsets of J (of the
@@ -485,51 +494,33 @@ class CoxeterSystem:
         _, m2s = self.shape_classes()
         return m2s[self.check_mask(mask)]
 
-    def shape_order_leq(self, a, b):
-        """True when shape a is conjugate to a subset of (a member of) b.
-
-        Accepts shape class ids or Shape objects.
-        """
-        shapes, _ = self.shape_classes()
-        if isinstance(a, Shape):
-            a = a.class_id
-        if isinstance(b, Shape):
-            b = b.class_id
-        sa, sb = shapes[a], shapes[b]
-        for jm in sa.members:
-            for km in sb.members:
-                if jm & km == jm:
-                    return True
-        return False
-
     # ------------------------------------------------------------------
     # conjugacy classes of elements
 
     def element_classes(self):
-        """(class_id per element, min-length rep per class, sizes)."""
-        if self._eclasses is not None:
-            return self._eclasses
-        conj = self.conj_tables()
-        cid = np.full(self.order, -1, dtype=np.int32)
-        reps, sizes = [], []
-        for w in range(self.order):
-            if cid[w] >= 0:
-                continue
-            c = len(reps)
-            stack = [w]
-            cid[w] = c
-            members = 0
-            while stack:
-                u = stack.pop()
-                members += 1
+        """(class id per element, smallest index per class, sizes).
+
+        Min-label propagation over the generator conjugations w -> s w s,
+        which connect each class: every element takes the least label of
+        its neighbours, then the label of its label, until nothing moves.
+        Each label stays inside its class and the least one never moves,
+        so the fixed point labels every element with the smallest index
+        of its class, the (length, word)-least element. Classes are
+        numbered by that index.
+        """
+        if self._eclasses is None:
+            conj = self.conj_tables()
+            lab = np.arange(self.order)
+            while True:
+                prev = lab
                 for s in range(self.rank):
-                    v = int(conj[u, s])
-                    if cid[v] < 0:
-                        cid[v] = c
-                        stack.append(v)
-            reps.append(w)   # smallest index = minimal (length, word)
-            sizes.append(members)
-        self._eclasses = (cid, reps, sizes)
+                    lab = np.minimum(lab, lab[conj[:, s]])
+                lab = lab[lab]
+                if np.array_equal(lab, prev):
+                    break
+            reps, cid = np.unique(lab, return_inverse=True)
+            self._eclasses = (cid.astype(np.int32), reps.tolist(),
+                              np.bincount(cid).tolist())
         return self._eclasses
 
     # ------------------------------------------------------------------

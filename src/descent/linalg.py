@@ -208,15 +208,6 @@ class Span:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def basis(self) -> list[tuple[Fraction, ...]]:
-        """The reduced row echelon basis, pivots normalized to 1."""
-        return [tuple(Fraction(int(v), int(row[p])) for v in row)
-                for row, p in zip(self.rows, self.pivots)]
-
-    def canonical(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Canonical form of the row space; equal iff the spaces are equal."""
-        return tuple(self.basis())
-
     def kernel(self) -> np.ndarray:
         """Integer basis of the right kernel, one primitive row per free
         column, with a positive entry at that column."""
@@ -231,19 +222,6 @@ class Span:
                 out[k, p] = -int(self.rows[i, f]) * (den // d[i])
         out = _primitive(out)
         return out.astype(exact_dtype(absmax(out)))
-
-    def copy(self) -> "Span":
-        out = Span(self.width)
-        out.rows = self.rows.copy()
-        out.pivots = self.pivots[:]
-        return out
-
-    def sum(self, other: "Span") -> "Span":
-        if other.width != self.width:
-            raise ValueError("width mismatch")
-        out = self.copy()
-        out.extend(other.rows)
-        return out
 
     def equals(self, other: "Span") -> bool:
         return (self.width == other.width and self.pivots == other.pivots

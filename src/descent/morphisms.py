@@ -14,7 +14,7 @@ import numpy as np
 from . import algebra as alg
 from . import linalg
 from .algebra import DescentVector
-from .coxeter import build_system, iter_bits, popcount
+from .coxeter import build_system, expand_masks, iter_bits, popcount
 from .errors import (
     InvalidSubset,
     NotSelfOpposed,
@@ -49,14 +49,6 @@ def expand_mask(cmask, positions):
     for i, p in enumerate(positions):
         if cmask & (1 << i):
             out |= 1 << p
-    return out
-
-
-def expand_masks(positions):
-    """expand_mask of every codomain mask, as an index array."""
-    out = np.zeros(1 << len(positions), dtype=np.intp)
-    for i, p in enumerate(positions):
-        out[1 << i:2 << i] = out[:1 << i] | (1 << p)
     return out
 
 
@@ -559,10 +551,10 @@ def res_b_triangular_check(n):
 
 
 def is_self_opposed(system, K):
-    """No conjugate of the subset other than itself sits inside S."""
+    """No conjugate of the subset other than itself sits inside S: its
+    shape has one member."""
     kmask = alg._as_mask(system, K)
-    img = _conjugate_masks_all(system, kmask)
-    return bool(((img < 0) | (img == kmask)).all())
+    return len(system.shapes()[system.shape_id_of_mask(kmask)].members) == 1
 
 
 class SelfOpposedContext:
@@ -581,12 +573,8 @@ class SelfOpposedContext:
         self.images = images
         self.member_set = member_set
 
-    def varpi(self, qmask):
-        """Subset of S (containing K) matching a quotient-system subset."""
-        return self.kmask | expand_mask(qmask, self.outer_positions)
-
     def quotient_mask(self, imask):
-        """Inverse of varpi on subsets containing K."""
+        """The quotient-system subset matching a subset of S containing K."""
         return project_mask(imask, self.outer_positions)
 
 

@@ -12,6 +12,8 @@ use a closed-form permutation (avoiding cyclotomic arithmetic entirely).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .cartan import (classify_component, component_edges, component_nroots,
@@ -117,10 +119,14 @@ def _closure_sperm(fam, p):
     return sperm
 
 
+@functools.lru_cache(maxsize=64)
 def _component_sperm(fam, p):
-    if fam == "I":
-        return _dihedral_sperm(p)
-    return _closure_sperm(fam, p)
+    """Root action of one irreducible component, as read-only arrays:
+    memoized, since every system built from a matrix or a label asks."""
+    sperm = _dihedral_sperm(p) if fam == "I" else _closure_sperm(fam, p)
+    for arr in sperm:
+        arr.flags.writeable = False
+    return tuple(sperm)
 
 
 def build_root_action(mat):

@@ -2,7 +2,8 @@
 
 The package computes each result one way. The helpers here are the second
 routes the tests check it against (group-algebra coordinates, a product
-compared one pair at a time, a commuting square of morphisms), and the
+compared one pair at a time, a commuting square of morphisms, conjugacy
+decided one element, member or point at a time, span helpers), and the
 closed forms the paper proves for special elements (the split
 characteristic polynomial and the regular-representation eigenvalue
 counts of positive elements, the type-A radical witness, the y-basis
@@ -10,6 +11,7 @@ criterion for a central longest element).
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -18,7 +20,9 @@ from descent import automorphisms as auto
 from descent import linalg
 from descent import morphisms as mo
 from descent.algebra import DescentVector
+from descent.coxeter import subset_sums
 from descent.errors import InvalidSubset, NotPositive, WrongType
+from descent.linalg import Span
 
 # ---------------------------------------------------------------------------
 # polynomials over Q, coefficient lists with index = degree
@@ -42,6 +46,178 @@ def poly_from_roots(roots):
     for r in roots:
         out = poly_mul(out, (-Fraction(r), Fraction(1)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# spans
+
+
+def span_basis(span):
+    """The reduced row echelon basis, pivots normalized to 1."""
+    return [tuple(Fraction(int(v), int(row[p])) for v in row)
+            for row, p in zip(span.rows, span.pivots)]
+
+
+def span_canonical(span):
+    """Canonical form of the row space; equal iff the spaces are equal."""
+    return tuple(span_basis(span))
+
+
+def span_copy(span):
+    out = Span(span.width)
+    out.rows = span.rows.copy()
+    out.pivots = span.pivots[:]
+    return out
+
+
+def span_sum(a, b):
+    if a.width != b.width:
+        raise ValueError("width mismatch")
+    out = span_copy(a)
+    out.extend(b.rows)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# conjugacy of elements and of generator subsets, one element or member
+# at a time
+
+
+def element_classes_search(system):
+    """(class id per element, smallest index per class, sizes), each class
+    found by a graph search over w -> s w s from its least index."""
+    conj = system.conj_tables()
+    cid = np.full(system.order, -1, dtype=np.int32)
+    reps, sizes = [], []
+    for w in range(system.order):
+        if cid[w] >= 0:
+            continue
+        c = len(reps)
+        stack = [w]
+        cid[w] = c
+        members = 0
+        while stack:
+            u = stack.pop()
+            members += 1
+            for s in range(system.rank):
+                v = int(conj[u, s])
+                if cid[v] < 0:
+                    cid[v] = c
+                    stack.append(v)
+        reps.append(w)
+        sizes.append(members)
+    return cid, reps, sizes
+
+
+def theta_by_conjugation_walk(system):
+    """Coset-character table with every class representative conjugated by
+    every element, one length level at a time: value[c][I] counts the u
+    with supp(u^-1 r_c u) inside I, over |W_I|."""
+    size = 1 << system.rank
+    conj = system.conj_tables()
+    parent, lastgen = system.parent, system.lastgen
+    _cls, reps, _sizes = system.element_classes()
+    starts = np.searchsorted(system.length, np.arange(system.nroots + 2))
+    cnts = np.zeros((len(reps), size), dtype=np.int64)
+    for c, rep in enumerate(reps):
+        row = np.empty(system.order, dtype=np.int32)
+        row[0] = rep
+        for lo, hi in zip(starts[1:-1], starts[2:]):
+            row[lo:hi] = conj[row[parent[lo:hi]], lastgen[lo:hi]]
+        cnts[c] = np.bincount(system.supp[row], minlength=size)
+    subset_sums(cnts, system.rank)
+    par_orders = [len(system.parabolic_indices(m)) for m in range(size)]
+    vals, rem = np.divmod(cnts, par_orders)
+    assert not rem.any()
+    return tuple(tuple(row) for row in vals.tolist())
+
+
+def shape_order_leq(system, a, b):
+    """True when shape a is conjugate to a subset of shape b: some member
+    of a lies inside some member of b."""
+    shapes = system.shapes()
+    return any(jm & km == jm for jm in shapes[a].members
+               for km in shapes[b].members)
+
+
+def saturated_family_by_members(vector, equivariant=False):
+    """Downward closure of the support, mask by mask: plainly, or through
+    ``shape_order_leq``."""
+    system = vector.system
+    supp = [m for m, c in enumerate(vector.x_ints()[0]) if c != 0]
+    sid = system.shape_id_of_mask
+    if equivariant:
+        return frozenset(
+            i for i in range(1 << system.rank)
+            if any(shape_order_leq(system, sid(i), sid(j)) for j in supp))
+    return frozenset(i for i in range(1 << system.rank)
+                     if any(i & ~j == 0 for j in supp))
+
+
+def is_self_opposed_by_conjugation(system, kmask):
+    """Every element sends the subset outside S or onto itself."""
+    img = mo._conjugate_masks_all(system, kmask)
+    return bool(((img < 0) | (img == kmask)).all())
+
+
+# ---------------------------------------------------------------------------
+# automorphism orbits, one point at a time
+
+
+def apply_mask(sigma, mask):
+    out = 0
+    for b in range(len(sigma.permutation)):
+        if mask >> b & 1:
+            out |= 1 << sigma.permutation[b]
+    return out
+
+
+def perm_order_walk(perm):
+    n = len(perm)
+    seen = [False] * n
+    order = 1
+    for i in range(n):
+        ln, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        if ln:
+            order = lcm(order, ln)
+    return order
+
+
+def shape_image(system, sigma, shape_id):
+    """Image of a shape under the automorphism, asserting that every
+    member lands in the same shape."""
+    images = {system.shape_id_of_mask(apply_mask(sigma, m))
+              for m in system.shapes()[shape_id].members}
+    assert len(images) == 1, "automorphism does not act on shape classes"
+    return images.pop()
+
+
+def _orbits_walk(count, image):
+    seen = [False] * count
+    orbits = []
+    for first in range(count):
+        orbit, t = [], first
+        while not seen[t]:
+            seen[t] = True
+            orbit.append(t)
+            t = image(t)
+        if orbit:
+            orbits.append(tuple(orbit))
+    return orbits
+
+
+def shape_orbits_walk(system, sigma):
+    return _orbits_walk(len(system.shapes()),
+                        lambda t: shape_image(system, sigma, t))
+
+
+def mask_orbits_walk(system, sigma):
+    return [tuple(sorted(orbit)) for orbit in _orbits_walk(
+        1 << system.rank, lambda m: apply_mask(sigma, m))]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +271,7 @@ def class_shape_ids(system):
     for c in range(len(reps)):
         seen = set(int(v) for v in np.unique(supp_shape[cid == c]))
         best = [s for s in seen
-                if all(system.shape_order_leq(s, t) for t in seen)]
+                if all(shape_order_leq(system, s, t) for t in seen)]
         if len(best) != 1:
             raise AssertionError(
                 "no unique minimal support shape in class %d" % c)
@@ -158,7 +334,7 @@ def apply_automorphism(sigma, vector):
     out = [0] * len(vector.nums)
     for mask, c in enumerate(vector.nums):
         if c != 0:
-            out[sigma.apply_mask(mask)] = c
+            out[apply_mask(sigma, mask)] = c
     return DescentVector.from_ints(system, out, vector.den, vector.tag)
 
 

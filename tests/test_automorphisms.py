@@ -210,7 +210,7 @@ class TestFixedSubalgebraOracles:
             assert fixed.span.dim == fixed.dimension
             rows = alg.x_matrix(fixed.basis, size)
             prods = alg.products(system, rows, rows).reshape(-1, size)
-            assert fixed.span.copy().extend(prods) == 0, sigma
+            assert oracles.span_copy(fixed.span).extend(prods) == 0, sigma
 
 
 class TestW0Criterion:

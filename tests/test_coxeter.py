@@ -7,10 +7,13 @@ conjugacy of subsets by conjugating every generator by every element.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from descent import algebra, automorphisms, build_system, cartan, rootperm
+from descent import morphisms
 from descent.algebra import bhs_pairing, multiply, theta_value_table
-from descent.coxeter import check_tensor, iter_bits, popcount
+from descent.coxeter import check_tensor, expand_masks, iter_bits, popcount
 from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
                             UnsupportedType)
 from descent.exprs import parse_expression
@@ -246,17 +249,18 @@ def test_shape_order_respects_containment(system_factory, label):
     for amask in range(system.full_mask + 1):
         sub = amask
         while True:
-            assert system.shape_order_leq(
-                system.shape_id_of_mask(sub), system.shape_id_of_mask(amask))
+            assert oracles.shape_order_leq(
+                system, system.shape_id_of_mask(sub),
+                system.shape_id_of_mask(amask))
             if sub == 0:
                 break
             sub = (sub - 1) & amask
     empty = system.shape_id_of_mask(0)
     full = system.shape_id_of_mask(system.full_mask)
     for shape in system.shapes():
-        assert system.shape_order_leq(empty, shape.class_id)
-        assert system.shape_order_leq(shape.class_id, full)
-        assert system.shape_order_leq(shape.class_id, shape.class_id)
+        assert oracles.shape_order_leq(system, empty, shape.class_id)
+        assert oracles.shape_order_leq(system, shape.class_id, full)
+        assert oracles.shape_order_leq(system, shape.class_id, shape.class_id)
 
 
 @pytest.mark.parametrize("label,w0_central", [
@@ -548,19 +552,23 @@ def test_construction_errors_raise_before_enumeration():
 
 
 def theta_by_element(system):
-    """Reference coset-character table: each class walked element by
-    element through the parent tree."""
+    """Reference coset-character table: each class representative
+    conjugated by every element, one element at a time through the parent
+    tree, on Python lists."""
     size = 1 << system.rank
-    conj = system.conj_tables()
+    conj = system.conj_tables().tolist()
+    parent, lastgen = system.parent.tolist(), system.lastgen.tolist()
+    supp = system.supp.tolist()
     _cls, reps, _sizes = system.element_classes()
     par_orders = [len(system.parabolic_indices(m)) for m in range(size)]
     out = []
     for r in reps:
-        m = np.empty(system.order, dtype=np.int32)
-        m[0] = r
+        m = [r] * system.order
+        cnts = [0] * size
+        cnts[supp[r]] += 1
         for w in range(1, system.order):
-            m[w] = conj[m[int(system.parent[w])], int(system.lastgen[w])]
-        cnts = np.bincount(system.supp[m], minlength=size).astype(np.int64)
+            m[w] = conj[m[parent[w]]][lastgen[w]]
+            cnts[supp[m[w]]] += 1
         for b in range(system.rank):
             for msk in range(size):
                 if msk >> b & 1:
@@ -622,11 +630,90 @@ def test_refined_structure_sets_match_per_element_masks(system_factory,
                     both[masks == kmask])
 
 
-def test_theta_in_several_conjugation_blocks_matches(monkeypatch):
-    system = build_system(type="B4")
-    # three class representatives per block
-    monkeypatch.setattr(algebra, "_CONJ_BLOCK", 3 * system.order)
-    assert theta_value_table(system) == theta_by_element(system)
+# ---------------------------------------------------------------------------
+# one route per conjugacy fact against the per-element and per-member routes
+
+
+# every permutation of five generators is a diagram automorphism of A1^5,
+# so its cycle types mix lengths 2 and 3
+CONJUGACY_ROSTER = [(label, None) for label in SUPPORTED_TYPES + (
+    "A2xA1", "A1xA1xA1xA1", "B3xA2", "A1xA1xA1xA1xA1")] + [
+    ("F4", (2, 0, 3, 1)), ("D5", (4, 1, 3, 0, 2)), ("A2xB2", (3, 0, 2, 1))]
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_element_classes_match_the_graph_search(system_factory, label, perm):
+    system = roster_system(system_factory, label, perm)
+    cid, reps, sizes = system.element_classes()
+    want_cid, want_reps, want_sizes = oracles.element_classes_search(system)
+    assert cid.dtype == np.int32 and np.array_equal(cid, want_cid)
+    assert reps == want_reps and sizes == want_sizes
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_theta_matches_the_conjugation_walks(system_factory, label, perm):
+    system = roster_system(system_factory, label, perm)
+    theta = theta_value_table(system)
+    assert theta == theta_by_element(system)
+    assert theta == oracles.theta_by_conjugation_walk(system)
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_shape_order_is_read_off_the_tensor(system_factory, label, perm):
+    # T[I, J, J] > 0 exactly when a member of J's shape lies inside a
+    # member of I's shape
+    system = roster_system(system_factory, label, perm)
+    shapes, m2s = system.shape_classes()
+    leq = np.array([[oracles.shape_order_leq(system, a, b)
+                     for b in range(len(shapes))]
+                    for a in range(len(shapes))])
+    masks = np.arange(system.full_mask + 1)
+    m2s = np.asarray(m2s)
+    T = system.structure_tensor()
+    assert np.array_equal(T[:, masks, masks] > 0,
+                          leq[m2s[None, :], m2s[:, None]])
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_saturated_families_match_member_containment(system_factory, label,
+                                                     perm):
+    system = roster_system(system_factory, label, perm)
+    size = system.full_mask + 1
+    rng = np.random.default_rng(size)
+    vectors = [algebra.basis_x(system, m) for m in (0, size - 1, size // 3)]
+    vectors += [algebra.DescentVector.from_ints(
+        system, (rng.random(size) < 0.15) * rng.integers(-3, 4, size))
+        for _ in range(3)]
+    for v in vectors:
+        for equivariant in (False, True):
+            assert (algebra.saturated_family(v, equivariant)
+                    == oracles.saturated_family_by_members(v, equivariant))
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_self_opposed_subsets_match_conjugation(system_factory, label, perm):
+    system = roster_system(system_factory, label, perm)
+    for kmask in range(system.full_mask + 1):
+        assert (morphisms.is_self_opposed(system, kmask)
+                == oracles.is_self_opposed_by_conjugation(system, kmask))
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_automorphisms_act_on_shapes(system_factory, label, perm):
+    # each automorphism sends all members of a shape into one shape, and
+    # the orbits and orders of the one cycle walk match the walks point by
+    # point
+    system = roster_system(system_factory, label, perm)
+    shapes, m2s = system.shape_classes()
+    for sigma in automorphisms.diagram_automorphisms(system):
+        images = expand_masks(sigma.permutation)
+        for shape in shapes:
+            assert len({m2s[images[m]] for m in shape.members}) == 1
+        assert sigma.order == oracles.perm_order_walk(sigma.permutation)
+        assert (automorphisms.mask_orbits(system, sigma)
+                == oracles.mask_orbits_walk(system, sigma))
+        assert (automorphisms.shape_orbits(system, sigma)
+                == oracles.shape_orbits_walk(system, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -794,3 +881,41 @@ def test_classified_order_is_the_standard_numbering(label):
     for nodes in components:
         _fam, _p, order = cartan.classify_component(nodes, mat)
         assert order == nodes
+
+
+# every finite Coxeter type of order at most 1152 and rank at least 2
+PERMUTABLE_TYPES = ("A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "H3",
+                    "I2(5)", "I2(8)", "A2xA1", "A1xA1xA1", "A3xA1", "B3xA1",
+                    "H3xA1", "A2xB2", "A2xA2", "D4xA1", "A1xA1xA1xA1")
+
+
+@st.composite
+def permuted_types(draw):
+    label = draw(st.sampled_from(PERMUTABLE_TYPES))
+    rank = cartan.total_rank(cartan.parse_label(label))
+    return label, tuple(draw(st.permutations(range(rank))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(permuted_types())
+def test_generator_permutations_preserve_every_conjugacy_fact(case):
+    label, perm = case
+    base = build_system(type=label)
+    system = permuted_system(label, perm)
+    # permuted mask m is the base mask e[m]: generator a is base perm[a]
+    e = expand_masks(perm)
+    assert (cartan.classify_matrix(system.matrix)
+            == cartan.classify_matrix(base.matrix))
+    assert np.array_equal(system.structure_tensor(),
+                          base.structure_tensor()[np.ix_(e, e, e)])
+    assert algebra.loewy_profile(system) == algebra.loewy_profile(base)
+    assert ({frozenset(e[list(s.members)].tolist()) for s in system.shapes()}
+            == {frozenset(s.members) for s in base.shapes()})
+    for m in range(system.full_mask + 1):
+        family = algebra.saturated_family(algebra.basis_x(system, m), True)
+        assert set(e[sorted(family)].tolist()) == algebra.saturated_family(
+            algebra.basis_x(base, int(e[m])), True)
+        assert (morphisms.is_self_opposed(system, m)
+                == morphisms.is_self_opposed(base, int(e[m])))
+    assert (sorted(system.element_classes()[2])
+            == sorted(base.element_classes()[2]))

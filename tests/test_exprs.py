@@ -56,8 +56,8 @@ class TestHappyPath:
     def test_coefficients_and_fractions(self, system_factory):
         system = system_factory("A2")
         v = ex.parse_expression(system, "3*x[1] + 5/2*x[2]")
-        assert v.coefficient(0b01) == 3
-        assert v.coefficient(0b10) == Fraction(5, 2)
+        assert Fraction(v.nums[0b01], v.den) == 3
+        assert Fraction(v.nums[0b10], v.den) == Fraction(5, 2)
 
     def test_like_terms_collapse(self, system_factory):
         system = system_factory("A2")

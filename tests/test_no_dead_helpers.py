@@ -1,15 +1,15 @@
 """Every function and method of the package has a caller in the package.
 
 A helper that only the tests call is a second surface to keep working; it
-lives in the tests instead (``oracles.py``). The scan is by name: a
-definition is live when its name appears as a word in the package source
-outside every definition (module and class bodies, docstrings and
-comments included) or inside another live definition, so a chain of
-helpers that only feed each other is reported whole.
+lives in the tests instead (``oracles.py``). The scan reads the code, not
+the text: a definition is live when its name is used, as a name or as an
+attribute, in the package outside every definition (module and class
+bodies) or inside another live definition, so a chain of helpers that only
+feed each other is reported whole. A name that appears only in a
+docstring or a comment keeps nothing alive.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import descent
@@ -23,32 +23,41 @@ EXPORTED = set(descent.__all__)
 ALLOWED = {"nullspace"}
 
 
-def _words(lines):
-    return set(re.findall(r"\w+", "\n".join(lines)))
+def _uses(nodes):
+    """The ids of the names and the attributes of the attribute accesses
+    in the syntax trees ``nodes``."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
 
 
 def scan():
     """(definitions, outside): each module-level function and method as
-    (qualified name, name, words of its source), and the words of the
-    source outside every definition."""
+    (qualified name, name, names it uses), and the names used outside
+    every definition."""
     definitions, outside = [], set()
     for path in sorted(SRC.glob("*.py")):
-        lines = path.read_text().splitlines()
-        inside = set()
-        for node in ast.parse("\n".join(lines)).body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
+        rest = []
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                members = [node]
+            else:
+                members = node.body
+                rest += node.bases + node.decorator_list
             for member in members:
                 if not isinstance(member, ast.FunctionDef):
+                    rest.append(member)
                     continue
-                first = min(d.lineno for d in member.decorator_list + [member])
-                span = range(first - 1, member.end_lineno)
-                inside.update(span)
                 qual = (member.name if member is node
                         else "%s.%s" % (node.name, member.name))
                 definitions.append(("%s.%s" % (path.stem, qual), member.name,
-                                    _words(lines[i] for i in span)))
-        outside |= _words(line for i, line in enumerate(lines)
-                          if i not in inside)
+                                    _uses([member])))
+        outside |= _uses(rest)
     return definitions, outside
 
 

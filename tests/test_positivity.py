@@ -58,8 +58,8 @@ class TestPositiveElements:
         for _ in range(12):
             a = seeded_positive(system, rng)
             sq = alg.multiply(a, a)
-            assert (alg.commutator_image(a).canonical()
-                    == alg.commutator_image(sq).canonical())
+            assert (oracles.span_canonical(alg.commutator_image(a))
+                    == oracles.span_canonical(alg.commutator_image(sq)))
 
     def test_right_ideal_is_saturated_span(self, system_factory, label):
         system = system_factory(label)
@@ -130,14 +130,15 @@ class TestCounterexamples:
         # the coefficient on the full subset is 1 > 0, still not a unit
         system = system_factory("A2")
         a = alg.basis_x(system, 0b11) - alg.basis_x(system, 0b10)
-        assert a.coefficient(system.full_mask) == 1
+        assert Fraction(a.nums[system.full_mask], a.den) == 1
         assert not oracles.is_invertible(a)
         assert 0 in alg.tau(a).values
 
     def test_sum_of_ideals_is_not_ideal_of_sum(self, system_factory):
         system = system_factory("A2")
         a = alg.basis_x(system, 0b01) - alg.basis_x(system, 0b10)
-        left = alg.right_ideal(a).sum(alg.right_ideal(-1 * a))
+        left = oracles.span_sum(alg.right_ideal(a),
+                                alg.right_ideal(-1 * a))
         right = alg.right_ideal(a + (-1 * a))
         assert left.dim == 1
         assert right.dim == 0
