@@ -140,7 +140,6 @@ class CoxeterSystem:
         self._eclasses = None
         self._tensor = None
         self._multable = None
-        self._w0par = {}
 
     # ------------------------------------------------------------------
     # enumeration
@@ -363,6 +362,20 @@ class CoxeterSystem:
             k += 1
         return k
 
+    def homomorphism_images(self, target, gens):
+        """Index in ``target`` of the image of every element under the
+        homomorphism s -> gens[s], one length level at a time: w =
+        parent[w] s_{lastgen[w]} goes to image(parent[w]) gens[lastgen[w]].
+        """
+        rt = np.array([target.right_translation(g) for g in gens],
+                      dtype=np.int64).reshape(len(gens), target.order)
+        images = np.zeros(self.order, dtype=np.int64)
+        starts = np.searchsorted(self.length, np.arange(self.nroots + 2))
+        for lo, hi in zip(starts[1:-1], starts[2:]):
+            images[lo:hi] = rt[self.lastgen[lo:hi],
+                               images[self.parent[lo:hi]]]
+        return images
+
     # ------------------------------------------------------------------
     # subsets of generators
 
@@ -384,17 +397,9 @@ class CoxeterSystem:
         return [self.labels[s] for s in iter_bits(self.check_mask(mask))]
 
     def longest_in_parabolic(self, mask):
-        mask = self.check_mask(mask)
-        got = self._w0par.get(mask)
-        if got is None:
-            w = 0
-            while True:
-                av = int(self.rasc[w]) & mask
-                if not av:
-                    break
-                w = int(self.rmul[w, (av & -av).bit_length() - 1])
-            self._w0par[mask] = got = w
-        return got
+        """w_K, the unique longest element of W_K: elements are numbered
+        by length, so it is the last member."""
+        return int(self.parabolic_indices(mask)[-1])
 
     def w0_twist(self):
         """The permutation t -> sigma_0(t) with w0 s_t w0 = s_{sigma_0(t)}.

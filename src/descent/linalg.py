@@ -235,8 +235,9 @@ class AugSpan:
     Every call to :meth:`add` takes the next index, a dependent vector's
     too. The vectors that grew the :class:`Span` are kept as integer rows,
     each with its index and the factor ``integer_rows`` scaled it by;
-    :meth:`express` reads its combination off the one-row kernel of those
-    rows stacked with the target, by the same elimination.
+    :meth:`express` reads its combination off the one-vector
+    :func:`nullspace` of those rows stacked with the target, by the same
+    elimination.
     """
 
     __slots__ = ("span", "grown", "count")
@@ -268,13 +269,13 @@ class AugSpan:
         row, scale = self._scaled(vec)
         if not self.span.contains(row):
             return None
-        # the added rows are independent, so the kernel is one row with a
-        # positive entry k at the target: target = -sum k_i s_i v_i / (k s)
+        # the added rows are independent, so the only free column is the
+        # target's and the kernel vector k has a 1 there:
+        # target = -sum k_i s_i v_i / s
         stacked = np.vstack([r for _, r, _ in self.grown] + [row])
-        kern = Span(len(self.grown) + 1, stacked.T).kernel()[0]
-        den = -int(kern[-1]) * scale
-        return {idx: Fraction(int(c)) * s / den
-                for (idx, _, s), c in zip(self.grown, kern) if c}
+        kern = nullspace(stacked.T, len(self.grown) + 1)[0]
+        return {idx: -k * s / scale
+                for (idx, _, s), k in zip(self.grown, kern) if k}
 
     @property
     def dim(self) -> int:

@@ -44,14 +44,6 @@ def project_mask(mask, positions):
     return out
 
 
-def expand_mask(cmask, positions):
-    out = 0
-    for i, p in enumerate(positions):
-        if cmask & (1 << i):
-            out |= 1 << p
-    return out
-
-
 def align_positions(sys_a, sys_b):
     """The label-preserving generator bijection between two systems.
 
@@ -200,15 +192,13 @@ def iota_group_vector(system, kmask, codomain_vector):
 
 def factorization_check(system, kmask):
     """x_L = x_K * (embedded x_L-within-K), verified in the group algebra."""
-    positions = mask_positions(kmask)
     codomain = parabolic_system(system, kmask)
     xk = _int_group_vector(alg.basis_x(system, kmask))
-    for cmask in range(1 << len(positions)):
+    for cmask, big in enumerate(expand_masks(mask_positions(kmask))):
         emb = iota_group_vector(
             system, kmask, alg.basis_x(codomain, cmask))
         got = alg.convolve(system, xk, emb)
-        want = _int_group_vector(
-            alg.basis_x(system, expand_mask(cmask, positions)))
+        want = _int_group_vector(alg.basis_x(system, int(big)))
         if not np.array_equal(got, want):
             return False
     return True
@@ -259,13 +249,9 @@ def res_tau_check(morphism):
 
 def res_conjugate_check(system, kmask, kpmask):
     """Restrictions onto conjugate subsets differ by relabeling only."""
-    kmask = system.check_mask(kmask)
-    kpmask = system.check_mask(kpmask)
-    rasc = system.rasc
-    hit = ((rasc & kpmask) == kpmask) & ((rasc[system.inv] & kmask) == kmask)
-    hit &= _conjugate_masks_all(system, kpmask) == kmask
-    idx = np.flatnonzero(hit)
-    if len(idx) == 0:
+    # X_{K,K',K'}: the d with K in L(d), K' in R(d) and d^{-1} K d = K'
+    idx = system.structure_set(kmask, kpmask, kpmask)
+    if len(idx) == 0 or popcount(kmask) != popcount(kpmask):
         raise InvalidSubset("subsets are not conjugate")
     d = int(idx[0])
     mk = res_K(system, kmask)
@@ -285,43 +271,13 @@ def res_conjugate_check(system, kmask, kpmask):
 # surjectivity analysis
 
 
-def _conjugate_masks_all(system, kmask):
-    """Vectorized ^wK for every w: the conjugated mask, or -1 whenever
-    some generator of K leaves the generator set."""
-    positions = mask_positions(kmask)
-    order = system.order
-    if not positions:
-        return np.zeros(order, dtype=np.int64)
-    rows = system.csany[system.inv][:, positions].astype(np.int64)
-    valid = (rows >= 0).all(axis=1)
-    img = np.where(valid, np.left_shift(1, np.maximum(rows, 0)).sum(axis=1),
-                   -1)
-    return img
-
-
-def wk_members(system, kmask):
-    """The complement group: distinguished double-coset representatives
-    normalizing the subset, found once per system and subset."""
-    kmask = system.check_mask(kmask)
-    ctx = alg._algebra_context(system)
-    key = ("wk_members", kmask)
-    members = ctx.get(key)
-    if members is None:
-        rasc = system.rasc
-        inv = system.inv
-        hit = ((rasc & kmask) == kmask) & ((rasc[inv] & kmask) == kmask)
-        hit &= _conjugate_masks_all(system, kmask) == kmask
-        members = ctx[key] = tuple(int(w) for w in np.flatnonzero(hit))
-    return list(members)
-
-
 def wk_action_permutations(system, kmask):
-    """Distinct permutations the complement group induces on the subset."""
-    members = wk_members(system, kmask)
-    if not members:
-        return []
+    """Distinct permutations the complement group induces on the subset:
+    its members are X_{K,K,K}, the distinguished double-coset
+    representatives normalizing K. The identity is one, so the list is
+    never empty."""
+    idx = system.structure_set(kmask, kmask, kmask)
     positions = mask_positions(kmask)
-    idx = np.asarray(members, dtype=np.int64)
     rows = system.csany[system.inv[idx]][:, list(positions)]
     uniq = np.unique(rows, axis=0)
     where = {p: i for i, p in enumerate(positions)}
@@ -329,14 +285,14 @@ def wk_action_permutations(system, kmask):
 
 
 def wk_acts_trivially(system, kmask):
-    return wk_action_permutations(system, kmask) in ([], [tuple(
-        range(popcount(kmask)))])
+    return wk_action_permutations(system, kmask) == [tuple(
+        range(popcount(kmask)))]
 
 
 def pi_K_injective(system, kmask):
     """Whether distinct parabolic shapes of the subset stay distinct."""
-    positions = mask_positions(kmask)
-    big = [system.shape_id_of_mask(expand_mask(shape.canonical, positions))
+    big_masks = expand_masks(mask_positions(kmask))
+    big = [system.shape_id_of_mask(int(big_masks[shape.canonical]))
            for shape in parabolic_system(system, kmask).shapes()]
     return len(set(big)) == len(big)
 
@@ -445,19 +401,12 @@ def fork_images_in_b(bn, dn):
     """Index of each fork-system element inside the doubled-bond group.
 
     Generator correspondence: fork-twin goes to t*s1*t, the chain goes to
-    itself; images are built along the fork system's length BFS.
+    itself.
     """
-    gen_words = {0: (0, 1, 0)}
-    for i in range(1, dn.rank):
-        gen_words[i] = (i,)
-    images = np.empty(dn.order, dtype=np.int64)
-    images[0] = 0
-    for w in range(1, dn.order):
-        u = int(images[int(dn.parent[w])])
-        for s in gen_words[int(dn.lastgen[w])]:
-            u = int(bn.rmul[u, s])
-        images[w] = u
-    if len(set(int(v) for v in images)) != dn.order:
+    gens = [int(bn.rmul[bn.rmul[bn.rmul[0, 0], 1], 0])] + [
+        int(bn.rmul[0, i]) for i in range(1, dn.rank)]
+    images = dn.homomorphism_images(bn, gens)
+    if len(np.unique(images)) != dn.order:
         raise AssertionError("fork subgroup embedding is not injective")
     return images
 
@@ -597,8 +546,8 @@ def build_context(system, K):
     for p in outer:
         wks = system.mul(system.longest_in_parabolic(kmask | (1 << p)), wk)
         gens.append(int(wks))
-    members = wk_members(system, kmask)
-    member_set = set(members)
+    members = system.structure_set(kmask, kmask, kmask)
+    member_set = set(members.tolist())
     for g in gens:
         if g not in member_set:
             raise AssertionError("quotient generator escapes the "
@@ -613,13 +562,9 @@ def build_context(system, K):
             mat[i][j] = mat[j][i] = system.order_of(prod)
     labels = [system.labels[p] for p in outer]
     quotient = build_system(matrix=mat, labels=labels)
-    images = np.empty(quotient.order, dtype=np.int64)
-    images[0] = 0
-    for w in range(1, quotient.order):
-        u = int(images[int(quotient.parent[w])])
-        images[w] = system.mul(u, gens[int(quotient.lastgen[w])])
-    distinct = set(int(v) for v in images)
-    if len(distinct) != quotient.order or distinct != member_set:
+    images = quotient.homomorphism_images(system, gens)
+    # members is sorted and duplicate-free
+    if not np.array_equal(np.sort(images), members):
         raise AssertionError(
             "measured quotient system does not match the normalizer "
             "complement")

@@ -3,7 +3,8 @@
 The package computes each result one way. The helpers here are the second
 routes the tests check it against (group-algebra coordinates, a product
 compared one pair at a time, a commuting square of morphisms, conjugacy
-decided one element, member or point at a time, span helpers), and the
+decided one element, member or point at a time, w_K and subgroup
+embeddings found one element at a time, span helpers), and the
 closed forms the paper proves for special elements (the split
 characteristic polynomial and the regular-representation eigenvalue
 counts of positive elements, the type-A radical witness, the y-basis
@@ -154,10 +155,77 @@ def saturated_family_by_members(vector, equivariant=False):
                      if any(i & ~j == 0 for j in supp))
 
 
+def conjugate_masks_all(system, kmask):
+    """w K w^{-1} for every w, as a mask, or -1 whenever some generator of
+    K leaves the generator set."""
+    positions = mo.mask_positions(kmask)
+    if not positions:
+        return np.zeros(system.order, dtype=np.int64)
+    rows = system.csany[system.inv][:, positions].astype(np.int64)
+    valid = (rows >= 0).all(axis=1)
+    return np.where(valid,
+                    np.left_shift(1, np.maximum(rows, 0)).sum(axis=1), -1)
+
+
 def is_self_opposed_by_conjugation(system, kmask):
     """Every element sends the subset outside S or onto itself."""
-    img = mo._conjugate_masks_all(system, kmask)
+    img = conjugate_masks_all(system, kmask)
     return bool(((img < 0) | (img == kmask)).all())
+
+
+def conjugators_by_conjugation(system, kmask, kpmask):
+    """The d with K among its left ascents, K' among its right ascents and
+    d K' d^{-1} = K, found by conjugating K' by every element; for K' = K
+    these are the members of the normalizer complement of W_K."""
+    rasc = system.rasc
+    hit = ((rasc & kpmask) == kpmask) & ((rasc[system.inv] & kmask) == kmask)
+    hit &= conjugate_masks_all(system, kpmask) == kmask
+    return np.flatnonzero(hit)
+
+
+# ---------------------------------------------------------------------------
+# group elements one at a time
+
+
+def longest_in_parabolic_walk(system, mask):
+    """w_K by ascent: multiply by the first generator of K that is still a
+    right ascent until none is."""
+    w = 0
+    while True:
+        av = int(system.rasc[w]) & mask
+        if not av:
+            return w
+        w = int(system.rmul[w, (av & -av).bit_length() - 1])
+
+
+def homomorphism_images_by_words(source, target, gen_words):
+    """Image in ``target`` of every element of ``source`` under s ->
+    the target element with word gen_words[s], built element by element
+    along the source's parent links."""
+    images = np.empty(source.order, dtype=np.int64)
+    images[0] = 0
+    for w in range(1, source.order):
+        u = int(images[int(source.parent[w])])
+        for s in gen_words[int(source.lastgen[w])]:
+            u = int(target.rmul[u, s])
+        images[w] = u
+    return images
+
+
+def fork_images_by_words(bn, dn):
+    """The fork system inside the doubled-bond group: fork-twin to
+    t*s1*t, the chain to itself."""
+    return homomorphism_images_by_words(
+        dn, bn, [(0, 1, 0)] + [(i,) for i in range(1, dn.rank)])
+
+
+def quotient_images_by_words(context):
+    """The quotient system inside the big group, one product per element
+    with the image of its last generator."""
+    system = context.system
+    return homomorphism_images_by_words(
+        context.quotient, system,
+        [system.word(g) for g in context.generator_indices])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from descent.coxeter import check_tensor, expand_masks, iter_bits, popcount
 from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
                             UnsupportedType)
 from descent.exprs import parse_expression
-from descent.morphisms import _conjugate_masks_all
 from descent.table import SUPPORTED_TYPES, available_sigma_orders, build_row
 
 SMALL = ["A1", "A2", "A3", "B2", "B3", "I2(5)", "I2(7)", "A1xA1", "A2xA1"]
@@ -163,7 +162,7 @@ def test_structure_sets_partition_double_reps(system_factory, label):
 
 def brute_conjugates(system, jmask):
     """All masks w J w^{-1}, conjugating by every element of W."""
-    img = _conjugate_masks_all(system, jmask)
+    img = oracles.conjugate_masks_all(system, jmask)
     return set(img[img >= 0].tolist())
 
 
@@ -188,7 +187,8 @@ def test_subset_conjugator_witnesses(system_factory, label):
     for shape in system.shapes():
         kmask = shape.canonical
         for jmask in shape.members:
-            hits = np.flatnonzero(_conjugate_masks_all(system, jmask) == kmask)
+            hits = np.flatnonzero(
+                oracles.conjugate_masks_all(system, jmask) == kmask)
             assert hits.size
             # w J w^{-1} = K, so d = w^{-1} has d^{-1} J d = K
             w = int(system.inv[hits[0]])
@@ -919,3 +919,63 @@ def test_generator_permutations_preserve_every_conjugacy_fact(case):
                 == morphisms.is_self_opposed(base, int(e[m])))
     assert (sorted(system.element_classes()[2])
             == sorted(base.element_classes()[2]))
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_conjugators_are_the_refined_structure_sets(system_factory, label,
+                                                    perm):
+    # X_{K,K',K'} holds the d with d K' d^{-1} = K, and X_{K,K,K} the
+    # normalizer complement of W_K, as found by conjugating by every
+    # element; every K is a member of its shape, so K' = K is covered
+    system = roster_system(system_factory, label, perm)
+    for shape in system.shapes():
+        for kmask in shape.members:
+            for kpmask in shape.members:
+                assert np.array_equal(
+                    system.structure_set(kmask, kpmask, kpmask),
+                    oracles.conjugators_by_conjugation(system, kmask, kpmask))
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_longest_in_parabolic_matches_the_ascent_walk(system_factory, label,
+                                                      perm):
+    system = roster_system(system_factory, label, perm)
+    for mask in range(system.full_mask + 1):
+        assert (system.longest_in_parabolic(mask)
+                == oracles.longest_in_parabolic_walk(system, mask))
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_generator_images_give_the_identity(system_factory, label, perm):
+    system = roster_system(system_factory, label, perm)
+    gens = [int(system.rmul[0, s]) for s in range(system.rank)]
+    assert np.array_equal(system.homomorphism_images(system, gens),
+                          np.arange(system.order))
+
+
+@pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
+def test_parabolic_embeddings_land_on_the_parabolic_subgroup(
+        system_factory, label, perm):
+    system = roster_system(system_factory, label, perm)
+    for kmask in range(system.full_mask + 1):
+        sub = morphisms.parabolic_system(system, kmask)
+        gens = [int(system.rmul[0, p]) for p in iter_bits(kmask)]
+        images = sub.homomorphism_images(system, gens)
+        assert len(np.unique(images)) == sub.order
+        assert np.array_equal(np.sort(images),
+                              system.parabolic_indices(kmask))
+
+
+QUOTIENT_ROSTER = [
+    (label, perm) for label, perm in CONJUGACY_ROSTER
+    if len(cartan.matrix_for_components(cartan.parse_label(label))[1]) <= 4]
+
+
+@pytest.mark.parametrize("label,perm", QUOTIENT_ROSTER)
+def test_quotient_images_match_the_word_loop(system_factory, label, perm):
+    system = roster_system(system_factory, label, perm)
+    for kmask in range(system.full_mask + 1):
+        if morphisms.is_self_opposed(system, kmask):
+            ctx = morphisms.build_context(system, kmask)
+            assert np.array_equal(ctx.images,
+                                  oracles.quotient_images_by_words(ctx))

@@ -82,7 +82,7 @@ class TestMaskHelpers:
     def test_project_expand_round_trip(self):
         positions = [1, 3, 4]
         for cmask in range(8):
-            big = mo.expand_mask(cmask, positions)
+            big = int(mo.expand_masks(positions)[cmask])
             assert mo.project_mask(big, positions) == cmask
 
     def test_conjugate_mask(self, system_factory):
@@ -99,7 +99,7 @@ class TestMaskHelpers:
                                                      label):
         system = system_factory(label)
         for kmask in all_masks(system):
-            assert mo._conjugate_masks_all(system, kmask).tolist() == [
+            assert oracles.conjugate_masks_all(system, kmask).tolist() == [
                 conjugate_mask(system, w, kmask)
                 for w in range(system.order)]
 
@@ -180,6 +180,14 @@ class TestRestriction:
             base = shape.members[0]
             for other in shape.members[1:]:
                 assert mo.res_conjugate_check(system, base, other)
+
+    def test_conjugate_check_rejects_non_conjugate_subsets(
+            self, system_factory):
+        # in A2, X_{K,K',K'} holds the identity for K' inside K; in B3 the
+        # short and the long generator are not conjugate
+        for label, kmask, kpmask in (("A2", 0b11, 0b01), ("B3", 0b001, 0b010)):
+            with pytest.raises(InvalidSubset):
+                mo.res_conjugate_check(system_factory(label), kmask, kpmask)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "F4"])
     def test_character_factorization(self, system_factory, label):
@@ -294,6 +302,13 @@ class TestForkRestriction:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_group_algebra_identity(self, n):
         assert mo.res_bd_a_check(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fork_images_match_the_word_loop(self, n):
+        bn = build_system(type="B%d" % n)
+        dn = mo.fork_system(n)
+        assert np.array_equal(mo.fork_images_in_b(bn, dn),
+                              oracles.fork_images_by_words(bn, dn))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_multiplicative(self, n):
@@ -522,7 +537,7 @@ class TestIntegerColumnsAgainstFractionLoops:
         (), (0,), (2,), (1, 0), (1, 3, 4), (2, 0, 1), (3, 2, 1, 0)])
     def test_expand_masks(self, positions):
         got = mo.expand_masks(positions)
-        assert got.tolist() == [mo.expand_mask(c, positions)
+        assert got.tolist() == [sum(1 << positions[i] for i in iter_bits(c))
                                 for c in range(1 << len(positions))]
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "H3"])

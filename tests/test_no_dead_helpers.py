@@ -18,9 +18,6 @@ SRC = Path(descent.__file__).parent
 
 # the public names of the package are called by its users
 EXPORTED = set(descent.__all__)
-# linalg.nullspace has no caller in the package, but the benchmark's
-# tracer wraps it by name as a per-layer span
-ALLOWED = {"nullspace"}
 
 
 def _uses(nodes):
@@ -63,7 +60,7 @@ def scan():
 
 def _exempt(name):
     # dunders are called by Python itself
-    return (name in EXPORTED or name in ALLOWED
+    return (name in EXPORTED
             or (name.startswith("__") and name.endswith("__")))
 
 
