@@ -431,31 +431,47 @@ def multiply(left, right):
         left.system, nums.tolist(), da * db).in_basis(left.tag)
 
 
-def _support_row(vector):
-    """The vector's integer x-coordinates and the support tensor, both in
-    a dtype that keeps one contraction of them exact."""
-    size = 1 << vector.system.rank
-    v = linalg.integer_rows([vector.x_ints()[0]], size)[0]
-    Tc = _support_tensor(vector.system, (linalg.absmax(v) + 1) * size)
-    return v.astype(Tc.dtype, copy=False), Tc
+# at most this many products are formed at once in
+# ``right_multiplication``
+_PRODUCT_CELLS = 1 << 20
 
 
-def left_multiplication(vector):
-    """Matrix of x -> vector * x: row J holds the x-coordinates of
-    vector * x_J, times the vector's denominator."""
-    v, Tc = _support_row(vector)
-    J, K, _starts = _support_pairs(vector.system.rank)
-    out = np.zeros((1 << vector.system.rank,) * 2, dtype=Tc.dtype)
-    out[J, K] = v @ Tc
+def _support_rows(vectors):
+    """The vectors' integer x-coordinates as rows and the support tensor,
+    both in a dtype that keeps one contraction of them exact."""
+    system = vectors[0].system
+    size = 1 << system.rank
+    V = x_matrix(vectors, size)
+    Tc = _support_tensor(system, (linalg.absmax(V) + 1) * size)
+    return V.astype(Tc.dtype, copy=False), Tc
+
+
+def left_multiplication(vectors):
+    """Matrices of x -> vector * x, one per vector of one system, in one
+    contraction: row J holds the x-coordinates of vector * x_J, times the
+    vector's denominator."""
+    V, Tc = _support_rows(vectors)
+    J, K, _starts = _support_pairs(vectors[0].system.rank)
+    out = np.zeros((len(V),) + (1 << vectors[0].system.rank,) * 2,
+                   dtype=Tc.dtype)
+    out[:, J, K] = V @ Tc
     return out
 
 
-def right_multiplication(vector):
-    """Matrix of x -> x * vector: row J holds the x-coordinates of
-    x_J * vector, times the vector's denominator."""
-    v, Tc = _support_row(vector)
-    J, _K, starts = _support_pairs(vector.system.rank)
-    return np.add.reduceat(Tc * v[J], starts, axis=1)
+def right_multiplication(vectors):
+    """Matrices of x -> x * vector, one per vector of one system: row J
+    holds the x-coordinates of x_J * vector, times the vector's
+    denominator. Entry [b, J, k] sums Tc[J, p] V[b, J_p] over the pairs p
+    of the k segment, for a block of vectors at a time so the products
+    formed stay under ``_PRODUCT_CELLS``."""
+    V, Tc = _support_rows(vectors)
+    J, _K, starts = _support_pairs(vectors[0].system.rank)
+    out = np.empty((len(V),) + (len(Tc),) * 2, dtype=Tc.dtype)
+    step = max(1, _PRODUCT_CELLS // Tc.size)
+    for lo in range(0, len(V), step):
+        out[lo:lo + step] = np.add.reduceat(
+            Tc * V[lo:lo + step, None, J], starts, axis=2)
+    return out
 
 
 def _group_ints(vector):
@@ -626,29 +642,38 @@ def loewy_profile(system):
     return prof
 
 
-def minimal_polynomial(vector):
-    """Monic minimal polynomial, as a low-to-high coefficient tuple.
+def minimal_polynomial(vectors):
+    """Monic minimal polynomial of each vector of one system, as a
+    low-to-high coefficient tuple.
 
-    Krylov iteration on integer rows: L = left_multiplication(a) is
-    den * a on the x-basis, so p_0 = 1 and p_k = p_{k-1} L are the integer
-    x-coordinates of den^k a^k. They go into an AugSpan until p_m is
-    dependent; then p_m = sum c_k p_k, and the coefficient of x^k is
-    -c_k den^(k-m).
+    Krylov stacks on integer rows: L_b = left_multiplication(a_b) is
+    den_b * a_b on the x-basis, so p_0 = 1 and p_k = p_{k-1} L_b are the
+    integer x-coordinates of den_b^k a_b^k, one batched contraction per
+    power up to k = 2^n, where a dependency must have occurred. One
+    AugSpan reads each stack's first dependency p_m = sum c_k p_k, and the
+    coefficient of x^k is -c_k den_b^(k-m).
     """
-    system = vector.system
+    system = vectors[0].system
     size = 1 << system.rank
-    den = vector.x_ints()[1]
-    L = left_multiplication(vector)
+    L = left_multiplication(vectors)
+    p = np.zeros((len(vectors), 1, size), dtype=np.int64)
+    p[:, 0, system.full_mask] = 1
+    powers = [p]
+    for _ in range(size):
+        p = linalg.matmul(p, L)
+        powers.append(p)
+    dtype = object if any(q.dtype == object for q in powers) else np.int64
     span = AugSpan(size)
-    p = np.zeros(size, dtype=np.int64)
-    p[system.full_mask] = 1
-    while span.add(p):
-        p = linalg.matmul(p[None], L)[0]
-    m = span.count - 1
-    coeffs = [ZERO] * m + [ONE]
-    for k, c in span.express(p).items():
-        coeffs[k] = -c * Fraction(den) ** (k - m)
-    return tuple(coeffs)
+    span.add(np.concatenate([q.astype(dtype, copy=False) for q in powers],
+                            axis=1))
+    out = []
+    for vector, (m, combo) in zip(vectors, span.dependencies()):
+        den = Fraction(vector.x_ints()[1])
+        coeffs = [ZERO] * m + [ONE]
+        for k, c in combo.items():
+            coeffs[k] = -c * den ** (k - m)
+        out.append(tuple(coeffs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -675,31 +700,45 @@ def saturated_family(vector, equivariant=False):
 
 
 def family_span(system, family):
-    """The coordinate subspace spanned by the x-basis over the family."""
+    """The coordinate subspace spanned by the x-basis over the family: its
+    identity rows are already the canonical echelon basis."""
     size = 1 << system.rank
-    return Span(size, np.eye(size, dtype=np.int64)[sorted(family)])
+    masks = sorted(family)
+    return Span._canonical(size, np.eye(size, dtype=np.int64)[masks], masks)
 
 
-def right_ideal(vector):
-    """Span of the products (vector * x_J): the principal right ideal."""
-    return Span(1 << vector.system.rank, left_multiplication(vector))
+def _spans(matrices, width):
+    """The row spaces of a stack of matrices, from one elimination."""
+    return [Span._canonical(width, rows, pivots)
+            for rows, pivots in linalg.eliminate(matrices)]
 
 
-def left_ideal(vector):
-    """Span of the products (x_J * vector): the principal left ideal."""
-    return Span(1 << vector.system.rank, right_multiplication(vector))
+def right_ideal(vectors):
+    """Spans of the products (vector * x_J), one per vector of one system:
+    the principal right ideals."""
+    return _spans(left_multiplication(vectors), 1 << vectors[0].system.rank)
 
 
-def commutator_image(vector):
-    """Span of the values of x -> vector*x - x*vector on the basis."""
-    return Span(1 << vector.system.rank,
-                left_multiplication(vector) - right_multiplication(vector))
+def left_ideal(vectors):
+    """Spans of the products (x_J * vector), one per vector of one system:
+    the principal left ideals."""
+    return _spans(right_multiplication(vectors),
+                  1 << vectors[0].system.rank)
 
 
-def centralizer_dimension(vector):
-    """Dimension of the commutant {x : vector*x = x*vector}."""
-    size = 1 << vector.system.rank
-    return size - commutator_image(vector).dim
+def commutator_image(vectors):
+    """Spans of the values of x -> vector*x - x*vector on the basis, one
+    per vector of one system."""
+    return _spans(left_multiplication(vectors)
+                  - right_multiplication(vectors),
+                  1 << vectors[0].system.rank)
+
+
+def centralizer_dimension(vectors):
+    """Dimensions of the commutants {x : vector*x = x*vector}, one per
+    vector of one system."""
+    size = 1 << vectors[0].system.rank
+    return [size - span.dim for span in commutator_image(vectors)]
 
 
 # ---------------------------------------------------------------------------

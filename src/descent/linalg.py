@@ -63,13 +63,24 @@ def matmul(A, B) -> np.ndarray:
     return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
 
 
+def _integer_array(arr) -> bool:
+    """Whether ``arr`` is an integer array, or an object array of Python
+    integers."""
+    return isinstance(arr, np.ndarray) and (
+        arr.dtype.kind == "i" or arr.dtype == object
+        and all(type(v) is int for v in arr.flat))
+
+
 def integer_rows(rows, width: int) -> np.ndarray:
     """The rows as a 2-D integer array, each scaled by the lcm of its
-    denominators, so every row spans the same line as the input row."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
+    denominators, so every row spans the same line as the input row. An
+    integer array, or an object array of Python integers, is taken as it
+    is."""
+    if _integer_array(rows):
         if rows.ndim != 2 or rows.shape[1] != width:
             raise ValueError("rows of width %d expected" % width)
-        return rows.astype(np.int64, copy=False)
+        return rows.astype(np.int64 if rows.dtype.kind == "i"
+                           else exact_dtype(absmax(rows)), copy=False)
     out = []
     for row in rows:
         vals = scaled_integers(row)[0]
@@ -90,55 +101,127 @@ def _primitive(block):
     return block // g[:, None]
 
 
-def eliminate(matrix) -> tuple[np.ndarray, list[int]]:
-    """Reduced echelon basis of the row space of an integer matrix.
+def eliminate(matrices) -> list[tuple[np.ndarray, list[int]]]:
+    """Reduced echelon bases of the row spaces of a stack of integer
+    matrices of one width and any heights.
 
-    Fraction-free Gauss-Jordan: a pivot row ``p`` clears its column from
-    every other row ``r`` by ``r * p[c] - r[c] * p``, and each changed row
-    is divided by the gcd of its entries. (Bareiss's exact division by the
-    previous pivot keeps entries as minors of the input; on radical power
-    spans those reach hundreds of digits, while primitive rows stay a few
-    digits wide.) The result is canonical: each row primitive with a
-    positive pivot, ordered by pivot column, every pivot column zero
-    outside its row. Returns ``(rows, pivots)``; the rank is
+    Fraction-free Gauss-Jordan on all rows at once: the rows lie flat, each
+    with the index of its matrix, its owner. Per pivot column every owner
+    with a live row there takes its smallest entry as pivot, since the
+    smallest keeps the cross-multiplied rows small; the pivot row ``p``
+    clears its column from every other row ``r`` of its owner by
+    ``r * p[c] - r[c] * p``, and each changed row is divided by the gcd of
+    its entries. Rows that become zero are dropped. (Bareiss's exact
+    division by the previous pivot keeps entries as minors of the input;
+    on radical power spans those reach hundreds of digits, while primitive
+    rows stay a few digits wide.) Entries stay in int64 while a bound
+    proves the next step exact; the matrices whose rows leave that bound
+    go on alone in Python integers.
+
+    Returns ``(rows, pivots)`` per matrix, canonical: each row primitive
+    with a positive pivot, ordered by pivot column, every pivot column
+    zero outside its row; in int64 when every entry fits. The rank is
     ``len(pivots)``.
     """
-    M = matrix[np.any(matrix != 0, axis=1)]
-    top = absmax(M)
-    pivots: list[int] = []
-    r = 0
-    while r < M.shape[0]:
-        live = np.flatnonzero(np.any(M[r:] != 0, axis=0))
-        if not live.size:
+    mats = list(matrices)
+    if not mats:
+        return []
+    dtype = object if any(m.dtype == object for m in mats) else np.int64
+    R = np.concatenate([m.astype(dtype, copy=False) for m in mats])
+    own = np.repeat(np.arange(len(mats)), [len(m) for m in mats])
+    nonzero = R != 0
+    live = nonzero.any(axis=1)
+    if not live.all():
+        R, own, nonzero = R[live], own[live], nonzero[live]
+    # rows not yet pivots are zero before their leading column
+    lead = nonzero.argmax(axis=1)
+    # the pivot column of each row, -1 until it has one; the only live
+    # row of its matrix has one already
+    alone = np.ones(len(R), dtype=bool)
+    step = own[1:] != own[:-1]
+    alone[1:] &= step
+    alone[:-1] &= step
+    piv = np.where(alone, lead, -1)
+    # the largest absolute entry of each row
+    big = np.abs(R).max(axis=1, initial=0)
+    at = np.full(len(mats), -1)
+    done = {}
+    while True:
+        active = np.flatnonzero(piv < 0)
+        if not active.size:
             break
-        c = int(live[0])
-        col = M[r:, c]
-        nz = np.flatnonzero(col)
-        # the smallest pivot keeps the cross-multiplied rows small
-        i = r + int(nz[np.argmin(np.abs(col[nz]))])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        prow = M[r].copy()
-        others = np.flatnonzero(M[:, c])
-        others = others[others != r]
-        if others.size:
-            if M.dtype != object and 2 * top * top >= INT64_SAFE:
-                M = M.astype(object)
-                prow = prow.astype(object)
-            block = _primitive(M[others] * prow[c]
-                               - M[others, c][:, None] * prow[None, :])
-            M[others] = block
-            top = max(top, absmax(block))
-            below = others[others > r]
-            gone = below[~np.any(block[others > r] != 0, axis=1)]
-            if gone.size:
-                M = np.delete(M, gone, axis=0)
-        pivots.append(c)
-        r += 1
-    rows = _primitive(M[:r])
-    if r:
-        rows *= np.sign(rows[np.arange(r), pivots])[:, None]
-    return rows, pivots
+        leads = lead[active]
+        c = leads.min()
+        cand = active[leads == c]
+        # rows lie in owner order, so cand is sorted by owner
+        if len(cand) == 1 or own[cand[0]] == own[cand[-1]]:
+            P = cand[[np.argmin(np.abs(R[cand, c]))]]
+        else:
+            o = own[cand]
+            key = np.abs(R[cand, c])
+            first = np.r_[True, o[1:] != o[:-1]]
+            seg = np.cumsum(first) - 1
+            hit = np.flatnonzero(
+                key == np.minimum.reduceat(key, np.flatnonzero(first))[seg])
+            P = cand[hit[np.r_[True, seg[hit][1:] != seg[hit][:-1]]]]
+        piv[P] = c
+        t = np.flatnonzero(R[:, c])
+        if len(P) == 1:
+            tp = P[0]
+            t = t[(t != tp) & (own[t] == own[tp])]
+            pc = R[tp, c]
+        else:
+            at[own[P]] = P
+            tp = at[own[t]]
+            keep = (tp >= 0) & (tp != t)
+            t, tp = t[keep], tp[keep]
+            at[own[P]] = -1
+            pc = R[tp, c][:, None]
+        if not t.size:
+            continue
+        if R.dtype != object:
+            # |r * p[c] - r[c] * p| <= 2 big[r] big[p]: the owners of the
+            # rows where that bound leaves int64 go on alone in Python
+            # integers, and the rest redo this column without them
+            over = big[t] >= -(-(INT64_SAFE // 2) // big[tp])
+            if over.any():
+                piv[P] = -1
+                slow = np.unique(own[t[over]])
+                done.update(zip(slow.tolist(), eliminate(
+                    [R[own == o].astype(object) for o in slow])))
+                keep = ~np.isin(own, slow)
+                R, own, piv, lead, big = (R[keep], own[keep], piv[keep],
+                                          lead[keep], big[keep])
+                continue
+        block = _primitive(R[t] * pc - R[t, c][:, None] * R[tp])
+        R[t] = block
+        big[t] = np.abs(block).max(axis=1)
+        nonzero = block != 0
+        lead[t] = nonzero.argmax(axis=1)
+        dead = t[~nonzero.any(axis=1)]
+        if dead.size:
+            keep = np.ones(len(R), dtype=bool)
+            keep[dead] = False
+            R, own, piv, lead, big = (R[keep], own[keep], piv[keep],
+                                      lead[keep], big[keep])
+    order = np.lexsort((piv, own))
+    rows, piv = _primitive(R[order]), piv[order]
+    if len(rows):
+        rows *= np.sign(rows[np.arange(len(rows)), piv])[:, None]
+    if len(mats) == 1:
+        parts = [(rows, piv)]
+    else:
+        bounds = np.cumsum(np.bincount(own, minlength=len(mats)))[:-1]
+        parts = zip(np.split(rows, bounds), np.split(piv, bounds))
+    out = []
+    for b, (r, p) in enumerate(parts):
+        if b in done:
+            out.append(done[b])
+            continue
+        if r.dtype == object and absmax(r) < INT64_SAFE:
+            r = r.astype(np.int64)
+        out.append((r, p.tolist()))
+    return out
 
 
 class Span:
@@ -157,6 +240,15 @@ class Span:
         self.pivots: list[int] = []
         if rows is not None:
             self.extend(rows)
+
+    @classmethod
+    def _canonical(cls, width: int, rows: np.ndarray,
+                   pivots: list[int]) -> "Span":
+        """The span whose canonical basis is known: ``rows`` and
+        ``pivots`` as :func:`eliminate` returns them, taken as they are."""
+        out = cls.__new__(cls)
+        out.width, out.rows, out.pivots = width, rows, pivots
+        return out
 
     def _residuals(self, vecs: np.ndarray) -> np.ndarray:
         """Scaled remainders of integer rows after projecting out the span:
@@ -182,8 +274,7 @@ class Span:
         the two blocks merge by pivot. The canonical form is unique, so
         the result equals the elimination of all rows stacked."""
         res = self._residuals(integer_rows(vecs, self.width))
-        grown = Span(self.width)
-        grown.rows, grown.pivots = eliminate(res)
+        grown = Span._canonical(self.width, *eliminate([res])[0])
         if not grown.pivots:
             return 0
         old = (_primitive(grown._residuals(self.rows)) if self.pivots
@@ -208,95 +299,97 @@ class Span:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def kernel(self) -> np.ndarray:
-        """Integer basis of the right kernel, one primitive row per free
-        column, with a positive entry at that column."""
-        pivots = set(self.pivots)
-        free = [j for j in range(self.width) if j not in pivots]
-        d = [int(self.rows[i, p]) for i, p in enumerate(self.pivots)]
-        den = lcm(*d)
-        out = np.zeros((len(free), self.width), dtype=object)
-        for k, f in enumerate(free):
-            out[k, f] = den
-            for i, p in enumerate(self.pivots):
-                out[k, p] = -int(self.rows[i, f]) * (den // d[i])
-        out = _primitive(out)
-        return out.astype(exact_dtype(absmax(out)))
-
     def equals(self, other: "Span") -> bool:
         return (self.width == other.width and self.pivots == other.pivots
                 and np.array_equal(self.rows, other.rows))
 
 
 class AugSpan:
-    """A span that remembers which added vectors grew it, so that a vector
-    inside it can be written over them.
+    """Vector sequences of one width, one sequence per member of a stack,
+    read for the first linear dependency in each.
 
-    Every call to :meth:`add` takes the next index, a dependent vector's
-    too. The vectors that grew the :class:`Span` are kept as integer rows,
-    each with its index and the factor ``integer_rows`` scaled it by;
-    :meth:`express` reads its combination off the one-vector
-    :func:`nullspace` of those rows stacked with the target, by the same
-    elimination.
+    :meth:`add` appends vectors to every member's sequence, each under its
+    member's next index, as the integer row ``s * vec`` with its factor
+    ``s``. :meth:`dependencies` puts each member's rows as the columns of
+    one matrix; the first basis vector k of its kernel (see
+    :func:`nullspace`) has a 1 at the first free column m and zeros after
+    it, so ``vec_m = -sum k_j s_j vec_j / s_m`` over j < m. One stacked
+    ``nullspace`` call serves every member.
     """
 
-    __slots__ = ("span", "grown", "count")
+    __slots__ = ("width", "rows", "scales")
 
     def __init__(self, width: int):
-        self.span = Span(width)
-        self.grown: list[tuple[int, np.ndarray, Fraction]] = []
-        self.count = 0
+        self.width = width
+        self.rows: list[np.ndarray] = []
+        self.scales: list[list[int]] = []
 
-    def _scaled(self, vec: Sequence) -> tuple[np.ndarray, Fraction]:
-        """``vec`` as the integer row ``s * vec``, and the factor ``s``."""
-        nums, den = scaled_integers(vec)
-        return integer_rows([nums], self.span.width)[0], Fraction(den)
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert a vector under the next index; report whether the
-        dimension grew."""
-        row, scale = self._scaled(vec)
-        idx = self.count
-        self.count += 1
-        if not self.span.extend(row[None]):
-            return False
-        self.grown.append((idx, row, scale))
-        return True
-
-    def express(self, vec: Sequence) -> dict[int, Fraction] | None:
-        """Write ``vec`` over the added vectors, as {index: coefficient}
-        with zero coefficients left out, or return None if outside."""
-        row, scale = self._scaled(vec)
-        if not self.span.contains(row):
-            return None
-        # the added rows are independent, so the only free column is the
-        # target's and the kernel vector k has a 1 there:
-        # target = -sum k_i s_i v_i / s
-        stacked = np.vstack([r for _, r, _ in self.grown] + [row])
-        kern = nullspace(stacked.T, len(self.grown) + 1)[0]
-        return {idx: -k * s / scale
-                for (idx, _, s), k in zip(self.grown, kern) if k}
+    def add(self, sequences) -> None:
+        """Append one sequence of vectors to each member; the first call
+        sets the members, and every member takes as many vectors. An
+        integer array is taken as the rows, each with factor 1."""
+        rows, scales = [], []
+        for seq in sequences:
+            if _integer_array(seq):
+                rows.append(integer_rows(seq, self.width))
+                scales.append([1] * len(seq))
+                continue
+            pairs = [scaled_integers(vec) for vec in seq]
+            rows.append(integer_rows([n for n, _ in pairs], self.width))
+            scales.append([d for _, d in pairs])
+        if self.rows:
+            rows = [np.vstack([a, b]) for a, b in zip(self.rows, rows)]
+            scales = [a + b for a, b in zip(self.scales, scales)]
+        self.rows, self.scales = rows, scales
 
     @property
-    def dim(self) -> int:
-        return self.span.dim
+    def count(self) -> int:
+        """How many vectors each member holds."""
+        return len(self.rows[0]) if self.rows else 0
+
+    def dependencies(self) -> list[tuple[int, dict[int, Fraction]] | None]:
+        """Per member, ``(m, {j: c_j})`` for its first vector ``vec_m`` in
+        the span of the ones before it, with ``vec_m = sum c_j vec_j`` and
+        zero coefficients left out; None when its vectors are independent.
+        """
+        out = []
+        for kern, scales in zip(
+                nullspace([rows.T for rows in self.rows], self.count),
+                self.scales):
+            if not kern:
+                out.append(None)
+                continue
+            k = kern[0]
+            m = max(j for j, v in enumerate(k) if v)
+            out.append((m, {j: -k[j] * scales[j] / scales[m]
+                            for j in range(m) if k[j]}))
+        return out
 
 
 def rank(rows: Iterable[Sequence], width: int) -> int:
     return Span(width, rows).dim
 
 
-def nullspace(rows: Iterable[Sequence], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel: all v with row . v = 0 for every row.
+def nullspace(stack, width: int) -> list[list[tuple[Fraction, ...]]]:
+    """Bases of the right kernels of a stack of matrices of one width: for
+    each, all v with row . v = 0 for every row, from one stacked
+    :func:`eliminate`.
 
     Vector k has a 1 at the k-th non-pivot column and zeros at the other
     non-pivot columns.
     """
-    span = Span(width, rows)
-    pivots = set(span.pivots)
-    free = [j for j in range(width) if j not in pivots]
-    return [tuple(Fraction(int(v), int(vec[f])) for v in vec)
-            for f, vec in zip(free, span.kernel())]
+    out = []
+    for rows, pivots in eliminate([integer_rows(m, width) for m in stack]):
+        lead = [int(rows[i, p]) for i, p in enumerate(pivots)]
+        basis = []
+        for f in sorted(set(range(width)) - set(pivots)):
+            vec = [ZERO] * width
+            vec[f] = ONE
+            for i, p in enumerate(pivots):
+                vec[p] = Fraction(-int(rows[i, f]), lead[i])
+            basis.append(tuple(vec))
+        out.append(basis)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,23 @@ class AlgebraMorphism:
     def multiplicative_pairs(self):
         """Boolean matrix whose entry [I, J] says whether the map sends
         x_I * x_J to the product of the images of x_I and x_J: the image
-        of every basis product against every product of two columns."""
-        T = self.domain.structure_tensor()
-        images = linalg.matmul(T, self.columns)
+        of every basis product against every product of two columns.
+
+        The image of x_I * x_J sums T[I, J, K] columns[K] over the support
+        K inside J: with the support pairs ordered by J, one product of
+        the support tensor's J segment with the columns at its K per J."""
+        size = 1 << self.domain.rank
+        Tc = alg._support_tensor(self.domain,
+                                 (linalg.absmax(self.columns) + 1) * size)
+        J, K, _starts = alg._support_pairs(self.domain.rank)
+        by_j = np.argsort(J, kind="stable")
+        bounds = np.searchsorted(J[by_j], np.arange(size + 1))
+        Tc, K = Tc[:, by_j], K[by_j]
+        cols = self.columns.astype(Tc.dtype, copy=False)
+        images = np.empty((size, size, cols.shape[1]), dtype=Tc.dtype)
+        for j in range(size):
+            seg = slice(bounds[j], bounds[j + 1])
+            images[:, j] = Tc[:, seg] @ cols[K[seg]]
         return (images == alg.products(self.codomain, self.columns,
                                        self.columns)).all(axis=2)
 
@@ -214,7 +228,7 @@ def res_linear_check(morphism):
     expanded[:, expand_masks(morphism.metadata["positions"])] = \
         morphism.columns
     return np.array_equal(expanded, alg.right_multiplication(
-        alg.basis_x(system, morphism.metadata["K"])))
+        [alg.basis_x(system, morphism.metadata["K"])])[0])
 
 
 def bbht_a_check(morphism):
@@ -314,7 +328,7 @@ def decomposition_check(morphism):
     # row I is x_I * x_K: its row space is the left ideal, and a
     # annihilates x_K from the left iff a is in its left kernel
     products = alg.right_multiplication(
-        alg.basis_x(system, morphism.metadata["K"]))
+        [alg.basis_x(system, morphism.metadata["K"])])[0]
     # two matrices have the same left kernel iff their columns span the
     # same space
     columns = Span(size, morphism.columns.T)

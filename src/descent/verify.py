@@ -158,23 +158,28 @@ def _suite_positivity(system, report, seed):
     count = 100
     elements = [_random_positive(system, rng) for _ in range(count)]
     squares = [alg.multiply(a, a) for a in elements]
-    checks = {
+    both = elements + squares
+    right = alg.right_ideal(both)
+    left = alg.left_ideal(both)
+    central = alg.centralizer_dimension(both)
+    families = [alg.family_span(system,
+                                alg.saturated_family(a, equivariant=True))
+                for a in elements]
+    outcomes = {
         "minimal-polynomial-squarefree":
-            lambda a, a2: poly_is_squarefree(alg.minimal_polynomial(a)),
+            map(poly_is_squarefree, alg.minimal_polynomial(elements)),
         "square-right-ideal-stable":
-            lambda a, a2: alg.right_ideal(a2).equals(alg.right_ideal(a)),
+            (right[count + i].equals(right[i]) for i in range(count)),
         "square-left-ideal-stable":
-            lambda a, a2: alg.left_ideal(a2).equals(alg.left_ideal(a)),
+            (left[count + i].equals(left[i]) for i in range(count)),
         "square-centralizer-stable":
-            lambda a, a2: (alg.centralizer_dimension(a2)
-                           == alg.centralizer_dimension(a)),
+            (central[count + i] == central[i] for i in range(count)),
         "right-ideal-is-saturated-span":
-            lambda a, a2: alg.right_ideal(a).equals(alg.family_span(
-                system, alg.saturated_family(a, equivariant=True))),
+            (right[i].equals(families[i]) for i in range(count)),
     }
-    for name, holds in checks.items():
-        bad = _first_failure(None if holds(a, a2) else {"element": str(a)}
-                             for a, a2 in zip(elements, squares))[1]
+    for name, holds in outcomes.items():
+        bad = _first_failure(None if ok else {"element": str(a)}
+                             for a, ok in zip(elements, holds))[1]
         _check(report, name, bad is None,
                "%d seeded positive elements" % count, bad)
 

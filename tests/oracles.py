@@ -71,6 +71,22 @@ def span_copy(span):
     return out
 
 
+def span_kernel(span):
+    """Integer basis of the right kernel, one primitive row per free
+    column, with a positive entry at that column."""
+    pivots = set(span.pivots)
+    free = [j for j in range(span.width) if j not in pivots]
+    d = [int(span.rows[i, p]) for i, p in enumerate(span.pivots)]
+    den = lcm(*d)
+    out = np.zeros((len(free), span.width), dtype=object)
+    for k, f in enumerate(free):
+        out[k, f] = den
+        for i, p in enumerate(span.pivots):
+            out[k, p] = -int(span.rows[i, f]) * (den // d[i])
+    out = out // np.gcd.reduce(out, axis=1)[:, None]
+    return out.astype(linalg.exact_dtype(linalg.absmax(out)))
+
+
 def span_sum(a, b):
     if a.width != b.width:
         raise ValueError("width mismatch")
@@ -415,6 +431,16 @@ def is_multiplicative_pair(morphism, u, v):
     two single products."""
     return (morphism.apply(alg.multiply(u, v))
             == alg.multiply(morphism.apply(u), morphism.apply(v)))
+
+
+def multiplicative_pairs_dense(morphism):
+    """``AlgebraMorphism.multiplicative_pairs`` the dense way: the images
+    of the basis products from the whole structure tensor times the
+    columns, against every product of two columns."""
+    images = linalg.matmul(morphism.domain.structure_tensor(),
+                           morphism.columns)
+    return (images == alg.products(morphism.codomain, morphism.columns,
+                                   morphism.columns)).all(axis=2)
 
 
 def commuting_square_check(system, K, L):

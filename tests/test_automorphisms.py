@@ -184,7 +184,7 @@ def direct_fixed_radical(fixed):
     size = 1 << fixed.parent.rank
     orbit_sums = alg.x_matrix(fixed.basis, size)
     chars = alg.tau_matrix(fixed.parent) @ orbit_sums.T
-    combos = Span(len(fixed.basis), chars).kernel()
+    combos = oracles.span_kernel(Span(len(fixed.basis), chars))
     return Span(size, combos @ orbit_sums)
 
 

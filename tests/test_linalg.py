@@ -9,6 +9,7 @@ eliminations kept here as the reference.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -203,44 +204,55 @@ class TestSpan:
             assert span.dim == sympy.Matrix(rows).rank()
 
 
+def first_dependency(rows, width):
+    """The row-at-a-time reading of ``AugSpan.dependencies`` for one
+    member: rows go into a FractionAugSpan until one is dependent, which
+    is then written over the earlier ones."""
+    oracle = FractionAugSpan(width)
+    for m, row in enumerate(rows):
+        if not oracle.add(row):
+            return m, oracle.express(row)
+    return None
+
+
 class TestAugSpan:
     def test_express_recovers_coordinates(self):
         aug = linalg.AugSpan(3)
-        aug.add([1, 2, 0])
-        aug.add([0, 1, 1])
-        combo = aug.express([2, 5, 1])
-        assert combo is not None
-        total = [Fraction(0)] * 3
+        aug.add([[[1, 2, 0], [0, 1, 1]], [[1, 2, 0], [0, 1, 1]]])
+        aug.add([[[2, 5, 1]], [[0, 0, 5]]])
+        assert aug.count == 3
+        (m, combo), outside = aug.dependencies()
+        assert m == 2 and outside is None
         basis = [[1, 2, 0], [0, 1, 1]]
-        for idx, coeff in combo.items():
-            for k in range(3):
-                total[k] += coeff * basis[idx][k]
-        assert total == [2, 5, 1]
-        assert aug.express([0, 0, 5]) is None
+        assert [sum(c * basis[i][k] for i, c in combo.items())
+                for k in range(3)] == [2, 5, 1]
 
     def test_express_solves_square_system_and_rejects_outside(self):
         rows = [[1, 2], [3, 4]]
         aug = linalg.AugSpan(2)
-        assert all(aug.add(row) for row in rows)
-        combo = aug.express([5, 6])
+        aug.add([rows + [[5, 6]]])
+        ((m, combo),) = aug.dependencies()
+        assert m == 2
         assert [sum(combo.get(i, 0) * row[k] for i, row in enumerate(rows))
                 for k in range(2)] == [5, 6]
-        # a dependent add takes an index; the target is outside the span
+        # a dependent vector takes an index too; the first dependency is
+        # read, a later one and an independent one are not
         aug = linalg.AugSpan(2)
-        assert aug.add([1, 1])
-        assert not aug.add([2, 2])
-        assert aug.count == 2 and aug.dim == 1
-        assert aug.express([0, 1]) is None
-        assert aug.express([3, 3]) == {0: 3}
-        assert aug.express([0, 0]) == {}
+        aug.add([[[1, 1], [2, 2], [0, 1]], [[1, 1], [0, 1], [3, 3]],
+                 [[0, 0], [1, 1], [0, 1]], [[1, 1], [0, 1], [0, 0]]])
+        assert aug.dependencies() == [(1, {0: 2}), (2, {0: 3}), (0, {}),
+                                      (2, {})]
+        aug = linalg.AugSpan(2)
+        aug.add([[[1, 1], [0, 1]]])
+        assert aug.dependencies() == [None]
 
     def test_rational_vectors_keep_their_scale(self):
         aug = linalg.AugSpan(2)
-        assert aug.add([Fraction(1, 2), 1])
-        assert aug.add([0, Fraction(2, 3)])
-        assert aug.express([1, 2]) == {0: 2}
-        assert aug.express([Fraction(1, 4), 1]) == {
-            0: Fraction(1, 2), 1: Fraction(3, 4)}
+        aug.add([[[Fraction(1, 2), 1], [0, Fraction(2, 3)], [1, 2]],
+                 [[Fraction(1, 2), 1], [0, Fraction(2, 3)],
+                  [Fraction(1, 4), 1]]])
+        assert aug.dependencies() == [
+            (2, {0: 2}), (2, {0: Fraction(1, 2), 1: Fraction(3, 4)})]
 
 
 class TestElimination:
@@ -248,7 +260,7 @@ class TestElimination:
         rng = random.Random(7)
         for _ in range(20):
             rows = random_matrix(rng, rng.randint(1, 4), 5)
-            ours = linalg.nullspace(rows, 5)
+            (ours,) = linalg.nullspace([rows], 5)
             theirs = sympy.Matrix(rows).nullspace()
             assert len(ours) == len(theirs)
             for vec in ours:
@@ -261,7 +273,7 @@ class TestElimination:
         for _ in range(20):
             rows = random_matrix(rng, rng.randint(1, 5), 6)
             assert (linalg.rank(rows, 6)
-                    + len(linalg.nullspace(rows, 6)) == 6)
+                    + len(linalg.nullspace([rows], 6)[0]) == 6)
 
     def test_rref_idempotent(self):
         rows = [[2, 4, 6], [1, 2, 4]]
@@ -297,7 +309,7 @@ class TestAgainstFractionOracle:
         oracle = FractionSpan(width, rows)
         assert linalg.rank(rows, width) == len(oracle.rows)
         assert oracles.span_basis(linalg.Span(width, rows)) == oracle.basis()
-        assert linalg.nullspace(rows, width) == oracle.nullspace()
+        assert linalg.nullspace([rows], width) == [oracle.nullspace()]
         span = linalg.Span(width, rows)
         for vec in oracle.nullspace():
             assert all(sum(x * v for x, v in zip(row, vec)) == 0
@@ -337,7 +349,7 @@ class TestAgainstFractionOracle:
             before = span.dim
             grew = span.extend(block)
             stacked = np.array(rows[:start], dtype=object).reshape(-1, width)
-            want, pivots = linalg.eliminate(stacked)
+            ((want, pivots),) = linalg.eliminate([stacked])
             assert span.pivots == pivots
             assert span.rows.tolist() == want.tolist()
             assert grew == span.dim - before
@@ -349,6 +361,47 @@ class TestAgainstFractionOracle:
             small = linalg.Span(5, np.array(rows, dtype=np.int64))
             big = linalg.Span(5, [[x * 2**64 for x in row] for row in rows])
             assert small.equals(big)
+
+
+@st.composite
+def stacks(draw):
+    """0-6 integer matrices of one width 1-9 and heights 0-7 (zero rows
+    included), with entries on both sides of the int64 range."""
+    width = draw(st.integers(1, 9))
+    vectors = st.lists(_ENTRY, min_size=width, max_size=width)
+    mats = []
+    for _ in range(draw(st.integers(0, 6))):
+        rows = draw(st.lists(vectors, max_size=7))
+        for _ in range(draw(st.integers(0, 2)) if rows else 0):
+            rows.insert(draw(st.integers(0, len(rows))), [0] * width)
+        mats.append(rows)
+    return mats, width
+
+
+class TestStackedElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(stacks())
+    @example(([[[2**70, 1], [1, 1]], [[1, 2], [2, 4]], [], [[0, 0]]], 2))
+    def test_each_member_matches_the_oracle_and_a_stack_of_one(self, case):
+        mats, width = case
+        # int64 members and Python-integer members share the stack
+        arrays = [linalg.integer_rows(rows, width) for rows in mats]
+        copies = [arr.copy() for arr in arrays]
+        got = linalg.eliminate(arrays)
+        assert len(got) == len(mats)
+        for rows, arr, copy, (echelon, pivots) in zip(mats, arrays, copies,
+                                                       got):
+            assert np.array_equal(arr, copy)
+            oracle = FractionSpan(width, rows)
+            assert pivots == oracle.pivots
+            assert [tuple(Fraction(int(v), int(row[p])) for v in row)
+                    for row, p in zip(echelon, pivots)] == oracle.basis()
+            for row, p in zip(echelon.tolist(), pivots):
+                assert row[p] > 0 and gcd(*row) == 1
+            ((alone, alone_pivots),) = linalg.eliminate([arr])
+            assert alone_pivots == pivots
+            assert alone.tolist() == echelon.tolist()
+            assert alone.dtype == echelon.dtype
 
 
 @st.composite
@@ -377,24 +430,27 @@ class TestAugSpanAgainstFractionOracle:
     @example(([[2**63, 1], [2**64, 2], [0, 3]], [[2**63, 4], [0, 1], [0, 0]],
               2))
     def test_add_indices_and_express(self, case):
+        # one member per probe: the rows, then the probe
         rows, probes, width = case
-        aug, oracle = linalg.AugSpan(width), FractionAugSpan(width)
-        # the same vectors as int64 arrays where they fit
+        members = [rows + [vec] for vec in probes]
+        want = [first_dependency(seq, width) for seq in members]
+        aug = linalg.AugSpan(width)
+        aug.add(members)
+        assert aug.count == len(rows) + 1
+        assert aug.dependencies() == want
+        # the same vectors as integer arrays, added in two steps
         arrays = linalg.AugSpan(width)
-        for row in rows:
-            assert aug.add(row) == oracle.add(row) == arrays.add(
-                linalg.integer_rows([row], width)[0])
-        assert aug.count == oracle.count == len(rows)
-        assert aug.dim == oracle.dim
-        for vec in probes:
-            combo = aug.express(vec)
-            assert combo == oracle.express(vec)
-            assert arrays.express(linalg.integer_rows([vec], width)[0]) == (
-                combo)
-            if combo is not None:
-                assert [sum(c * rows[i][k] for i, c in combo.items())
-                        for k in range(width)] == vec
-        assert aug.express(probes[0]) is not None
+        cut = len(rows) // 2
+        arrays.add([linalg.integer_rows(seq[:cut], width) for seq in members])
+        arrays.add([linalg.integer_rows(seq[cut:], width) for seq in members])
+        assert arrays.dependencies() == want
+        for seq, dep in zip(members, want):
+            if dep is not None:
+                m, combo = dep
+                assert [sum(c * seq[i][k] for i, c in combo.items())
+                        for k in range(width)] == seq[m]
+        # the probe inside the span of the rows is always expressed
+        assert want[0] is not None
 
 
 def fraction_krylov_minimal_polynomial(a):
@@ -423,26 +479,32 @@ def positivity_elements(system, count):
 
 
 class TestMinimalPolynomialAgainstFractionKrylov:
+    # each test reads the minimal polynomials of a whole stack at once
     @pytest.mark.parametrize("label,count", [
-        ("A3", 100), ("B3", 100), ("H3", 100), ("I2(5)", 100),
-        ("B4", 8), ("D4", 8)])
+        ("A3", 100), ("B3", 100), ("H3", 100), ("I2(5)", 100), ("B4", 100),
+        ("D4", 100)])
     def test_positivity_suite_elements(self, system_factory, label, count):
-        system = system_factory(label)
-        for a in positivity_elements(system, count):
-            assert (alg.minimal_polynomial(a)
-                    == fraction_krylov_minimal_polynomial(a)), str(a)
+        elements = positivity_elements(system_factory(label), count)
+        for a, got in zip(elements, alg.minimal_polynomial(elements)):
+            assert got == fraction_krylov_minimal_polynomial(a), str(a)
 
     @pytest.mark.parametrize("label", ["B3", "D4"])
     def test_shifted_scaled_and_fractional_elements(self, system_factory,
                                                     label):
+        # one stack of mixed denominators, with int64 and Python-integer
+        # powers side by side: 2**40 a leaves int64 in the first power
         system = system_factory(label)
         one = alg.unit(system)
+        stack = [alg.DescentVector.zero(system), one,
+                 alg.radical_basis(system)[0]]
         for a in positivity_elements(system, 4):
-            # 2**40 a leaves int64 in the first power
-            for b in (a - 3 * one, 2**40 * a, a * Fraction(1, 7),
-                      a.in_basis(alg.BASIS_XPRIME)):
-                assert (alg.minimal_polynomial(b)
-                        == fraction_krylov_minimal_polynomial(b)), str(b)
+            stack += [a - 3 * one, 2**40 * a, a * Fraction(1, 7),
+                      a.in_basis(alg.BASIS_XPRIME)]
+        got = alg.minimal_polynomial(stack)
+        assert got[:2] == [(Fraction(0), Fraction(1)),
+                           (Fraction(-1), Fraction(1))]
+        for b, poly in zip(stack, got):
+            assert poly == fraction_krylov_minimal_polynomial(b), str(b)
 
 
 class TestPolynomials:

@@ -19,6 +19,7 @@ from descent import morphisms as mo
 from descent import verify as ve
 from descent.coxeter import build_system, iter_bits, popcount
 from descent.errors import InvalidSubset, NotSelfOpposed, RankTooSmall
+from descent.table import SUPPORTED_TYPES
 
 import oracles
 
@@ -72,7 +73,7 @@ def bbht_a_check_direct(system, kmask):
 def surjective_by_left_ideal(system, kmask):
     """The two left-ideal formulations of surjectivity: x_K's left ideal
     has dimension 2^|K|, and it is the span of the x_J with J inside K."""
-    ideal = alg.left_ideal(alg.basis_x(system, kmask))
+    ideal = alg.left_ideal([alg.basis_x(system, kmask)])[0]
     lattice = alg.family_span(
         system, [m for m in all_masks(system) if m & ~kmask == 0])
     return ideal.dim == 1 << popcount(kmask), ideal.equals(lattice)
@@ -530,6 +531,20 @@ def sample_morphisms(system):
         if mo.is_self_opposed(system, k):
             out.append(mo.psi_K(system, k))
     return out
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_multiplicative_pairs_match_the_dense_route(system_factory, label):
+    # every restriction, the fork onto D_n and every quotient
+    system = system_factory(label)
+    morphisms = [mo.res_K(system, k) for k in all_masks(system)]
+    if len(system.components) == 1 and system.components[0][0] == "B":
+        morphisms.append(mo.res_BD(system.rank))
+    morphisms += [mo.psi_K(system, k) for k in all_masks(system)
+                  if mo.is_self_opposed(system, k)]
+    for morphism in morphisms:
+        assert np.array_equal(morphism.multiplicative_pairs(),
+                              oracles.multiplicative_pairs_dense(morphism))
 
 
 class TestIntegerColumnsAgainstFractionLoops:

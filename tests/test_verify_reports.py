@@ -1,4 +1,5 @@
-"""Whole morphisms-suite reports against stored references.
+"""Whole morphisms- and positivity-suite reports against stored
+references.
 
 ``tests/data/morphisms`` holds ``descent verify --suite morphisms --format
 json`` output as the CLI prints it. The ``-seed<k>`` files are passing
@@ -7,6 +8,11 @@ quotient block and the rank-5 random-pair branch. The ``-corrupt`` files
 are the reports produced when the restriction onto one subset has one
 wrong entry: they pin which checks fail, their partial counts and their
 first counterexamples.
+
+``tests/data/positivity`` holds the positivity suite's reports the same
+way, at seeds 0 and 7; its ``-corrupt-`` files are the reports produced
+when the minimal polynomial, or the right ideal, of the 38th seeded
+element (index 37) is wrong, and pin that element as the counterexample.
 """
 
 import json
@@ -15,15 +21,19 @@ import os
 import numpy as np
 import pytest
 
+from descent import algebra as alg
 from descent import cli
+from descent import linalg
 from descent import morphisms as mo
 from descent import verify as ve
 
-DATA = os.path.join(os.path.dirname(__file__), "data", "morphisms")
+import oracles
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def reference(name):
-    with open(os.path.join(DATA, name + ".json")) as f:
+def reference(name, suite="morphisms"):
+    with open(os.path.join(DATA, suite, name + ".json")) as f:
         return f.read()
 
 
@@ -61,3 +71,42 @@ def test_failing_report_keeps_payloads(monkeypatch, label, kmask, row, col):
     assert not report.passed
     assert (json.dumps(report.to_dict(), indent=2, default=str) + "\n"
             == reference("%s-corrupt" % label))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "H3", "B4", "D4", "F4",
+                                   "H4"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_positivity_report_matches_reference(capsys, label, seed):
+    code = cli.main(["verify", "--suite", "positivity", "--type", label,
+                     "--seed", str(seed), "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out == reference(
+        "%s-seed%d" % (label, seed), "positivity")
+
+
+# (type, stacked function, corruption of its entry for element 37)
+POSITIVITY_CORRUPTIONS = [
+    ("B3", "minimal_polynomial", lambda p: oracles.poly_mul(p, p)),
+    ("D4", "right_ideal", lambda span: linalg.Span(span.width)),
+]
+
+
+@pytest.mark.parametrize("label,name,corrupt", POSITIVITY_CORRUPTIONS,
+                         ids=[c[1] for c in POSITIVITY_CORRUPTIONS])
+def test_failing_positivity_report_names_the_element(monkeypatch, label,
+                                                     name, corrupt):
+    # the suite passes its 100 elements first, then (for the ideals)
+    # their 100 squares, in one stacked call each
+    original = getattr(alg, name)
+
+    def stacked(vectors):
+        out = original(vectors)
+        out[37] = corrupt(out[37])
+        return out
+
+    monkeypatch.setattr(alg, name, stacked)
+    report = ve.run_suite("positivity", label, seed=0)
+    assert not report.passed
+    assert (json.dumps(report.to_dict(), indent=2, default=str) + "\n"
+            == reference("%s-corrupt-%s" % (label, name.replace("_", "-")),
+                         "positivity"))
