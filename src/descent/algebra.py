@@ -649,30 +649,41 @@ def minimal_polynomial(vectors):
     Krylov stacks on integer rows: L_b = left_multiplication(a_b) is
     den_b * a_b on the x-basis, so p_0 = 1 and p_k = p_{k-1} L_b are the
     integer x-coordinates of den_b^k a_b^k, one batched contraction per
-    power up to k = 2^n, where a dependency must have occurred. One
-    AugSpan reads each stack's first dependency p_m = sum c_k p_k, and the
-    coefficient of x^k is -c_k den_b^(k-m).
+    power. One AugSpan reads each stack's first dependency
+    p_m = sum c_k p_k, and the coefficient of x^k is -c_k den_b^(k-m).
+    The roots are the character values, so a vector with d distinct ones
+    and a squarefree minimal polynomial has m = d: the stacks first run to
+    the largest d, and only the vectors without a dependency by then run
+    again up to k = 2^n, where a dependency must have occurred.
     """
     system = vectors[0].system
     size = 1 << system.rank
     L = left_multiplication(vectors)
-    p = np.zeros((len(vectors), 1, size), dtype=np.int64)
-    p[:, 0, system.full_mask] = 1
-    powers = [p]
-    for _ in range(size):
-        p = linalg.matmul(p, L)
-        powers.append(p)
-    dtype = object if any(q.dtype == object for q in powers) else np.int64
-    span = AugSpan(size)
-    span.add(np.concatenate([q.astype(dtype, copy=False) for q in powers],
-                            axis=1))
-    out = []
-    for vector, (m, combo) in zip(vectors, span.dependencies()):
-        den = Fraction(vector.x_ints()[1])
-        coeffs = [ZERO] * m + [ONE]
-        for k, c in combo.items():
-            coeffs[k] = -c * den ** (k - m)
-        out.append(tuple(coeffs))
+    values = linalg.matmul(x_matrix(vectors, size), tau_matrix(system).T)
+    count = max(len(set(row)) for row in values.tolist()) + 1
+    out = [None] * len(vectors)
+    todo = list(range(len(vectors)))
+    while todo:
+        p = np.zeros((len(todo), 1, size), dtype=np.int64)
+        p[:, 0, system.full_mask] = 1
+        powers = [p]
+        for _ in range(count - 1):
+            p = linalg.matmul(p, L[todo])
+            powers.append(p)
+        dtype = object if p.dtype == object else np.int64
+        span = AugSpan(size)
+        span.add(np.concatenate([q.astype(dtype, copy=False)
+                                 for q in powers], axis=1))
+        for b, dep in zip(todo, span.dependencies()):
+            if dep is not None:
+                m, combo = dep
+                den = Fraction(vectors[b].x_ints()[1])
+                coeffs = [ZERO] * m + [ONE]
+                for k, c in combo.items():
+                    coeffs[k] = -c * den ** (k - m)
+                out[b] = tuple(coeffs)
+        todo = [b for b in todo if out[b] is None]
+        count = size + 1
     return out
 
 
