@@ -670,7 +670,7 @@ def minimal_polynomial(vectors):
         for _ in range(count - 1):
             p = linalg.matmul(p, L[todo])
             powers.append(p)
-        dtype = object if p.dtype == object else np.int64
+        dtype = object if any(q.dtype == object for q in powers) else np.int64
         span = AugSpan(size)
         span.add(np.concatenate([q.astype(dtype, copy=False)
                                  for q in powers], axis=1))

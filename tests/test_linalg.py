@@ -507,6 +507,16 @@ class TestMinimalPolynomialAgainstFractionKrylov:
             assert poly == fraction_krylov_minimal_polynomial(b), str(b)
 
 
+    def test_power_vanishing_after_leaving_int64(self, system_factory):
+        # p_2 leaves int64, p_3 = 0 and p_4 is back in int64: the stack
+        # must stay on Python integers
+        system = system_factory("A3")
+        a = 2**40 * (alg.basis_x(system, 0b110) - alg.basis_x(system, 0b011))
+        assert alg.multiply(a, alg.multiply(a, a)).is_zero()
+        assert alg.minimal_polynomial([a]) == [
+            fraction_krylov_minimal_polynomial(a)]
+
+
 class TestPolynomials:
     def test_divmod_and_gcd_against_sympy(self):
         rng = random.Random(23)
