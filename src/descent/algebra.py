@@ -245,34 +245,6 @@ class DescentVector:
         return "<DescentVector %s over %s>" % (self, self.system.type_label)
 
 
-class TauVector:
-    """Values of every one-dimensional character on one element.
-
-    Entry k is the character value at the shape with class id k. The kernel
-    of the full collection is the radical, and the map is multiplicative.
-    """
-
-    __slots__ = ("system", "values")
-
-    def __init__(self, system, values):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "values", tuple(values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TauVector is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TauVector):
-            return NotImplemented
-        return self.system is other.system and self.values == other.values
-
-    def __hash__(self):
-        return hash((id(self.system), self.values))
-
-    def __repr__(self):
-        return "<TauVector %s>" % (tuple(str(v) for v in self.values),)
-
-
 class LoewyProfile:
     """Dimensions of the successive radical powers, until they vanish."""
 
@@ -581,12 +553,15 @@ def tau_matrix(system):
     return mat
 
 
-def tau(vector):
-    """All one-dimensional character values of the element."""
-    nums, den = vector.x_ints()
-    vals = [Fraction(sum(t * v for t, v in zip(row, nums)), den)
-            for row in tau_matrix(vector.system).tolist()]
-    return TauVector(vector.system, vals)
+def character_values(vectors):
+    """Values of every one-dimensional character on each vector of one
+    system, as ``(nums, dens)``: ``nums[b, k] / dens[b]`` is the value of
+    the character of shape class k on vector b, with ``nums`` an integer
+    matrix and every ``dens[b]`` positive."""
+    system = vectors[0].system
+    values = linalg.matmul(x_matrix(vectors, 1 << system.rank),
+                           tau_matrix(system).T)
+    return values, [v.x_ints()[1] for v in vectors]
 
 
 def radical_basis(system):
@@ -659,7 +634,7 @@ def minimal_polynomial(vectors):
     system = vectors[0].system
     size = 1 << system.rank
     L = left_multiplication(vectors)
-    values = linalg.matmul(x_matrix(vectors, size), tau_matrix(system).T)
+    values, dens = character_values(vectors)
     count = max(len(set(row)) for row in values.tolist()) + 1
     out = [None] * len(vectors)
     todo = list(range(len(vectors)))
@@ -677,7 +652,7 @@ def minimal_polynomial(vectors):
         for b, dep in zip(todo, span.dependencies()):
             if dep is not None:
                 m, combo = dep
-                den = Fraction(vectors[b].x_ints()[1])
+                den = Fraction(dens[b])
                 coeffs = [ZERO] * m + [ONE]
                 for k, c in combo.items():
                     coeffs[k] = -c * den ** (k - m)

@@ -7,7 +7,6 @@ cross-multiplies two rows and divides a row by the gcd of its entries.
 Nothing is rounded and no ``Fraction`` is formed until a caller asks for
 reduced rows or coefficients. Entries stay in int64 while a bound proves
 the next step cannot overflow and move to Python integers otherwise.
-Polynomials, short and rare, stay on ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -390,64 +389,3 @@ def nullspace(stack, width: int) -> list[list[tuple[Fraction, ...]]]:
             basis.append(tuple(vec))
         out.append(basis)
     return out
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Q, coefficient lists with index = degree
-
-
-def poly_trim(coeffs: Sequence) -> tuple[Fraction, ...]:
-    c = as_fractions(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_degree(p: Sequence) -> int:
-    q = poly_trim(p)
-    return len(q) - 1 if q else -1
-
-
-def poly_monic(p: Sequence) -> tuple[Fraction, ...]:
-    q = list(poly_trim(p))
-    if not q:
-        return ()
-    lead = q[-1]
-    return tuple(x / lead for x in q)
-
-
-def poly_divmod(p: Sequence, q: Sequence):
-    a = list(poly_trim(p))
-    b = poly_trim(q)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [ZERO] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        quot[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        while a and a[-1] == 0:
-            a.pop()
-    return poly_trim(quot), poly_trim(a)
-
-
-def poly_gcd(p: Sequence, q: Sequence) -> tuple[Fraction, ...]:
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
-
-
-def poly_derivative(p: Sequence) -> tuple[Fraction, ...]:
-    q = poly_trim(p)
-    return poly_trim([i * q[i] for i in range(1, len(q))])
-
-
-def poly_is_squarefree(p: Sequence) -> bool:
-    q = poly_trim(p)
-    if poly_degree(q) <= 1:
-        return True
-    return poly_degree(poly_gcd(q, poly_derivative(q))) == 0
-

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from . import algebra as alg
 from . import automorphisms as auto
 from . import morphisms as mor
 from .coxeter import build_system, iter_bits, popcount
 from .errors import UnknownSuite
-from .linalg import Span, poly_is_squarefree
+from .linalg import Span
 
 SUITES = (
     "solomon-oracle",
@@ -141,15 +145,37 @@ def _random_positive(system, rng):
 
 
 def _subset_pairs(size):
+    """Index arrays (inner, outer) of the pairs J, K of subset masks with J
+    a proper subset of K: K increasing, and J from K - 1 down through the
+    subsets of K."""
+    pairs = []
     for kmask in range(size):
         jmask = kmask
-        while True:
+        while jmask:
             jmask = (jmask - 1) & kmask
-            if jmask == kmask:
-                break
-            yield jmask, kmask
-            if jmask == 0:
-                break
+            pairs.append((jmask, kmask))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
+def _splits_into_distinct_roots(poly, nums, den):
+    """Whether the polynomial ``poly`` (low to high, nonzero leading
+    coefficient) has as many distinct roots as its degree, namely the
+    values num / den: then it is their product up to a unit, so it is
+    squarefree. A root n / m is checked in integers, by Horner's rule on
+    m^d p(n / m) with the coefficients scaled to integers."""
+    roots = {Fraction(v, den) for v in nums}
+    if len(poly) != len(roots) + 1:
+        return False
+    scale = lcm(*(c.denominator for c in poly))
+    coeffs = [int(c * scale) for c in reversed(poly)]
+    for r in roots:
+        acc, power = 0, 1
+        for c in coeffs:
+            acc = acc * r.numerator + c * power
+            power *= r.denominator
+        if acc:
+            return False
+    return True
 
 
 def _suite_positivity(system, report, seed):
@@ -165,9 +191,13 @@ def _suite_positivity(system, report, seed):
     families = [alg.family_span(system,
                                 alg.saturated_family(a, equivariant=True))
                 for a in elements]
+    # one row per element, over its positive denominator, so comparing
+    # numerators compares the character values
+    values, dens = alg.character_values(elements)
     outcomes = {
         "minimal-polynomial-squarefree":
-            map(poly_is_squarefree, alg.minimal_polynomial(elements)),
+            map(_splits_into_distinct_roots,
+                alg.minimal_polynomial(elements), values.tolist(), dens),
         "square-right-ideal-stable":
             (right[count + i].equals(right[i]) for i in range(count)),
         "square-left-ideal-stable":
@@ -183,17 +213,16 @@ def _suite_positivity(system, report, seed):
         _check(report, name, bad is None,
                "%d seeded positive elements" % count, bad)
 
-    def tau_rise(a):
-        tv = alg.tau(a).values
-        shape = system.shape_id_of_mask
-        return _first_failure(
-            None if tv[shape(kmask)] <= tv[shape(jmask)]
-            else {"element": str(a),
-                  "inner": _mask_name(system, jmask),
-                  "outer": _mask_name(system, kmask)}
-            for jmask, kmask in _subset_pairs(size))[1]
-
-    bad = _first_failure(tau_rise(a) for a in elements)[1]
+    inner, outer = _subset_pairs(size)
+    by_mask = values[:, system.shape_classes()[1]]
+    # row-major: the first element with a rise, then its first pair
+    rises = np.argwhere(by_mask[:, outer] > by_mask[:, inner])
+    bad = None
+    if len(rises):
+        b, p = rises[0]
+        bad = {"element": str(elements[b]),
+               "inner": _mask_name(system, int(inner[p])),
+               "outer": _mask_name(system, int(outer[p]))}
     _check(report, "tau-antitone-in-subsets", bad is None,
            "%d seeded positive elements" % count, bad)
 

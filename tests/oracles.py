@@ -4,8 +4,9 @@ The package computes each result one way. The helpers here are the second
 routes the tests check it against (group-algebra coordinates, a product
 compared one pair at a time, a commuting square of morphisms, conjugacy
 decided one element, member or point at a time, w_K and subgroup
-embeddings found one element at a time, span helpers), and the
-closed forms the paper proves for special elements (the split
+embeddings found one element at a time, span helpers, the polynomial gcd
+that decides squarefreeness, character values one element at a time),
+and the closed forms the paper proves for special elements (the split
 characteristic polynomial and the regular-representation eigenvalue
 counts of positive elements, the type-A radical witness, the y-basis
 criterion for a central longest element).
@@ -26,11 +27,69 @@ from descent.errors import InvalidSubset, NotPositive, WrongType
 from descent.linalg import Span
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, coefficient lists with index = degree
+# polynomials over Q, coefficient lists with index = degree: the gcd route
+# to squarefreeness that the positivity suite's root count is checked
+# against
+
+
+def poly_trim(coeffs):
+    c = linalg.as_fractions(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_degree(p):
+    q = poly_trim(p)
+    return len(q) - 1 if q else -1
+
+
+def poly_monic(p):
+    q = list(poly_trim(p))
+    if not q:
+        return ()
+    lead = q[-1]
+    return tuple(x / lead for x in q)
+
+
+def poly_divmod(p, q):
+    a = list(poly_trim(p))
+    b = poly_trim(q)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        quot[k] = c
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    return poly_trim(quot), poly_trim(a)
+
+
+def poly_gcd(p, q):
+    a, b = poly_trim(p), poly_trim(q)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_monic(a)
+
+
+def poly_derivative(p):
+    q = poly_trim(p)
+    return poly_trim([i * q[i] for i in range(1, len(q))])
+
+
+def poly_is_squarefree(p):
+    q = poly_trim(p)
+    if poly_degree(q) <= 1:
+        return True
+    return poly_degree(poly_gcd(q, poly_derivative(q))) == 0
 
 
 def poly_mul(p, q):
-    a, b = linalg.poly_trim(p), linalg.poly_trim(q)
+    a, b = poly_trim(p), poly_trim(q)
     if not a or not b:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -38,7 +97,7 @@ def poly_mul(p, q):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return linalg.poly_trim(out)
+    return poly_trim(out)
 
 
 def poly_from_roots(roots):
@@ -47,6 +106,17 @@ def poly_from_roots(roots):
     for r in roots:
         out = poly_mul(out, (-Fraction(r), Fraction(1)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# characters
+
+
+def tau_values(vector):
+    """All one-dimensional character values of the element, entry k at
+    shape class k."""
+    (nums,), (den,) = alg.character_values([vector])
+    return tuple(Fraction(int(v), den) for v in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +409,7 @@ def characteristic_polynomial_positive(vector):
         raise NotPositive("characteristic factorization needs nonnegative "
                           "x-coordinates")
     system = vector.system
-    values = alg.tau(vector).values
+    values = tau_values(vector)
     return poly_from_roots(values[system.shape_id_of_mask(mask)]
                            for mask in range(1 << system.rank))
 
@@ -372,7 +442,7 @@ def eigenspace_dim_on_regular(vector, value):
             "regular-representation eigenvalue count needs nonnegative "
             "x-coordinates")
     value = Fraction(value)
-    values = alg.tau(vector).values
+    values = tau_values(vector)
     _cls, cshapes, sizes = class_shape_ids(vector.system)
     return sum(size for c, size in enumerate(sizes)
                if values[int(cshapes[c])] == value)
@@ -398,7 +468,7 @@ def witness_element_typeA(system):
 
 def is_invertible(vector):
     """A unit precisely when no one-dimensional character vanishes on it."""
-    return all(v != 0 for v in alg.tau(vector).values)
+    return all(v != 0 for v in tau_values(vector))
 
 
 def w0_centrality_criterion(system):

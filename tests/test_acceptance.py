@@ -13,7 +13,6 @@ import pytest
 import descent.algebra as alg
 import descent.automorphisms as au
 import descent.cache as ca
-import descent.linalg as linalg
 import descent.morphisms as mo
 import descent.table as tb
 import descent.verify as ve
@@ -157,7 +156,7 @@ def test_criterion_5_counterexamples_exact(system_factory):
     b = alg.basis_x(a2, 0b11) - alg.basis_x(a2, 0b10)
     assert Fraction(b.nums[a2.full_mask], b.den) == 1
     assert not oracles.is_invertible(b)
-    assert 0 in alg.tau(b).values
+    assert 0 in oracles.tau_values(b)
 
     # 4. sum of principal ideals is not the ideal of the sum
     summed = oracles.span_sum(*alg.right_ideal([a, -1 * a]))
@@ -167,7 +166,7 @@ def test_criterion_5_counterexamples_exact(system_factory):
     # 5. nilpotent element with square minimal polynomial
     p = alg.minimal_polynomial([a])[0]
     assert p == (Fraction(0), Fraction(0), Fraction(1))
-    assert not linalg.poly_is_squarefree(p)
+    assert not oracles.poly_is_squarefree(p)
     assert alg.multiply(a, a).is_zero()
     print("criterion 5 (non-positive counterexamples, exact): PASS")
 

@@ -343,13 +343,13 @@ def test_tau_is_multiplicative(system_factory, label):
     system = system_factory(label)
     rng = random.Random(29)
     one = alg.unit(system)
-    assert all(v == 1 for v in alg.tau(one).values)
+    assert all(v == 1 for v in oracles.tau_values(one))
     for _ in range(40):
         a = random_vector(system, rng)
         b = random_vector(system, rng)
-        ta = alg.tau(a).values
-        tb = alg.tau(b).values
-        tab = alg.tau(alg.multiply(a, b)).values
+        ta = oracles.tau_values(a)
+        tb = oracles.tau_values(b)
+        tab = oracles.tau_values(alg.multiply(a, b))
         assert tab == tuple(u * v for u, v in zip(ta, tb))
 
 
@@ -361,7 +361,7 @@ def test_radical_is_character_kernel(system_factory, label):
     size = 1 << system.rank
     assert len(rad) == size - nshapes
     for v in rad:
-        assert all(t == 0 for t in alg.tau(v).values)
+        assert all(t == 0 for t in oracles.tau_values(v))
     profile = alg.loewy_profile(system)
     assert profile.dims[0] == size
     if len(profile.dims) > 1:
@@ -448,10 +448,10 @@ class TestMinimalPolynomial:
                       for _ in range(1 << system.rank)]
             a = alg.DescentVector(system, coeffs, alg.BASIS_X)
             charp = oracles.characteristic_polynomial_positive(a)
-            assert linalg.poly_degree(charp) == 1 << system.rank
+            assert oracles.poly_degree(charp) == 1 << system.rank
             minp = alg.minimal_polynomial([a])[0]
-            _, rem = linalg.poly_divmod(charp, minp)
-            assert linalg.poly_degree(rem) < 0
+            _, rem = oracles.poly_divmod(charp, minp)
+            assert oracles.poly_degree(rem) < 0
 
     def test_characteristic_rejects_negative(self, system_factory):
         system = system_factory("A2")
@@ -609,13 +609,13 @@ class TestTypeBWitnesses:
         assert len(t_list) == count
         for v in a_list + t_list:
             assert not v.is_zero()
-            assert all(t == 0 for t in alg.tau(v).values)
+            assert all(t == 0 for t in oracles.tau_values(v))
 
     def test_type_a_witness_in_radical(self, system_factory):
         system = system_factory("A3")
         a = oracles.witness_element_typeA(system)
         assert not a.is_zero()
-        assert all(t == 0 for t in alg.tau(a).values)
+        assert all(t == 0 for t in oracles.tau_values(a))
 
 
 def test_vectors_from_different_systems_do_not_mix(system_factory):

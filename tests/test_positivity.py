@@ -9,7 +9,6 @@ import pytest
 from descent import algebra as alg
 from descent import verify as vfy
 from descent.coxeter import popcount
-from descent import linalg
 
 import oracles
 
@@ -42,7 +41,7 @@ class TestPositiveElements:
         for _ in range(self.N):
             a = seeded_positive(system, rng)
             (p,) = alg.minimal_polynomial([a])
-            assert linalg.poly_is_squarefree(p)
+            assert oracles.poly_is_squarefree(p)
 
     def test_square_generates_same_ideals(self, system_factory, label):
         system = system_factory(label)
@@ -76,10 +75,10 @@ class TestPositiveElements:
         rng = random.Random("mono:" + label)
         for _ in range(self.N):
             a = seeded_positive(system, rng)
-            tv = alg.tau(a)
+            tv = oracles.tau_values(a)
             for jmask, kmask in subset_pairs(system.full_mask):
-                big = tv.values[system.shape_id_of_mask(jmask)]
-                small = tv.values[system.shape_id_of_mask(kmask)]
+                big = tv[system.shape_id_of_mask(jmask)]
+                small = tv[system.shape_id_of_mask(kmask)]
                 assert small <= big
 
 
@@ -94,11 +93,49 @@ def test_positive_spectrum_counts_group_elements(system_factory):
     rng = random.Random("spec")
     for _ in range(6):
         a = seeded_positive(system, rng)
-        values = set(alg.tau(a).values)
+        values = set(oracles.tau_values(a))
         total = sum(oracles.eigenspace_dim_on_regular(a, v) for v in values)
         assert total == system.order
         outside = max(values) + 1
         assert oracles.eigenspace_dim_on_regular(a, outside) == 0
+
+
+# the types of the positivity suite's golden reports (tests/data/positivity)
+GOLDEN_ROSTER = ["A3", "B3", "H3", "B4", "D4", "F4", "H4"]
+
+
+def certificate_and_gcd(elements):
+    """The positivity suite's root-count verdict on the minimal polynomial
+    of each element, and the verdict of the gcd oracle."""
+    values, dens = alg.character_values(elements)
+    polys = alg.minimal_polynomial(elements)
+    return ([vfy._splits_into_distinct_roots(p, v, d)
+             for p, v, d in zip(polys, values.tolist(), dens)],
+            [oracles.poly_is_squarefree(p) for p in polys])
+
+
+@pytest.mark.parametrize("label", GOLDEN_ROSTER)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_root_certificate_matches_gcd(system_factory, label, seed):
+    # the suite's 100 elements, then a radical element, unit + radical
+    # and a positive element over 3, which has a denominator
+    system = system_factory(label)
+    rng = random.Random("positivity:%d:%s" % (seed, system.type_label))
+    elements = [vfy._random_positive(system, rng) for _ in range(100)]
+    rad = alg.radical_basis(system)
+    nilpotent = sum(rad[1:], rad[0])
+    thirds = Fraction(1, 3) * elements[0]
+    assert alg.character_values([thirds])[1] != [1]
+    elements += [nilpotent, alg.unit(system) + nilpotent, thirds]
+    certificate, gcd = certificate_and_gcd(elements)
+    assert certificate == gcd
+    assert certificate[-3:] == [False, False, True]
+
+
+def test_root_certificate_on_a2_nilpotent(system_factory):
+    system = system_factory("A2")
+    a = alg.basis_x(system, 0b01) - alg.basis_x(system, 0b10)
+    assert certificate_and_gcd([a]) == ([False], [False])
 
 
 class TestCounterexamples:
@@ -133,7 +170,7 @@ class TestCounterexamples:
         a = alg.basis_x(system, 0b11) - alg.basis_x(system, 0b10)
         assert Fraction(a.nums[system.full_mask], a.den) == 1
         assert not oracles.is_invertible(a)
-        assert 0 in alg.tau(a).values
+        assert 0 in oracles.tau_values(a)
 
     def test_sum_of_ideals_is_not_ideal_of_sum(self, system_factory):
         system = system_factory("A2")
@@ -150,7 +187,7 @@ class TestCounterexamples:
         a = alg.basis_x(system, 0b01) - alg.basis_x(system, 0b10)
         p = alg.minimal_polynomial([a])[0]
         assert p == (Fraction(0), Fraction(0), Fraction(1))  # T^2
-        assert not linalg.poly_is_squarefree(p)
+        assert not oracles.poly_is_squarefree(p)
         assert alg.multiply(a, a).is_zero()
         assert alg.left_ideal([a])[0].dim == 1
         assert alg.left_ideal([alg.multiply(a, a)])[0].dim == 0

@@ -11,12 +11,14 @@ first counterexamples.
 
 ``tests/data/positivity`` holds the positivity suite's reports the same
 way, at seeds 0 and 7; its ``-corrupt-`` files are the reports produced
-when the minimal polynomial, or the right ideal, of the 38th seeded
-element (index 37) is wrong, and pin that element as the counterexample.
+when the minimal polynomial (squared, or replaced by x^d of the same
+degree), or the right ideal, of the 38th seeded element (index 37) is
+wrong, and pin that element as the counterexample.
 """
 
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,16 +86,23 @@ def test_positivity_report_matches_reference(capsys, label, seed):
         "%s-seed%d" % (label, seed), "positivity")
 
 
-# (type, stacked function, corruption of its entry for element 37)
+# (reference, type, stacked function, corruption of its entry for element
+# 37); x^d has the degree of the true minimal polynomial but one repeated
+# root, so a degree count alone would pass it
 POSITIVITY_CORRUPTIONS = [
-    ("B3", "minimal_polynomial", lambda p: oracles.poly_mul(p, p)),
-    ("D4", "right_ideal", lambda span: linalg.Span(span.width)),
+    ("minimal-polynomial", "B3", "minimal_polynomial",
+     lambda p: oracles.poly_mul(p, p)),
+    ("right-ideal", "D4", "right_ideal",
+     lambda span: linalg.Span(span.width)),
+    ("minimal-polynomial-same-degree", "B3", "minimal_polynomial",
+     lambda p: (Fraction(0),) * (len(p) - 1) + (Fraction(1),)),
 ]
 
 
-@pytest.mark.parametrize("label,name,corrupt", POSITIVITY_CORRUPTIONS,
-                         ids=[c[1] for c in POSITIVITY_CORRUPTIONS])
-def test_failing_positivity_report_names_the_element(monkeypatch, label,
+@pytest.mark.parametrize("ref,label,name,corrupt", POSITIVITY_CORRUPTIONS,
+                         ids=[c[0].replace("-", "_")
+                              for c in POSITIVITY_CORRUPTIONS])
+def test_failing_positivity_report_names_the_element(monkeypatch, ref, label,
                                                      name, corrupt):
     # the suite passes its 100 elements first, then (for the ideals)
     # their 100 squares, in one stacked call each
@@ -108,5 +117,4 @@ def test_failing_positivity_report_names_the_element(monkeypatch, label,
     report = ve.run_suite("positivity", label, seed=0)
     assert not report.passed
     assert (json.dumps(report.to_dict(), indent=2, default=str) + "\n"
-            == reference("%s-corrupt-%s" % (label, name.replace("_", "-")),
-                         "positivity"))
+            == reference("%s-corrupt-%s" % (label, ref), "positivity"))
