@@ -566,26 +566,23 @@ def character_values(vectors):
 
 def radical_basis(system):
     """Basis of the radical, the common kernel of all one-dimensional
-    characters.
+    characters, as a read-only matrix of integer x-coordinate rows.
 
     Solomon's basis: x_J - x_c for every member J of a shape other than
     its canonical member c. Each vector has its own J, so they are
     independent, and there are 2^n minus the number of shapes of them.
     """
     ctx = _algebra_context(system)
-    cached = ctx.get("radical_basis")
-    if cached is None:
-        size = 1 << system.rank
-        out = []
-        for shape in system.shapes():
-            for member in shape.members:
-                if member != shape.canonical:
-                    vec = [0] * size
-                    vec[member] = 1
-                    vec[shape.canonical] = -1
-                    out.append(DescentVector.from_ints(system, vec))
-        cached = ctx["radical_basis"] = tuple(out)
-    return list(cached)
+    rows = ctx.get("radical_basis")
+    if rows is None:
+        pairs = [(member, shape.canonical) for shape in system.shapes()
+                 for member in shape.members if member != shape.canonical]
+        rows = np.zeros((len(pairs), 1 << system.rank), dtype=np.int64)
+        for i, (member, canonical) in enumerate(pairs):
+            rows[i, member], rows[i, canonical] = 1, -1
+        rows.flags.writeable = False
+        ctx["radical_basis"] = rows
+    return rows
 
 
 def radical_powers(system, generators):
@@ -610,8 +607,7 @@ def loewy_profile(system):
     ctx = _algebra_context(system)
     prof = ctx.get("loewy_profile")
     if prof is None:
-        powers = radical_powers(
-            system, x_matrix(radical_basis(system), 1 << system.rank))
+        powers = radical_powers(system, radical_basis(system))
         prof = LoewyProfile([1 << system.rank] + [p.dim for p in powers])
         ctx["loewy_profile"] = prof
     return prof

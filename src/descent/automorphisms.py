@@ -134,21 +134,20 @@ class FixedSubalgebra:
         return len(self.basis)
 
     def radical_vectors(self):
-        """Basis of the radical of the fixed subalgebra: the ambient
-        radical basis symmetrized over the automorphism powers."""
+        """Basis of the radical of the fixed subalgebra, as a read-only
+        matrix of integer x-coordinate rows: the ambient radical basis
+        symmetrized over the automorphism powers."""
         if self._radical is None:
-            system = self.parent
-            size = 1 << system.rank
+            size = 1 << self.parent.rank
             # row m of the symmetrizer sums the images of x_m under the
             # powers of sigma: order / |orbit| times each orbit member
             sym = np.zeros((size, size), dtype=np.int64)
             for orbit in self.orbits:
                 sym[np.ix_(orbit, orbit)] = self.sigma.order // len(orbit)
-            rad = alg.x_matrix(alg.radical_basis(system), size)
-            projected = Span(size, rad @ sym)
-            self._radical = [DescentVector.from_ints(system, row)
-                             for row in projected.rows.tolist()]
-        return list(self._radical)
+            rows = Span(size, alg.radical_basis(self.parent) @ sym).rows
+            rows.flags.writeable = False
+            self._radical = rows
+        return self._radical
 
 
 def fixed_subalgebra(system, sigma):
@@ -156,22 +155,17 @@ def fixed_subalgebra(system, sigma):
     _check_sigma(system, sigma)
     size = 1 << system.rank
     orbits = mask_orbits(system, sigma)
-    basis = []
-    span = Span(size)
-    for orbit in orbits:
-        vec = [0] * size
-        for m in orbit:
-            vec[m] = 1
-        basis.append(DescentVector.from_ints(system, vec))
-        span.add(vec)
-    return FixedSubalgebra(system, sigma, orbits, basis, span)
+    indicators = np.zeros((len(orbits), size), dtype=np.int64)
+    for i, orbit in enumerate(orbits):
+        indicators[i, list(orbit)] = 1
+    basis = [DescentVector.from_ints(system, row)
+             for row in indicators.tolist()]
+    return FixedSubalgebra(system, sigma, orbits, basis,
+                           Span(size, indicators))
 
 
 def loewy_profile_fixed(system, sigma):
     """Loewy profile of the fixed subalgebra of one automorphism."""
     fixed = fixed_subalgebra(system, sigma)
-    size = 1 << system.rank
-    powers = alg.radical_powers(
-        system, alg.x_matrix(fixed.radical_vectors(), size))
+    powers = alg.radical_powers(system, fixed.radical_vectors())
     return LoewyProfile([fixed.dimension] + [p.dim for p in powers])
-

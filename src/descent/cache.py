@@ -142,6 +142,8 @@ def cache_load(type_label):
     except FileNotFoundError:
         _log.debug("miss %s", target)
         return None
+    except OSError as exc:
+        raise CorruptCache("unreadable cache file %s: %s" % (target, exc))
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             entry = json.loads(npz["header"].tobytes())

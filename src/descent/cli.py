@@ -41,8 +41,10 @@ def rank7_memory_estimate(type_label):
     conjugation row and the two int16 simple-root columns formed at the
     end of the enumeration), and 64 bytes for the index tables, the int64
     element keys and their sort. On top come the interpreter with numpy
-    and the int64 structure tensor over all triples of subsets. Measured
-    peak RSS is within about 10% of this on A7, D7 and B7.
+    and the int64 structure tensor over all triples of subsets. A cold
+    ``descent table`` in a fresh process peaks at 183 MB on B7 and 107 MB
+    on D7 (estimates 194 and 117 MB), but at 98 MB on A7 (estimate 56 MB),
+    where the radical powers of the row set the peak (Python 3.11.7).
     """
     comps = cartan.parse_label(type_label)
     order = cartan.order_for_components(comps)

@@ -8,8 +8,8 @@ the signed permutation it induces on the positive roots; everything else
 derives from that action.
 
 The group is enumerated on first use, not on construction: the first read
-of any group table (``perms``, ``parent``, ``lastgen``, ``length``,
-``supp``, ``rmul``, ``rasc``, ``lasc``, ``csany``, ``inv``) builds all ten,
+of any group table (``parent``, ``lastgen``, ``length``, ``supp``,
+``rmul``, ``rasc``, ``lasc``, ``csany``, ``inv``) builds all nine,
 in the element order described above. The structure tensor, loaded from
 the cache, and the root action answer the rest without enumerating: the
 shapes are read off the tensor and the twist of the longest element off
@@ -84,7 +84,6 @@ class Shape:
 
 
 class CoxeterSystem:
-    perms = _GroupTable()     # signed permutation of the positive roots
     parent = _GroupTable()    # w = parent[w] s_{lastgen[w]}, one shorter
     lastgen = _GroupTable()
     length = _GroupTable()
@@ -125,7 +124,6 @@ class CoxeterSystem:
             raise UnsupportedType("generator labels must be distinct")
         self.components = components
         self.type_label = type_label
-        self.from_label = from_label
         self.cache_enabled = cache and from_label
         self.order = cartan.order_for_components(components)
         self.full_mask = (1 << n) - 1
@@ -272,7 +270,6 @@ class CoxeterSystem:
                 "inverse of element %d is not enumerated" % missing[0])
         inv = ranked[at].astype(np.int32)
 
-        self.perms = P
         self.parent = parent
         self.lastgen = lastgen
         self.length = length

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Ranks, row spaces, kernels and linear dependencies (``AugSpan``) come
-from one fraction-free elimination on integer rows: a rational row is
-first scaled by the lcm of its denominators, and elimination only ever
-cross-multiplies two rows and divides a row by the gcd of its entries.
-Nothing is rounded and no ``Fraction`` is formed until a caller asks for
-reduced rows or coefficients. Entries stay in int64 while a bound proves
-the next step cannot overflow and move to Python integers otherwise.
+Row spaces (``Span``), kernels and linear dependencies (``AugSpan``) come
+from one fraction-free elimination on integer rows: a rational row of a
+span or a kernel is first scaled by the lcm of its denominators, and
+elimination only ever cross-multiplies two rows and divides a row by the
+gcd of its entries. Nothing is rounded and no ``Fraction`` is formed
+until a caller asks for reduced rows or coefficients. Entries stay in
+int64 while a bound proves the next step cannot overflow and move to
+Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -229,6 +230,7 @@ class Span:
     ``rows`` is the output of :func:`eliminate`: primitive integer rows with
     positive pivots at ``pivots``, each pivot column zero elsewhere. Equal
     subspaces have equal ``rows``, so comparisons need no elimination.
+    Rows enter through :meth:`add` alone.
     """
 
     __slots__ = ("width", "rows", "pivots")
@@ -238,7 +240,7 @@ class Span:
         self.rows = np.zeros((0, width), dtype=np.int64)
         self.pivots: list[int] = []
         if rows is not None:
-            self.extend(rows)
+            self.add(rows)
 
     @classmethod
     def _canonical(cls, width: int, rows: np.ndarray,
@@ -249,50 +251,23 @@ class Span:
         out.width, out.rows, out.pivots = width, rows, pivots
         return out
 
-    def _residuals(self, vecs: np.ndarray) -> np.ndarray:
-        """Scaled remainders of integer rows after projecting out the span:
-        a row lies in the span exactly when its remainder is zero."""
-        if not self.pivots:
-            return vecs
-        d = self.rows[np.arange(self.dim), self.pivots]
-        den = lcm(*(int(v) for v in d))
-        scale = np.array([den // int(v) for v in d], dtype=object)
-        coef = vecs[:, self.pivots]
-        bound = (absmax(vecs) + 1) * den * (1 + self.dim * absmax(self.rows))
-        dtype = exact_dtype(bound)
-        coef = coef.astype(object) * scale
-        return (vecs.astype(dtype) * den
-                - coef.astype(dtype) @ self.rows.astype(dtype))
+    def _stacked(self, vecs: Iterable[Sequence]) -> np.ndarray:
+        """The basis stacked over the vectors, as one integer matrix; over
+        an empty basis the vectors, uncopied, which keeps peaks low."""
+        new = integer_rows(vecs, self.width)
+        return np.concatenate([self.rows, new]) if self.pivots else new
 
-    def extend(self, vecs: Iterable[Sequence]) -> int:
-        """Insert vectors; return how much the dimension grew.
-
-        The residuals of the new rows vanish on every pivot column of the
-        span, so they are eliminated alone; their pivot columns are then
-        cleared from the old rows by one residual step against them, and
-        the two blocks merge by pivot. The canonical form is unique, so
-        the result equals the elimination of all rows stacked."""
-        res = self._residuals(integer_rows(vecs, self.width))
-        grown = Span._canonical(self.width, *eliminate([res])[0])
-        if not grown.pivots:
-            return 0
-        old = (_primitive(grown._residuals(self.rows)) if self.pivots
-               else self.rows)
-        dtype = object if object in (old.dtype, grown.rows.dtype) else np.int64
-        pivots = np.array(self.pivots + grown.pivots)
-        order = np.argsort(pivots)
-        self.rows = np.vstack([old.astype(dtype),
-                               grown.rows.astype(dtype)])[order]
-        self.pivots = pivots[order].tolist()
-        return grown.dim
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert a vector; report whether the dimension grew."""
-        return self.extend([vec]) > 0
+    def add(self, vecs: Iterable[Sequence]) -> int:
+        """Insert vectors; return how much the dimension grew. The
+        canonical form is unique, so one elimination of the basis stacked
+        over the vectors gives it."""
+        before = self.dim
+        ((self.rows, self.pivots),) = eliminate([self._stacked(vecs)])
+        return self.dim - before
 
     def contains(self, vec: Sequence) -> bool:
-        res = self._residuals(integer_rows([vec], self.width))
-        return not np.any(res != 0)
+        ((_, pivots),) = eliminate([self._stacked([vec])])
+        return len(pivots) == self.dim
 
     @property
     def dim(self) -> int:
@@ -304,42 +279,37 @@ class Span:
 
 
 class AugSpan:
-    """Vector sequences of one width, one sequence per member of a stack,
-    read for the first linear dependency in each.
+    """Integer vector sequences of one width, one sequence per member of a
+    stack, read for the first linear dependency in each.
 
-    :meth:`add` appends vectors to every member's sequence, each under its
-    member's next index, as the integer row ``s * vec`` with its factor
-    ``s``. :meth:`dependencies` puts each member's rows as the columns of
-    one matrix; the first basis vector k of its kernel (see
-    :func:`nullspace`) has a 1 at the first free column m and zeros after
-    it, so ``vec_m = -sum k_j s_j vec_j / s_m`` over j < m. One stacked
+    :meth:`add` appends integer rows to every member's sequence, each under
+    its member's next index. :meth:`dependencies` puts each member's rows
+    as the columns of one matrix; the first basis vector k of its kernel
+    (see :func:`nullspace`) has a 1 at the first free column m and zeros
+    after it, so ``vec_m = -sum k_j vec_j`` over j < m. One stacked
     ``nullspace`` call serves every member.
     """
 
-    __slots__ = ("width", "rows", "scales")
+    __slots__ = ("width", "rows")
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[np.ndarray] = []
-        self.scales: list[list[int]] = []
 
     def add(self, sequences) -> None:
-        """Append one sequence of vectors to each member; the first call
-        sets the members, and every member takes as many vectors. An
-        integer array is taken as the rows, each with factor 1."""
-        rows, scales = [], []
+        """Append one sequence of vectors to each member, as an integer
+        array or an object array of Python integers, one row per vector;
+        the first call sets the members, and every member takes as many
+        vectors. Anything else raises ValueError: scaling a rational row
+        to integers would change its coefficients."""
+        rows = []
         for seq in sequences:
-            if _integer_array(seq):
-                rows.append(integer_rows(seq, self.width))
-                scales.append([1] * len(seq))
-                continue
-            pairs = [scaled_integers(vec) for vec in seq]
-            rows.append(integer_rows([n for n, _ in pairs], self.width))
-            scales.append([d for _, d in pairs])
+            if not _integer_array(seq):
+                raise ValueError("integer rows expected")
+            rows.append(integer_rows(seq, self.width))
         if self.rows:
             rows = [np.vstack([a, b]) for a, b in zip(self.rows, rows)]
-            scales = [a + b for a, b in zip(self.scales, scales)]
-        self.rows, self.scales = rows, scales
+        self.rows = rows
 
     @property
     def count(self) -> int:
@@ -352,21 +322,14 @@ class AugSpan:
         zero coefficients left out; None when its vectors are independent.
         """
         out = []
-        for kern, scales in zip(
-                nullspace([rows.T for rows in self.rows], self.count),
-                self.scales):
+        for kern in nullspace([rows.T for rows in self.rows], self.count):
             if not kern:
                 out.append(None)
                 continue
             k = kern[0]
             m = max(j for j, v in enumerate(k) if v)
-            out.append((m, {j: -k[j] * scales[j] / scales[m]
-                            for j in range(m) if k[j]}))
+            out.append((m, {j: -k[j] for j in range(m) if k[j]}))
         return out
-
-
-def rank(rows: Iterable[Sequence], width: int) -> int:
-    return Span(width, rows).dim
 
 
 def nullspace(stack, width: int) -> list[list[tuple[Fraction, ...]]]:

@@ -336,8 +336,8 @@ def decomposition_check(morphism):
         return False
     # then the kernel has dimension size - rank(products), and kernel
     # plus ideal is direct exactly when the map is injective on the ideal
-    return linalg.rank(linalg.matmul(products, morphism.columns),
-                       morphism.columns.shape[1]) == columns.dim
+    return Span(morphism.columns.shape[1],
+                linalg.matmul(products, morphism.columns)).dim == columns.dim
 
 
 def surjectivity_report(system, K):

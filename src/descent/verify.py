@@ -495,13 +495,12 @@ def _suite_b_tau(system, report, seed):
               "family; %s is outside it" % system.type_label)
         return
     r = (n - 1) // 2
-    rad = alg.x_matrix(alg.radical_basis(system), 1 << n)
-    powers = alg.radical_powers(system, rad)
+    powers = alg.radical_powers(system, alg.radical_basis(system))
     span = powers[r - 1] if r <= len(powers) else Span(1 << n)
     _, t_list = alg.witness_elements_typeB(system)
     witness = t_list[r - 1]
     equals_line = (span.dim == 1 and not witness.is_zero()
-                   and span.contains(witness.x_coords()))
+                   and span.contains(witness.x_ints()[0]))
     _info(report, "radical-power-dimension",
           "dim of radical power %d is %d" % (r, span.dim))
     _info(report, "radical-power-is-line",

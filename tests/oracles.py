@@ -134,6 +134,12 @@ def span_canonical(span):
     return tuple(span_basis(span))
 
 
+def radical_vectors(system):
+    """Solomon's radical basis as DescentVectors, in its row order."""
+    return [DescentVector.from_ints(system, row)
+            for row in alg.radical_basis(system).tolist()]
+
+
 def span_copy(span):
     out = Span(span.width)
     out.rows = span.rows.copy()
@@ -161,7 +167,7 @@ def span_sum(a, b):
     if a.width != b.width:
         raise ValueError("width mismatch")
     out = span_copy(a)
-    out.extend(b.rows)
+    out.add(b.rows)
     return out
 
 

@@ -104,9 +104,8 @@ class TestAction:
     @pytest.mark.parametrize("label", ["A3", "D4", "F4"])
     def test_radical_is_stable(self, system_factory, label):
         system = system_factory(label)
-        rad = alg.radical_basis(system)
-        span = alg.linalg.Span(1 << system.rank,
-                               [r.x_coords() for r in rad])
+        rad = oracles.radical_vectors(system)
+        span = alg.linalg.Span(1 << system.rank, alg.radical_basis(system))
         for sigma in auto.diagram_automorphisms(system):
             for r in rad:
                 img = oracles.apply_automorphism(sigma, r)
@@ -198,7 +197,7 @@ class TestFixedSubalgebraOracles:
         for sigma in auto.diagram_automorphisms(system):
             fixed = auto.fixed_subalgebra(system, sigma)
             rad = fixed.radical_vectors()
-            projected = Span(size, alg.x_matrix(rad, size))
+            projected = Span(size, rad)
             assert projected.dim == len(rad)
             assert projected.equals(direct_fixed_radical(fixed)), sigma
 
@@ -210,7 +209,26 @@ class TestFixedSubalgebraOracles:
             assert fixed.span.dim == fixed.dimension
             rows = alg.x_matrix(fixed.basis, size)
             prods = alg.products(system, rows, rows).reshape(-1, size)
-            assert oracles.span_copy(fixed.span).extend(prods) == 0, sigma
+            assert oracles.span_copy(fixed.span).add(prods) == 0, sigma
+
+    def test_span_rows_are_the_orbit_indicators(self, system_factory, label):
+        # orbits have disjoint supports, so their indicator rows ordered
+        # by least member are already the canonical echelon basis
+        system = system_factory(label)
+        size = 1 << system.rank
+        for sigma in auto.diagram_automorphisms(system):
+            orbits = {}
+            for mask in range(size):
+                orbit, m = {mask}, oracles.apply_mask(sigma, mask)
+                while m != mask:
+                    orbit.add(m)
+                    m = oracles.apply_mask(sigma, m)
+                orbits[min(orbit)] = orbit
+            want = [[int(m in orbits[least]) for m in range(size)]
+                    for least in sorted(orbits)]
+            span = auto.fixed_subalgebra(system, sigma).span
+            assert span.rows.tolist() == want, sigma
+            assert span.pivots == sorted(orbits), sigma
 
 
 class TestW0Criterion:

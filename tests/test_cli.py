@@ -201,6 +201,24 @@ class TestCacheFlags:
         assert code == 0
         assert os.path.exists(ca.path_for("A2"))
 
+    def test_unreadable_cache_path_warns_and_recomputes(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # a directory where the A2 entry belongs can be neither read nor
+        # replaced: the load warns and recomputes, the store warns
+        monkeypatch.setenv("DESCENT_CACHE_DIR", str(tmp_path))
+        os.makedirs(ca.path_for("A2"))
+        with pytest.warns(UserWarning) as caught:
+            code, out, err = run(capsys, "table", "--type", "A2")
+        assert code == 0
+        assert "Traceback" not in err
+        assert [line.split() for line in out.splitlines()[2:]] == [
+            ["A2", "1", "3", "2", "4,1"], ["A2", "2", "3", "1", "3"]]
+        messages = [str(w.message) for w in caught]
+        assert any("corrupt" in m for m in messages), messages
+        assert any("could not write cache" in m for m in messages), messages
+        assert os.path.isdir(ca.path_for("A2"))
+
 
 class TestRankGate:
     def test_rank_seven_is_refused_without_the_flag(self, capsys):

@@ -366,8 +366,8 @@ def test_bit_helpers():
 # ---------------------------------------------------------------------------
 # lazy, level-by-level enumeration against the per-element reference
 
-GROUP_TABLES = ("perms", "parent", "lastgen", "length", "supp", "rmul",
-                "rasc", "lasc", "csany", "inv")
+GROUP_TABLES = ("parent", "lastgen", "length", "supp", "rmul", "rasc",
+                "lasc", "csany", "inv")
 
 
 def enumerate_by_element(system):
@@ -434,7 +434,7 @@ def enumerate_by_element(system):
         csany[:, s] = root_to_gen[np.abs(left_cols[:, s]).astype(np.intp) - 1]
     inv = np.array([index[PI[w].tobytes()] for w in range(order)],
                    dtype=np.int32)
-    return {"perms": P, "parent": parent, "lastgen": lastgen,
+    return {"parent": parent, "lastgen": lastgen,
             "length": length, "supp": supp, "rmul": rmul, "rasc": rasc,
             "lasc": lasc, "csany": csany, "inv": inv}
 

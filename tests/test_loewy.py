@@ -80,7 +80,7 @@ class TestGeneralBounds:
         # three commuting reflections: the algebra is semisimple, so the
         # halved lower bound is an irreducible-only statement
         system = system_factory("A1xA1xA1")
-        assert alg.radical_basis(system) == []
+        assert alg.radical_basis(system).shape == (0, 8)
         assert alg.loewy_profile(system).loewy_length == 1
         assert halved(system.rank) == 2
 
@@ -181,9 +181,7 @@ class TestNilpotentWitnesses:
                                                   n):
         system = system_factory("B%d" % n)
         a_list, _ = alg.witness_elements_typeB(system)
-        radical = Span(1 << system.rank)
-        for vec in alg.radical_basis(system):
-            radical.add(vec.x_coords())
+        radical = Span(1 << system.rank, alg.radical_basis(system))
         for a in a_list:
             assert radical.contains(a.x_coords())
 

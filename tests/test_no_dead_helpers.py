@@ -1,4 +1,5 @@
-"""Every function and method of the package has a caller in the package.
+"""Every function and method of the package has a caller in the package,
+and every attribute it stores is read somewhere.
 
 A helper that only the tests call is a second surface to keep working; it
 lives in the tests instead (``oracles.py``). The scan reads the code, not
@@ -7,6 +8,10 @@ attribute, in the package outside every definition (module and class
 bodies) or inside another live definition, so a chain of helpers that only
 feed each other is reported whole. A name that appears only in a
 docstring or a comment keeps nothing alive.
+
+An attribute that a class stores, in its body or on ``self``, and that
+nothing in the package, the tests or the benchmark ever reads is state
+kept for no one; on a group table it is memory held for no one.
 """
 
 import ast
@@ -15,6 +20,7 @@ from pathlib import Path
 import descent
 
 SRC = Path(descent.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # the public names of the package are called by its users
 EXPORTED = set(descent.__all__)
@@ -58,10 +64,13 @@ def scan():
     return definitions, outside
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _exempt(name):
     # dunders are called by Python itself
-    return (name in EXPORTED
-            or (name.startswith("__") and name.endswith("__")))
+    return name in EXPORTED or _dunder(name)
 
 
 def dead_helpers():
@@ -78,3 +87,63 @@ def dead_helpers():
 
 def test_every_helper_has_a_caller_in_the_package():
     assert dead_helpers() == []
+
+
+def _targets(node):
+    """The single targets of an assignment target, tuples unpacked."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return [t for elt in node.elts for t in _targets(elt)]
+    return [node]
+
+
+def _self_attributes(method):
+    """The attributes that a method assigns on ``self`` with ``=``."""
+    return [t.attr for sub in ast.walk(method) if isinstance(sub, ast.Assign)
+            for target in sub.targets for t in _targets(target)
+            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+            and t.value.id == "self"]
+
+
+def stored_attributes():
+    """(qualified name, attribute) for each attribute a class of the
+    package assigns with ``=``: a name bound in the class body, or
+    ``self.<name>`` in one of its methods; dunders are Python's."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if isinstance(member, ast.Assign):
+                    names = [t.id for target in member.targets
+                             for t in _targets(target)
+                             if isinstance(t, ast.Name)]
+                elif isinstance(member, ast.FunctionDef):
+                    names = _self_attributes(member)
+                else:
+                    continue
+                out |= {("%s.%s.%s" % (path.stem, cls.name, name), name)
+                        for name in names if not _dunder(name)}
+    return out
+
+
+def read_names():
+    """Every attribute read in the package, the tests and the benchmark;
+    an augmented assignment reads its target."""
+    out = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.AugAssign) and isinstance(
+                    sub.target, ast.Attribute):
+                out.add(sub.target.attr)
+            elif isinstance(sub, ast.Attribute) and not isinstance(
+                    sub.ctx, ast.Store):
+                out.add(sub.attr)
+    return out
+
+
+def test_every_stored_attribute_is_read():
+    read = read_names()
+    assert sorted(q for q, name in stored_attributes()
+                  if name not in read) == []
