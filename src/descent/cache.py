@@ -130,7 +130,8 @@ def cache_store(entry):
 
 
 def cache_load(type_label):
-    """Load and verify an entry; raises CorruptCache on a damaged file.
+    """Load and verify an entry; raises CorruptCache on a damaged or
+    unreadable file.
 
     Returns None when no file exists or the entry is stale: another
     schema version, or a matrix digest other than the label's.
