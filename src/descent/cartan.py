@@ -315,17 +315,23 @@ def diagram_components(mat):
     return comps
 
 
+def classify_parts(mat):
+    """Validate `mat` and classify each component of its diagram: one
+    (family, param, order) per component, as ``classify_component`` gives
+    it, in order of the smallest node. Raises InfiniteGroup if the matrix
+    is not of finite type."""
+    validate_matrix(mat)
+    return [classify_component(nodes, mat)
+            for nodes in diagram_components(mat)]
+
+
 def classify_matrix(mat):
     """Canonical label of the finite Coxeter group defined by `mat`.
 
-    Raises InfiniteGroup if the matrix is not of finite type. Components are
-    sorted (family, param) in the label, so this is a true isomorphism-class
-    name: D3 classifies as A3, D2 as A1xA1.
+    Components are sorted (family, param) in the label, so this is a true
+    isomorphism-class name: D3 classifies as A3, D2 as A1xA1.
     """
-    validate_matrix(mat)
-    kinds = sorted(classify_component(nodes, mat)[:2]
-                   for nodes in diagram_components(mat))
-    return normalized_label(kinds)
+    return normalized_label(sorted(part[:2] for part in classify_parts(mat)))
 
 
 def parabolic_orders(mat):

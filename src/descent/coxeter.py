@@ -95,23 +95,17 @@ class CoxeterSystem:
     inv = _GroupTable()
 
     def __init__(self, matrix, labels=None, type_label=None, components=None,
-                 from_label=False, allow_rank7=False, cache=True):
+                 allow_rank7=False, cache=False):
         n = len(matrix)
-        if n == 0:
-            # the trivial group, used as a rank-0 morphism codomain
-            components = []
-            if type_label is None:
-                type_label = "A0"
-        else:
-            cartan.validate_matrix(matrix)
-            if components is None:
-                # recognizes the isomorphism type; raises InfiniteGroup otherwise
-                canonical = cartan.classify_matrix(matrix)
-                components = cartan.parse_label(canonical)
-                if type_label is None:
-                    type_label = canonical
+        # recognizes the isomorphism type; raises InfiniteGroup otherwise.
+        # The rank-0 matrix is the trivial group, a morphism codomain
+        parts = cartan.classify_parts(matrix) if n else []
+        if components is None:
+            components = sorted(part[:2] for part in parts)
+        if type_label is None:
+            type_label = cartan.normalized_label(components) or "A0"
         cartan.enforce_rank_cap(n, allow_rank7)
-        nroots = sum(cartan.component_nroots(fam, p) for fam, p in components)
+        nroots = sum(cartan.component_nroots(fam, p) for fam, p, _ in parts)
         if nroots > np.iinfo(np.int16).max:
             # the signed root numbers are int16
             raise UnsupportedType(
@@ -124,14 +118,27 @@ class CoxeterSystem:
             raise UnsupportedType("generator labels must be distinct")
         self.components = components
         self.type_label = type_label
-        self.cache_enabled = cache and from_label
+        self.cache_enabled = cache
         self.order = cartan.order_for_components(components)
         self.full_mask = (1 << n) - 1
-        _, sperm, simple_index = rootperm.build_root_action(self.matrix)
+        self.sperm, simple_index, first_root = rootperm.build_root_action(
+            n, parts)
         self.nroots = nroots
-        self.sperm = sperm
         self.simple_index = list(simple_index)
-        self._key_layout = self._element_key_layout()
+        # w sends alpha_t into the root block of t's component, so the
+        # element key codes that image inside the block: twice its offset
+        # there, plus one if it is negative
+        width = [0] * n
+        for fam, p, order in parts:
+            top = 2 * cartan.component_nroots(fam, p) - 1
+            for node in order:
+                width[node] = top.bit_length()
+        if sum(width) > 63:
+            # the smallest such system, A3xI2(2049)xI2(2049), has about
+            # 4 * 10**8 elements and 4104 roots
+            raise UnsupportedType(
+                "the elements of %s do not fit one int64 key" % type_label)
+        self._key_layout = first_root, [sum(width[:t]) for t in range(n)]
         self._lmul = None
         self._conjs = None
         self._shapes = None
@@ -141,33 +148,6 @@ class CoxeterSystem:
 
     # ------------------------------------------------------------------
     # enumeration
-
-    def _element_key_layout(self):
-        """First root number and bit shift of each generator's field in
-        the int64 element key.
-
-        w sends alpha_t to a root of t's own irreducible component. Those
-        roots are one contiguous block of the root numbering, the roots
-        that the component's generators move, so the image is coded inside
-        the block: twice its offset there, plus one if it is negative.
-        """
-        n, N = self.rank, self.nroots
-        sperm = np.asarray(self.sperm, dtype=np.int64).reshape(n, N)
-        moved = (sperm != np.arange(1, N + 1)).astype(np.int64)
-        linked = (np.asarray(self.matrix, dtype=np.int64).reshape(n, n) > 2
-                  ) | np.eye(n, dtype=bool)
-        for _ in range(n):
-            linked = (linked.astype(np.int64) @ linked) > 0
-        block = (linked.astype(np.int64) @ moved) > 0
-        first = [int(np.flatnonzero(row)[0]) for row in block]
-        width = [int(2 * row.sum() - 1).bit_length() for row in block]
-        if sum(width) > 63:
-            # the smallest such system, A3xI2(2049)xI2(2049), has about
-            # 4 * 10**8 elements and 4104 roots
-            raise UnsupportedType(
-                "the elements of %s do not fit one int64 key"
-                % self.type_label)
-        return first, [sum(width[:t]) for t in range(n)]
 
     def _build(self):
         """Enumerate W and fill the group tables, one vectorized step per
@@ -635,15 +615,21 @@ def check_tensor(T, matrix, order, type_label):
 
 def build_system(type=None, matrix=None, labels=None, allow_rank7=False,
                  cache=True):
-    """Build a finite Coxeter system from a type label or a Coxeter matrix."""
+    """Build a finite Coxeter system from a type label or a Coxeter matrix.
+
+    ``cache`` applies to a system built from a label: a cache file is
+    named by its type label and checked against the label's matrix, so a
+    system built from a matrix, whose generators may be numbered otherwise,
+    never reads or writes one.
+    """
     if (type is None) == (matrix is None):
         raise UnsupportedType("give exactly one of type= or matrix=")
     if type is not None:
         comps = cartan.parse_label(type)
-        norm = cartan.normalized_label(comps)
         built_labels, mat = cartan.matrix_for_components(comps)
-        return CoxeterSystem(mat, labels=built_labels, type_label=norm,
-                             components=comps, from_label=True,
-                             allow_rank7=allow_rank7, cache=cache)
-    return CoxeterSystem(matrix, labels=labels, from_label=False,
-                         allow_rank7=allow_rank7, cache=cache)
+        return CoxeterSystem(mat, labels=built_labels,
+                             type_label=cartan.normalized_label(comps),
+                             components=comps, allow_rank7=allow_rank7,
+                             cache=cache)
+    return CoxeterSystem(matrix, labels=labels, allow_rank7=allow_rank7,
+                         cache=False)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import algebra as alg
 from .algebra import DescentVector
 from .errors import InvalidSubset, ParseError
 
+# each word is its basis tag; "xp" is tried before "x"
 _BASIS_WORDS = ("xp", "x", "y")
-_TAG_OF = {"x": alg.BASIS_X, "y": alg.BASIS_Y, "xp": alg.BASIS_XPRIME}
 
 
 class _Scanner:
@@ -104,16 +103,15 @@ def _atom(scanner, system):
     if word is None:
         raise ParseError("expected a basis element like x[..] or xS",
                          scanner.pos)
-    tag = _TAG_OF[word]
     ch = scanner.peek()
     if ch == "S":
         scanner.pos += 1
-        return tag, system.full_mask
+        return word, system.full_mask
     scanner.expect("[")
     mask = 0
     if scanner.peek() == "]":
         scanner.pos += 1
-        return tag, 0
+        return word, 0
     while True:
         name, at = scanner.label()
         try:
@@ -126,7 +124,7 @@ def _atom(scanner, system):
             continue
         if ch == "]":
             scanner.pos += 1
-            return tag, mask
+            return word, mask
         raise ParseError("expected ',' or ']'", scanner.pos)
 
 
@@ -142,13 +140,9 @@ def _term(scanner, system):
     else:
         coeff = Fraction(1)
     tag, mask = _atom(scanner, system)
-    if tag == alg.BASIS_X:
-        vec = alg.basis_x(system, mask)
-    elif tag == alg.BASIS_Y:
-        vec = alg.basis_y(system, mask)
-    else:
-        vec = alg.basis_xprime(system, mask)
-    return coeff * vec
+    nums = [0] * (1 << system.rank)
+    nums[mask] = coeff.numerator
+    return DescentVector.from_ints(system, nums, coeff.denominator, tag)
 
 
 def parse_expression(system, text):

@@ -5,9 +5,10 @@ s_j sends its own simple root to minus itself and permutes the remaining
 positive roots. That is all the group engine needs: lengths, descents and
 conjugation data are read off these signed permutations.
 
-Crystallographic components use integer root coordinates, H3/H4 use pairs
-(a, b) meaning a + b*phi with phi the golden ratio, and dihedral components
-use a closed-form permutation (avoiding cyclotomic arithmetic entirely).
+Roots of a dihedral component come from a closed-form permutation (avoiding
+cyclotomic arithmetic entirely); those of the others from a closure of the
+simple roots, with coordinates in Z[phi], phi the golden ratio: a pair
+(a, b) means a + b*phi, and b stays 0 outside H3 and H4.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ import functools
 
 import numpy as np
 
-from .cartan import (classify_component, component_edges, component_nroots,
-                     diagram_components)
+from .cartan import component_edges, component_nroots
 from .errors import UnsupportedType
 
 
-def _golden_mul(x, y):
-    a, b = x
-    c, d = y
-    # (a + b*phi)(c + d*phi) with phi^2 = phi + 1
-    return (a * c + b * d, a * d + b * c + b * d)
+# the Cartan entries (c_ij, c_ji) of a bond of order 3, 4 or 5, in Z[phi]
+_BOND_CARTAN = {3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)),
+                5: ((0, -1), (0, -1))}
 
 
 def _dihedral_sperm(m):
@@ -48,54 +46,28 @@ def _dihedral_sperm(m):
 
 def _closure_sperm(fam, p):
     """Root action of a standard component via closure of the simple roots."""
-    edges = component_edges(fam, p)
-    n = 2 if fam == "I" else p
-    golden = fam == "H"
-    zero = (0, 0) if golden else 0
-    one = (1, 0) if golden else 1
-    two = (2, 0) if golden else 2
-    cart = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        cart[i][i] = two
-    for (i, j, v) in edges:
-        if v == 3:
-            cij = cji = (-1, 0) if golden else -1
-        elif v == 4:
-            cij, cji = -1, -2
-        elif v == 5:
-            cij = cji = (0, -1)
-        else:
+    cart = [[(2, 0) if i == j else (0, 0) for j in range(p)] for i in range(p)]
+    for (i, j, v) in component_edges(fam, p):
+        if v not in _BOND_CARTAN:
             raise UnsupportedType("bond order %d has no closure rule" % v)
-        cart[i][j] = cij
-        cart[j][i] = cji
+        cart[i][j], cart[j][i] = _BOND_CARTAN[v]
 
     def reflect(vec, j):
-        if golden:
-            coef = (0, 0)
-            for i in range(n):
-                if vec[i] != (0, 0):
-                    prod = _golden_mul(vec[i], cart[i][j])
-                    coef = (coef[0] + prod[0], coef[1] + prod[1])
-            out = list(vec)
-            out[j] = (out[j][0] - coef[0], out[j][1] - coef[1])
-        else:
-            coef = sum(vec[i] * cart[i][j] for i in range(n) if vec[i])
-            out = list(vec)
-            out[j] = out[j] - coef
-        return tuple(out)
+        # s_j(v) = v - sum_i v_i c_ij alpha_j, with phi^2 = phi + 1
+        a, b = vec[j]
+        for (x, y), (c, d) in zip(vec, (row[j] for row in cart)):
+            a, b = a - x * c - y * d, b - x * d - y * c - y * d
+        return vec[:j] + ((a, b),) + vec[j + 1:]
 
-    simples = []
-    for i in range(n):
-        v = [zero] * n
-        v[i] = one
-        simples.append(tuple(v))
+    simples = [tuple((1, 0) if k == i else (0, 0) for k in range(p))
+               for i in range(p)]
     roots = list(simples)
     index = {r: k for k, r in enumerate(roots)}
     head = 0
     while head < len(roots):
         r = roots[head]
         head += 1
-        for j in range(n):
+        for j in range(p):
             if r == simples[j]:
                 continue
             img = reflect(r, j)
@@ -108,7 +80,7 @@ def _closure_sperm(fam, p):
             "root closure of %s%d found %d roots, expected %d"
             % (fam, p, len(roots), expected))
     sperm = []
-    for j in range(n):
+    for j in range(p):
         arr = np.empty(len(roots), dtype=np.int16)
         for k, r in enumerate(roots):
             if r == simples[j]:
@@ -129,34 +101,28 @@ def _component_sperm(fam, p):
     return tuple(sperm)
 
 
-def build_root_action(mat):
-    """Return (nroots, sperm) for a validated finite Coxeter matrix.
+def build_root_action(n, parts):
+    """Root action of the system on `n` generators whose diagram components
+    are classified as `parts`, as ``cartan.classify_parts`` gives them.
 
-    sperm[g] is an int16 array over root indices: value +-(k+1) means
-    generator g maps root i to +-root k. Simple roots do NOT necessarily sit
-    at indices 0..n-1 globally; use the returned `simple_index` instead.
-    Returns (nroots, sperm_list, simple_index) with simple_index[g] the root
-    index of generator g's simple root.
+    Returns (sperm, simple_index, first_root). sperm[g] is an int16 array
+    over root indices: value +-(k+1) means generator g maps root i to
+    +-root k. The roots of each component are one contiguous block, in the
+    order of `parts`; simple_index[g] is the root index of g's simple root
+    and first_root[g] the first root index of g's block.
     """
-    n = len(mat)
-    total = 0
-    plans = []
-    for nodes in diagram_components(mat):
-        fam, p, order = classify_component(nodes, mat)
-        local = _component_sperm(fam, p)
-        plans.append((order, local))
-        total += len(local[0])
-
+    blocks = [_component_sperm(fam, p) for fam, p, _ in parts]
+    total = sum(len(local[0]) for local in blocks)
     sperm = [np.arange(1, total + 1, dtype=np.int16) for _ in range(n)]
-    simple_index = [0] * n
+    simple_index, first_root = [0] * n, [0] * n
     offset = 0
-    for order, local in plans:
+    for (_, _, order), local in zip(parts, blocks):
         nroots = len(local[0])
-        for k, node in enumerate(order):
-            block = local[k]
+        for node, block in zip(order, local):
             sperm[node][offset:offset + nroots] = (
                 block + np.sign(block) * offset)
             # the root a generator negates is its own simple root
             simple_index[node] = offset + int(np.flatnonzero(block < 0)[0])
+            first_root[node] = offset
         offset += nroots
-    return total, sperm, simple_index
+    return sperm, simple_index, first_root

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import descent.cache as ca
-from descent import cartan
-from descent.coxeter import build_system
+from descent import cartan, morphisms
+from descent.coxeter import build_system, expand_masks
 from descent.errors import CorruptCache
 
 
@@ -308,6 +308,38 @@ class TestPermutedMatrix:
                               if m >> i & 1) for m in range(full)])
         assert np.array_equal(T, tensor[np.ix_(image, image, image)])
         assert Path(path).read_bytes() == blob
+
+
+    def test_matrix_built_systems_never_touch_the_cache(
+            self, cache_env, monkeypatch):
+        # the F4 and A5 files hold tensors in the numbering of their
+        # labels; neither system below may read or write them
+        base = {label: build_system(type=label).structure_tensor()
+                for label in ("F4", "A5")}
+        before = {p.name: p.read_bytes() for p in cache_env.iterdir()}
+        assert set(before) == {"F4.npz", "A5.npz"}
+
+        def refuse(*args):
+            raise AssertionError("a matrix-built system touched the cache")
+
+        monkeypatch.setattr(ca, "load_tensor", refuse)
+        monkeypatch.setattr(ca, "store_tensor", refuse)
+        perm = (2, 0, 3, 1)
+        _labels, mat = cartan.matrix_for_components(cartan.parse_label("F4"))
+        permuted = build_system(
+            matrix=[[mat[a][b] for b in perm] for a in perm], cache=True)
+        e6 = build_system(type="E6")
+        sub = morphisms.parabolic_system(e6, 0b111101)
+        assert sub.type_label == "A5"
+        # generator a of the sub-matrix plays the standard generator
+        # perm[a], as its classification numbers them
+        (_fam, _p, order), = cartan.classify_parts(sub.matrix)
+        for system, label, perm in ((permuted, "F4", perm),
+                                    (sub, "A5", np.argsort(order))):
+            e = expand_masks(perm)
+            assert np.array_equal(system.structure_tensor(),
+                                  base[label][np.ix_(e, e, e)])
+        assert {p.name: p.read_bytes() for p in cache_env.iterdir()} == before
 
 
 class TestLogging:

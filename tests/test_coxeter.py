@@ -5,6 +5,8 @@ masks from the length function, coset representatives from explicit cosets,
 conjugacy of subsets by conjugating every generator by every element.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -812,14 +814,23 @@ def test_fresh_tensor_is_checked(monkeypatch):
         system.structure_tensor()
 
 
-def test_int16_root_numbering_limit():
-    # the signed root numbers are int16: 32767 positive roots at most
-    system = build_system(type="I2(32767)", cache=False)
+def test_int16_root_numbering_limit(monkeypatch):
+    # the signed root numbers are int16: 32767 positive roots at most.
+    # Systems are lazy, so I2(32767) builds without enumerating
+    system = build_system(type="I2(32767)")
     assert system.nroots == 32767
-    for label in ("I2(32768)", "I2(20000)xI2(20000)"):
-        with pytest.raises(UnsupportedType, match="positive roots"):
-            build_system(type=label, cache=False)
-    with pytest.raises(UnsupportedType, match="positive roots"):
+
+    # the count is checked after classifying and before any root array
+    # is built
+    def refuse(*args):
+        raise AssertionError("root arrays built before the count check")
+
+    monkeypatch.setattr(rootperm, "build_root_action", refuse)
+    for label, count in (("I2(32768)", 32768), ("I2(20000)xI2(20000)", 40000)):
+        with pytest.raises(UnsupportedType,
+                           match="has %d positive roots" % count):
+            build_system(type=label)
+    with pytest.raises(UnsupportedType, match="has 32768 positive roots"):
         build_system(matrix=[[1, 32768], [32768, 1]])
 
 
@@ -829,7 +840,9 @@ def test_int16_root_numbering_limit():
 
 def root_action_by_root(mat):
     """Reference root action: each component block spliced into the
-    global numbering one root at a time."""
+    global numbering one root at a time. Returns the root count, the
+    root permutations, the simple root of each generator and the offset
+    of its block."""
     n = len(mat)
     plans, total = [], 0
     for nodes in cartan.diagram_components(mat):
@@ -838,20 +851,21 @@ def root_action_by_root(mat):
         plans.append((order, local))
         total += len(local[0])
     sperm = [np.arange(1, total + 1, dtype=np.int16) for _ in range(n)]
-    simple_index = [0] * n
+    simple_index, offsets = [0] * n, [0] * n
     offset = 0
     for order, local in plans:
         nroots = len(local[0])
         for k, node in enumerate(order):
             block = local[k]
             sg = sperm[node]
+            offsets[node] = offset
             for i in range(nroots):
                 v = int(block[i])
                 sg[offset + i] = (abs(v) + offset) * (1 if v > 0 else -1)
                 if v < 0:
                     simple_index[node] = offset + i
         offset += nroots
-    return total, sperm, simple_index
+    return total, sperm, simple_index, offsets
 
 
 @pytest.mark.parametrize("label,perm", [
@@ -861,13 +875,82 @@ def test_root_action_matches_per_root_splice(label, perm):
     _labels, mat = cartan.matrix_for_components(cartan.parse_label(label))
     if perm is not None:
         mat = [[mat[a][b] for b in perm] for a in perm]
-    total, sperm, simple_index = rootperm.build_root_action(mat)
-    ref_total, ref_sperm, ref_simple = root_action_by_root(mat)
-    assert total == ref_total
+    sperm, simple_index, first_root = rootperm.build_root_action(
+        len(mat), cartan.classify_parts(mat))
+    total, ref_sperm, ref_simple, ref_offsets = root_action_by_root(mat)
     assert simple_index == ref_simple
+    assert first_root == ref_offsets
     for got, expect in zip(sperm, ref_sperm, strict=True):
         assert got.dtype == np.int16
+        assert got.shape == (total,)
         assert np.array_equal(got, expect)
+
+
+# sha256 of the shape and the bytes of each standard component's root
+# permutations, first 16 hex digits: the root numbering every group table
+# and cache file rests on
+COMPONENT_SPERM_DIGESTS = {
+    ("A", 1): "6550d2f34575375b",
+    ("A", 2): "de64a771ae431dd6",
+    ("A", 3): "7768d3c7e57ab482",
+    ("A", 4): "c419f4d54ab08d98",
+    ("A", 5): "3909a21e584e531c",
+    ("A", 6): "e552aa8b57a3cb9e",
+    ("A", 7): "ebf1d0a928c77f98",
+    ("A", 8): "85312f860a71eb02",
+    ("B", 2): "eaf7954bd6b657e0",
+    ("B", 3): "d0dab7bc55e042ea",
+    ("B", 4): "25d9b0335e07fe5b",
+    ("B", 5): "23840da2fd9a7daa",
+    ("B", 6): "58278ce0b860e4da",
+    ("B", 7): "99bfa19a18f3c67f",
+    ("B", 8): "084fdd74c14a783b",
+    ("D", 4): "65e7da4641c9e557",
+    ("D", 5): "e63a75fd09cade71",
+    ("D", 6): "293da5ef3e30d0b8",
+    ("D", 7): "36bae6122303c788",
+    ("D", 8): "3cce253035ba403f",
+    ("E", 6): "3da221c439f50085",
+    ("E", 7): "b80dbe1bd046b652",
+    ("E", 8): "b031ca207360ac20",
+    ("F", 4): "84ae7161b3770ce2",
+    ("H", 3): "b341d7646d9891ef",
+    ("H", 4): "a62a67f256f6d308",
+    ("I", 3): "1c9e9a72f1a195c3",
+    ("I", 4): "d45731eed1c070a3",
+    ("I", 5): "810dd629b830af99",
+    ("I", 6): "0cb219d789b4c0d7",
+    ("I", 7): "e3af6d7efd15c58e",
+    ("I", 8): "6ba3a7e6926e51f4",
+    ("I", 12): "a6a76d47a5447d40",
+}
+
+
+@pytest.mark.parametrize("fam,p", sorted(COMPONENT_SPERM_DIGESTS))
+def test_component_root_actions_are_pinned(fam, p):
+    arr = np.stack(rootperm._component_sperm(fam, p))
+    digest = hashlib.sha256(str(arr.shape).encode() + arr.tobytes())
+    assert digest.hexdigest()[:16] == COMPONENT_SPERM_DIGESTS[fam, p]
+
+
+@pytest.mark.parametrize("kwargs,components,type_label", [
+    ({"type": "A2xB2xA1"}, [(0, 1), (2, 3), (4,)], "A2xB2xA1"),
+    ({"matrix": [[1, 2, 2, 3, 2], [2, 1, 4, 2, 2], [2, 4, 1, 2, 2],
+                 [3, 2, 2, 1, 2], [2, 2, 2, 2, 1]]},
+     [(0, 3), (1, 2), (4,)], "A1xA2xB2"),
+], ids=["label", "matrix"])
+def test_each_component_is_classified_once_per_build(
+        monkeypatch, kwargs, components, type_label):
+    calls = []
+    classify = cartan.classify_component
+
+    def counted(nodes, mat):
+        calls.append(tuple(nodes))
+        return classify(nodes, mat)
+
+    monkeypatch.setattr(cartan, "classify_component", counted)
+    assert build_system(**kwargs).type_label == type_label
+    assert calls == components
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES + (

@@ -11,7 +11,8 @@ docstring or a comment keeps nothing alive.
 
 An attribute that a class stores, in its body or on ``self``, and that
 nothing in the package, the tests or the benchmark ever reads is state
-kept for no one; on a group table it is memory held for no one.
+kept for no one; on a group table it is memory held for no one. So is a
+name that a module binds at its top level and nothing reads.
 """
 
 import ast
@@ -127,13 +128,19 @@ def stored_attributes():
     return out
 
 
+def _every_tree():
+    """The syntax trees of the package, the tests and the benchmark."""
+    return [ast.parse(path.read_text())
+            for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                         *(ROOT / "perfbench").glob("*.py")]]
+
+
 def read_names():
     """Every attribute read in the package, the tests and the benchmark;
     an augmented assignment reads its target."""
     out = set()
-    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                 *(ROOT / "perfbench").glob("*.py")]:
-        for sub in ast.walk(ast.parse(path.read_text())):
+    for tree in _every_tree():
+        for sub in ast.walk(tree):
             if isinstance(sub, ast.AugAssign) and isinstance(
                     sub.target, ast.Attribute):
                 out.add(sub.target.attr)
@@ -146,4 +153,27 @@ def read_names():
 def test_every_stored_attribute_is_read():
     read = read_names()
     assert sorted(q for q, name in stored_attributes()
+                  if name not in read) == []
+
+
+def module_bindings():
+    """(qualified name, name) for each name a module of the package binds
+    at its top level with ``=``."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                out |= {("%s.%s" % (path.stem, t.id), t.id)
+                        for target in node.targets for t in _targets(target)
+                        if isinstance(t, ast.Name)}
+    return out
+
+
+def test_every_module_binding_is_read():
+    # a module constant is read as a name, or as an attribute of its
+    # module
+    read = read_names() | {
+        sub.id for tree in _every_tree() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    assert sorted(q for q, name in module_bindings()
                   if name not in read) == []
