@@ -121,10 +121,9 @@ class CoxeterSystem:
         self.cache_enabled = cache
         self.order = cartan.order_for_components(components)
         self.full_mask = (1 << n) - 1
-        self.sperm, simple_index, first_root = rootperm.build_root_action(
-            n, parts)
         self.nroots = nroots
-        self.simple_index = list(simple_index)
+        self.sperm, self.simple_index, first_root = (
+            rootperm.build_root_action(n, parts))
         # w sends alpha_t into the root block of t's component, so the
         # element key codes that image inside the block: twice its offset
         # there, plus one if it is negative
