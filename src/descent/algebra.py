@@ -17,7 +17,8 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from .coxeter import iter_bits, popcount, subset_sums
+from .coxeter import (MULTIPLICATION_TABLE_ORDER, iter_bits, memoized,
+                      popcount, subset_sums)
 from .errors import (
     InvalidSubset,
     NotInDescentAlgebra,
@@ -313,14 +314,6 @@ def unit(system, tag=BASIS_X):
 # multiplication
 
 
-def _algebra_context(system):
-    ctx = system.__dict__.get("_algebra_ctx")
-    if ctx is None:
-        ctx = {}
-        system.__dict__["_algebra_ctx"] = ctx
-    return ctx
-
-
 @lru_cache(maxsize=None)
 def _support_pairs(n):
     """The 3^n pairs (J, K) with K a subset of J, sorted by K, as read-only
@@ -333,26 +326,26 @@ def _support_pairs(n):
     return J, K, starts
 
 
+@memoized
+def _tensor_support(system):
+    """(Tc, its largest absolute entry), Tc[I, p] = T[I, J_p, K_p] over
+    the pairs of ``_support_pairs``: Solomon's Mackey formula makes
+    x_I x_J a sum of x_K with K inside J, and ``coxeter.check_tensor``
+    proves T vanishes elsewhere on every load and build, so Tc holds
+    every nonzero entry of T."""
+    J, K, _starts = _support_pairs(system.rank)
+    Tc = system.structure_tensor()[:, J, K]
+    Tc.flags.writeable = False
+    return Tc, linalg.absmax(Tc)
+
+
 def _support_tensor(system, factor):
-    """Tc[I, p] = T[I, J_p, K_p] over the pairs of ``_support_pairs``:
-    Solomon's Mackey formula makes x_I x_J a sum of x_K with K inside J,
-    and ``coxeter.check_tensor`` proves T vanishes elsewhere on every
-    load and build, so Tc holds every nonzero entry of T. Built on the
-    first product of a system and kept. In int64 when ``factor`` times
-    its largest entry is below the int64 bound and on Python integers
-    otherwise; ``factor`` bounds, for one entry of a contraction with T,
-    the sum of the absolute values of what multiplies the entries of T
-    in it."""
-    ctx = _algebra_context(system)
-    Tc = ctx.get("tensor_support")
-    if Tc is None:
-        J, K, _starts = _support_pairs(system.rank)
-        Tc = system.structure_tensor()[:, J, K]
-        Tc.flags.writeable = False
-        ctx["tensor_support"] = Tc
-        ctx["tensor_max"] = linalg.absmax(Tc)
-    return Tc.astype(linalg.exact_dtype(ctx["tensor_max"] * factor),
-                     copy=False)
+    """Tc in int64 when ``factor`` times its largest entry is below the
+    int64 bound and on Python integers otherwise; ``factor`` bounds, for
+    one entry of a contraction with T, the sum of the absolute values of
+    what multiplies the entries of T in it."""
+    Tc, tmax = _tensor_support(system)
+    return Tc.astype(linalg.exact_dtype(tmax * factor), copy=False)
 
 
 def products(system, A, B):
@@ -497,7 +490,7 @@ def convolve(system, na, nb):
     na, nb = na.astype(dtype), nb.astype(dtype)
     out = np.zeros(order, dtype=dtype)
     left_sparser = np.count_nonzero(na) <= np.count_nonzero(nb)
-    if order <= 6000:
+    if order <= MULTIPLICATION_TABLE_ORDER:
         mt = system.multiplication_table()
         block = max(1, _SCATTER_CELLS // order)
         sparse, dense = (na, nb) if left_sparser else (nb, na)
@@ -534,6 +527,7 @@ def oracle_multiply(left, right):
 # characters, radical, Loewy series
 
 
+@memoized
 def tau_matrix(system):
     """Row k = shape class k: values of that character on the x-basis, as
     a read-only int64 array.
@@ -542,14 +536,10 @@ def tau_matrix(system):
     member J of the shape; the shapes are the classes of equal columns, so
     the canonical member's column stands for all of them.
     """
-    ctx = _algebra_context(system)
-    mat = ctx.get("tau_matrix")
-    if mat is None:
-        canon = [shape.canonical for shape in system.shapes()]
-        T = system.structure_tensor()
-        mat = np.ascontiguousarray(T[:, canon, canon].T, dtype=np.int64)
-        mat.flags.writeable = False
-        ctx["tau_matrix"] = mat
+    canon = [shape.canonical for shape in system.shapes()]
+    T = system.structure_tensor()
+    mat = np.ascontiguousarray(T[:, canon, canon].T, dtype=np.int64)
+    mat.flags.writeable = False
     return mat
 
 
@@ -564,6 +554,7 @@ def character_values(vectors):
     return values, [v.x_ints()[1] for v in vectors]
 
 
+@memoized
 def radical_basis(system):
     """Basis of the radical, the common kernel of all one-dimensional
     characters, as a read-only matrix of integer x-coordinate rows.
@@ -572,16 +563,12 @@ def radical_basis(system):
     its canonical member c. Each vector has its own J, so they are
     independent, and there are 2^n minus the number of shapes of them.
     """
-    ctx = _algebra_context(system)
-    rows = ctx.get("radical_basis")
-    if rows is None:
-        pairs = [(member, shape.canonical) for shape in system.shapes()
-                 for member in shape.members if member != shape.canonical]
-        rows = np.zeros((len(pairs), 1 << system.rank), dtype=np.int64)
-        for i, (member, canonical) in enumerate(pairs):
-            rows[i, member], rows[i, canonical] = 1, -1
-        rows.flags.writeable = False
-        ctx["radical_basis"] = rows
+    pairs = [(member, shape.canonical) for shape in system.shapes()
+             for member in shape.members if member != shape.canonical]
+    rows = np.zeros((len(pairs), 1 << system.rank), dtype=np.int64)
+    for i, (member, canonical) in enumerate(pairs):
+        rows[i, member], rows[i, canonical] = 1, -1
+    rows.flags.writeable = False
     return rows
 
 
@@ -602,15 +589,11 @@ def radical_powers(system, generators):
     return out
 
 
+@memoized
 def loewy_profile(system):
     """Dimension sequence of the radical filtration of the full algebra."""
-    ctx = _algebra_context(system)
-    prof = ctx.get("loewy_profile")
-    if prof is None:
-        powers = radical_powers(system, radical_basis(system))
-        prof = LoewyProfile([1 << system.rank] + [p.dim for p in powers])
-        ctx["loewy_profile"] = prof
-    return prof
+    powers = radical_powers(system, radical_basis(system))
+    return LoewyProfile([1 << system.rank] + [p.dim for p in powers])
 
 
 def minimal_polynomial(vectors):
@@ -727,6 +710,7 @@ def centralizer_dimension(vectors):
 # permutation-character pairing
 
 
+@memoized
 def theta_value_table(system):
     """value[c][I]: value at class c of the permutation character of the
     coset action for mask I, as exact integers.
@@ -735,23 +719,18 @@ def theta_value_table(system):
     times the members of class c inside W_I, those with support in I;
     dividing by |W_I| counts the cosets u W_I that r_c fixes.
     """
-    ctx = _algebra_context(system)
-    cached = ctx.get("theta_table")
-    if cached is None:
-        n = system.rank
-        size = 1 << n
-        cls, _reps, sizes = system.element_classes()
-        cnts = np.bincount(cls.astype(np.int64) * size + system.supp,
-                           minlength=len(sizes) * size).reshape(-1, size)
-        subset_sums(cnts, n)
-        cnts *= (system.order // np.array(sizes, dtype=np.int64))[:, None]
-        vals, rem = np.divmod(cnts, cartan.parabolic_orders(system.matrix))
-        if rem.any():
-            raise AssertionError(
-                "fixed-point count not divisible by the parabolic order")
-        cached = tuple(tuple(row) for row in vals.tolist())
-        ctx["theta_table"] = cached
-    return cached
+    n = system.rank
+    size = 1 << n
+    cls, _reps, sizes = system.element_classes()
+    cnts = np.bincount(cls.astype(np.int64) * size + system.supp,
+                       minlength=len(sizes) * size).reshape(-1, size)
+    subset_sums(cnts, n)
+    cnts *= (system.order // np.array(sizes, dtype=np.int64))[:, None]
+    vals, rem = np.divmod(cnts, cartan.parabolic_orders(system.matrix))
+    if rem.any():
+        raise AssertionError(
+            "fixed-point count not divisible by the parabolic order")
+    return tuple(tuple(row) for row in vals.tolist())
 
 
 def bhs_pairing(system):

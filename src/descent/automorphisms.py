@@ -19,7 +19,7 @@ from .errors import AutomorphismMismatch
 from .linalg import Span
 from . import algebra as alg
 from .algebra import DescentVector, LoewyProfile
-from .coxeter import expand_masks
+from .coxeter import expand_masks, memoized
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,20 @@ def sigma0(system):
                                is_inner_by_w0=True)
 
 
+@memoized
 def diagram_automorphisms(system):
-    """All Coxeter-matrix-preserving generator permutations.
+    """All Coxeter-matrix-preserving generator permutations, as a tuple.
 
     Identity first, then sorted by (order, permutation).
     """
-    n = system.rank
     inner = sigma0(system).permutation
-    found = []
-    for perm in permutations(range(n)):
-        if _preserves_matrix(system.matrix, perm):
-            found.append(perm)
-    ident = tuple(range(n))
+    found = [perm for perm in permutations(range(system.rank))
+             if _preserves_matrix(system.matrix, perm)]
+    ident = tuple(range(system.rank))
     found.sort(key=lambda p: (p != ident, _perm_order(p), p))
-    return [DiagramAutomorphism(permutation=p, order=_perm_order(p),
-                                is_inner_by_w0=(p == inner))
-            for p in found]
+    return tuple(DiagramAutomorphism(permutation=p, order=_perm_order(p),
+                                     is_inner_by_w0=(p == inner))
+                 for p in found)
 
 
 def automorphism_of_order(system, order):
@@ -119,35 +117,31 @@ def mask_orbits(system, sigma):
 class FixedSubalgebra:
     """The subalgebra of elements fixed by one diagram automorphism."""
 
-    __slots__ = ("parent", "sigma", "orbits", "basis", "span", "_radical")
-
     def __init__(self, parent, sigma, orbits, basis, span):
         self.parent = parent
         self.sigma = sigma
         self.orbits = orbits
         self.basis = basis
         self.span = span
-        self._radical = None
 
     @property
     def dimension(self):
         return len(self.basis)
 
+    @memoized
     def radical_vectors(self):
         """Basis of the radical of the fixed subalgebra, as a read-only
         matrix of integer x-coordinate rows: the ambient radical basis
         symmetrized over the automorphism powers."""
-        if self._radical is None:
-            size = 1 << self.parent.rank
-            # row m of the symmetrizer sums the images of x_m under the
-            # powers of sigma: order / |orbit| times each orbit member
-            sym = np.zeros((size, size), dtype=np.int64)
-            for orbit in self.orbits:
-                sym[np.ix_(orbit, orbit)] = self.sigma.order // len(orbit)
-            rows = Span(size, alg.radical_basis(self.parent) @ sym).rows
-            rows.flags.writeable = False
-            self._radical = rows
-        return self._radical
+        size = 1 << self.parent.rank
+        # row m of the symmetrizer sums the images of x_m under the
+        # powers of sigma: order / |orbit| times each orbit member
+        sym = np.zeros((size, size), dtype=np.int64)
+        for orbit in self.orbits:
+            sym[np.ix_(orbit, orbit)] = self.sigma.order // len(orbit)
+        rows = Span(size, alg.radical_basis(self.parent) @ sym).rows
+        rows.flags.writeable = False
+        return rows
 
 
 def fixed_subalgebra(system, sigma):

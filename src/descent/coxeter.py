@@ -20,11 +20,29 @@ product never enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
 from . import cartan, rootperm
 from .errors import InvalidSubset, UnsupportedType
+
+
+# the largest order whose full multiplication table is built
+MULTIPLICATION_TABLE_ORDER = 6000
+
+
+def memoized(f):
+    """f(obj, *args), computed once per object and hashable arguments and
+    kept in the object's own ``__dict__``, so it lives and dies with the
+    object. A call that raises stores nothing."""
+    @wraps(f)
+    def once(obj, *args):
+        memo = obj.__dict__.setdefault("_memo", {})
+        if (f, args) not in memo:
+            memo[f, args] = f(obj, *args)
+        return memo[f, args]
+    return once
 
 
 def iter_bits(mask):
@@ -118,7 +136,10 @@ class CoxeterSystem:
             raise UnsupportedType("generator labels must be distinct")
         self.components = components
         self.type_label = type_label
-        self.cache_enabled = cache
+        # a cache file holds the tensor in the numbering of its label
+        self.cache_enabled = bool(cache) and n > 0 and (
+            (self.labels, self.matrix)
+            == cartan.matrix_for_components(components))
         self.order = cartan.order_for_components(components)
         self.full_mask = (1 << n) - 1
         self.nroots = nroots
@@ -138,12 +159,6 @@ class CoxeterSystem:
             raise UnsupportedType(
                 "the elements of %s do not fit one int64 key" % type_label)
         self._key_layout = first_root, [sum(width[:t]) for t in range(n)]
-        self._lmul = None
-        self._conjs = None
-        self._shapes = None
-        self._eclasses = None
-        self._tensor = None
-        self._multable = None
 
     # ------------------------------------------------------------------
     # enumeration
@@ -276,24 +291,22 @@ class CoxeterSystem:
             w = int(self.rmul[w, s])
         return w
 
+    @memoized
     def lmul(self):
-        if self._lmul is None:
-            lm = np.empty_like(self.rmul)
-            inv = self.inv
-            for s in range(self.rank):
-                lm[:, s] = inv[self.rmul[inv, s]]
-            self._lmul = lm
-        return self._lmul
+        lm = np.empty_like(self.rmul)
+        inv = self.inv
+        for s in range(self.rank):
+            lm[:, s] = inv[self.rmul[inv, s]]
+        return lm
 
+    @memoized
     def conj_tables(self):
         """conj[w, s] = s w s."""
-        if self._conjs is None:
-            lm = self.lmul()
-            out = np.empty_like(self.rmul)
-            for s in range(self.rank):
-                out[:, s] = lm[self.rmul[:, s], s]
-            self._conjs = out
-        return self._conjs
+        lm = self.lmul()
+        out = np.empty_like(self.rmul)
+        for s in range(self.rank):
+            out[:, s] = lm[self.rmul[:, s], s]
+        return out
 
     def right_translation(self, v):
         """Index array t with t[u] = index of u*v."""
@@ -310,26 +323,23 @@ class CoxeterSystem:
             idx = lm[idx, s]
         return idx
 
+    @memoized
     def multiplication_table(self):
-        """Full index table mt[u, v] = index of u*v.
-
-        Only built for small groups; quadratic memory. Larger groups should
-        use left_translation row by row instead.
-        """
-        if self._multable is None:
-            if self.order > 6000:
-                raise MemoryError(
-                    "multiplication table for |W| = %d would be too large"
-                    % self.order)
-            lm = self.lmul()
-            mt = np.empty((self.order, self.order), dtype=np.int32)
-            mt[0] = np.arange(self.order, dtype=np.int32)
-            # walk elements in discovery order: each index > 0 has a parent
-            # of smaller index, so rows can be filled by one pass
-            for w in range(1, self.order):
-                mt[w] = mt[int(self.parent[w])][lm[:, int(self.lastgen[w])]]
-            self._multable = mt
-        return self._multable
+        """Full index table mt[u, v] = index of u*v, quadratic in memory,
+        so built only up to order ``MULTIPLICATION_TABLE_ORDER``; larger
+        groups use left_translation row by row instead."""
+        if self.order > MULTIPLICATION_TABLE_ORDER:
+            raise MemoryError(
+                "multiplication table for |W| = %d would be too large"
+                % self.order)
+        lm = self.lmul()
+        mt = np.empty((self.order, self.order), dtype=np.int32)
+        mt[0] = np.arange(self.order, dtype=np.int32)
+        # walk elements in discovery order: each index > 0 has a parent
+        # of smaller index, so rows can be filled by one pass
+        for w in range(1, self.order):
+            mt[w] = mt[int(self.parent[w])][lm[:, int(self.lastgen[w])]]
+        return mt
 
     def order_of(self, i):
         k, w = 1, int(i)
@@ -436,6 +446,7 @@ class CoxeterSystem:
     # ------------------------------------------------------------------
     # shapes (conjugacy classes of generator subsets)
 
+    @memoized
     def shape_classes(self):
         """(shapes, mask_to_shape): the W-conjugacy classes of generator
         subsets, ordered by (size, smallest member).
@@ -445,8 +456,6 @@ class CoxeterSystem:
         character of the shape, and T[J, J, J] >= 1 makes equal columns
         give K inside a conjugate of J and J inside a conjugate of K.
         """
-        if self._shapes is not None:
-            return self._shapes
         masks = np.arange(1 << self.rank)
         T = self.structure_tensor()
         _, label = np.unique(T[:, masks, masks].T, axis=0,
@@ -465,8 +474,7 @@ class CoxeterSystem:
             shapes.append(Shape(class_id=cid, members=members,
                                 canonical=members[0],
                                 cardinality_of_member=popcount(members[0])))
-        self._shapes = (shapes, mask_to_shape)
-        return self._shapes
+        return shapes, mask_to_shape
 
     def shapes(self):
         return self.shape_classes()[0]
@@ -478,6 +486,7 @@ class CoxeterSystem:
     # ------------------------------------------------------------------
     # conjugacy classes of elements
 
+    @memoized
     def element_classes(self):
         """(class id per element, smallest index per class, sizes).
 
@@ -489,37 +498,32 @@ class CoxeterSystem:
         of its class, the (length, word)-least element. Classes are
         numbered by that index.
         """
-        if self._eclasses is None:
-            conj = self.conj_tables()
-            lab = np.arange(self.order)
-            while True:
-                prev = lab
-                for s in range(self.rank):
-                    lab = np.minimum(lab, lab[conj[:, s]])
-                lab = lab[lab]
-                if np.array_equal(lab, prev):
-                    break
-            reps, cid = np.unique(lab, return_inverse=True)
-            self._eclasses = (cid.astype(np.int32), reps.tolist(),
-                              np.bincount(cid).tolist())
-        return self._eclasses
+        conj = self.conj_tables()
+        lab = np.arange(self.order)
+        while True:
+            prev = lab
+            for s in range(self.rank):
+                lab = np.minimum(lab, lab[conj[:, s]])
+            lab = lab[lab]
+            if np.array_equal(lab, prev):
+                break
+        reps, cid = np.unique(lab, return_inverse=True)
+        return (cid.astype(np.int32), reps.tolist(),
+                np.bincount(cid).tolist())
 
     # ------------------------------------------------------------------
     # structure constants
 
+    @memoized
     def structure_tensor(self):
         """T[I, J, K] = #{d in X_{I,J} : (d^{-1} I d) cap J = K}."""
-        if self._tensor is not None:
-            return self._tensor
         from . import cache as cache_mod
         if self.cache_enabled:
             T = cache_mod.load_tensor(self)
             if T is not None:
-                self._tensor = T
                 return T
         T = self._compute_tensor()
         check_tensor(T, self.matrix, self.order, self.type_label)
-        self._tensor = T
         if self.cache_enabled:
             cache_mod.store_tensor(self, T)
         return T

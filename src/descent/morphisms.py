@@ -14,7 +14,7 @@ import numpy as np
 from . import algebra as alg
 from . import linalg
 from .algebra import DescentVector
-from .coxeter import build_system, expand_masks, iter_bits, popcount
+from .coxeter import build_system, expand_masks, iter_bits, memoized, popcount
 from .errors import (
     InvalidSubset,
     NotSelfOpposed,
@@ -147,17 +147,17 @@ def parabolic_system(system, kmask):
     """Standalone system isomorphic to the standard parabolic subgroup."""
     kmask = system.check_mask(kmask)
     if kmask == system.full_mask:
+        # outside the memo, so no system holds a reference to itself
         return system
-    ctx = alg._algebra_context(system)
-    key = ("parabolic", kmask)
-    got = ctx.get(key)
-    if got is None:
-        positions = mask_positions(kmask)
-        sub = [[system.matrix[p][q] for q in positions] for p in positions]
-        labels = [system.labels[p] for p in positions]
-        got = build_system(matrix=sub, labels=labels)
-        ctx[key] = got
-    return got
+    return _proper_parabolic_system(system, kmask)
+
+
+@memoized
+def _proper_parabolic_system(system, kmask):
+    positions = mask_positions(kmask)
+    sub = [[system.matrix[p][q] for q in positions] for p in positions]
+    labels = [system.labels[p] for p in positions]
+    return build_system(matrix=sub, labels=labels)
 
 
 def res_K(system, K):

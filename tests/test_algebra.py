@@ -13,8 +13,9 @@ import pytest
 
 from descent import algebra as alg
 from descent import morphisms as mo
-from descent.coxeter import iter_bits, popcount
-from descent.errors import NotPositive, SystemMismatch, WrongType
+from descent.coxeter import MULTIPLICATION_TABLE_ORDER, iter_bits, popcount
+from descent.errors import (NotInDescentAlgebra, NotPositive, SystemMismatch,
+                            WrongType)
 from descent import linalg
 from descent.table import SUPPORTED_TYPES
 import oracles
@@ -76,7 +77,8 @@ def test_oracle_takes_coefficients_beyond_int64(system_factory):
     a3 = system_factory("A3")
     x1 = alg.basis_x(a3, 0b001)
     assert alg.oracle_multiply(10**20 * alg.unit(a3), x1) == 10**20 * x1
-    # |W| > 6000: translations, never the full multiplication table
+    # |W| > MULTIPLICATION_TABLE_ORDER: translations, never the full
+    # multiplication table
     h4 = system_factory("H4")
     h1 = alg.basis_x(h4, 0b0001)
     assert alg.oracle_multiply(2**55 * alg.unit(h4), h1) == 2**55 * h1
@@ -585,6 +587,23 @@ def test_group_vector_round_trip(system_factory):
             assert gv[w] == (1 if w in reps else 0)
 
 
+def test_fold_rejects_a_vector_not_constant_on_a_descent_class(
+        system_factory):
+    system = system_factory("B3")
+    masks, counts = np.unique(system.rasc, return_counts=True)
+    mask = int(masks[np.argmax(counts > 1)])
+    first, second = np.flatnonzero(system.rasc == mask)[:2]
+    nums = np.zeros(system.order, dtype=np.int64)
+    nums[first], nums[second] = 3, 5
+    with pytest.raises(NotInDescentAlgebra,
+                       match=r"descent class of mask %d$" % mask):
+        alg._fold_group(system, nums, 1, alg.BASIS_X)
+    # constant on that class, it folds to the y-basis element
+    nums[system.rasc == mask] = 3
+    assert alg._fold_group(system, nums, 1, alg.BASIS_Y) == 3 * alg.basis_y(
+        system, mask)
+
+
 def test_centralizer_of_unit_is_everything(system_factory):
     system = system_factory("A3")
     assert alg.centralizer_dimension([alg.unit(system)]) == [
@@ -643,7 +662,8 @@ def loop_convolve(system, na, nb):
     amax, bmax = linalg.absmax(na), linalg.absmax(nb)
     dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
     na, nb = na.astype(dtype), nb.astype(dtype)
-    mt = system.multiplication_table() if order <= 6000 else None
+    mt = (system.multiplication_table()
+          if order <= MULTIPLICATION_TABLE_ORDER else None)
     out = np.zeros(order, dtype=dtype)
     if np.count_nonzero(na) <= np.count_nonzero(nb):
         for u in np.flatnonzero(na):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import descent.cache as ca
 from descent import cartan, morphisms
-from descent.coxeter import build_system, expand_masks
+from descent.coxeter import CoxeterSystem, build_system, expand_masks
 from descent.errors import CorruptCache
 
 
@@ -326,8 +326,8 @@ class TestPermutedMatrix:
         monkeypatch.setattr(ca, "store_tensor", refuse)
         perm = (2, 0, 3, 1)
         _labels, mat = cartan.matrix_for_components(cartan.parse_label("F4"))
-        permuted = build_system(
-            matrix=[[mat[a][b] for b in perm] for a in perm], cache=True)
+        permuted = CoxeterSystem([[mat[a][b] for b in perm] for a in perm],
+                                 cache=True)
         e6 = build_system(type="E6")
         sub = morphisms.parabolic_system(e6, 0b111101)
         assert sub.type_label == "A5"
@@ -340,6 +340,14 @@ class TestPermutedMatrix:
             assert np.array_equal(system.structure_tensor(),
                                   base[label][np.ix_(e, e, e)])
         assert {p.name: p.read_bytes() for p in cache_env.iterdir()} == before
+
+    def test_cache_true_holds_for_the_label_numbering_only(self, cache_env):
+        labels, mat = cartan.matrix_for_components(cartan.parse_label("D4"))
+        assert CoxeterSystem(mat, labels=labels, cache=True).cache_enabled
+        assert not CoxeterSystem(mat, labels=labels).cache_enabled
+        # the label's matrix under other generator names
+        assert not CoxeterSystem(mat, cache=True).cache_enabled
+        assert not CoxeterSystem([], cache=True).cache_enabled
 
 
 class TestLogging:

@@ -5,7 +5,9 @@ masks from the length function, coset representatives from explicit cosets,
 conjugacy of subsets by conjugating every generator by every element.
 """
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ import oracles
 from descent import algebra, automorphisms, build_system, cartan, rootperm
 from descent import morphisms
 from descent.algebra import bhs_pairing, multiply, theta_value_table
-from descent.coxeter import check_tensor, expand_masks, iter_bits, popcount
+from descent.coxeter import (MULTIPLICATION_TABLE_ORDER, check_tensor,
+                             expand_masks, iter_bits, memoized, popcount)
 from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
                             UnsupportedType)
 from descent.exprs import parse_expression
@@ -1062,3 +1065,55 @@ def test_quotient_images_match_the_word_loop(system_factory, label, perm):
             ctx = morphisms.build_context(system, kmask)
             assert np.array_equal(ctx.images,
                                   oracles.quotient_images_by_words(ctx))
+
+
+class TestMemoized:
+    def test_runs_once_per_object_and_arguments(self):
+        calls = []
+
+        class Box:
+            pass
+
+        @memoized
+        def double(box, k):
+            calls.append((box, k))
+            return [2 * k]
+
+        a, b = Box(), Box()
+        assert double(a, 1) is double(a, 1)
+        assert double(a, 2) == [4]
+        assert double(b, 1) == [2] and double(b, 1) is not double(a, 1)
+        assert calls == [(a, 1), (a, 2), (b, 1)]
+
+    def test_systems_of_one_type_do_not_share_values(self):
+        a = build_system(type="A3", cache=False)
+        b = build_system(type="A3", cache=False)
+        assert a.structure_tensor() is a.structure_tensor()
+        assert a.structure_tensor() is not b.structure_tensor()
+        assert a.shapes() is not b.shapes()
+        assert algebra.radical_basis(a) is not algebra.radical_basis(b)
+        assert (morphisms.parabolic_system(a, 0b011)
+                is not morphisms.parabolic_system(b, 0b011))
+
+    def test_a_dropped_system_is_freed(self):
+        system = build_system(type="A3", cache=False)
+        system.structure_tensor()
+        system.shapes()
+        algebra.tau_matrix(system)
+        algebra.radical_basis(system)
+        algebra.loewy_profile(system)
+        sub = morphisms.parabolic_system(system, 0b011)
+        assert morphisms.parabolic_system(system, 0b011) is sub
+        assert morphisms.parabolic_system(system, system.full_mask) is system
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
+
+    def test_a_refused_multiplication_table_is_not_stored(self):
+        system = build_system(type="H4", cache=False)
+        assert system.order > MULTIPLICATION_TABLE_ORDER
+        for _ in range(2):
+            with pytest.raises(MemoryError, match="14400"):
+                system.multiplication_table()
+        assert system.__dict__.get("_memo", {}) == {}

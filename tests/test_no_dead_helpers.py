@@ -13,6 +13,10 @@ An attribute that a class stores, in its body or on ``self``, and that
 nothing in the package, the tests or the benchmark ever reads is state
 kept for no one; on a group table it is memory held for no one. So is a
 name that a module binds at its top level and nothing reads.
+
+What the package derives from an object it keeps one way: only
+``coxeter.memoized`` and the group tables' ``_GroupTable`` read or write
+an object's ``__dict__``.
 """
 
 import ast
@@ -177,3 +181,26 @@ def test_every_module_binding_is_read():
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
     assert sorted(q for q, name in module_bindings()
                   if name not in read) == []
+
+
+def dict_readers():
+    """The top-level definitions of the package, as module.name, that
+    read or write an object's ``__dict__``, directly or through
+    ``vars``."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "<module>")
+            if any((isinstance(sub, ast.Attribute) and sub.attr == "__dict__")
+                   or (isinstance(sub, ast.Call)
+                       and isinstance(sub.func, ast.Name)
+                       and sub.func.id == "vars")
+                   for sub in ast.walk(node)):
+                out.add("%s.%s" % (path.stem, name))
+    return out
+
+
+def test_one_memo_mechanism():
+    # derived values are kept by ``memoized``; the group tables, which
+    # one read builds all at once, by ``_GroupTable``
+    assert dict_readers() == {"coxeter.memoized", "coxeter._GroupTable"}
