@@ -18,7 +18,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .coxeter import (MULTIPLICATION_TABLE_ORDER, iter_bits, memoized,
-                      popcount, subset_sums)
+                      popcount, subset_sums, support_pairs)
 from .errors import (
     InvalidSubset,
     NotInDescentAlgebra,
@@ -314,26 +314,14 @@ def unit(system, tag=BASIS_X):
 # multiplication
 
 
-@lru_cache(maxsize=None)
-def _support_pairs(n):
-    """The 3^n pairs (J, K) with K a subset of J, sorted by K, as read-only
-    index arrays J and K, and the start of each K segment."""
-    masks = np.arange(1 << n)
-    K, J = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
-    starts = np.searchsorted(K, masks)
-    for arr in (J, K, starts):
-        arr.flags.writeable = False
-    return J, K, starts
-
-
 @memoized
 def _tensor_support(system):
     """(Tc, its largest absolute entry), Tc[I, p] = T[I, J_p, K_p] over
-    the pairs of ``_support_pairs``: Solomon's Mackey formula makes
+    the pairs of ``coxeter.support_pairs``: Solomon's Mackey formula makes
     x_I x_J a sum of x_K with K inside J, and ``coxeter.check_tensor``
     proves T vanishes elsewhere on every load and build, so Tc holds
-    every nonzero entry of T."""
-    J, K, _starts = _support_pairs(system.rank)
+    every nonzero entry of T. It is the matrix a cache file stores."""
+    J, K, _starts = support_pairs(system.rank)
     Tc = system.structure_tensor()[:, J, K]
     Tc.flags.writeable = False
     return Tc, linalg.absmax(Tc)
@@ -354,10 +342,11 @@ def products(system, A, B):
     Rows hold integer x-coordinates, one element each. Entry [a, b, k] of
     the result is the x_k-coordinate of A[a] * B[b]: the sum over I, J of
     A[a, I] T[I, J, k] B[b, J] with T the structure tensor. Only the
-    pairs (J, k) with k inside J enter, the support that
-    ``coxeter.check_tensor`` proves on every load: AT = A @ Tc over those
-    pairs, and row a of the result sums AT[a] * B[:, J] over each k
-    segment, one row at a time so no (a, b, 3^n) array is formed.
+    pairs (J, k) of ``coxeter.support_pairs``, k inside J, enter, the
+    support that ``coxeter.check_tensor`` proves on every load: AT =
+    A @ Tc with Tc the support matrix of ``_tensor_support``, and row a
+    of the result sums AT[a] * B[:, J] over each k segment, one row at a
+    time so no (a, b, 3^n) array is formed.
     Computed in int64 when a bound on that sum proves it exact, on Python
     integers otherwise.
     """
@@ -367,7 +356,7 @@ def products(system, A, B):
     # the bound also covers A and B themselves when the other is zero
     Tc = _support_tensor(system, (linalg.absmax(A) + 1)
                          * (linalg.absmax(B) + 1) * size * size)
-    J, _K, starts = _support_pairs(system.rank)
+    J, _K, starts = support_pairs(system.rank)
     AT = A.astype(Tc.dtype, copy=False) @ Tc
     BJ = B.astype(Tc.dtype, copy=False)[:, J]
     out = np.empty((len(A), len(B), size), dtype=Tc.dtype)
@@ -416,7 +405,7 @@ def left_multiplication(vectors):
     contraction: row J holds the x-coordinates of vector * x_J, times the
     vector's denominator."""
     V, Tc = _support_rows(vectors)
-    J, K, _starts = _support_pairs(vectors[0].system.rank)
+    J, K, _starts = support_pairs(vectors[0].system.rank)
     out = np.zeros((len(V),) + (1 << vectors[0].system.rank,) * 2,
                    dtype=Tc.dtype)
     out[:, J, K] = V @ Tc
@@ -430,7 +419,7 @@ def right_multiplication(vectors):
     of the k segment, for a block of vectors at a time so the products
     formed stay under ``_PRODUCT_CELLS``."""
     V, Tc = _support_rows(vectors)
-    J, _K, starts = _support_pairs(vectors[0].system.rank)
+    J, _K, starts = support_pairs(vectors[0].system.rank)
     out = np.empty((len(V),) + (len(Tc),) * 2, dtype=Tc.dtype)
     step = max(1, _PRODUCT_CELLS // Tc.size)
     for lo in range(0, len(V), step):

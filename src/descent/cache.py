@@ -2,24 +2,28 @@
 
 A file ``<label>.npz`` is an uncompressed numpy archive of two members:
 
-- ``triples``: the nonzero structure constants as [I, J, K, value] rows,
-  int32 when every number fits, in the order of ``np.nonzero``;
+- ``support``: the (2^n, 3^n) support matrix T[:, J, K] over the pairs
+  (J, K) of :func:`coxeter.support_pairs`, K inside J, in their order;
+  by Solomon's Mackey formula it holds every nonzero structure constant.
+  It is int32 when every value fits;
 - ``header``: UTF-8 JSON holding the schema version, the type label, the
-  rank, the group order, the sha256 of the raw triple bytes, and a digest
-  of the Coxeter matrix, the generator labels and the schema version.
+  rank, the group order, the sha256 of the raw support bytes, and a
+  digest of the Coxeter matrix, the generator labels and the schema
+  version.
 
 The zip metadata is fixed, so equal content gives equal bytes. A load
 checks, in this order: the file parses and is byte for byte the archive
 its content encodes; the schema version and the matrix digest are
 current (otherwise the entry is stale); the sha256 matches; the label,
-rank and order match the system; the triples are distinct in-range rows
-with nonzero integer values; and the tensor has the unit rows, the
-support and the Mackey counts of :func:`coxeter.check_tensor`.
-Everything a warm system needs, the shapes included, is derived from the
-tensor, so a load enumerates nothing. No failure aborts a computation:
-the caller recomputes (with a warning unless the entry is merely missing
-or stale) and overwrites the file. Files of schema 1 (``<label>.json``)
-are never read and can be deleted.
+rank and order match the system; the support is an integer array of
+shape (2^n, 3^n); and the tensor has the unit rows, the support and the
+Mackey counts of :func:`coxeter.check_tensor`. Everything a warm system
+needs, the shapes included, is derived from the tensor, so a load
+enumerates nothing. No failure aborts a computation: the caller
+recomputes (with a warning unless the entry is merely missing or stale)
+and overwrites the file. Files of schema 1 (``<label>.json``) are never
+read and can be deleted; files of schema 2, which held [I, J, K, value]
+triples, are stale.
 
 Events go to the ``descent.cache`` logger: hits, misses and stale entries
 at debug level, corrupt or malformed entries at warning level, the latter
@@ -40,10 +44,10 @@ import zipfile
 import numpy as np
 
 from . import cartan
-from .coxeter import check_tensor
+from .coxeter import check_tensor, support_pairs
 from .errors import CorruptCache
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _log = logging.getLogger(__name__)
 # warnings already reach the user; keep logging's last-resort handler
@@ -74,35 +78,35 @@ def _label_system(type_label):
     return cartan.matrix_for_components(cartan.parse_label(type_label))
 
 
-def _sha256(triples):
-    return hashlib.sha256(triples.tobytes()).hexdigest()
+def _sha256(support):
+    return hashlib.sha256(support.tobytes()).hexdigest()
 
 
 def make_entry(system, tensor):
-    ii, jj, kk = np.nonzero(tensor)
-    triples = np.column_stack((ii, jj, kk, tensor[ii, jj, kk]))
+    J, K, _starts = support_pairs(system.rank)
+    support = np.ascontiguousarray(tensor[:, J, K])
     small = np.iinfo(np.int32)
-    if small.min <= triples.min() and triples.max() <= small.max:
-        triples = triples.astype(np.int32)
+    if small.min <= support.min() and support.max() <= small.max:
+        support = support.astype(np.int32)
     return {
         "schema_version": SCHEMA_VERSION,
         "type_label": system.type_label,
         "rank": system.rank,
         "group_order": system.order,
-        "sha256": _sha256(triples),
+        "sha256": _sha256(support),
         "matrix_digest": matrix_digest(system.matrix, system.labels),
-        "triples": triples,
+        "support": support,
     }
 
 
 def encode(entry):
     """The bytes of the file holding `entry`."""
-    header = {k: v for k, v in entry.items() if k != "triples"}
+    header = {k: v for k, v in entry.items() if k != "support"}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         for name, arr in (("header", np.frombuffer(blob, dtype=np.uint8)),
-                          ("triples", entry["triples"])):
+                          ("support", entry["support"])):
             member = io.BytesIO()
             np.lib.format.write_array(member, arr, allow_pickle=False)
             # ZipInfo stamps 1980-01-01; fix the host field too, so the
@@ -150,8 +154,11 @@ def cache_load(type_label):
             entry = json.loads(npz["header"].tobytes())
             if not isinstance(entry, dict):
                 raise CorruptCache("header of %s is not an object" % target)
-            entry["triples"] = npz["triples"]
-        canonical = encode(entry) == data
+            # a file of another schema holds other members
+            current = entry.get("schema_version") == SCHEMA_VERSION
+            if current:
+                entry["support"] = npz["support"]
+        canonical = not current or encode(entry) == data
     # a damaged archive fails in zipfile, in numpy's reader or in json;
     # zipfile refuses a flipped compression method or version with
     # NotImplementedError and a flipped encryption flag with RuntimeError
@@ -162,11 +169,11 @@ def cache_load(type_label):
         raise CorruptCache("%s is not the archive its content encodes"
                            % target)
     labels, matrix = _label_system(type_label)
-    if (entry.get("schema_version") != SCHEMA_VERSION
-            or entry.get("matrix_digest") != matrix_digest(matrix, labels)):
+    if not current or (entry.get("matrix_digest")
+                       != matrix_digest(matrix, labels)):
         _log.debug("stale %s", target)
         return None
-    if entry.get("sha256") != _sha256(entry["triples"]):
+    if entry.get("sha256") != _sha256(entry["support"]):
         raise CorruptCache("checksum mismatch in %s" % target)
     return entry
 
@@ -189,17 +196,14 @@ def load_tensor(system):
         return _reject("cache entry for %s does not match the built system"
                        % label)
     full = 1 << system.rank
-    arr = entry["triples"]
-    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 4:
-        return _malformed(label, "expected integer [I, J, K, value] rows")
-    idx = arr[:, :3]
-    if ((idx < 0) | (idx >= full)).any():
-        return _malformed(label, "subset index outside 0..%d" % (full - 1))
+    J, K, _starts = support_pairs(system.rank)
+    support = entry["support"]
+    if support.dtype.kind != "i" or support.shape != (full, len(J)):
+        return _reject("malformed cache support for %s: expected an "
+                       "integer array of shape (%d, %d)"
+                       % (label, full, len(J)))
     T = np.zeros((full, full, full), dtype=np.int64)
-    T[idx[:, 0], idx[:, 1], idx[:, 2]] = arr[:, 3]
-    # every stored triple is a distinct nonzero entry
-    if np.count_nonzero(T) != len(arr):
-        return _malformed(label, "repeated subset triple or zero value")
+    T[:, J, K] = support
     try:
         check_tensor(T, _label_system(label)[1], system.order, label)
     except AssertionError as exc:
@@ -213,10 +217,6 @@ def _reject(message):
     warnings.warn(message)
     _log.warning("%s", message)
     return None
-
-
-def _malformed(label, problem):
-    return _reject("malformed cache triples for %s: %s" % (label, problem))
 
 
 def store_tensor(system, tensor):

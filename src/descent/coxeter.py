@@ -20,7 +20,7 @@ product never enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -77,6 +77,18 @@ def subset_sums(arr, rank, supersets=False):
         else:
             pairs[..., 1, :] += pairs[..., 0, :]
     return arr
+
+
+@lru_cache(maxsize=None)
+def support_pairs(n):
+    """The 3^n pairs (J, K) with K a subset of J, sorted by K, as read-only
+    index arrays J and K, and the start of each K segment."""
+    masks = np.arange(1 << n)
+    K, J = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
+    starts = np.searchsorted(K, masks)
+    for arr in (J, K, starts):
+        arr.flags.writeable = False
+    return J, K, starts
 
 
 class _GroupTable:

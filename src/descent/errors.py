@@ -37,10 +37,6 @@ class NotInDescentAlgebra(DescentError):
     """Group-algebra element that is not constant on descent classes."""
 
 
-class NotPositive(DescentError):
-    """Element has a negative coordinate where nonnegativity is required."""
-
-
 class NotSelfOpposed(DescentError):
     """Subset is conjugate to a different subset of the generators."""
 

@@ -97,23 +97,9 @@ class AlgebraMorphism:
     def multiplicative_pairs(self):
         """Boolean matrix whose entry [I, J] says whether the map sends
         x_I * x_J to the product of the images of x_I and x_J: the image
-        of every basis product against every product of two columns.
-
-        The image of x_I * x_J sums T[I, J, K] columns[K] over the support
-        K inside J: with the support pairs ordered by J, one product of
-        the support tensor's J segment with the columns at its K per J."""
-        size = 1 << self.domain.rank
-        Tc = alg._support_tensor(self.domain,
-                                 (linalg.absmax(self.columns) + 1) * size)
-        J, K, _starts = alg._support_pairs(self.domain.rank)
-        by_j = np.argsort(J, kind="stable")
-        bounds = np.searchsorted(J[by_j], np.arange(size + 1))
-        Tc, K = Tc[:, by_j], K[by_j]
-        cols = self.columns.astype(Tc.dtype, copy=False)
-        images = np.empty((size, size, cols.shape[1]), dtype=Tc.dtype)
-        for j in range(size):
-            seg = slice(bounds[j], bounds[j + 1])
-            images[:, j] = Tc[:, seg] @ cols[K[seg]]
+        of every basis product, the structure tensor times the columns,
+        against every product of two columns."""
+        images = linalg.matmul(self.domain.structure_tensor(), self.columns)
         return (images == alg.products(self.codomain, self.columns,
                                        self.columns)).all(axis=2)
 
@@ -359,27 +345,11 @@ def surjectivity_report(system, K):
 # the doubled-bond to fork restriction
 
 
-def _paper_fork_matrix(n):
-    """Coxeter matrix of the fork-diagram group on positions
-    [fork-twin, chain-1, ..., chain-(n-1)]."""
-    mat = [[2] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = 1
-    for i in range(1, n - 1):
-        mat[i][i + 1] = mat[i + 1][i] = 3
-    if n >= 3:
-        mat[0][2] = mat[2][0] = 3
-    return mat
-
-
 def fork_system(n):
     """The index-two reflection subgroup's system, fork-twin first."""
     if n < 2:
         raise RankTooSmall("need rank at least 2")
-    if n >= 4:
-        return build_system(type="D%d" % n)
-    labels = ["1p"] + [str(i) for i in range(1, n)]
-    return build_system(matrix=_paper_fork_matrix(n), labels=labels)
+    return build_system(type="D%d" % n)
 
 
 def sigma_n_automorphism(dn):

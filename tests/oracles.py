@@ -2,14 +2,16 @@
 
 The package computes each result one way. The helpers here are the second
 routes the tests check it against (group-algebra coordinates, a product
-compared one pair at a time, a commuting square of morphisms, conjugacy
-decided one element, member or point at a time, w_K and subgroup
-embeddings found one element at a time, span helpers, the polynomial gcd
-that decides squarefreeness, character values one element at a time),
-and the closed forms the paper proves for special elements (the split
-characteristic polynomial and the regular-representation eigenvalue
-counts of positive elements, the type-A radical witness, the y-basis
-criterion for a central longest element).
+compared one pair at a time, the multiplicative pairs of a morphism summed
+one segment of the support at a time, a commuting square of morphisms,
+conjugacy decided one element, member or point at a time, w_K and
+subgroup embeddings found one element at a time, span helpers, the
+polynomial gcd that decides squarefreeness, character values one element
+at a time), and the closed forms the paper proves for special elements
+(the split characteristic polynomial and the regular-representation
+eigenvalue counts of positive elements, the type-A radical witness, the
+y-basis criterion for a central longest element). The error those closed
+forms raise on an element that is not positive is defined here too.
 """
 
 from fractions import Fraction
@@ -22,9 +24,10 @@ from descent import automorphisms as auto
 from descent import linalg
 from descent import morphisms as mo
 from descent.algebra import DescentVector
-from descent.coxeter import subset_sums
-from descent.errors import InvalidSubset, NotPositive, WrongType
+from descent.coxeter import subset_sums, support_pairs
+from descent.errors import DescentError, InvalidSubset, WrongType
 from descent.linalg import Span
+
 
 # ---------------------------------------------------------------------------
 # polynomials over Q, coefficient lists with index = degree: the gcd route
@@ -402,6 +405,10 @@ def vector_from_group(system, gcoeffs, tag=alg.BASIS_X):
 # positive elements
 
 
+class NotPositive(DescentError):
+    """Element has a negative coordinate where nonnegativity is required."""
+
+
 def is_positive(vector):
     """Componentwise nonnegative on the x-basis."""
     return all(c >= 0 for c in vector.x_ints()[0])
@@ -509,12 +516,25 @@ def is_multiplicative_pair(morphism, u, v):
             == alg.multiply(morphism.apply(u), morphism.apply(v)))
 
 
-def multiplicative_pairs_dense(morphism):
-    """``AlgebraMorphism.multiplicative_pairs`` the dense way: the images
-    of the basis products from the whole structure tensor times the
-    columns, against every product of two columns."""
-    images = linalg.matmul(morphism.domain.structure_tensor(),
-                           morphism.columns)
+def multiplicative_pairs_by_segments(morphism):
+    """``AlgebraMorphism.multiplicative_pairs`` over the support: the
+    image of x_I * x_J sums T[I, J, K] columns[K] over K inside J, so with
+    the support pairs ordered by J it is one product of the support
+    tensor's J segment with the columns at its K per J, compared against
+    every product of two columns."""
+    domain = morphism.domain
+    size = 1 << domain.rank
+    Tc = alg._support_tensor(domain,
+                             (linalg.absmax(morphism.columns) + 1) * size)
+    J, K, _starts = support_pairs(domain.rank)
+    by_j = np.argsort(J, kind="stable")
+    bounds = np.searchsorted(J[by_j], np.arange(size + 1))
+    Tc, K = Tc[:, by_j], K[by_j]
+    cols = morphism.columns.astype(Tc.dtype, copy=False)
+    images = np.empty((size, size, cols.shape[1]), dtype=Tc.dtype)
+    for j in range(size):
+        seg = slice(bounds[j], bounds[j + 1])
+        images[:, j] = Tc[:, seg] @ cols[K[seg]]
     return (images == alg.products(morphism.codomain, morphism.columns,
                                    morphism.columns)).all(axis=2)
 

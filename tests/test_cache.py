@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import descent.cache as ca
 from descent import cartan, morphisms
-from descent.coxeter import CoxeterSystem, build_system, expand_masks
+from descent.coxeter import (CoxeterSystem, build_system, expand_masks,
+                             support_pairs)
 from descent.errors import CorruptCache
 
 
@@ -30,28 +31,33 @@ def fresh_system(label):
 
 
 def read_entry(path):
-    """The header and triples of a cache file, unchecked."""
+    """The header and support matrix of a cache file, unchecked."""
     with np.load(path) as npz:
         entry = json.loads(npz["header"].tobytes())
-        entry["triples"] = npz["triples"]
+        entry["support"] = npz["support"]
     return entry
 
 
 def write_entry(path, entry):
-    """Write `entry` with a sha256 that matches its triples."""
-    entry["sha256"] = ca._sha256(entry["triples"])
+    """Write `entry` with a sha256 that matches its support matrix."""
+    entry["sha256"] = ca._sha256(entry["support"])
     with open(path, "wb") as fh:
         fh.write(ca.encode(entry))
 
 
-def with_rows(triples, rows):
-    """`triples` with `rows` appended; when the rows are not all four
-    long the result is the flat list of numbers, which no longer splits
-    into [I, J, K, value] rows."""
-    rows = triples.tolist() + rows
-    if any(len(r) != 4 for r in rows):
-        return np.array([v for r in rows for v in r])
-    return np.array(rows)
+def write_archive(path, header, **members):
+    """Write an archive of the JSON `header` and the array `members`,
+    not in the canonical encoding."""
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(blob, dtype=np.uint8), **members)
+
+
+def nonzero_triples(tensor):
+    """The [I, J, K, value] rows of the nonzero entries of `tensor`, the
+    member that files of schema 2 held."""
+    ii, jj, kk = np.nonzero(tensor)
+    return np.column_stack((ii, jj, kk, tensor[ii, jj, kk])).astype(np.int32)
 
 
 class TestPaths:
@@ -112,6 +118,25 @@ class TestRoundTrip:
         system.structure_tensor()
         assert not os.path.exists(ca.path_for("A2"))
 
+    def test_schema_2_triples_file_is_stale(self, cache_env):
+        # the layout before the support matrix: a silent miss, then
+        # recomputed and overwritten
+        system = fresh_system("B2")
+        tensor = system.structure_tensor()
+        header = {k: v for k, v in ca.make_entry(system, tensor).items()
+                  if k != "support"}
+        header["schema_version"] = 2
+        write_archive(ca.path_for("B2"), header,
+                      triples=nonzero_triples(tensor))
+        warm = build_system(type="B2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ca.cache_load("B2") is None
+            assert ca.load_tensor(warm) is None
+            assert np.array_equal(warm.structure_tensor(), tensor)
+        assert Path(ca.path_for("B2")).read_bytes() == ca.encode(
+            ca.make_entry(system, tensor))
+
     def test_leftover_schema_1_json_file_is_never_read(self, cache_env):
         old = cache_env / "B2.json"
         old.write_text('{"schema_version": 1, "triples": []}')
@@ -142,7 +167,7 @@ class TestCorruption:
         # a changed constant under the old sha256
         _, path = self.entry_path(cache_env)
         entry = read_entry(path)
-        entry["triples"][0, 3] += 1
+        entry["support"][0, 0] += 1
         with open(path, "wb") as fh:
             fh.write(ca.encode(entry))
         with pytest.raises(CorruptCache, match="checksum"):
@@ -150,10 +175,7 @@ class TestCorruption:
 
     def test_non_object_payload_raises(self, cache_env):
         system, path = self.entry_path(cache_env)
-        triples = read_entry(path)["triples"]
-        with open(path, "wb") as fh:
-            np.savez(fh, header=np.frombuffer(b"[1, 2, 3]", dtype=np.uint8),
-                     triples=triples)
+        write_archive(path, [1, 2, 3], support=read_entry(path)["support"])
         with pytest.raises(CorruptCache, match="not an object"):
             ca.cache_load("A2")
 
@@ -199,28 +221,35 @@ class TestCorruption:
             assert ca.load_tensor(system) is None
 
     def test_malformed_triples_warn(self, cache_env):
+        # a header of the current schema over the triples of schema 2:
+        # the support member is missing
         system, path = self.entry_path(cache_env)
         entry = read_entry(path)
-        entry["triples"] = np.array([[0, 0]])
-        write_entry(path, entry)
-        with pytest.warns(UserWarning, match="malformed"):
+        header = {k: v for k, v in entry.items() if k != "support"}
+        write_archive(path, header, triples=nonzero_triples(
+            system.structure_tensor()))
+        with pytest.warns(UserWarning, match="corrupt"):
             assert ca.load_tensor(system) is None
 
-    @pytest.mark.parametrize("extra", [
-        [-1, 0, 0, 5],      # a negative index would wrap to T[3, 0, 0]
-        [0, 4, 0, 1],       # past the last subset of A2
-        [0, 0, 0, 1.5],     # not an integer
-        [0, 0, 0],          # too short
-        [3, 3, 3, 2],       # repeats an index the entry already sets
-        [0, 1, 1, 0],       # entries hold nonzero constants only
-    ])
-    def test_malformed_extra_triple_is_rejected(self, cache_env, extra):
+    @pytest.mark.parametrize("damage", [
+        lambda s: s + 0.5,           # not an integer
+        lambda s: s[:, :-1],         # a column short
+        lambda s: s[:-1],            # a row short
+        lambda s: s.T,               # (3^n, 2^n)
+        lambda s: s.ravel(),         # flat
+    ], ids=["float", "column-short", "row-short", "transposed", "flat"])
+    def test_malformed_support_is_rejected(self, cache_env, damage):
         system, path = self.entry_path(cache_env)
+        good = Path(path).read_bytes()
         entry = read_entry(path)
-        entry["triples"] = with_rows(entry["triples"], [extra])
+        entry["support"] = np.ascontiguousarray(damage(entry["support"]))
         write_entry(path, entry)
         with pytest.warns(UserWarning, match="malformed"):
             assert ca.load_tensor(system) is None
+        with pytest.warns(UserWarning, match="malformed"):
+            tensor = build_system(type="A2").structure_tensor()
+        assert np.array_equal(tensor, system.structure_tensor())
+        assert Path(path).read_bytes() == good
 
     def test_invariant_failure_warns_and_recomputes(self, cache_env):
         # one constant bumped under a matching sha256: the file is sound,
@@ -228,8 +257,9 @@ class TestCorruption:
         system, path = self.entry_path(cache_env, "B3")
         fresh = system.structure_tensor()
         entry = read_entry(path)
-        assert entry["triples"][0].tolist() == [0, 0, 0, 48]
-        entry["triples"][0, 3] += 1
+        # the first pair is (J, K) = (0, 0)
+        assert entry["support"][0, 0] == fresh[0, 0, 0] == 48
+        entry["support"][0, 0] += 1
         write_entry(path, entry)
         with pytest.warns(UserWarning, match="Mackey"):
             assert ca.load_tensor(system) is None
@@ -396,31 +426,32 @@ class TestEntryContents:
         assert len(entry["sha256"]) == 64
         assert entry["matrix_digest"] == ca.matrix_digest(system.matrix,
                                                           system.labels)
-        for a, b, c, v in entry["triples"]:
-            assert tensor[a, b, c] == v
-        assert len(entry["triples"]) == int(np.count_nonzero(tensor))
+        assert entry["support"].shape == (4, 9)
+        # the support holds every nonzero constant
+        assert np.count_nonzero(entry["support"]) == np.count_nonzero(
+            tensor)
 
-    def test_store_writes_int32_triples_in_nonzero_order(self, cache_env):
+    def test_store_writes_int32_support_in_pair_order(self, cache_env):
         system = fresh_system("B4")
         tensor = system.structure_tensor()
         entry = ca.make_entry(system, tensor)
         path = ca.cache_store(entry)
         with open(path, "rb") as fh:
             assert fh.read() == ca.encode(entry)
-        stored = read_entry(path)["triples"]
+        stored = read_entry(path)["support"]
         assert stored.dtype == np.int32
-        ii, jj, kk = np.nonzero(tensor)
+        J, K, _starts = support_pairs(4)
+        assert np.array_equal(stored, tensor[:, J, K])
         assert stored.tolist() == [
-            [int(a), int(b), int(c), int(tensor[a, b, c])]
-            for a, b, c in zip(ii, jj, kk)]
+            [int(tensor[i, j, k]) for j, k in zip(J, K)] for i in range(16)]
 
-    def test_triples_beyond_int32_stay_int64(self, cache_env):
+    def test_support_beyond_int32_stays_int64(self, cache_env):
         system = fresh_system("A2")
         tensor = system.structure_tensor().copy()
         tensor[0, 0, 0] = 1 << 40
         entry = ca.make_entry(system, tensor)
-        assert entry["triples"].dtype == np.int64
-        assert entry["triples"][0].tolist() == [0, 0, 0, 1 << 40]
+        assert entry["support"].dtype == np.int64
+        assert entry["support"][0, 0] == 1 << 40
 
     def test_encoding_is_canonical(self, cache_env):
         # equal content, equal bytes: the zip metadata carries no clock

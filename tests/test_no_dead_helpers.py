@@ -17,12 +17,16 @@ name that a module binds at its top level and nothing reads.
 What the package derives from an object it keeps one way: only
 ``coxeter.memoized`` and the group tables' ``_GroupTable`` read or write
 an object's ``__dict__``.
+
+Every error class that ``descent.errors`` offers its callers is one the
+package raises; an error that only the tests raise lives with them.
 """
 
 import ast
 from pathlib import Path
 
 import descent
+from descent import errors
 
 SRC = Path(descent.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,3 +208,24 @@ def test_one_memo_mechanism():
     # derived values are kept by ``memoized``; the group tables, which
     # one read builds all at once, by ``_GroupTable``
     assert dict_readers() == {"coxeter.memoized", "coxeter._GroupTable"}
+
+
+def raised_names():
+    """The names and attributes in the raised expression of every
+    ``raise`` of the package, the exception's own call arguments left
+    out."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Raise) and sub.exc is not None:
+                exc = sub.exc
+                out |= _uses([exc.func if isinstance(exc, ast.Call)
+                              else exc])
+    return out
+
+
+def test_every_error_class_is_raised_by_the_package():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type)
+               and issubclass(obj, errors.DescentError)}
+    assert sorted(classes - {"DescentError"} - raised_names()) == []
