@@ -22,8 +22,7 @@ needs, the shapes included, is derived from the tensor, so a load
 enumerates nothing. No failure aborts a computation: the caller
 recomputes (with a warning unless the entry is merely missing or stale)
 and overwrites the file. Files of schema 1 (``<label>.json``) are never
-read and can be deleted; files of schema 2, which held [I, J, K, value]
-triples, are stale.
+read and can be deleted; files of schema 2 are stale.
 
 Events go to the ``descent.cache`` logger: hits, misses and stale entries
 at debug level, corrupt or malformed entries at warning level, the latter

@@ -28,7 +28,6 @@ from descent.coxeter import subset_sums, support_pairs
 from descent.errors import DescentError, InvalidSubset, WrongType
 from descent.linalg import Span
 
-
 # ---------------------------------------------------------------------------
 # polynomials over Q, coefficient lists with index = degree: the gcd route
 # to squarefreeness that the positivity suite's root count is checked
