@@ -754,6 +754,17 @@ def _positions_mask(system, lo, hi):
     return mask
 
 
+def require_standard(system, family):
+    """Raise WrongType unless the system is the family's irreducible one,
+    numbered as its label numbers it: callers read generators by place."""
+    comps = [(family, system.rank)]
+    # the components first: the label's matrix is built only for them
+    if (system.components != comps
+            or system.matrix != cartan.matrix_for_components(comps)[1]):
+        raise WrongType("expected %s%d numbered as its label numbers it"
+                        % (family, system.rank))
+
+
 def witness_elements_typeB(system):
     """Radical elements a_i and their alternating companions for the
     doubled-bond linear type, position 0 being the short-branch generator.
@@ -762,9 +773,7 @@ def witness_elements_typeB(system):
     signed binomial combinations whose leading term tracks the product
     a_i * ... * a_1.
     """
-    comps = system.components
-    if len(comps) != 1 or comps[0][0] != "B":
-        raise WrongType("expected an irreducible doubled-bond system")
+    require_standard(system, "B")
     n = system.rank
     if n < 3:
         raise WrongType("witness family needs rank at least 3")

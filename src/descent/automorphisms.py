@@ -158,6 +158,7 @@ def fixed_subalgebra(system, sigma):
                            Span(size, indicators))
 
 
+@memoized
 def loewy_profile_fixed(system, sigma):
     """Loewy profile of the fixed subalgebra of one automorphism."""
     fixed = fixed_subalgebra(system, sigma)

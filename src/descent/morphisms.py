@@ -190,13 +190,13 @@ def iota_group_vector(system, kmask, codomain_vector):
     return out
 
 
-def factorization_check(system, kmask):
+def factorization_check(morphism):
     """x_L = x_K * (embedded x_L-within-K), verified in the group algebra."""
-    codomain = parabolic_system(system, kmask)
+    system, kmask = morphism.domain, morphism.metadata["K"]
     xk = _int_group_vector(alg.basis_x(system, kmask))
-    for cmask, big in enumerate(expand_masks(mask_positions(kmask))):
+    for cmask, big in enumerate(expand_masks(morphism.metadata["positions"])):
         emb = iota_group_vector(
-            system, kmask, alg.basis_x(codomain, cmask))
+            system, kmask, alg.basis_x(morphism.codomain, cmask))
         got = alg.convolve(system, xk, emb)
         want = _int_group_vector(alg.basis_x(system, int(big)))
         if not np.array_equal(got, want):
@@ -223,7 +223,7 @@ def bbht_a_check(morphism):
     Split into the coset-sum factorization (a genuine group-algebra
     computation) plus the linear comparison in the descent algebra.
     """
-    if not factorization_check(morphism.domain, morphism.metadata["K"]):
+    if not factorization_check(morphism):
         return False
     return res_linear_check(morphism)
 
@@ -247,15 +247,15 @@ def res_tau_check(morphism):
         morphism, expand_masks(morphism.metadata["positions"]))
 
 
-def res_conjugate_check(system, kmask, kpmask):
+def res_conjugate_check(mk, mkp):
     """Restrictions onto conjugate subsets differ by relabeling only."""
+    system = mk.domain
+    kmask, kpmask = mk.metadata["K"], mkp.metadata["K"]
     # X_{K,K',K'}: the d with K in L(d), K' in R(d) and d^{-1} K d = K'
     idx = system.structure_set(kmask, kpmask, kpmask)
     if len(idx) == 0 or popcount(kmask) != popcount(kpmask):
         raise InvalidSubset("subsets are not conjugate")
     d = int(idx[0])
-    mk = res_K(system, kmask)
-    mkp = res_K(system, kpmask)
     kpos = mk.metadata["positions"]
     # d_* sends generator p of K' to generator t of K; as a map of the
     # codomain masks it is a permutation
@@ -326,12 +326,12 @@ def decomposition_check(morphism):
                 linalg.matmul(products, morphism.columns)).dim == columns.dim
 
 
-def surjectivity_report(system, K):
+def surjectivity_report(morphism):
     """Surjectivity verdict, by morphism rank == 2^|K|, with the two
     necessary conditions: injectivity on shapes and a trivial complement
     action."""
-    kmask = alg._as_mask(system, K)
-    rank = res_K(system, kmask).rank()
+    system, kmask = morphism.domain, morphism.metadata["K"]
+    rank = morphism.rank()
     return {
         "K": kmask,
         "surjective": rank == 1 << popcount(kmask),
@@ -345,13 +345,6 @@ def surjectivity_report(system, K):
 # the doubled-bond to fork restriction
 
 
-def fork_system(n):
-    """The index-two reflection subgroup's system, fork-twin first."""
-    if n < 2:
-        raise RankTooSmall("need rank at least 2")
-    return build_system(type="D%d" % n)
-
-
 def sigma_n_automorphism(dn):
     """The fork swap as a diagram automorphism of the fork system."""
     from . import automorphisms as auto
@@ -361,13 +354,13 @@ def sigma_n_automorphism(dn):
                                     is_inner_by_w0=s0.permutation == perm)
 
 
-def res_BD(n):
-    """Restriction from the rank-n doubled-bond algebra onto the fork
-    subalgebra of its index-two reflection subgroup."""
-    if n < 2:
-        raise RankTooSmall("the fork subgroup needs rank at least 2")
-    bn = build_system(type="B%d" % n)
-    dn = fork_system(n)
+def res_BD(bn):
+    """Restriction from a doubled-bond algebra onto the fork subalgebra
+    of its index-two reflection subgroup. The fork system is built from
+    its label, fork twin first, and uses the cache only if the domain does."""
+    alg.require_standard(bn, "B")
+    n = bn.rank
+    dn = build_system(type="D%d" % n, cache=bn.cache_enabled)
     size = 1 << n
     cols = np.zeros((size, size), dtype=np.int64)
     for imask in range(size):
@@ -395,16 +388,14 @@ def fork_images_in_b(bn, dn):
     return images
 
 
-def res_bd_a_check(n, morphism=None):
+def res_bd_a_check(morphism):
     """(1 + t) * embedded(Res(x)) = x * (1 + t), in the group algebra."""
-    if morphism is None:
-        morphism = res_BD(n)
     bn, dn = morphism.domain, morphism.codomain
     images = fork_images_in_b(bn, dn)
     t_elt = int(bn.rmul[0, 0])
     rt = bn.right_translation(t_elt)
     lt = bn.left_translation(t_elt)
-    for imask in range(1 << n):
+    for imask in range(1 << bn.rank):
         xvec = _int_group_vector(alg.basis_x(bn, imask))
         rhs = xvec + xvec[rt]
         dvec = _int_group_vector(morphism.apply(alg.basis_x(bn, imask)))
@@ -416,52 +407,52 @@ def res_bd_a_check(n, morphism=None):
     return True
 
 
-def res_bd_image_check(n, morphism=None):
+def res_bd_image_check(morphism):
     """The image equals the fixed subalgebra of the fork swap."""
     from . import automorphisms as auto
-    if morphism is None:
-        morphism = res_BD(n)
     dn = morphism.codomain
     fixed = auto.fixed_subalgebra(dn, sigma_n_automorphism(dn))
     return morphism.image_span().equals(fixed.span)
 
 
-def res_bd_square_check(n):
+def res_bd_square_check(top):
     """Restricting then folding equals folding then restricting, one rank
     down on both sides."""
+    bn, dn = top.domain, top.codomain
+    n = bn.rank
     if n < 3:
         raise RankTooSmall("need rank at least 3 to drop a generator")
-    top = res_BD(n)
-    bottom = res_BD(n - 1)
-    bn, dn = top.domain, top.codomain
     # inside the doubled-bond group: forget the last chain generator
     res_b = res_K(bn, bn.full_mask & ~(1 << (n - 1)))
     # inside the fork group: same
     res_d = res_K(dn, dn.full_mask & ~(1 << (n - 1)))
+    bottom = res_BD(res_b.codomain)
     left = compose(res_d, top)
     right = compose(bottom, res_b)
     return left.equal_matrix(
         right, codomain_perm=align_positions(left.codomain, right.codomain))
 
 
-def res_d_image_check(n):
+def res_d_image_check(dn):
     """Dropping the fork system's top chain generator has image exactly
     the fixed subalgebra of the one-rank-down fork swap."""
     from . import automorphisms as auto
+    alg.require_standard(dn, "D")
+    n = dn.rank
     if n < 3:
         raise RankTooSmall("need rank at least 3 to drop a generator")
-    dn = fork_system(n)
     m = res_K(dn, dn.full_mask & ~(1 << (n - 1)))
     sub = m.codomain
     fixed = auto.fixed_subalgebra(sub, sigma_n_automorphism(sub))
     return m.image_span().equals(fixed.span)
 
 
-def res_b_triangular_check(n):
+def res_b_triangular_check(bn):
     """Dropping the top chain generator is surjective with positive
     diagonal, triangular for the (cardinality, then lexicographic with
     the doubled bond first) order."""
-    bn = build_system(type="B%d" % n)
+    alg.require_standard(bn, "B")
+    n = bn.rank
     sub = bn.full_mask & ~(1 << (n - 1))
     morphism = res_K(bn, sub)
     positions = morphism.metadata["positions"]
@@ -556,12 +547,10 @@ def build_context(system, K):
                               quotient, images, member_set)
 
 
-def psi_K(system, K, context=None):
+def psi_K(context):
     """The quotient morphism: kill basis elements missing the subset,
     rename the rest through the quotient generators."""
-    if context is None:
-        context = build_context(system, K)
-    kmask = context.kmask
+    system, kmask = context.system, context.kmask
     big = kmask | expand_masks(context.outer_positions)
     cols = np.zeros((1 << system.rank, len(big)), dtype=np.int64)
     cols[big, np.arange(len(big))] = 1
@@ -569,7 +558,7 @@ def psi_K(system, K, context=None):
                            {"K": kmask, "context": context})
 
 
-def goetz1_set_check(system, context, imask, jmask):
+def goetz1_set_check(context, imask, jmask):
     """Set-level equality of the refining double-coset pieces, for one pair
     of subsets containing K: the quotient's pieces, pushed through the
     embedding, must coincide exactly with the big group's pieces.
@@ -580,7 +569,7 @@ def goetz1_set_check(system, context, imask, jmask):
     other element of the big set must lie in a piece whose subset misses
     part of K.
     """
-    kmask = context.kmask
+    system, kmask = context.system, context.kmask
     q = context.quotient
     qI = context.quotient_mask(imask)
     qJ = context.quotient_mask(jmask)
@@ -597,8 +586,8 @@ def goetz1_set_check(system, context, imask, jmask):
                           np.sort(context.images[small] * size + small_l))
 
 
-def varpi_tau_check(system, context):
+def varpi_tau_check(context):
     """Character factorization through the quotient morphism."""
-    morphism = psi_K(system, context.kmask, context)
+    morphism = psi_K(context)
     return _characters_factor(
         morphism, context.kmask | expand_masks(context.outer_positions))

@@ -305,7 +305,8 @@ def _suite_morphisms(system, report, seed):
            "%d nested subset pairs" % len(nested), bad)
 
     count, bad = _first_failure(
-        None if mor.res_conjugate_check(system, shape.members[0], other)
+        None if mor.res_conjugate_check(morphisms[shape.members[0]],
+                                        morphisms[other])
         else {"K": _mask_name(system, shape.members[0]),
               "K'": _mask_name(system, other)}
         for shape in system.shapes() for other in shape.members[1:])
@@ -319,7 +320,7 @@ def _suite_morphisms(system, report, seed):
         bad = every_subset(check)
         _check(report, name, bad is None, "%d subsets" % size, bad)
 
-    verdicts = [mor.surjectivity_report(system, K) for K in all_masks]
+    verdicts = [mor.surjectivity_report(m) for m in morphisms]
     for K, r in enumerate(verdicts):
         _info(report, "surjectivity[%s]" % _mask_name(system, K),
               "surjective=%s pi-injective=%s complement-trivial=%s"
@@ -353,9 +354,9 @@ def _suite_morphisms(system, report, seed):
     comps = system.components
     if len(comps) == 1 and comps[0][0] == "B":
         n = system.rank
-        m = mor.res_BD(n)
+        m = mor.res_BD(system)
         _check(report, "fork-restriction-factorization",
-               mor.res_bd_a_check(n, m), "group-algebra identity")
+               mor.res_bd_a_check(m), "group-algebra identity")
         pairs = sampled_pairs(60)
         ok = m.multiplicative_pairs()
         bad = _first_failure(
@@ -365,22 +366,21 @@ def _suite_morphisms(system, report, seed):
         _check(report, "fork-restriction-multiplicative", bad is None,
                "%d pairs" % len(pairs), bad)
         _check(report, "fork-restriction-image-is-swap-fixed",
-               mor.res_bd_image_check(n, m), "exact span equality")
+               mor.res_bd_image_check(m), "exact span equality")
         if n >= 3:
             _check(report, "fork-restriction-square",
-                   mor.res_bd_square_check(n),
+                   mor.res_bd_square_check(m),
                    "rank drop commutes on both sides")
         _check(report, "chain-restriction-triangular",
-               mor.res_b_triangular_check(n),
+               mor.res_b_triangular_check(system),
                "positive diagonal, lower order terms only")
-        swap_is_w0 = mor.sigma_n_automorphism(mor.fork_system(n)
-                                              ).is_inner_by_w0
+        swap_is_w0 = mor.sigma_n_automorphism(m.codomain).is_inner_by_w0
         _check(report, "fork-swap-parity", swap_is_w0 == (n % 2 == 1),
                "swap is the longest-element automorphism iff rank is odd")
 
     if len(comps) == 1 and comps[0][0] == "D":
         _check(report, "fork-chain-image-is-swap-fixed",
-               mor.res_d_image_check(system.rank),
+               mor.res_d_image_check(system),
                "exact span equality")
 
     if system.rank <= 4:
@@ -391,12 +391,12 @@ def _suite_morphisms(system, report, seed):
             ctx = mor.build_context(system, K)
             above = [i for i in all_masks if i & K == K]
             bad = _first_failure(
-                None if mor.goetz1_set_check(system, ctx, i, j)
+                None if mor.goetz1_set_check(ctx, i, j)
                 else {"K": _mask_name(system, K),
                       "I": _mask_name(system, i),
                       "J": _mask_name(system, j)}
                 for i in above for j in above)[1]
-            if bad is None and not mor.varpi_tau_check(system, ctx):
+            if bad is None and not mor.varpi_tau_check(ctx):
                 bad = {"K": _mask_name(system, K), "stage": "characters"}
             return bad
 

@@ -545,12 +545,12 @@ def commuting_square_check(system, K, L):
     if kmask & ~lmask:
         raise InvalidSubset("need K inside L")
     ctx = mo.build_context(system, kmask)
-    psi_top = mo.psi_K(system, kmask, ctx)
+    psi_top = mo.psi_K(ctx)
     res_left = mo.res_K(system, lmask)
     wl = res_left.codomain
     # positions of K inside the parabolic system
     k_in_l = mo.project_mask(kmask, res_left.metadata["positions"])
-    psi_bottom = mo.psi_K(wl, k_in_l, mo.build_context(wl, k_in_l))
+    psi_bottom = mo.psi_K(mo.build_context(wl, k_in_l))
     # restriction inside the quotient system to the image of L
     res_right = mo.res_K(ctx.quotient, ctx.quotient_mask(lmask))
     left = mo.compose(psi_bottom, res_left)

@@ -181,12 +181,12 @@ def test_criterion_6_morphism_identities(system_factory):
     # frozen surjectivity inventories for the two rank-4 exceptionals
     f4 = system_factory("F4")
     got = {label_key(f4, k) for k in range(16)
-           if mo.surjectivity_report(f4, k)["surjective"]}
+           if mo.surjectivity_report(mo.res_K(f4, k))["surjective"]}
     assert got == {"", "1", "2", "3", "4", "13", "14", "23", "24",
                    "123", "234", "1234"}
     h4 = system_factory("H4")
     got = {label_key(h4, k) for k in range(16)
-           if mo.surjectivity_report(h4, k)["surjective"]}
+           if mo.surjectivity_report(mo.res_K(h4, k))["surjective"]}
     assert got == {"", "1", "2", "3", "4", "123", "1234"}
 
     # size rule on the connected types whose verdict is size-determined
@@ -195,19 +195,19 @@ def test_criterion_6_morphism_identities(system_factory):
         for kmask in range(1 << system.rank):
             npos = len(mo.mask_positions(kmask))
             expect = npos <= 1 or kmask == system.full_mask
-            report = mo.surjectivity_report(system, kmask)
+            report = mo.surjectivity_report(mo.res_K(system, kmask))
             assert report["surjective"] == expect, (label, kmask)
 
     # the fork-to-chain restriction lands exactly on the swap-fixed
     # subalgebra
     for n in (2, 3, 4, 5, 6):
-        assert mo.res_bd_image_check(n)
+        assert mo.res_bd_image_check(mo.res_BD(system_factory("B%d" % n)))
 
     # quotient morphism set identities with the short generator killed
     for label in ("B3", "B4"):
         system = system_factory(label)
         ctx = mo.build_context(system, 0b001)
-        psi = mo.psi_K(system, 0b001, ctx)
+        psi = mo.psi_K(ctx)
         assert psi.apply(alg.unit(system)) == alg.unit(psi.codomain)
         size = 1 << system.rank
         for imask in range(size):
@@ -219,7 +219,7 @@ def test_criterion_6_morphism_identities(system_factory):
                     continue
                 assert oracles.is_multiplicative_pair(
                     psi, xi, alg.basis_x(system, jmask))
-                assert mo.goetz1_set_check(system, ctx, imask, jmask)
+                assert mo.goetz1_set_check(ctx, imask, jmask)
     print("criterion 6 (morphism identities and inventories): PASS")
 
 

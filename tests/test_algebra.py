@@ -13,7 +13,8 @@ import pytest
 
 from descent import algebra as alg
 from descent import morphisms as mo
-from descent.coxeter import MULTIPLICATION_TABLE_ORDER, iter_bits, popcount
+from descent.coxeter import (MULTIPLICATION_TABLE_ORDER, build_system,
+                             iter_bits, popcount)
 from descent.errors import NotInDescentAlgebra, SystemMismatch, WrongType
 from descent import linalg
 from descent.table import SUPPORTED_TYPES
@@ -617,6 +618,18 @@ class TestTypeBWitnesses:
             alg.witness_elements_typeB(system_factory("B2"))
         with pytest.raises(WrongType):
             oracles.witness_element_typeA(system_factory("B3"))
+
+    def test_other_generator_numberings_rejected(self):
+        # the reversed B5 is classified B5, but its position 0 is a chain
+        # end: read by position, a_1 and a_2 have nonzero character values
+        # and t_2 is not in the square of the radical
+        reversed_b5 = permuted_system("B5", (4, 3, 2, 1, 0))
+        assert reversed_b5.components == [("B", 5)]
+        # rank 0 and 1 have no doubled bond to number
+        for system in (reversed_b5, build_system(matrix=[]),
+                       build_system(matrix=[[1]])):
+            with pytest.raises(WrongType):
+                alg.witness_elements_typeB(system)
 
     @pytest.mark.parametrize("label,count", [("B3", 1), ("B4", 1), ("B5", 2)])
     def test_witnesses_live_in_the_radical(

@@ -7,6 +7,7 @@ import pytest
 
 from descent import algebra as alg
 from descent import automorphisms as auto
+from descent import verify as ve
 from descent.errors import AutomorphismMismatch
 from descent.linalg import Span
 from descent.table import SUPPORTED_TYPES
@@ -152,6 +153,22 @@ class TestFixedSubalgebra:
         prof = auto.loewy_profile_fixed(system, s0)
         assert prof.loewy_length == 2
         assert alg.loewy_profile(system).loewy_length == 3
+
+    @pytest.mark.parametrize("label", ["D5", "A4", "E6", "I2(5)"])
+    def test_loewy_suite_computes_each_fixed_profile_once(
+            self, monkeypatch, label):
+        # the suite's longest-element check reuses the profile that its
+        # loop over the automorphisms already computed
+        fixed = []
+
+        def counting(system, sigma):
+            fixed.append(sigma)
+            return build(system, sigma)
+
+        build = auto.fixed_subalgebra
+        monkeypatch.setattr(auto, "fixed_subalgebra", counting)
+        ve.run_suite("loewy-bounds", label)
+        assert len(fixed) == len(set(fixed)) == 1
 
     def test_membership_and_closure(self, system_factory):
         system = system_factory("D4")

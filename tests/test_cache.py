@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import descent.cache as ca
-from descent import cartan, morphisms
+from descent import cartan, morphisms, verify
 from descent.coxeter import (CoxeterSystem, build_system, expand_masks,
                              support_pairs)
 from descent.errors import CorruptCache
@@ -378,6 +378,33 @@ class TestPermutedMatrix:
         # the label's matrix under other generator names
         assert not CoxeterSystem(mat, cache=True).cache_enabled
         assert not CoxeterSystem([], cache=True).cache_enabled
+
+
+class TestNoCacheSuites:
+    @pytest.mark.parametrize("label", ["B4", "D4"])
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_suite_without_cache_writes_nothing(self, cache_env, suite,
+                                                label):
+        verify.run_suite(suite, label, cache=False)
+        assert list(cache_env.iterdir()) == []
+
+    @pytest.mark.parametrize("label,built", [
+        ("B4", ["B4", "D3", "D4"]), ("D4", ["D4"])])
+    def test_morphisms_suite_builds_each_label_once(
+            self, cache_env, monkeypatch, label, built):
+        # the fork square's lower fold starts from the parabolic B3 that
+        # the suite already holds, so only its D3 codomain is built anew
+        labels = []
+
+        def recording(type=None, **kwargs):
+            if type is not None:
+                labels.append(type)
+            return build_system(type=type, **kwargs)
+
+        for module in (verify, morphisms):
+            monkeypatch.setattr(module, "build_system", recording)
+        verify.run_suite("morphisms", label, cache=False)
+        assert sorted(labels) == built
 
 
 class TestLogging:

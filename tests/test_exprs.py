@@ -89,9 +89,8 @@ class TestHappyPath:
         loose = ex.parse_expression(system, "  2 * x[ 1 ] -  x[ 2 ]  ")
         assert tight == loose
 
-    def test_fork_primed_label(self):
-        import descent.morphisms as mo
-        d4 = mo.fork_system(4)
+    def test_fork_primed_label(self, system_factory):
+        d4 = system_factory("D4")
         v = ex.parse_expression(d4, "x[1p,2]")
         assert v == alg.basis_x(d4, 0b0101)
 

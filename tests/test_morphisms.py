@@ -18,10 +18,12 @@ from descent import automorphisms as auto
 from descent import morphisms as mo
 from descent import verify as ve
 from descent.coxeter import build_system, iter_bits, popcount
-from descent.errors import InvalidSubset, NotSelfOpposed, RankTooSmall
+from descent.errors import (InvalidSubset, NotSelfOpposed, RankTooSmall,
+                             WrongType)
 from descent.table import SUPPORTED_TYPES
 
 import oracles
+from test_coxeter import permuted_system
 
 
 def all_masks(system):
@@ -110,7 +112,7 @@ class TestRestriction:
     def test_group_level_factorization(self, system_factory, label):
         system = system_factory(label)
         for kmask in all_masks(system):
-            assert mo.factorization_check(system, kmask)
+            assert mo.factorization_check(mo.res_K(system, kmask))
             assert mo.res_linear_check(mo.res_K(system, kmask))
             assert bbht_a_check_direct(system, kmask)
 
@@ -180,15 +182,18 @@ class TestRestriction:
         for shape in system.shapes():
             base = shape.members[0]
             for other in shape.members[1:]:
-                assert mo.res_conjugate_check(system, base, other)
+                assert mo.res_conjugate_check(mo.res_K(system, base),
+                                              mo.res_K(system, other))
 
     def test_conjugate_check_rejects_non_conjugate_subsets(
             self, system_factory):
         # in A2, X_{K,K',K'} holds the identity for K' inside K; in B3 the
         # short and the long generator are not conjugate
         for label, kmask, kpmask in (("A2", 0b11, 0b01), ("B3", 0b001, 0b010)):
+            system = system_factory(label)
             with pytest.raises(InvalidSubset):
-                mo.res_conjugate_check(system_factory(label), kmask, kpmask)
+                mo.res_conjugate_check(mo.res_K(system, kmask),
+                                       mo.res_K(system, kpmask))
 
     @pytest.mark.parametrize("label", ["A3", "B3", "F4"])
     def test_character_factorization(self, system_factory, label):
@@ -219,7 +224,7 @@ class TestSurjectivity:
         # surjective ones
         connected = {0b000, 0b001, 0b010, 0b100, 0b011, 0b110, 0b111}
         for kmask in all_masks(system):
-            report = mo.surjectivity_report(system, kmask)
+            report = mo.surjectivity_report(mo.res_K(system, kmask))
             assert report["surjective"] == (kmask in connected), kmask
 
     def test_f4_frozen_list(self, system_factory):
@@ -231,13 +236,13 @@ class TestSurjectivity:
         ]
         expected = {system.mask_of_labels(ls) for ls in expected_labels}
         got = {k for k in all_masks(system)
-               if mo.surjectivity_report(system, k)["surjective"]}
+               if mo.surjectivity_report(mo.res_K(system, k))["surjective"]}
         assert got == expected
 
     def test_h4_frozen_list(self, system_factory):
         system = system_factory("H4")
         got = {k for k in all_masks(system)
-               if mo.surjectivity_report(system, k)["surjective"]}
+               if mo.surjectivity_report(mo.res_K(system, k))["surjective"]}
         assert got == {0b0000, 0b0001, 0b0010, 0b0100, 0b1000,
                        0b0111, 0b1111}
 
@@ -247,7 +252,7 @@ class TestSurjectivity:
         for kmask in all_masks(system):
             npos = len(mo.mask_positions(kmask))
             expect = npos <= 1 or kmask == system.full_mask
-            report = mo.surjectivity_report(system, kmask)
+            report = mo.surjectivity_report(mo.res_K(system, kmask))
             assert report["surjective"] == expect
 
     def test_necessary_conditions_are_not_sufficient(self, system_factory):
@@ -257,7 +262,7 @@ class TestSurjectivity:
         for kmask in (15, 29, 58, 60, 61):
             assert mo.pi_K_injective(system, kmask)
             assert mo.wk_acts_trivially(system, kmask)
-            report = mo.surjectivity_report(system, kmask)
+            report = mo.surjectivity_report(mo.res_K(system, kmask))
             assert not report["surjective"], kmask
 
     @pytest.mark.parametrize("label", SURJECTIVITY_ROSTER)
@@ -266,7 +271,7 @@ class TestSurjectivity:
         system = system_factory(label)
         for kmask in all_masks(system):
             by_dim, by_lattice = surjective_by_left_ideal(system, kmask)
-            report = mo.surjectivity_report(system, kmask)
+            report = mo.surjectivity_report(mo.res_K(system, kmask))
             assert report["surjective"] == by_dim == by_lattice
 
     @pytest.mark.parametrize("label", SURJECTIVITY_ROSTER)
@@ -274,7 +279,7 @@ class TestSurjectivity:
             self, system_factory, label):
         system = system_factory(label)
         for kmask in all_masks(system):
-            report = mo.surjectivity_report(system, kmask)
+            report = mo.surjectivity_report(mo.res_K(system, kmask))
             if report["surjective"]:
                 assert report["pi_injective"]
                 assert report["complement_acts_trivially"]
@@ -289,31 +294,55 @@ class TestSurjectivity:
         assert found[0].detail == "size rule |K| in {0, 1, |S|}"
 
 
+def fork(system_factory, n):
+    return mo.res_BD(system_factory("B%d" % n))
+
+
 class TestForkRestriction:
-    def test_fork_matrices(self):
-        with pytest.raises(RankTooSmall):
-            mo.fork_system(1)
-        d2 = mo.fork_system(2)
+    def test_fork_matrices(self, system_factory):
+        d2 = fork(system_factory, 2).codomain
         assert d2.order == 4
-        d3 = mo.fork_system(3)
+        d3 = fork(system_factory, 3).codomain
         assert d3.order == 24  # the rank-3 fork is the linear type
-        d4 = mo.fork_system(4)
+        d4 = fork(system_factory, 4).codomain
         assert d4.labels == ["1p", "1", "2", "3"]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_group_algebra_identity(self, n):
-        assert mo.res_bd_a_check(n)
+    def test_fork_maps_need_the_standard_numbering(self):
+        # rank 0 and 1, and B5 and D5 with their generators reversed
+        systems = [build_system(matrix=[]), build_system(matrix=[[1]])]
+        for check in (mo.res_BD, mo.res_b_triangular_check):
+            for system in systems + [permuted_system("B5", (4, 3, 2, 1, 0))]:
+                with pytest.raises(WrongType):
+                    check(system)
+        for system in systems + [permuted_system("D5", (4, 3, 2, 1, 0))]:
+            with pytest.raises(WrongType):
+                mo.res_d_image_check(system)
+
+    def test_checks_refuse_too_small_ranks(self, system_factory):
+        with pytest.raises(RankTooSmall):
+            mo.res_bd_square_check(fork(system_factory, 2))
+        with pytest.raises(RankTooSmall):
+            mo.res_d_image_check(system_factory("D2"))
+
+    def test_fork_codomain_caches_as_the_domain_does(self, system_factory):
+        assert fork(system_factory, 4).codomain.cache_enabled
+        uncached = build_system(type="B4", cache=False)
+        assert not mo.res_BD(uncached).codomain.cache_enabled
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_fork_images_match_the_word_loop(self, n):
-        bn = build_system(type="B%d" % n)
-        dn = mo.fork_system(n)
+    def test_group_algebra_identity(self, system_factory, n):
+        assert mo.res_bd_a_check(fork(system_factory, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fork_images_match_the_word_loop(self, system_factory, n):
+        morphism = fork(system_factory, n)
+        bn, dn = morphism.domain, morphism.codomain
         assert np.array_equal(mo.fork_images_in_b(bn, dn),
                               oracles.fork_images_by_words(bn, dn))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_multiplicative(self, n):
-        morphism = mo.res_BD(n)
+    def test_multiplicative(self, system_factory, n):
+        morphism = fork(system_factory, n)
         rng = random.Random("bd:%d" % n)
         size = 1 << n
         pairs = ([(i, j) for i in range(size) for j in range(size)]
@@ -326,25 +355,25 @@ class TestForkRestriction:
                 morphism, alg.basis_x(bn, imask), alg.basis_x(bn, jmask))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_image_is_swap_fixed_subalgebra(self, n):
-        assert mo.res_bd_image_check(n)
+    def test_image_is_swap_fixed_subalgebra(self, system_factory, n):
+        assert mo.res_bd_image_check(fork(system_factory, n))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_commutes_with_chain_restriction(self, n):
-        assert mo.res_bd_square_check(n)
+    def test_commutes_with_chain_restriction(self, system_factory, n):
+        assert mo.res_bd_square_check(fork(system_factory, n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_triangular_against_b_chain(self, n):
-        assert mo.res_b_triangular_check(n)
+    def test_triangular_against_b_chain(self, system_factory, n):
+        assert mo.res_b_triangular_check(system_factory("B%d" % n))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_d_chain_image(self, n):
-        assert mo.res_d_image_check(n)
+    def test_d_chain_image(self, system_factory, n):
+        assert mo.res_d_image_check(system_factory("D%d" % n))
 
     @pytest.mark.parametrize("n,inner", [
         (2, False), (3, True), (4, False), (5, True), (6, False)])
-    def test_swap_parity(self, n, inner):
-        dn = mo.fork_system(n)
+    def test_swap_parity(self, system_factory, n, inner):
+        dn = system_factory("D%d" % n)
         sigma = mo.sigma_n_automorphism(dn)
         assert sigma.order == 2
         assert sigma.is_inner_by_w0 == inner
@@ -367,7 +396,7 @@ class TestQuotients:
         ctx = mo.build_context(system, 0b001)
         assert ctx.quotient.rank == 2
         assert ctx.quotient.type_label == "B2"
-        psi = mo.psi_K(system, 0b001, ctx)
+        psi = mo.psi_K(ctx)
         assert psi.apply(alg.unit(system)) == alg.unit(psi.codomain)
         for imask in all_masks(system):
             xi = alg.basis_x(system, imask)
@@ -375,8 +404,8 @@ class TestQuotients:
                 assert oracles.is_multiplicative_pair(
                     psi, xi, alg.basis_x(system, jmask))
                 if imask & 0b001 == 0b001 and jmask & 0b001 == 0b001:
-                    assert mo.goetz1_set_check(system, ctx, imask, jmask)
-        assert mo.varpi_tau_check(system, ctx)
+                    assert mo.goetz1_set_check(ctx, imask, jmask)
+        assert mo.varpi_tau_check(ctx)
 
     def test_quotient_of_b4_by_short_generator(self, system_factory):
         system = system_factory("B4")
@@ -386,8 +415,8 @@ class TestQuotients:
         for _ in range(40):
             imask = rng.randrange(system.full_mask + 1) | 0b0001
             jmask = rng.randrange(system.full_mask + 1) | 0b0001
-            assert mo.goetz1_set_check(system, ctx, imask, jmask)
-        assert mo.varpi_tau_check(system, ctx)
+            assert mo.goetz1_set_check(ctx, imask, jmask)
+        assert mo.varpi_tau_check(ctx)
 
     def test_quotient_by_antipodal_pair(self, system_factory):
         # the two path ends of the rank-3 linear type form a self-opposed
@@ -395,14 +424,14 @@ class TestQuotients:
         system = system_factory("A3")
         ctx = mo.build_context(system, 0b101)
         assert ctx.quotient.rank == 1
-        psi = mo.psi_K(system, 0b101, ctx)
+        psi = mo.psi_K(ctx)
         assert psi.rank() == 2
 
     def test_empty_subset_gives_identity_quotient(self, system_factory):
         system = system_factory("B3")
         ctx = mo.build_context(system, 0)
         assert ctx.quotient.rank == system.rank
-        psi = mo.psi_K(system, 0, ctx)
+        psi = mo.psi_K(ctx)
         ident = mo.res_K(system, system.full_mask)
         perms = matrix_preserving_bijections(psi.codomain, system)
         assert any(psi.equal_matrix(ident, perm) for perm in perms)
@@ -411,7 +440,7 @@ class TestQuotients:
         system = system_factory("B3")
         ctx = mo.build_context(system, system.full_mask)
         assert ctx.quotient.rank == 0
-        psi = mo.psi_K(system, system.full_mask, ctx)
+        psi = mo.psi_K(ctx)
         assert psi.rank() == 1
 
     @pytest.mark.parametrize("label", ["B3", "B4"])
@@ -422,7 +451,7 @@ class TestQuotients:
         # generator matching
         system = system_factory(label)
         ctx = mo.build_context(system, 0b001)
-        psi = mo.psi_K(system, 0b001, ctx)
+        psi = mo.psi_K(ctx)
         res = mo.res_K(system, system.full_mask >> 1)
         perms = matrix_preserving_bijections(res.codomain, psi.codomain)
         assert perms
@@ -444,7 +473,7 @@ def test_e7_quotient_lands_in_f4():
     e7 = build_system(type="E7", allow_rank7=True)
     ctx = mo.build_context(e7, e7.mask_of_labels(["2", "5", "7"]))
     assert ctx.quotient.type_label == "F4"
-    assert mo.varpi_tau_check(ctx.system, ctx)
+    assert mo.varpi_tau_check(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +558,7 @@ def sample_morphisms(system):
     out = [mo.res_K(system, k) for k in all_masks(system)]
     for k in [0, system.full_mask] + [1 << p for p in range(system.rank)]:
         if mo.is_self_opposed(system, k):
-            out.append(mo.psi_K(system, k))
+            out.append(mo.psi_K(mo.build_context(system, k)))
     return out
 
 
@@ -540,9 +569,9 @@ def test_multiplicative_pairs_match_the_dense_route(system_factory, label):
     system = system_factory(label)
     morphisms = [mo.res_K(system, k) for k in all_masks(system)]
     if len(system.components) == 1 and system.components[0][0] == "B":
-        morphisms.append(mo.res_BD(system.rank))
-    morphisms += [mo.psi_K(system, k) for k in all_masks(system)
-                  if mo.is_self_opposed(system, k)]
+        morphisms.append(mo.res_BD(system))
+    morphisms += [mo.psi_K(mo.build_context(system, k))
+                  for k in all_masks(system) if mo.is_self_opposed(system, k)]
     for morphism in morphisms:
         want = oracles.multiplicative_pairs_by_segments(morphism)
         assert np.array_equal(morphism.multiplicative_pairs(), want)
@@ -562,7 +591,7 @@ class TestIntegerColumnsAgainstFractionLoops:
         rng = random.Random("apply:" + label)
         morphisms = sample_morphisms(system)
         if label in ("B3", "D4"):
-            morphisms.append(mo.res_BD(system.rank))
+            morphisms.append(fork(system_factory, system.rank))
         for morphism in morphisms:
             for tag in (alg.BASIS_X, alg.BASIS_Y, alg.BASIS_XPRIME):
                 v = random_rational_vector(morphism.domain, rng, tag)
@@ -593,25 +622,25 @@ class TestIntegerColumnsAgainstFractionLoops:
     @pytest.mark.parametrize("label", ["B3", "B4"])
     def test_equal_matrix_under_every_matching(self, system_factory, label):
         system = system_factory(label)
-        psi = mo.psi_K(system, 0b001)
+        psi = mo.psi_K(mo.build_context(system, 0b001))
         res = mo.res_K(system, system.full_mask >> 1)
         for perm in matrix_preserving_bijections(res.codomain,
                                                     psi.codomain):
             assert res.equal_matrix(psi, perm) == oracle_equal_matrix(
                 res, psi, perm)
         ident = mo.res_K(system, system.full_mask)
-        psi0 = mo.psi_K(system, 0)
+        psi0 = mo.psi_K(mo.build_context(system, 0))
         for perm in matrix_preserving_bijections(psi0.codomain, system):
             assert psi0.equal_matrix(ident, perm) == oracle_equal_matrix(
                 psi0, ident, perm)
 
-    def test_fork_square_compositions(self):
+    def test_fork_square_compositions(self, system_factory):
         for n in (3, 4):
-            top = mo.res_BD(n)
-            bottom = mo.res_BD(n - 1)
+            top = fork(system_factory, n)
             bn, dn = top.domain, top.codomain
             res_b = mo.res_K(bn, bn.full_mask & ~(1 << (n - 1)))
             res_d = mo.res_K(dn, dn.full_mask & ~(1 << (n - 1)))
+            bottom = mo.res_BD(res_b.codomain)
             for outer, inner in ((res_d, top), (bottom, res_b)):
                 assert fraction_columns(mo.compose(outer, inner)) == \
                     oracle_compose(outer, inner)
@@ -663,8 +692,8 @@ class TestChecksRejectCorruptedInput:
             ctx.quotient, images, ctx.member_set)
         pairs = [(i, j) for i in all_masks(system) for j in all_masks(system)
                  if i & 1 and j & 1]
-        assert all(mo.goetz1_set_check(system, ctx, i, j) for i, j in pairs)
-        assert not all(mo.goetz1_set_check(system, bad, i, j)
+        assert all(mo.goetz1_set_check(ctx, i, j) for i, j in pairs)
+        assert not all(mo.goetz1_set_check(bad, i, j)
                        for i, j in pairs)
 
     def test_goetz1_set_check_rejects_non_member_in_k_piece(
@@ -680,6 +709,6 @@ class TestChecksRejectCorruptedInput:
             out[~np.isin(idxs, ctx.images)] |= ctx.kmask
             return out
 
-        assert mo.goetz1_set_check(system, ctx, 0b001, 0b001)
+        assert mo.goetz1_set_check(ctx, 0b001, 0b001)
         monkeypatch.setattr(system, "_refine_masks", moved)
-        assert not mo.goetz1_set_check(system, ctx, 0b001, 0b001)
+        assert not mo.goetz1_set_check(ctx, 0b001, 0b001)
