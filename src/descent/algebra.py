@@ -79,8 +79,7 @@ class DescentVector:
     """Immutable element of the descent algebra of one Coxeter system.
 
     ``nums`` are integer numerators over the positive denominator ``den``,
-    in lowest terms, on the basis named by ``tag``; ``coeffs`` gives the
-    same coordinates as Fractions.
+    in lowest terms, on the basis named by ``tag``.
     """
 
     __slots__ = ("system", "tag", "nums", "den")
@@ -116,10 +115,6 @@ class DescentVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("DescentVector is immutable")
-
-    @property
-    def coeffs(self):
-        return tuple(Fraction(v, self.den) for v in self.nums)
 
     # -- construction helpers ------------------------------------------
 
@@ -209,10 +204,6 @@ class DescentVector:
         xn, den = self.x_ints()
         nums, scale = _change_basis(xn, tag, self.system.rank, 1)
         return DescentVector.from_ints(self.system, nums, den * scale, tag)
-
-    def support(self):
-        """Masks with nonzero coordinate, in the vector's own basis."""
-        return [m for m, c in enumerate(self.nums) if c != 0]
 
     def is_zero(self):
         return not any(self.nums)

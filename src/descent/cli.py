@@ -36,21 +36,21 @@ def rank7_memory_estimate(type_label):
     """Peak-memory estimate, in bytes, for enumerating a group and
     computing its structure tensor in a fresh process.
 
-    Per element: the signed root permutation (2 bytes per positive root),
-    9 bytes per generator (the int32 right-multiplication row, the int8
-    conjugation row and the two int16 simple-root columns formed at the
-    end of the enumeration), and 64 bytes for the index tables, the int64
-    element keys and their sort. On top come the interpreter with numpy
+    Per element: 9 bytes per generator (the int32 right-multiplication
+    row, the int8 conjugation row and the two int16 simple-root columns
+    of the element and its inverse), and 64 bytes for the index tables,
+    the int64 element keys and their sort; the root permutations of one
+    length level are not counted. On top come the interpreter with numpy
     and the int64 structure tensor over all triples of subsets. A cold
-    ``descent table`` in a fresh process peaks at 183 MB on B7 and 107 MB
-    on D7 (estimates 194 and 117 MB), but at 98 MB on A7 (estimate 56 MB),
-    where the radical powers of the row set the peak (Python 3.11.7).
+    ``descent table`` in a fresh process peaks at 399 MB on E7 and
+    123 MB on B7 (estimates 417 and 131 MB), but at 104 MB on D7 and
+    99 MB on A7 (estimates 90 and 54 MB), where the linear algebra of
+    the row sets the peak (Python 3.11.7).
     """
     comps = cartan.parse_label(type_label)
     order = cartan.order_for_components(comps)
-    nroots = sum(cartan.component_nroots(fam, p) for fam, p in comps)
     rank = cartan.total_rank(comps)
-    per_elt = nroots * 2 + rank * 9 + _RANK7_BYTES_PER_ELEMENT_MISC
+    per_elt = rank * 9 + _RANK7_BYTES_PER_ELEMENT_MISC
     return _RANK7_BASE_BYTES + order * per_elt + 8 * (1 << rank) ** 3
 
 
@@ -58,7 +58,8 @@ def _maybe_print_rank7_estimate(type_label, allow_rank7):
     if not allow_rank7:
         return
     comps = cartan.parse_label(type_label)
-    if cartan.total_rank(comps) < 7:
+    # the flag unlocks rank 7 only; larger ranks are refused unbuilt
+    if cartan.total_rank(comps) != 7:
         return
     est = rank7_memory_estimate(type_label)
     print("estimated memory for %s: %.1f MB (order %d)"
@@ -190,8 +191,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except RankCapExceeded as exc:
-        print("error: %s; pass --allow-rank7 to proceed" % exc,
-              file=sys.stderr)
+        # only the rank-7 gate is one the flag lifts
+        rank = cartan.total_rank(cartan.parse_label(args.type))
+        hint = ("; pass --allow-rank7 to proceed"
+                if rank == 7 and not args.allow_rank7 else "")
+        print("error: %s%s" % (exc, hint), file=sys.stderr)
         return 2
     except DescentError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -183,6 +183,8 @@ class CoxeterSystem:
         row-major order; the new element ws is numbered by its first pair,
         which becomes its parent and last generator. Elements are told
         apart by one int64 key packing the images of the simple roots.
+        Only the current level's root permutations are held; each element
+        keeps the images of the simple roots under itself and its inverse.
         """
         n, N, order = self.rank, self.nroots, self.order
         spos = np.asarray(self.simple_index, dtype=np.intp)
@@ -201,8 +203,6 @@ class CoxeterSystem:
                         ) << shift[t]
             return key
 
-        P = np.empty((order, N), dtype=np.int16)
-        P[0] = np.arange(1, N + 1, dtype=np.int16)
         parent = np.empty(order, dtype=np.int32)
         lastgen = np.empty(order, dtype=np.int8)
         length = np.empty(order, dtype=np.int16)
@@ -210,18 +210,23 @@ class CoxeterSystem:
         parent[0], lastgen[0], length[0], supp[0] = -1, -1, 0, 0
         rmul = np.full((order, n), -1, dtype=np.int32)
         keys = np.empty(order, dtype=np.int64)
-        keys[0] = pack(P[:1, spos])[0]
+        right = np.empty((order, n), dtype=np.int16)   # w(alpha_t)
+        left = np.empty((order, n), dtype=np.int16)    # w^{-1}(alpha_t)
+        # the root permutations of the level lo:hi
+        level = np.arange(1, N + 1, dtype=np.int16)[None]
+        right[0] = left[0] = level[0, spos]
+        keys[0] = pack(right[:1])[0]
 
         lo, hi = 0, 1
         while True:
-            w, s = np.nonzero(P[lo:hi, spos] > 0)
+            w, s = np.nonzero(right[lo:hi] > 0)
             if not w.size:
                 # the level of the longest element: leave before its
                 # length plus one can overflow int16
                 break
-            w += lo
             # images of the simple roots under ws
-            cols = ssgn[s] * P[w[:, None], sidx[s]]
+            cols = ssgn[s] * level[w[:, None], sidx[s]]
+            w += lo
             uniq, first, which = np.unique(
                 pack(cols), return_index=True, return_inverse=True)
             by_first = np.argsort(first)
@@ -234,41 +239,33 @@ class CoxeterSystem:
             rmul[w, s] = v
             rmul[v, s] = w
             new = slice(hi, hi + len(uniq))
-            pw, ps = w[first[by_first]], s[first[by_first]]
+            pick = first[by_first]
+            pw, ps = w[pick], s[pick]
             parent[new] = pw
             lastgen[new] = ps
             length[new] = length[lo] + 1
             supp[new] = supp[pw] | (1 << ps)
             keys[new] = uniq[by_first]
-            P[new] = gsgn[ps] * P[pw[:, None], gidx[ps]]
+            right[new] = cols[pick]
+            # (ws)^{-1} = s w^{-1}
+            up = left[pw]
+            left[new] = np.sign(up) * sperm[ps[:, None], np.abs(up) - 1]
+            level = gsgn[ps] * level[pw[:, None] - lo, gidx[ps]]
             lo, hi = hi, hi + len(uniq)
         if hi != order:
             raise AssertionError(
                 "enumeration found %d elements, expected %d" % (hi, order))
 
-        # w(alpha_i) = +-alpha_j gives w^{-1}(alpha_j) = +-alpha_i; only the
-        # simple-root columns of the inverse permutations are formed
+        # the generator whose simple root is each root, else -1
         root_to_gen = np.full(N, -1, dtype=np.int8)
         root_to_gen[spos] = np.arange(n)
-        right_cols = P[:, spos]    # image of each simple root under w
-        left_cols = np.empty((order, n), dtype=np.int16)   # under w^{-1}
-        for i in range(N):
-            col = P[:, i]
-            gen = root_to_gen[np.abs(col) - 1]
-            hit = np.flatnonzero(gen >= 0)
-            left_cols[hit, gen[hit]] = np.sign(col[hit]) * (i + 1)
-        rasc = np.zeros(order, dtype=np.int16)
-        lasc = np.zeros(order, dtype=np.int16)
-        for s in range(n):
-            rasc |= (right_cols[:, s] > 0).astype(np.int16) << s
-            lasc |= (left_cols[:, s] > 0).astype(np.int16) << s
-
-        csany = np.empty((order, n), dtype=np.int8)
-        for s in range(n):
-            csany[:, s] = root_to_gen[np.abs(left_cols[:, s]) - 1]
+        bits = np.arange(n, dtype=np.int16)
+        rasc = ((right > 0) << bits).sum(axis=1, dtype=np.int16)
+        lasc = ((left > 0) << bits).sum(axis=1, dtype=np.int16)
+        csany = root_to_gen[np.abs(left) - 1]
 
         ranked = np.argsort(keys)
-        inv_keys = pack(left_cols)
+        inv_keys = pack(left)
         at = np.minimum(np.searchsorted(keys[ranked], inv_keys), order - 1)
         missing = np.flatnonzero(keys[ranked[at]] != inv_keys)
         if missing.size:

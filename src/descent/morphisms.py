@@ -507,8 +507,8 @@ def build_context(system, K):
 
     Generators are the longest-element quotients w_{K,s}; their pairwise
     product orders give a Coxeter matrix which is built as a standalone
-    system and proved isomorphic to the normalizer complement by element
-    counting.
+    system, or is the system itself when K is empty, and proved
+    isomorphic to the normalizer complement by element counting.
     """
     kmask = alg._as_mask(system, K)
     if not is_self_opposed(system, kmask):
@@ -536,7 +536,11 @@ def build_context(system, K):
             prod = system.mul(gens[i], gens[j])
             mat[i][j] = mat[j][i] = system.order_of(prod)
     labels = [system.labels[p] for p in outer]
-    quotient = build_system(matrix=mat, labels=labels)
+    if (mat, labels) == (system.matrix, system.labels):
+        # K is empty: the quotient is the system itself
+        quotient = system
+    else:
+        quotient = build_system(matrix=mat, labels=labels)
     images = quotient.homomorphism_images(system, gens)
     # members is sorted and duplicate-free
     if not np.array_equal(np.sort(images), members):

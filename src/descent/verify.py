@@ -384,8 +384,9 @@ def _suite_morphisms(system, report, seed):
                "exact span equality")
 
     if system.rank <= 4:
-        candidates = [0, system.full_mask] + [
-            1 << p for p in range(system.rank)]
+        # at rank 1 the full mask is the only singleton
+        candidates = list(dict.fromkeys([0, system.full_mask] + [
+            1 << p for p in range(system.rank)]))
 
         def quotient_failure(K):
             ctx = mor.build_context(system, K)

@@ -228,11 +228,21 @@ class TestRankGate:
         assert err.startswith("error:")
         assert "--allow-rank7" in err
 
+    @pytest.mark.parametrize("flag", [[], ["--allow-rank7"]])
+    def test_rank_eight_is_refused_without_estimate_or_hint(self, capsys,
+                                                           flag):
+        # the flag unlocks rank 7 only, so it is neither advised nor
+        # followed by an estimate for a type it cannot unlock
+        code, out, err = run(capsys, "table", "--type", "E8", *flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: rank 8 exceeds the hard cap of 7\n"
+
     def test_memory_estimate_value(self):
-        # 2903040 elements, 63 positive roots at 2 bytes, 7 generators at
-        # 9 bytes, 64 bytes of index tables and keys; 32 MB of interpreter
-        # and the int64 tensor over 128**3 subset triples
-        per_element = 63 * 2 + 7 * 9 + 64
+        # 2903040 elements, 7 generators at 9 bytes, 64 bytes of index
+        # tables and keys; 32 MB of interpreter and the int64 tensor over
+        # 128**3 subset triples
+        per_element = 7 * 9 + 64
         assert cli.rank7_memory_estimate("E7") == (
             32 * 10**6 + 2903040 * per_element + 8 * 128**3)
 
@@ -242,6 +252,8 @@ class TestRankGate:
         assert "estimated memory for E7" in err
         assert "order 2903040" in err
         cli._maybe_print_rank7_estimate("B3", True)
+        assert capsys.readouterr().err == ""
+        cli._maybe_print_rank7_estimate("E8", True)
         assert capsys.readouterr().err == ""
         cli._maybe_print_rank7_estimate("E7", False)
         assert capsys.readouterr().err == ""

@@ -7,6 +7,7 @@ conjugacy of subsets by conjugating every generator by every element.
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -529,6 +530,21 @@ def test_warm_table_rows_never_enumerate(system_factory):
         system.shapes()
         algebra.tau_matrix(system)
         assert not set(GROUP_TABLES) & set(system.__dict__), label
+
+
+def test_enumeration_holds_one_level_of_root_permutations():
+    # the int16 root permutations of the whole group, order x N x 2
+    # bytes (1.73 MB on H4), are never held at once: beyond the tables
+    # it returns, the enumeration's peak stays below them
+    system = build_system(type="H4", cache=False)
+    tracemalloc.start()
+    try:
+        system._build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = sum(getattr(system, name).nbytes for name in GROUP_TABLES)
+    assert peak - tables < system.order * system.nroots * 2
 
 
 @pytest.mark.parametrize("name", GROUP_TABLES)

@@ -430,7 +430,10 @@ class TestQuotients:
     def test_empty_subset_gives_identity_quotient(self, system_factory):
         system = system_factory("B3")
         ctx = mo.build_context(system, 0)
-        assert ctx.quotient.rank == system.rank
+        # the measured quotient matrix is the system's own, so the system
+        # is its own quotient and is not enumerated a second time
+        assert ctx.quotient is system
+        assert np.array_equal(ctx.images, np.arange(system.order))
         psi = mo.psi_K(ctx)
         ident = mo.res_K(system, system.full_mask)
         perms = matrix_preserving_bijections(psi.codomain, system)

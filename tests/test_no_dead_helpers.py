@@ -3,11 +3,12 @@ and every attribute it stores is read somewhere.
 
 A helper that only the tests call is a second surface to keep working; it
 lives in the tests instead (``oracles.py``). The scan reads the code, not
-the text: a definition is live when its name is used, as a name or as an
-attribute, in the package outside every definition (module and class
-bodies) or inside another live definition, so a chain of helpers that only
-feed each other is reported whole. A name that appears only in a
-docstring or a comment keeps nothing alive.
+the text: a function is live when its name is used, as a name or as an
+attribute, and a method when it is read as an attribute, in the package
+outside every definition (module and class bodies) or inside another live
+definition, so a chain of helpers that only feed each other is reported
+whole. A name that appears only in a docstring or a comment keeps nothing
+alive, and neither does a local variable of a method's name.
 
 An attribute that a class stores, in its body or on ``self``, and that
 nothing in the package, the tests or the benchmark ever reads is state
@@ -36,25 +37,24 @@ EXPORTED = set(descent.__all__)
 
 
 def _uses(nodes):
-    """The ids of the names and the attributes of the attribute accesses
-    in the syntax trees ``nodes``."""
-    out = set()
+    """(names, attributes): the ids of the names and the attributes of the
+    attribute accesses in the syntax trees ``nodes``."""
+    names, attributes = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                out.add(sub.id)
+                names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-    return out
+                attributes.add(sub.attr)
+    return names, attributes
 
 
 def scan():
     """(definitions, outside): each module-level function and method as
-    (qualified name, name, names it uses), and the names used outside
-    every definition."""
-    definitions, outside = [], set()
+    (qualified name, name, whether it is a method, what it uses), and what
+    is used outside every definition, each use a pair from ``_uses``."""
+    definitions, rest = [], []
     for path in sorted(SRC.glob("*.py")):
-        rest = []
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, ast.ClassDef):
                 members = [node]
@@ -68,9 +68,8 @@ def scan():
                 qual = (member.name if member is node
                         else "%s.%s" % (node.name, member.name))
                 definitions.append(("%s.%s" % (path.stem, qual), member.name,
-                                    _uses([member])))
-        outside |= _uses(rest)
-    return definitions, outside
+                                    member is not node, _uses([member])))
+    return definitions, _uses(rest)
 
 
 def _dunder(name):
@@ -82,12 +81,18 @@ def _exempt(name):
     return name in EXPORTED or _dunder(name)
 
 
+def _used(definition, uses):
+    _, name, method, _ = definition
+    names, attributes = uses
+    return name in attributes or (not method and name in names)
+
+
 def dead_helpers():
     definitions, outside = scan()
     live = definitions
     while True:
-        keep = [d for d in live if _exempt(d[1]) or d[1] in outside
-                or any(d[1] in other[2] for other in live if other is not d)]
+        keep = [d for d in live if _exempt(d[1]) or _used(d, outside)
+                or any(_used(d, other[3]) for other in live if other is not d)]
         if len(keep) == len(live):
             return sorted(d[0] for d in definitions if d not in live)
         # what only the dropped definitions called is dead too
@@ -219,8 +224,9 @@ def raised_names():
         for sub in ast.walk(ast.parse(path.read_text())):
             if isinstance(sub, ast.Raise) and sub.exc is not None:
                 exc = sub.exc
-                out |= _uses([exc.func if isinstance(exc, ast.Call)
-                              else exc])
+                names, attributes = _uses(
+                    [exc.func if isinstance(exc, ast.Call) else exc])
+                out |= names | attributes
     return out
 
 

@@ -49,6 +49,15 @@ def test_morphisms_report_matches_reference(capsys, label, seed):
     assert capsys.readouterr().out == reference("%s-seed%d" % (label, seed))
 
 
+def test_rank_one_checks_each_quotient_once():
+    # at rank 1 the full subset is also the only singleton
+    report = ve.run_suite("morphisms", "A1", seed=0).to_dict()
+    (check,) = [r for r in report["results"]
+                if r["name"] == "quotient-morphism-identities"]
+    assert check["detail"] == (
+        "2 self-opposed subsets (empty, full, singletons)")
+
+
 # (type, subset mask, row, column): the restriction onto that subset gets
 # its entry at (row, column) raised by one
 CORRUPTIONS = [("B4", 0b0110, 5, 1), ("D5", 0b01011, 9, 2)]
