@@ -431,6 +431,12 @@ def _group_ints(vector):
     return nums[vector.system.rasc], y.den
 
 
+def coset_sum(system, subset):
+    """The group vector of x_I, as a boolean array: the coset sum over I
+    collects exactly the w with I among their ascents R(w)."""
+    return (system.rasc & subset) == subset
+
+
 def _fold_group(system, nums, den, tag):
     """The descent vector with group coordinates nums / den (an integer
     array), after checking constancy on each equal-ascent-set class."""
@@ -625,11 +631,9 @@ def minimal_polynomial(vectors):
 # positivity, families, ideals
 
 
-def saturated_family(vector, equivariant=False):
-    """Downward closure of the support, plainly or through the shape order.
-
-    Plain: all subsets J contained in some support subset I. Equivariant:
-    all J conjugate into some support subset I, that is T[I, J, J] > 0
+def saturated_family(vector):
+    """Downward closure of the support through the shape order: all J
+    conjugate into some support subset I, that is T[I, J, J] > 0
     (Solomon; Kilmoyer: d^{-1} I d contains J for some d in X_{I,J}
     exactly when some conjugate of J lies inside I).
     """
@@ -637,10 +641,7 @@ def saturated_family(vector, equivariant=False):
     supp = np.array([m for m, c in enumerate(vector.x_ints()[0]) if c],
                     dtype=np.intp)
     masks = np.arange(1 << system.rank)
-    if equivariant:
-        hit = system.structure_tensor()[supp[:, None], masks, masks] > 0
-    else:
-        hit = (masks & ~supp[:, None]) == 0
+    hit = system.structure_tensor()[supp[:, None], masks, masks] > 0
     return frozenset(np.flatnonzero(hit.any(axis=0)).tolist())
 
 

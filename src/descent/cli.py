@@ -101,8 +101,7 @@ def cmd_table(args):
         else:
             orders = [sigma_order]
         for k in orders:
-            rows.append(tbl.build_row(label, k, system=system,
-                                      allow_rank7=args.allow_rank7))
+            rows.append(tbl.build_row(label, k, system=system))
     print(tbl.render(rows, args.format))
     return 0
 

@@ -175,6 +175,22 @@ class CoxeterSystem:
     # ------------------------------------------------------------------
     # enumeration
 
+    @memoized
+    def _root_action(self):
+        """The generators' signed root permutations, decoded once:
+        (spos, sperm, gidx, gsgn, root_to_gen) with spos[t] the index of
+        the simple root alpha_t, sperm the (n, N) signed permutations,
+        gidx and gsgn the index and sign of the image of each root under
+        each generator, and root_to_gen[i] the generator whose simple root
+        is root i, else -1."""
+        n, N = self.rank, self.nroots
+        spos = np.asarray(self.simple_index, dtype=np.intp)
+        sperm = np.asarray(self.sperm, dtype=np.intp).reshape(n, N)
+        root_to_gen = np.full(N, -1, dtype=np.int8)
+        root_to_gen[spos] = np.arange(n)
+        return (spos, sperm, np.abs(sperm) - 1,
+                np.sign(sperm).astype(np.int16), root_to_gen)
+
     def _build(self):
         """Enumerate W and fill the group tables, one vectorized step per
         length level.
@@ -187,9 +203,7 @@ class CoxeterSystem:
         keeps the images of the simple roots under itself and its inverse.
         """
         n, N, order = self.rank, self.nroots, self.order
-        spos = np.asarray(self.simple_index, dtype=np.intp)
-        sperm = np.asarray(self.sperm, dtype=np.intp).reshape(n, N)
-        gidx, gsgn = np.abs(sperm) - 1, np.sign(sperm).astype(np.int16)
+        spos, sperm, gidx, gsgn, root_to_gen = self._root_action()
         # where each generator sends the simple roots
         sidx, ssgn = gidx[:, spos], gsgn[:, spos]
         first_root, shift = self._key_layout
@@ -256,9 +270,6 @@ class CoxeterSystem:
             raise AssertionError(
                 "enumeration found %d elements, expected %d" % (hi, order))
 
-        # the generator whose simple root is each root, else -1
-        root_to_gen = np.full(N, -1, dtype=np.int8)
-        root_to_gen[spos] = np.arange(n)
         bits = np.arange(n, dtype=np.int16)
         rasc = ((right > 0) << bits).sum(axis=1, dtype=np.int16)
         lasc = ((left > 0) << bits).sum(axis=1, dtype=np.int16)
@@ -403,19 +414,14 @@ class CoxeterSystem:
         root has w(alpha_s) > 0; each step adds one to the length, so after
         at most N steps w = w0, and w0(alpha_t) = -alpha_{sigma_0(t)}.
         """
-        n, N = self.rank, self.nroots
-        spos = np.asarray(self.simple_index, dtype=np.intp)
-        sperm = np.asarray(self.sperm, dtype=np.intp).reshape(n, N)
-        gidx, gsgn = np.abs(sperm) - 1, np.sign(sperm).astype(np.int16)
-        w = np.arange(1, N + 1, dtype=np.int16)
+        spos, _sperm, gidx, gsgn, root_to_gen = self._root_action()
+        w = np.arange(1, self.nroots + 1, dtype=np.int16)
         while True:
             up = np.flatnonzero(w[spos] > 0)
             if not up.size:
                 break
             s = up[0]
             w = gsgn[s] * w[gidx[s]]
-        root_to_gen = np.full(N, -1, dtype=np.intp)
-        root_to_gen[spos] = np.arange(n)
         perm = tuple(int(t) for t in root_to_gen[-w[spos] - 1])
         if any(t < 0 for t in perm):
             raise AssertionError("longest element does not normalize the "

@@ -9,22 +9,20 @@ by an explicit generator correspondence.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import algebra as alg
 from . import linalg
-from .algebra import DescentVector
-from .coxeter import build_system, expand_masks, iter_bits, memoized, popcount
+from .coxeter import (CoxeterSystem, build_system, expand_masks, iter_bits,
+                      memoized, popcount)
 from .errors import (
     InvalidSubset,
     NotSelfOpposed,
     RankTooSmall,
 )
 from .linalg import Span
-
-RES_K = "RES_K"
-RES_BD = "RES_BD"
-PSI_K = "PSI_K"
 
 
 # ---------------------------------------------------------------------------
@@ -66,27 +64,18 @@ class AlgebraMorphism:
 
     ``columns`` is a read-only integer array: row I holds the
     x-coordinates of the image of x_I, in int64 when its entries allow
-    and on Python integers otherwise.
+    and on Python integers otherwise. ``kmask`` is the subset of a
+    restriction or a quotient morphism, None for any other map.
     """
 
-    __slots__ = ("domain", "codomain", "columns", "kind", "metadata")
+    __slots__ = ("domain", "codomain", "columns", "kmask")
 
-    def __init__(self, domain, codomain, columns, kind, metadata=None):
+    def __init__(self, domain, codomain, columns, kmask=None):
         self.domain = domain
         self.codomain = codomain
         self.columns = linalg.integer_rows(columns, 1 << codomain.rank)
         self.columns.flags.writeable = False
-        self.kind = kind
-        self.metadata = dict(metadata or {})
-
-    def apply(self, vector):
-        if vector.system is not self.domain:
-            raise InvalidSubset("vector does not live in the domain")
-        nums, den = vector.x_ints()
-        row = linalg.integer_rows([nums], len(self.columns))
-        return DescentVector.from_ints(
-            self.codomain, linalg.matmul(row, self.columns)[0].tolist(), den,
-            alg.BASIS_X)
+        self.kmask = kmask
 
     def image_span(self):
         return Span(1 << self.codomain.rank, self.columns)
@@ -103,14 +92,13 @@ class AlgebraMorphism:
         return (images == alg.products(self.codomain, self.columns,
                                        self.columns)).all(axis=2)
 
-    def equal_matrix(self, other, codomain_perm=None):
-        """Columnwise equality, optionally permuting codomain generators."""
-        if self.columns.shape != other.columns.shape:
-            return False
-        theirs = other.columns
-        if codomain_perm is not None:
-            theirs = theirs[:, expand_masks(codomain_perm)]
-        return np.array_equal(self.columns, theirs)
+    def equal_matrix(self, other, codomain_perm):
+        """Columnwise equality, the other's codomain generators moved by
+        the permutation."""
+        return (self.columns.shape == other.columns.shape
+                and np.array_equal(
+                    self.columns,
+                    other.columns[:, expand_masks(codomain_perm)]))
 
 
 def compose(outer, inner):
@@ -121,8 +109,7 @@ def compose(outer, inner):
     cols = np.zeros_like(inner.columns)
     cols[:, expand_masks(perm)] = inner.columns
     return AlgebraMorphism(inner.domain, outer.codomain,
-                           linalg.matmul(cols, outer.columns),
-                           kind=outer.kind + "*" + inner.kind)
+                           linalg.matmul(cols, outer.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -150,56 +137,29 @@ def res_K(system, K):
     """Restriction morphism onto the parabolic subalgebra of the subset."""
     kmask = alg._as_mask(system, K)
     codomain = parabolic_system(system, kmask)
-    positions = mask_positions(kmask)
     T = system.structure_tensor()
     return AlgebraMorphism(system, codomain,
-                           T[:, kmask, expand_masks(positions)], RES_K,
-                           {"K": kmask, "positions": positions})
+                           T[:, kmask, expand_masks(mask_positions(kmask))],
+                           kmask)
 
 
 # ---------------------------------------------------------------------------
 # group-algebra cross-checks for the restriction
 
 
-def _int_group_vector(vector):
-    nums, den = alg._group_ints(vector)
-    if den != 1:
-        raise AssertionError("expected integral group vector")
-    return nums
-
-
-def iota_group_vector(system, kmask, codomain_vector):
-    """Embed a parabolic-algebra element as an integer group-algebra
-    vector.
-
-    The parabolic's coset sums become sums over the subgroup's elements
-    inside the big group: the coordinate at a member is the y-coordinate
-    at its ascent mask within the subset.
-    """
-    positions = mask_positions(kmask)
-    y = codomain_vector.in_basis(alg.BASIS_Y)
-    if y.den != 1:
-        raise AssertionError("expected integral coefficients")
-    nums = linalg.integer_rows([y.nums], len(y.nums))[0]
-    # the codomain mask of each subset of K
-    local = np.zeros(1 << system.rank, dtype=np.intp)
-    local[expand_masks(positions)] = np.arange(len(nums))
-    members = system.parabolic_indices(kmask)
-    out = np.zeros(system.order, dtype=nums.dtype)
-    out[members] = nums[local[system.rasc[members] & kmask]]
-    return out
-
-
 def factorization_check(morphism):
-    """x_L = x_K * (embedded x_L-within-K), verified in the group algebra."""
-    system, kmask = morphism.domain, morphism.metadata["K"]
-    xk = _int_group_vector(alg.basis_x(system, kmask))
-    for cmask, big in enumerate(expand_masks(morphism.metadata["positions"])):
-        emb = iota_group_vector(
-            system, kmask, alg.basis_x(morphism.codomain, cmask))
-        got = alg.convolve(system, xk, emb)
-        want = _int_group_vector(alg.basis_x(system, int(big)))
-        if not np.array_equal(got, want):
+    """x_L = x_K * (embedded x_L-within-K), verified in the group algebra.
+
+    The parabolic's x_c embeds as the coset sum of its mask L in the big
+    group cut to the subgroup: for w in W_K the ascents inside K are
+    R(w) cap K, so L sits among them exactly when it sits in R(w).
+    """
+    system, kmask = morphism.domain, morphism.kmask
+    xk = alg.coset_sum(system, kmask)
+    inside = (system.supp & ~kmask) == 0
+    for big in expand_masks(mask_positions(kmask)):
+        want = alg.coset_sum(system, int(big))
+        if not np.array_equal(alg.convolve(system, xk, want & inside), want):
             return False
     return True
 
@@ -207,14 +167,13 @@ def factorization_check(morphism):
 def res_linear_check(morphism):
     """The descent-algebra half of the factorization identity: expanding
     the restriction's columns back upstairs must reproduce right
-    multiplication by the subset's basis element."""
-    system = morphism.domain
+    multiplication by the subset's basis element, whose row J is
+    x_J * x_K = T[J, K] (Solomon's Mackey formula)."""
+    system, kmask = morphism.domain, morphism.kmask
     size = 1 << system.rank
     expanded = np.zeros((size, size), dtype=morphism.columns.dtype)
-    expanded[:, expand_masks(morphism.metadata["positions"])] = \
-        morphism.columns
-    return np.array_equal(expanded, alg.right_multiplication(
-        [alg.basis_x(system, morphism.metadata["K"])])[0])
+    expanded[:, expand_masks(mask_positions(kmask))] = morphism.columns
+    return np.array_equal(expanded, system.structure_tensor()[:, kmask])
 
 
 def bbht_a_check(morphism):
@@ -244,23 +203,23 @@ def res_tau_check(morphism):
     character of the small algebra after restricting equals evaluating
     the matching character upstairs."""
     return _characters_factor(
-        morphism, expand_masks(morphism.metadata["positions"]))
+        morphism, expand_masks(mask_positions(morphism.kmask)))
 
 
 def res_conjugate_check(mk, mkp):
     """Restrictions onto conjugate subsets differ by relabeling only."""
     system = mk.domain
-    kmask, kpmask = mk.metadata["K"], mkp.metadata["K"]
+    kmask, kpmask = mk.kmask, mkp.kmask
     # X_{K,K',K'}: the d with K in L(d), K' in R(d) and d^{-1} K d = K'
     idx = system.structure_set(kmask, kpmask, kpmask)
     if len(idx) == 0 or popcount(kmask) != popcount(kpmask):
         raise InvalidSubset("subsets are not conjugate")
     d = int(idx[0])
-    kpos = mk.metadata["positions"]
+    kpos = mask_positions(kmask)
     # d_* sends generator p of K' to generator t of K; as a map of the
     # codomain masks it is a permutation
     row = system.csany[int(system.inv[d])]
-    images = [int(row[p]) for p in mkp.metadata["positions"]]
+    images = [int(row[p]) for p in mask_positions(kpmask)]
     if any(t not in kpos for t in images):
         raise AssertionError("conjugator does not carry subsets over")
     dmap = expand_masks([kpos.index(t) for t in images])
@@ -302,7 +261,7 @@ def points_fixes_check(morphism):
     cols = morphism.columns
     return all(np.array_equal(cols, cols[:, expand_masks(perm)])
                for perm in wk_action_permutations(morphism.domain,
-                                                  morphism.metadata["K"]))
+                                                  morphism.kmask))
 
 
 def decomposition_check(morphism):
@@ -313,8 +272,7 @@ def decomposition_check(morphism):
     size = 1 << system.rank
     # row I is x_I * x_K: its row space is the left ideal, and a
     # annihilates x_K from the left iff a is in its left kernel
-    products = alg.right_multiplication(
-        [alg.basis_x(system, morphism.metadata["K"])])[0]
+    products = system.structure_tensor()[:, morphism.kmask]
     # two matrices have the same left kernel iff their columns span the
     # same space
     columns = Span(size, morphism.columns.T)
@@ -330,7 +288,7 @@ def surjectivity_report(morphism):
     """Surjectivity verdict, by morphism rank == 2^|K|, with the two
     necessary conditions: injectivity on shapes and a trivial complement
     action."""
-    system, kmask = morphism.domain, morphism.metadata["K"]
+    system, kmask = morphism.domain, morphism.kmask
     rank = morphism.rank()
     return {
         "K": kmask,
@@ -371,7 +329,7 @@ def res_BD(bn):
         else:
             cols[imask, imask] += 1
             cols[imask, (imask & ~2) | 1 if imask & 2 else imask] += 1
-    return AlgebraMorphism(bn, dn, cols, RES_BD, {"n": n})
+    return AlgebraMorphism(bn, dn, cols)
 
 
 def fork_images_in_b(bn, dn):
@@ -395,10 +353,13 @@ def res_bd_a_check(morphism):
     t_elt = int(bn.rmul[0, 0])
     rt = bn.right_translation(t_elt)
     lt = bn.left_translation(t_elt)
-    for imask in range(1 << bn.rank):
-        xvec = _int_group_vector(alg.basis_x(bn, imask))
+    for imask, row in enumerate(morphism.columns):
+        xvec = alg.coset_sum(bn, imask).astype(np.int64)
         rhs = xvec + xvec[rt]
-        dvec = _int_group_vector(morphism.apply(alg.basis_x(bn, imask)))
+        # the image of x_I in the group algebra of the fork group
+        dvec = np.zeros(dn.order, dtype=row.dtype)
+        for cmask in np.flatnonzero(row):
+            dvec += row[cmask] * alg.coset_sum(dn, int(cmask))
         emb = np.zeros(bn.order, dtype=dvec.dtype)
         emb[images] = dvec
         lhs = emb + emb[lt]
@@ -430,7 +391,7 @@ def res_bd_square_check(top):
     left = compose(res_d, top)
     right = compose(bottom, res_b)
     return left.equal_matrix(
-        right, codomain_perm=align_positions(left.codomain, right.codomain))
+        right, align_positions(left.codomain, right.codomain))
 
 
 def res_d_image_check(dn):
@@ -455,7 +416,7 @@ def res_b_triangular_check(bn):
     n = bn.rank
     sub = bn.full_mask & ~(1 << (n - 1))
     morphism = res_K(bn, sub)
-    positions = morphism.metadata["positions"]
+    positions = mask_positions(sub)
 
     def rank_key(cmask):
         return (popcount(cmask),
@@ -481,21 +442,19 @@ def is_self_opposed(system, K):
     return len(system.shapes()[system.shape_id_of_mask(kmask)].members) == 1
 
 
+@dataclass(frozen=True, eq=False)
 class SelfOpposedContext:
-    """The quotient group data attached to one self-opposed subset."""
+    """The quotient group data attached to one self-opposed subset: the
+    quotient generators w_{K,s} as indices of the big group, the
+    generator positions outside K they stand for, the quotient system
+    and the index in the big group of each of its elements."""
 
-    __slots__ = ("system", "kmask", "generator_indices", "outer_positions",
-                 "quotient", "images", "member_set")
-
-    def __init__(self, system, kmask, generator_indices, outer_positions,
-                 quotient, images, member_set):
-        self.system = system
-        self.kmask = kmask
-        self.generator_indices = generator_indices
-        self.outer_positions = outer_positions
-        self.quotient = quotient
-        self.images = images
-        self.member_set = member_set
+    system: CoxeterSystem
+    kmask: int
+    generator_indices: tuple
+    outer_positions: tuple
+    quotient: CoxeterSystem
+    images: np.ndarray
 
     def quotient_mask(self, imask):
         """The quotient-system subset matching a subset of S containing K."""
@@ -522,13 +481,11 @@ def build_context(system, K):
         wks = system.mul(system.longest_in_parabolic(kmask | (1 << p)), wk)
         gens.append(int(wks))
     members = system.structure_set(kmask, kmask, kmask)
-    member_set = set(members.tolist())
-    for g in gens:
-        if g not in member_set:
-            raise AssertionError("quotient generator escapes the "
-                                 "normalizer complement")
-        if system.order_of(g) != 2:
-            raise AssertionError("quotient generator is not an involution")
+    if not np.isin(gens, members).all():
+        raise AssertionError("quotient generator escapes the normalizer "
+                             "complement")
+    if any(system.order_of(g) != 2 for g in gens):
+        raise AssertionError("quotient generator is not an involution")
     m = len(outer)
     mat = [[1] * m for _ in range(m)]
     for i in range(m):
@@ -548,7 +505,7 @@ def build_context(system, K):
             "measured quotient system does not match the normalizer "
             "complement")
     return SelfOpposedContext(system, kmask, tuple(gens), tuple(outer),
-                              quotient, images, member_set)
+                              quotient, images)
 
 
 def psi_K(context):
@@ -558,8 +515,7 @@ def psi_K(context):
     big = kmask | expand_masks(context.outer_positions)
     cols = np.zeros((1 << system.rank, len(big)), dtype=np.int64)
     cols[big, np.arange(len(big))] = 1
-    return AlgebraMorphism(system, context.quotient, cols, PSI_K,
-                           {"K": kmask, "context": context})
+    return AlgebraMorphism(system, context.quotient, cols, kmask)
 
 
 def goetz1_set_check(context, imask, jmask):

@@ -50,14 +50,14 @@ def available_sigma_orders(system):
     return sorted({s.order for s in auto.diagram_automorphisms(system)})
 
 
-def build_row(type_label, sigma_order=1, system=None, allow_rank7=False):
+def build_row(type_label, sigma_order=1, system=None):
     """Compute one row. Several automorphisms of the same order must give
     identical profiles; they are computed separately and compared before
     the single row is emitted. Automorphisms of equal order that are not
     conjugate (a transposition and a double transposition of four A1
     factors) can differ, and then AutomorphismRowsDiffer is raised."""
     if system is None:
-        system = build_system(type=type_label, allow_rank7=allow_rank7)
+        system = build_system(type=type_label)
     sigmas = auto.automorphism_of_order(system, sigma_order)
     if not sigmas:
         raise UnavailableAutomorphism(

@@ -188,8 +188,7 @@ def _suite_positivity(system, report, seed):
     right = alg.right_ideal(both)
     left = alg.left_ideal(both)
     central = alg.centralizer_dimension(both)
-    families = [alg.family_span(system,
-                                alg.saturated_family(a, equivariant=True))
+    families = [alg.family_span(system, alg.saturated_family(a))
                 for a in elements]
     # one row per element, over its positive denominator, so comparing
     # numerators compares the character values
@@ -291,7 +290,7 @@ def _suite_morphisms(system, report, seed):
     def transitive(K, L):
         mL = morphisms[L]
         inner = mor.res_K(mL.codomain,
-                          mor.project_mask(K, mL.metadata["positions"]))
+                          mor.project_mask(K, mor.mask_positions(L)))
         two_step = mor.compose(inner, mL)
         one_step = morphisms[K]
         perm = mor.align_positions(two_step.codomain, one_step.codomain)

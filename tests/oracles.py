@@ -508,11 +508,54 @@ def apply_automorphism(sigma, vector):
 # morphisms
 
 
+def apply_morphism(morphism, vector):
+    """The image of a vector of the domain, in the codomain's x-basis."""
+    if vector.system is not morphism.domain:
+        raise InvalidSubset("vector does not live in the domain")
+    nums, den = vector.x_ints()
+    row = linalg.integer_rows([nums], len(morphism.columns))
+    return DescentVector.from_ints(
+        morphism.codomain, linalg.matmul(row, morphism.columns)[0].tolist(),
+        den, alg.BASIS_X)
+
+
+def int_group_vector(vector):
+    """Integer group-algebra coordinates of an element whose group
+    coordinates are integers."""
+    nums, den = alg._group_ints(vector)
+    if den != 1:
+        raise AssertionError("expected integral group vector")
+    return nums
+
+
+def iota_group_vector(system, kmask, codomain_vector):
+    """Embed a parabolic-algebra element as an integer group-algebra
+    vector.
+
+    The parabolic's coset sums become sums over the subgroup's elements
+    inside the big group: the coordinate at a member is the y-coordinate
+    at its ascent mask within the subset.
+    """
+    positions = mo.mask_positions(kmask)
+    y = codomain_vector.in_basis(alg.BASIS_Y)
+    if y.den != 1:
+        raise AssertionError("expected integral coefficients")
+    nums = linalg.integer_rows([y.nums], len(y.nums))[0]
+    # the codomain mask of each subset of K
+    local = np.zeros(1 << system.rank, dtype=np.intp)
+    local[mo.expand_masks(positions)] = np.arange(len(nums))
+    members = system.parabolic_indices(kmask)
+    out = np.zeros(system.order, dtype=nums.dtype)
+    out[members] = nums[local[system.rasc[members] & kmask]]
+    return out
+
+
 def is_multiplicative_pair(morphism, u, v):
     """The morphism sends u * v to the product of the images, compared by
     two single products."""
-    return (morphism.apply(alg.multiply(u, v))
-            == alg.multiply(morphism.apply(u), morphism.apply(v)))
+    return (apply_morphism(morphism, alg.multiply(u, v))
+            == alg.multiply(apply_morphism(morphism, u),
+                            apply_morphism(morphism, v)))
 
 
 def multiplicative_pairs_by_segments(morphism):
@@ -549,7 +592,7 @@ def commuting_square_check(system, K, L):
     res_left = mo.res_K(system, lmask)
     wl = res_left.codomain
     # positions of K inside the parabolic system
-    k_in_l = mo.project_mask(kmask, res_left.metadata["positions"])
+    k_in_l = mo.project_mask(kmask, mo.mask_positions(lmask))
     psi_bottom = mo.psi_K(mo.build_context(wl, k_in_l))
     # restriction inside the quotient system to the image of L
     res_right = mo.res_K(ctx.quotient, ctx.quotient_mask(lmask))

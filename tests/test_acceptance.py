@@ -140,7 +140,7 @@ def test_criterion_5_counterexamples_exact(system_factory):
     # 1. the radical line: its right ideal undershoots the span of its
     #    equivariant saturated family
     assert alg.right_ideal([a])[0].dim == 1
-    fam = alg.saturated_family(a, equivariant=True)
+    fam = alg.saturated_family(a)
     assert sorted(fam) == [0b00, 0b01, 0b10]
     assert alg.family_span(a2, fam).dim == 3
     assert not alg.right_ideal([a])[0].equals(alg.family_span(a2, fam))
@@ -208,7 +208,8 @@ def test_criterion_6_morphism_identities(system_factory):
         system = system_factory(label)
         ctx = mo.build_context(system, 0b001)
         psi = mo.psi_K(ctx)
-        assert psi.apply(alg.unit(system)) == alg.unit(psi.codomain)
+        assert oracles.apply_morphism(psi, alg.unit(system)) == alg.unit(
+            psi.codomain)
         size = 1 << system.rank
         for imask in range(size):
             if imask & 0b001 != 0b001:

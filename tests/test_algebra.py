@@ -159,7 +159,7 @@ def assert_matches_dense_route(system, scale, seed):
     # it fail, the others hold
     columns = np.eye(size, dtype=object)
     columns[1] += A[0]
-    morphism = mo.AlgebraMorphism(system, system, columns, "test")
+    morphism = mo.AlgebraMorphism(system, system, columns)
     got = morphism.multiplicative_pairs()
     want = oracles.multiplicative_pairs_by_segments(morphism)
     assert want.any() and not want.all()
@@ -495,7 +495,7 @@ def test_principal_ideals_contain_generating_products(
 def test_saturated_family_closures(system_factory):
     system = system_factory("B3")
     a = alg.basis_x(system, 0b011) + alg.basis_x(system, 0b100)
-    plain = alg.saturated_family(a)
+    plain = oracles.saturated_family_by_members(a, False)
     assert 0b011 in plain and 0b100 in plain
     for mask in plain:
         sub = mask
@@ -504,7 +504,7 @@ def test_saturated_family_closures(system_factory):
             if sub == 0:
                 break
             sub = (sub - 1) & mask
-    equi = alg.saturated_family(a, equivariant=True)
+    equi = alg.saturated_family(a)
     assert plain <= equi
     for mask in equi:
         sid = system.shape_id_of_mask(mask)
@@ -548,7 +548,8 @@ def test_assert_saturated_rejects_open_families(system_factory):
     system = system_factory("A3")
     with pytest.raises(AssertionError):
         assert_saturated(system, {0b011, 0b001}, False)
-    plain = alg.saturated_family(alg.basis_x(system, 0b001))
+    plain = oracles.saturated_family_by_members(alg.basis_x(system, 0b001),
+                                                False)
     assert plain == {0b000, 0b001}
     assert_saturated(system, plain, False)
     # the singletons of the linear type are all conjugate
@@ -568,9 +569,19 @@ def test_saturated_families_are_closed(system_factory, label):
                   for _ in range(size)]
         coeffs[rng.randrange(size)] = 1
         a = alg.DescentVector.from_ints(system, coeffs)
-        for equivariant in (False, True):
-            assert_saturated(system, alg.saturated_family(a, equivariant),
-                             equivariant)
+        assert_saturated(system, oracles.saturated_family_by_members(
+            a, False), False)
+        assert_saturated(system, alg.saturated_family(a), True)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_coset_sum_is_the_group_vector_of_the_basis_element(system_factory,
+                                                           label):
+    system = system_factory(label)
+    for mask in range(system.full_mask + 1):
+        nums, den = alg._group_ints(alg.basis_x(system, mask))
+        assert den == 1
+        assert np.array_equal(alg.coset_sum(system, mask), nums)
 
 
 def test_group_vector_round_trip(system_factory):

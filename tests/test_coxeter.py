@@ -706,9 +706,8 @@ def test_saturated_families_match_member_containment(system_factory, label,
         system, (rng.random(size) < 0.15) * rng.integers(-3, 4, size))
         for _ in range(3)]
     for v in vectors:
-        for equivariant in (False, True):
-            assert (algebra.saturated_family(v, equivariant)
-                    == oracles.saturated_family_by_members(v, equivariant))
+        assert (algebra.saturated_family(v)
+                == oracles.saturated_family_by_members(v, True))
 
 
 @pytest.mark.parametrize("label,perm", CONJUGACY_ROSTER)
@@ -1014,9 +1013,9 @@ def test_generator_permutations_preserve_every_conjugacy_fact(case):
     assert ({frozenset(e[list(s.members)].tolist()) for s in system.shapes()}
             == {frozenset(s.members) for s in base.shapes()})
     for m in range(system.full_mask + 1):
-        family = algebra.saturated_family(algebra.basis_x(system, m), True)
+        family = algebra.saturated_family(algebra.basis_x(system, m))
         assert set(e[sorted(family)].tolist()) == algebra.saturated_family(
-            algebra.basis_x(base, int(e[m])), True)
+            algebra.basis_x(base, int(e[m])))
         assert (morphisms.is_self_opposed(system, m)
                 == morphisms.is_self_opposed(base, int(e[m])))
     assert (sorted(system.element_classes()[2])

@@ -120,8 +120,9 @@ def _self_attributes(method):
 
 def stored_attributes():
     """(qualified name, attribute) for each attribute a class of the
-    package assigns with ``=``: a name bound in the class body, or
-    ``self.<name>`` in one of its methods; dunders are Python's."""
+    package assigns with ``=``: a name bound in the class body, with or
+    without an annotation (a dataclass field), or ``self.<name>`` in one
+    of its methods; dunders are Python's."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -132,6 +133,9 @@ def stored_attributes():
                     names = [t.id for target in member.targets
                              for t in _targets(target)
                              if isinstance(t, ast.Name)]
+                elif isinstance(member, ast.AnnAssign) and isinstance(
+                        member.target, ast.Name):
+                    names = [member.target.id]
                 elif isinstance(member, ast.FunctionDef):
                     names = _self_attributes(member)
                 else:

@@ -66,7 +66,7 @@ class TestPositiveElements:
         rng = random.Random("sature:" + label)
         for _ in range(self.N):
             a = seeded_positive(system, rng)
-            fam = alg.saturated_family(a, equivariant=True)
+            fam = alg.saturated_family(a)
             span = alg.family_span(system, fam)
             assert alg.right_ideal([a])[0].equals(span)
 
@@ -150,7 +150,7 @@ class TestCounterexamples:
         assert len(rad) == 1
         assert alg.right_ideal([a])[0].contains(rad[0])
         assert alg.right_ideal([a])[0].dim == 1
-        fam = alg.saturated_family(a, equivariant=True)
+        fam = alg.saturated_family(a)
         assert sorted(fam) == [0b00, 0b01, 0b10]
         span = alg.family_span(system, fam)
         assert span.dim == 3

@@ -70,12 +70,12 @@ def test_failing_report_keeps_payloads(monkeypatch, label, kmask, row, col):
     def res_K(system, K):
         morphism = original(system, K)
         if (system.type_label != label
-                or morphism.metadata["K"] != kmask):
+                or morphism.kmask != kmask):
             return morphism
         cols = np.array(morphism.columns)
         cols[row, col] += 1
         return mo.AlgebraMorphism(morphism.domain, morphism.codomain, cols,
-                                  morphism.kind, morphism.metadata)
+                                  morphism.kmask)
 
     monkeypatch.setattr(mo, "res_K", res_K)
     report = ve.run_suite("morphisms", label, seed=0)
