@@ -123,13 +123,6 @@ class DescentVector:
         return DescentVector.from_ints(system, [0] * (1 << system.rank), 1,
                                        tag)
 
-    @staticmethod
-    def from_map(system, mapping, tag=BASIS_X):
-        out = [ZERO] * (1 << system.rank)
-        for subset, c in mapping.items():
-            out[_as_mask(system, subset)] += linalg.as_fractions([c])[0]
-        return DescentVector(system, out, tag)
-
     # -- ring structure -------------------------------------------------
 
     def _check_peer(self, other):
@@ -258,10 +251,6 @@ class LoewyProfile:
     def loewy_length(self):
         return len(self.dims)
 
-    @property
-    def dimension(self):
-        return self.dims[0]
-
     def __eq__(self, other):
         if not isinstance(other, LoewyProfile):
             return NotImplemented
@@ -318,15 +307,6 @@ def _tensor_support(system):
     return Tc, linalg.absmax(Tc)
 
 
-def _support_tensor(system, factor):
-    """Tc in int64 when ``factor`` times its largest entry is below the
-    int64 bound and on Python integers otherwise; ``factor`` bounds, for
-    one entry of a contraction with T, the sum of the absolute values of
-    what multiplies the entries of T in it."""
-    Tc, tmax = _tensor_support(system)
-    return Tc.astype(linalg.exact_dtype(tmax * factor), copy=False)
-
-
 def products(system, A, B):
     """Every product of a row of A with a row of B.
 
@@ -344,9 +324,11 @@ def products(system, A, B):
     size = 1 << system.rank
     A = linalg.integer_rows(A, size)
     B = linalg.integer_rows(B, size)
+    Tc, tmax = _tensor_support(system)
     # the bound also covers A and B themselves when the other is zero
-    Tc = _support_tensor(system, (linalg.absmax(A) + 1)
-                         * (linalg.absmax(B) + 1) * size * size)
+    Tc = Tc.astype(linalg.exact_dtype(
+        tmax * (linalg.absmax(A) + 1) * (linalg.absmax(B) + 1)
+        * size * size), copy=False)
     J, _K, starts = support_pairs(system.rank)
     AT = A.astype(Tc.dtype, copy=False) @ Tc
     BJ = B.astype(Tc.dtype, copy=False)[:, J]
@@ -376,47 +358,23 @@ def multiply(left, right):
         left.system, nums.tolist(), da * db).in_basis(left.tag)
 
 
-# at most this many products are formed at once in
-# ``right_multiplication``
-_PRODUCT_CELLS = 1 << 20
-
-
-def _support_rows(vectors):
-    """The vectors' integer x-coordinates as rows and the support tensor,
-    both in a dtype that keeps one contraction of them exact."""
-    system = vectors[0].system
-    size = 1 << system.rank
-    V = x_matrix(vectors, size)
-    Tc = _support_tensor(system, (linalg.absmax(V) + 1) * size)
-    return V.astype(Tc.dtype, copy=False), Tc
-
-
 def left_multiplication(vectors):
-    """Matrices of x -> vector * x, one per vector of one system, in one
-    contraction: row J holds the x-coordinates of vector * x_J, times the
-    vector's denominator."""
-    V, Tc = _support_rows(vectors)
-    J, K, _starts = support_pairs(vectors[0].system.rank)
-    out = np.zeros((len(V),) + (1 << vectors[0].system.rank,) * 2,
-                   dtype=Tc.dtype)
-    out[:, J, K] = V @ Tc
-    return out
+    """Matrices of x -> vector * x, one per vector of one system: row J
+    holds the x-coordinates of vector * x_J, times the vector's
+    denominator. The products of the vectors with the identity rows."""
+    size = 1 << vectors[0].system.rank
+    return products(vectors[0].system, x_matrix(vectors, size),
+                    np.eye(size, dtype=np.int64))
 
 
 def right_multiplication(vectors):
     """Matrices of x -> x * vector, one per vector of one system: row J
     holds the x-coordinates of x_J * vector, times the vector's
-    denominator. Entry [b, J, k] sums Tc[J, p] V[b, J_p] over the pairs p
-    of the k segment, for a block of vectors at a time so the products
-    formed stay under ``_PRODUCT_CELLS``."""
-    V, Tc = _support_rows(vectors)
-    J, _K, starts = support_pairs(vectors[0].system.rank)
-    out = np.empty((len(V),) + (len(Tc),) * 2, dtype=Tc.dtype)
-    step = max(1, _PRODUCT_CELLS // Tc.size)
-    for lo in range(0, len(V), step):
-        out[lo:lo + step] = np.add.reduceat(
-            Tc * V[lo:lo + step, None, J], starts, axis=2)
-    return out
+    denominator. The products of the identity rows with the vectors,
+    indexed vector first."""
+    size = 1 << vectors[0].system.rank
+    return products(vectors[0].system, np.eye(size, dtype=np.int64),
+                    x_matrix(vectors, size)).swapaxes(0, 1)
 
 
 def _group_ints(vector):
@@ -776,10 +734,9 @@ def witness_elements_typeB(system):
         a = (basis_x(system, _positions_mask(system, 2 * i - 1, n - 2))
              - basis_x(system, _positions_mask(system, 2 * i, n - 1)))
         a_list.append(a)
-        coeffs = {}
+        coeffs = [0] * (1 << n)
         for j in range(0, 2 * i):
             mask = _positions_mask(system, j + 1, n - 2 * i + j)
-            c = Fraction((-1) ** j * comb(2 * i - 1, j))
-            coeffs[mask] = coeffs.get(mask, ZERO) + c
-        t_list.append(DescentVector.from_map(system, coeffs, BASIS_X))
+            coeffs[mask] += (-1) ** j * comb(2 * i - 1, j)
+        t_list.append(DescentVector.from_ints(system, coeffs))
     return a_list, t_list

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AutomorphismMismatch
 from .linalg import Span
 from . import algebra as alg
-from .algebra import DescentVector, LoewyProfile
+from .algebra import LoewyProfile
 from .coxeter import expand_masks, memoized
 
 
@@ -115,18 +115,20 @@ def mask_orbits(system, sigma):
 
 
 class FixedSubalgebra:
-    """The subalgebra of elements fixed by one diagram automorphism."""
+    """The subalgebra of elements fixed by one diagram automorphism:
+    ``orbits`` are the automorphism's orbits on the generator subsets and
+    ``span`` is spanned by their orbit sums, its rows the orbit
+    indicators, so the dimension is the number of orbits."""
 
-    def __init__(self, parent, sigma, orbits, basis, span):
+    def __init__(self, parent, sigma, orbits, span):
         self.parent = parent
         self.sigma = sigma
         self.orbits = orbits
-        self.basis = basis
         self.span = span
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.orbits)
 
     @memoized
     def radical_vectors(self):
@@ -145,17 +147,14 @@ class FixedSubalgebra:
 
 
 def fixed_subalgebra(system, sigma):
-    """Construct the fixed-point subalgebra with its orbit-sum basis."""
+    """Construct the fixed-point subalgebra, spanned by its orbit sums."""
     _check_sigma(system, sigma)
     size = 1 << system.rank
     orbits = mask_orbits(system, sigma)
     indicators = np.zeros((len(orbits), size), dtype=np.int64)
     for i, orbit in enumerate(orbits):
         indicators[i, list(orbit)] = 1
-    basis = [DescentVector.from_ints(system, row)
-             for row in indicators.tolist()]
-    return FixedSubalgebra(system, sigma, orbits, basis,
-                           Span(size, indicators))
+    return FixedSubalgebra(system, sigma, orbits, Span(size, indicators))
 
 
 @memoized

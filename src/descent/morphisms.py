@@ -42,23 +42,6 @@ def project_mask(mask, positions):
     return out
 
 
-def align_positions(sys_a, sys_b):
-    """The label-preserving generator bijection between two systems.
-
-    Returns a tuple perm with perm[i] = position in sys_b of sys_a's
-    generator i; requires equal label sets and matching Coxeter matrices.
-    """
-    if sorted(sys_a.labels) != sorted(sys_b.labels):
-        raise InvalidSubset("systems have different generator label sets")
-    perm = tuple(sys_b.labels.index(lab) for lab in sys_a.labels)
-    for i in range(sys_a.rank):
-        for j in range(sys_a.rank):
-            if sys_a.matrix[i][j] != sys_b.matrix[perm[i]][perm[j]]:
-                raise InvalidSubset(
-                    "label-aligned Coxeter matrices disagree")
-    return perm
-
-
 class AlgebraMorphism:
     """Linear map between two descent algebras, stored on the x-bases.
 
@@ -92,24 +75,21 @@ class AlgebraMorphism:
         return (images == alg.products(self.codomain, self.columns,
                                        self.columns)).all(axis=2)
 
-    def equal_matrix(self, other, codomain_perm):
-        """Columnwise equality, the other's codomain generators moved by
-        the permutation."""
-        return (self.columns.shape == other.columns.shape
-                and np.array_equal(
-                    self.columns,
-                    other.columns[:, expand_masks(codomain_perm)]))
+    def equal_matrix(self, other):
+        """Columnwise equality; False unless both codomains have the same
+        generator labels in the same order and the same Coxeter matrix."""
+        mine, theirs = self.codomain, other.codomain
+        return (mine.labels == theirs.labels
+                and mine.matrix == theirs.matrix
+                and np.array_equal(self.columns, other.columns))
 
 
 def compose(outer, inner):
-    """outer after inner; inner's codomain is aligned to outer's domain
-    by generator labels."""
-    perm = align_positions(inner.codomain, outer.domain)
-    # perm is a bijection, so the scatter moves every entry once
-    cols = np.zeros_like(inner.columns)
-    cols[:, expand_masks(perm)] = inner.columns
+    """outer after inner; inner's codomain must be outer's domain."""
+    if inner.codomain is not outer.domain:
+        raise InvalidSubset("the inner codomain is not the outer domain")
     return AlgebraMorphism(inner.domain, outer.codomain,
-                           linalg.matmul(cols, outer.columns))
+                           linalg.matmul(inner.columns, outer.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +368,7 @@ def res_bd_square_check(top):
     # inside the fork group: same
     res_d = res_K(dn, dn.full_mask & ~(1 << (n - 1)))
     bottom = res_BD(res_b.codomain)
-    left = compose(res_d, top)
-    right = compose(bottom, res_b)
-    return left.equal_matrix(
-        right, align_positions(left.codomain, right.codomain))
+    return compose(res_d, top).equal_matrix(compose(bottom, res_b))
 
 
 def res_d_image_check(dn):

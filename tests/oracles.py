@@ -566,8 +566,9 @@ def multiplicative_pairs_by_segments(morphism):
     every product of two columns."""
     domain = morphism.domain
     size = 1 << domain.rank
-    Tc = alg._support_tensor(domain,
-                             (linalg.absmax(morphism.columns) + 1) * size)
+    Tc, tmax = alg._tensor_support(domain)
+    Tc = Tc.astype(linalg.exact_dtype(
+        tmax * (linalg.absmax(morphism.columns) + 1) * size), copy=False)
     J, K, _starts = support_pairs(domain.rank)
     by_j = np.argsort(J, kind="stable")
     bounds = np.searchsorted(J[by_j], np.arange(size + 1))
@@ -598,5 +599,4 @@ def commuting_square_check(system, K, L):
     res_right = mo.res_K(ctx.quotient, ctx.quotient_mask(lmask))
     left = mo.compose(psi_bottom, res_left)
     right = mo.compose(res_right, psi_top)
-    return right.equal_matrix(
-        left, codomain_perm=mo.align_positions(right.codomain, left.codomain))
+    return right.equal_matrix(left)

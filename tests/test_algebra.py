@@ -216,14 +216,6 @@ def test_vector_from_group_numpy_integers_do_not_wrap(system_factory):
         Fraction(1, 3), Fraction(2**62)]
 
 
-def test_from_map_numpy_integers_do_not_wrap(system_factory):
-    # two keys naming the same mask: 2**62 + 2**62 leaves int64
-    system = system_factory("A1")
-    v = alg.DescentVector.from_map(
-        system, {(): np.int64(2**62), 0: np.int64(2**62)})
-    assert v.nums == (2**63, 0) and v.den == 1
-
-
 def test_multiplication_matrices(system_factory):
     system = system_factory("B3")
     rng = random.Random(8)

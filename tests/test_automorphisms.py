@@ -175,10 +175,12 @@ class TestFixedSubalgebra:
         sigma = auto.automorphism_of_order(system, 3)[0]
         fixed = auto.fixed_subalgebra(system, sigma)
         rng = random.Random("memb")
-        # random products of the orbit basis stay inside
+        # random products of the orbit sums stay inside
+        sums = [alg.DescentVector.from_ints(system, row)
+                for row in fixed.span.rows.tolist()]
         for _ in range(10):
-            u = fixed.basis[rng.randrange(len(fixed.basis))]
-            v = fixed.basis[rng.randrange(len(fixed.basis))]
+            u = sums[rng.randrange(len(sums))]
+            v = sums[rng.randrange(len(sums))]
             assert fixed.span.contains(alg.multiply(u, v).x_coords())
         assert not fixed.span.contains(
             alg.basis_x(system, 0b0001).x_coords())
@@ -198,9 +200,9 @@ def direct_fixed_radical(fixed):
     """The fixed subalgebra's radical as the combinations of its orbit
     sums on which every one-dimensional character vanishes."""
     size = 1 << fixed.parent.rank
-    orbit_sums = alg.x_matrix(fixed.basis, size)
+    orbit_sums = fixed.span.rows
     chars = alg.tau_matrix(fixed.parent) @ orbit_sums.T
-    combos = oracles.span_kernel(Span(len(fixed.basis), chars))
+    combos = oracles.span_kernel(Span(len(orbit_sums), chars))
     return Span(size, combos @ orbit_sums)
 
 
@@ -224,7 +226,7 @@ class TestFixedSubalgebraOracles:
         for sigma in auto.diagram_automorphisms(system):
             fixed = auto.fixed_subalgebra(system, sigma)
             assert fixed.span.dim == fixed.dimension
-            rows = alg.x_matrix(fixed.basis, size)
+            rows = fixed.span.rows
             prods = alg.products(system, rows, rows).reshape(-1, size)
             assert oracles.span_copy(fixed.span).add(prods) == 0, sigma
 

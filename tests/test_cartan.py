@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from descent import cartan
-from descent.coxeter import subset_sums
+from descent.coxeter import build_system, subset_sums
 from descent.table import SUPPORTED_TYPES
 from descent.errors import InfiniteGroup, RankCapExceeded, UnsupportedType
 
@@ -184,3 +184,59 @@ class TestClassify:
             mat[i][j] = mat[j][i] = v
         with pytest.raises(InfiniteGroup):
             cartan.classify_matrix(mat)
+
+
+def bonded(n, bonds):
+    """The rank-n Coxeter matrix with m = v on each bond (i, j, v) and 2
+    on every other pair of generators."""
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, v in bonds:
+        mat[i][j] = mat[j][i] = v
+    return mat
+
+
+def path(*orders):
+    """The Coxeter matrix of a path whose bonds carry these orders."""
+    return bonded(len(orders) + 1,
+                  [(i, i + 1, v) for i, v in enumerate(orders)])
+
+
+def star(*legs):
+    """The simply laced tree with centre 0 and one path of each length."""
+    bonds, node = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            bonds.append((prev, node, 3))
+            prev, node = node, node + 1
+    return bonded(node, bonds)
+
+
+class TestBuildRejectsInfiniteMatrices:
+    # one matrix per rejection of ``cartan.classify_component`` not
+    # reached by a cycle, with the exception class and message it raises
+    @pytest.mark.parametrize("mat,message", [
+        (path(4, 4), "more than one marked bond at rank >= 3"),
+        (bonded(4, [(0, 1, 3), (0, 2, 3), (0, 3, 4)]),
+         "branch node plus marked bond"),
+        (path(6, 3), "bond order > 5 at rank >= 3"),
+        (path(3, 5, 3), "5-bond only supported in H3/H4"),
+        (path(5, 3, 3, 3), "5-bond only supported in H3/H4"),
+        (star(1, 1, 1, 1), "diagram branches too much"),
+        (bonded(6, [(0, 1, 3), (0, 2, 3), (0, 3, 3), (3, 4, 3),
+                    (3, 5, 3)]), "diagram branches too much"),
+        (star(2, 2, 2), "branching pattern [2, 2, 2] is not of finite type"),
+    ], ids=["two-marked-bonds", "branch-and-4-bond", "6-bond-rank-3",
+            "interior-5-bond", "H5", "degree-4-node", "two-branch-nodes",
+            "E6-tilde"])
+    def test_infinite_group(self, mat, message):
+        with pytest.raises(InfiniteGroup) as exc:
+            build_system(matrix=mat)
+        assert str(exc.value) == message
+
+    def test_non_integer_entry(self):
+        mat = path(3, 3)
+        mat[0][1] = mat[1][0] = 3.0
+        with pytest.raises(UnsupportedType) as exc:
+            build_system(matrix=mat)
+        assert str(exc.value) == "non-integer Coxeter matrix entry"

@@ -110,6 +110,12 @@ class TestTable:
         assert code == 2
         assert "positive integer" in err
 
+    def test_zero_sigma_is_exit_two(self, capsys):
+        code, out, err = run(capsys, "table", "--type", "A2",
+                             "--sigma", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --sigma expects a positive integer\n"
+
     def test_differing_automorphism_rows_are_exit_two(self, capsys):
         code, out, err = run(capsys, "table", "--type", "A1xA1xA1xA1")
         assert code == 2

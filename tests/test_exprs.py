@@ -123,6 +123,7 @@ class TestErrorPositions:
         ("z[1]", 0),
         ("x[1,]", 4),
         ("1/0*x[1]", 2),
+        ("3/*x[1]", 2),
     ])
     def test_position_is_pinned(self, system_factory, text, pos):
         system = system_factory("A2")

@@ -14,6 +14,14 @@ way, at seeds 0 and 7; its ``-corrupt-`` files are the reports produced
 when the minimal polynomial (squared, or replaced by x^d of the same
 degree), or the right ideal, of the 38th seeded element (index 37) is
 wrong, and pin that element as the counterexample.
+
+The ``-corrupt-`` files under ``tests/data/solomon-oracle``,
+``tests/data/positivity`` and ``tests/data/morphisms`` listed in
+``BRANCH_CORRUPTIONS`` pin the payloads of three more failure branches:
+a product on which the two multiplication routes disagree, a character
+value that rises from a subset to a larger one, and a quotient whose
+character identity fails after its set-level identities hold. The
+``.txt`` file is the text report, with its counterexample line.
 """
 
 import json
@@ -34,8 +42,8 @@ import oracles
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def reference(name, suite="morphisms"):
-    with open(os.path.join(DATA, suite, name + ".json")) as f:
+def reference(name, suite="morphisms", ext="json"):
+    with open(os.path.join(DATA, suite, "%s.%s" % (name, ext))) as f:
         return f.read()
 
 
@@ -127,3 +135,65 @@ def test_failing_positivity_report_names_the_element(monkeypatch, ref, label,
     assert not report.passed
     assert (json.dumps(report.to_dict(), indent=2, default=str) + "\n"
             == reference("%s-corrupt-%s" % (label, ref), "positivity"))
+
+
+def corrupt_group_route(monkeypatch):
+    # the group route's x[1,2] * x[3] in A3 gains x[]
+    original = alg.oracle_multiply
+
+    def oracle_multiply(left, right):
+        out = original(left, right)
+        system = left.system
+        if (left == alg.basis_x(system, 0b011)
+                and right == alg.basis_x(system, 0b100)):
+            out = out + alg.basis_x(system, 0)
+        return out
+
+    monkeypatch.setattr(alg, "oracle_multiply", oracle_multiply)
+
+
+def corrupt_character_rise(monkeypatch):
+    # element 37 trades its character values at the empty and the full
+    # subset: the values, and so the minimal polynomial check, are kept
+    original = alg.character_values
+
+    def character_values(vectors):
+        values, dens = original(vectors)
+        shape_of = vectors[0].system.shape_classes()[1]
+        pair = [shape_of[0], shape_of[-1]]
+        values[37, pair] = values[37, pair[::-1]]
+        return values, dens
+
+    monkeypatch.setattr(alg, "character_values", character_values)
+
+
+def corrupt_quotient_characters(monkeypatch):
+    # the character identity of the quotient by {1} fails
+    original = mo.varpi_tau_check
+    monkeypatch.setattr(mo, "varpi_tau_check",
+                        lambda ctx: ctx.kmask != 0b001 and original(ctx))
+
+
+# (reference, suite, type, format, corruption)
+BRANCH_CORRUPTIONS = [
+    ("A3-corrupt-group-route", "solomon-oracle", "A3", "json",
+     corrupt_group_route),
+    ("B3-corrupt-character-rise", "positivity", "B3", "json",
+     corrupt_character_rise),
+    ("B3-corrupt-character-rise", "positivity", "B3", "txt",
+     corrupt_character_rise),
+    ("B3-corrupt-quotient-characters", "morphisms", "B3", "json",
+     corrupt_quotient_characters),
+]
+
+
+@pytest.mark.parametrize(
+    "ref,suite,label,ext,corrupt", BRANCH_CORRUPTIONS,
+    ids=["%s-%s" % (c[0], c[3]) for c in BRANCH_CORRUPTIONS])
+def test_failure_branch_payload(monkeypatch, capsys, ref, suite, label, ext,
+                                corrupt):
+    corrupt(monkeypatch)
+    code = cli.main(["verify", "--suite", suite, "--type", label,
+                     "--format", "json" if ext == "json" else "text"])
+    assert code == 1
+    assert capsys.readouterr().out == reference(ref, suite, ext)
