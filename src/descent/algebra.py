@@ -377,16 +377,12 @@ def right_multiplication(vectors):
                     x_matrix(vectors, size)).swapaxes(0, 1)
 
 
-def _group_ints(vector):
-    """Group-algebra coordinates as (integer array, denominator).
-
-    The coset sum over mask I collects exactly the w whose ascent mask
-    contains I, so the group coordinate at w is the y-coordinate at the
-    ascent mask of w.
-    """
-    y = vector.in_basis(BASIS_Y)
-    nums = np.array(y.nums, dtype=linalg.exact_dtype(max(map(abs, y.nums))))
-    return nums[vector.system.rasc], y.den
+def _y_rows(vectors):
+    """(integer rows of the vectors' y-coordinates, their denominators)."""
+    ys = [v.in_basis(BASIS_Y) for v in vectors]
+    big = max(abs(c) for y in ys for c in y.nums)
+    return (np.array([y.nums for y in ys], dtype=linalg.exact_dtype(big)),
+            [y.den for y in ys])
 
 
 def coset_sum(system, subset):
@@ -395,24 +391,26 @@ def coset_sum(system, subset):
     return (system.rasc & subset) == subset
 
 
-def _fold_group(system, nums, den, tag):
-    """The descent vector with group coordinates nums / den (an integer
-    array), after checking constancy on each equal-ascent-set class."""
+def _fold_group(system, nums, dens, tag):
+    """The descent vectors with group coordinates nums[r] / dens[r], one
+    per row of the integer array nums, after checking every row constant
+    on each equal-ascent-set class; the first entry off its class's
+    value, in row-major order, raises."""
     rasc = system.rasc
     masks, first = np.unique(rasc, return_index=True)
-    y = np.zeros(1 << system.rank, dtype=nums.dtype)
-    y[masks] = nums[first]
-    off = np.flatnonzero(y[rasc] != nums)
+    y = np.zeros((len(nums), 1 << system.rank), dtype=nums.dtype)
+    y[:, masks] = nums[:, first]
+    off = np.argwhere(y[:, rasc] != nums)
     if off.size:
         raise NotInDescentAlgebra(
             "group vector is not constant on the descent class of "
-            "mask %d" % int(rasc[off[0]]))
-    return DescentVector.from_ints(system, y.tolist(), den,
-                                   BASIS_Y).in_basis(tag)
+            "mask %d" % int(rasc[off[0, 1]]))
+    return [DescentVector.from_ints(system, row, den, BASIS_Y).in_basis(tag)
+            for row, den in zip(y.tolist(), dens)]
 
 
-# at most this many products are scattered in one block of ``convolve``,
-# so its index and value arrays stay bounded
+# at most this many cells are scattered or counted in one block of
+# ``convolve`` or ``_class_products``, so their index arrays stay bounded
 _SCATTER_CELLS = 1 << 16
 
 
@@ -453,18 +451,67 @@ def convolve(system, na, nb):
     return out
 
 
+@memoized
+def _class_products(system):
+    """C[K, L, w] = #{(u, v) : R(u) = K, R(v) = L, uv = w} in int32 (each
+    count is at most |W|), counted from the multiplication table and the
+    ascent masks alone: one ``np.bincount`` of the cells (R(v), uv) per
+    ascent class K of u and block of at most ``_SCATTER_CELLS`` cells."""
+    mt, rasc = system.multiplication_table(), system.rasc
+    order, size = system.order, 1 << system.rank
+    at = rasc.astype(np.intp) * order
+    out = np.zeros((size, size * order), dtype=np.int32)
+    block = max(1, _SCATTER_CELLS // order)
+    for k in np.unique(rasc):
+        us = np.flatnonzero(rasc == k)
+        for first in range(0, len(us), block):
+            out[k] += np.bincount((at + mt[us[first:first + block]]).ravel(),
+                                  minlength=size * order)
+    return out.reshape(size, size, order)
+
+
 def oracle_multiply(left, right):
-    """Slow reference product: convolve honest group-algebra vectors and
-    fold the result back through the equal-ascent-class constancy check.
+    """Slow reference product in the group algebra, never read off the
+    structure constants: of two vectors, or of two lists of vectors of one
+    system as the nested list with row i, column j left[i] * right[j].
+    The group coordinate at u is the y-coordinate at R(u), so a product is
+    y_a . C . y_b with C from ``_class_products``, exact under the bound
+    max|y_a| max|y_b| |W|; groups above ``MULTIPLICATION_TABLE_ORDER``
+    ``convolve`` pair by pair. Each product is folded back through the
+    equal-ascent-class constancy check.
     """
-    if not isinstance(left, DescentVector) or not isinstance(
-            right, DescentVector):
-        raise TypeError("oracle_multiply expects two DescentVector operands")
-    left._check_peer(right)
-    na, da = _group_ints(left)
-    nb, db = _group_ints(right)
-    return _fold_group(left.system, convolve(left.system, na, nb), da * db,
-                       left.tag)
+    pair = isinstance(left, DescentVector) and isinstance(right, DescentVector)
+    left, right = ([left], [right]) if pair else (list(left), list(right))
+    if not all(isinstance(v, DescentVector) for v in left + right):
+        raise TypeError("oracle_multiply expects two DescentVector operands "
+                        "or two lists of them")
+    if not left or not right:
+        return [[] for _ in left]
+    for v in left + right:
+        left[0]._check_peer(v)
+    system = left[0].system
+    (ya, da), (yb, db) = _y_rows(left), _y_rows(right)
+    if system.order > MULTIPLICATION_TABLE_ORDER:
+        rasc = system.rasc
+        rows = (np.array([convolve(system, a[rasc], b[rasc]) for b in yb])
+                for a in ya)
+    else:
+        C = _class_products(system)
+        amax, bmax = linalg.absmax(ya), linalg.absmax(yb)
+        dtype = linalg.exact_dtype(max(amax * bmax * system.order, amax,
+                                       bmax))
+        ya, yb = ya.astype(dtype), yb.astype(dtype)
+
+        def group_row(a):
+            # the sum over K of y_a[K] C[K], then over L against y_b
+            ca = np.zeros(C.shape[1:], dtype=dtype)
+            for k in np.flatnonzero(a):
+                ca += a[k] * C[k].astype(dtype)
+            return yb @ ca
+        rows = map(group_row, ya)
+    out = [_fold_group(system, row, [d * e for e in db], v.tag)
+           for row, d, v in zip(rows, da, left)]
+    return out[0][0] if pair else out
 
 
 # ---------------------------------------------------------------------------

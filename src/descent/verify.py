@@ -18,8 +18,9 @@ import numpy as np
 from . import algebra as alg
 from . import automorphisms as auto
 from . import morphisms as mor
-from .coxeter import build_system, iter_bits, popcount
-from .errors import UnknownSuite
+from .coxeter import (MULTIPLICATION_TABLE_ORDER, build_system, iter_bits,
+                      popcount)
+from .errors import GroupTooLarge, UnknownSuite
 from .linalg import Span
 
 SUITES = (
@@ -120,18 +121,27 @@ def _partitions(k):
 
 
 def _suite_solomon_oracle(system, report, seed):
-    basis = [alg.basis_x(system, i) for i in range(1 << system.rank)]
+    if system.order > MULTIPLICATION_TABLE_ORDER:
+        raise GroupTooLarge(
+            "solomon-oracle multiplies in the group algebra of |W| = %d "
+            "elements, above the limit of %d"
+            % (system.order, MULTIPLICATION_TABLE_ORDER))
+    size = 1 << system.rank
+    basis = [alg.basis_x(system, i) for i in range(size)]
+    slow = alg.oracle_multiply(basis, basis)
+    eye = np.eye(size, dtype=np.int64)
+    fast = alg.products(system, eye, eye)
 
-    def mismatch(vi, vj):
-        fast = alg.multiply(vi, vj)
-        slow = alg.oracle_multiply(vi, vj)
-        if fast != slow:
-            return {"left": str(vi), "right": str(vj),
-                    "tensor_route": str(fast), "group_route": str(slow)}
+    def mismatch(i, j):
+        tensor = alg.DescentVector.from_ints(system, fast[i, j].tolist())
+        if tensor != slow[i][j]:
+            return {"left": str(basis[i]), "right": str(basis[j]),
+                    "tensor_route": str(tensor),
+                    "group_route": str(slow[i][j])}
         return None
 
-    count, bad = _first_failure(mismatch(vi, vj)
-                                for vi in basis for vj in basis)
+    count, bad = _first_failure(mismatch(i, j)
+                                for i in range(size) for j in range(size))
     _check(report, "product-matches-group-algebra", bad is None,
            "%d ordered basis pairs checked" % count, bad)
 

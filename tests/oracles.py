@@ -386,9 +386,20 @@ def mask_orbits_walk(system, sigma):
 # group-algebra coordinates
 
 
+def group_ints(vector):
+    """Group-algebra coordinates as (integer array, denominator).
+
+    The coset sum over mask I collects exactly the w whose ascent mask
+    contains I, so the group coordinate at w is the y-coordinate at the
+    ascent mask of w.
+    """
+    rows, dens = alg._y_rows([vector])
+    return rows[0, vector.system.rasc], dens[0]
+
+
 def group_vector(vector):
     """Expand to coordinates on the group elements themselves."""
-    nums, den = alg._group_ints(vector)
+    nums, den = group_ints(vector)
     return [Fraction(v, den) for v in nums.tolist()]
 
 
@@ -397,7 +408,7 @@ def vector_from_group(system, gcoeffs, tag=alg.BASIS_X):
     coordinates must be constant on each equal-ascent-set class."""
     nums, den = linalg.scaled_integers(gcoeffs)
     return alg._fold_group(
-        system, linalg.integer_rows([nums], len(nums))[0], den, tag)
+        system, linalg.integer_rows([nums], len(nums)), [den], tag)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +533,7 @@ def apply_morphism(morphism, vector):
 def int_group_vector(vector):
     """Integer group-algebra coordinates of an element whose group
     coordinates are integers."""
-    nums, den = alg._group_ints(vector)
+    nums, den = group_ints(vector)
     if den != 1:
         raise AssertionError("expected integral group vector")
     return nums

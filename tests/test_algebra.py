@@ -41,13 +41,89 @@ def random_vector(system, rng, span=9):
 def test_product_matches_group_algebra_oracle(system_factory, label):
     system = system_factory(label)
     size = 1 << system.rank
+    basis = [alg.basis_x(system, m) for m in range(size)]
+    slow = alg.oracle_multiply(basis, basis)
     for imask in range(size):
-        xi = alg.basis_x(system, imask)
         for jmask in range(size):
-            xj = alg.basis_x(system, jmask)
-            fast = alg.multiply(xi, xj)
-            slow = alg.oracle_multiply(xi, xj)
-            assert fast == slow, (label, imask, jmask)
+            fast = alg.multiply(basis[imask], basis[jmask])
+            assert fast == slow[imask][jmask], (label, imask, jmask)
+
+
+def convolved_product(left, right):
+    """The per-pair group-algebra product: one ``convolve`` of the two
+    group vectors, folded back."""
+    system = left.system
+    na, da = oracles.group_ints(left)
+    nb, db = oracles.group_ints(right)
+    return alg._fold_group(system, alg.convolve(system, na, nb)[None],
+                           [da * db], left.tag)[0]
+
+
+@pytest.mark.parametrize("label", ORACLE_ROSTER + ["F4"])
+def test_oracle_lists_match_pairs_and_convolution(system_factory, label):
+    # the list call against the two-vector call and the per-pair convolve
+    system = system_factory(label)
+    basis = [alg.basis_x(system, m) for m in range(1 << system.rank)]
+    table = alg.oracle_multiply(basis, basis)
+    assert len(table) == len(basis)
+    for xi, row in zip(basis, table):
+        assert len(row) == len(basis)
+        for xj, got in zip(basis, row):
+            assert got == alg.oracle_multiply(xi, xj), (label, xi, xj)
+            assert got == convolved_product(xi, xj), (label, xi, xj)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_oracle_lists_beyond_int64_and_zero(system_factory, label):
+    system = system_factory(label)
+    rng = random.Random("oracle-lists:" + label)
+    zero = alg.DescentVector.zero(system)
+    big = 10**20 + rng.randrange(10**6)
+    left = [big * random_vector(system, rng), zero,
+            random_vector(system, rng), alg.basis_y(system, 0b011)]
+    right = [random_vector(system, rng), big * random_vector(system, rng),
+             zero]
+    assert alg._y_rows(left)[0].dtype == object
+    table = alg.oracle_multiply(left, right)
+    for a, row in zip(left, table):
+        for b, got in zip(right, row):
+            assert got.tag == a.tag
+            assert got == alg.oracle_multiply(a, b) == alg.multiply(a, b)
+    assert all(v.is_zero() for v in table[1] + [row[2] for row in table])
+    assert alg.oracle_multiply([], right) == []
+    assert alg.oracle_multiply(left, []) == [[]] * len(left)
+
+
+def test_oracle_lists_above_the_table_order_convolve(system_factory):
+    # H4 (order 14,400): each pair convolves; x[0,1,2] has 120 group terms
+    h4 = system_factory("H4")
+    assert h4.order > MULTIPLICATION_TABLE_ORDER
+    unit, h1, h3 = (alg.unit(h4), alg.basis_x(h4, 0b0001),
+                    alg.basis_x(h4, 0b0111))
+    left, right = [2**55 * unit, h3], [h1, h3]
+    table = alg.oracle_multiply(left, right)
+    assert table[0] == [2**55 * h1, 2**55 * h3]
+    for a, row in zip(left, table):
+        for b, got in zip(right, row):
+            assert got == alg.multiply(a, b)
+
+
+def test_oracle_never_reads_the_structure_constants(monkeypatch):
+    system = build_system(type="B3", cache=False)
+    basis = [alg.basis_x(system, m) for m in range(1 << system.rank)]
+    want = [[alg.multiply(a, b) for b in basis] for a in basis]
+    fresh = build_system(type="B3", cache=False)
+    basis = [alg.basis_x(fresh, m) for m in range(1 << fresh.rank)]
+
+    def refuse(*args):
+        raise AssertionError("the oracle read the structure constants")
+
+    monkeypatch.setattr(type(fresh), "structure_tensor", refuse)
+    monkeypatch.setattr(alg, "_tensor_support", refuse)
+    monkeypatch.setattr(alg, "products", refuse)
+    got = alg.oracle_multiply(basis, basis)
+    assert [[str(v) for v in row] for row in got] == [
+        [str(v) for v in row] for row in want]
 
 
 def test_frozen_a2_table(system_factory):
@@ -571,7 +647,7 @@ def test_coset_sum_is_the_group_vector_of_the_basis_element(system_factory,
                                                            label):
     system = system_factory(label)
     for mask in range(system.full_mask + 1):
-        nums, den = alg._group_ints(alg.basis_x(system, mask))
+        nums, den = oracles.group_ints(alg.basis_x(system, mask))
         assert den == 1
         assert np.array_equal(alg.coset_sum(system, mask), nums)
 
@@ -597,17 +673,26 @@ def test_fold_rejects_a_vector_not_constant_on_a_descent_class(
         system_factory):
     system = system_factory("B3")
     masks, counts = np.unique(system.rasc, return_counts=True)
-    mask = int(masks[np.argmax(counts > 1)])
+    split = masks[counts > 1]
+    mask, later = int(split[0]), int(split[-1])
     first, second = np.flatnonzero(system.rasc == mask)[:2]
-    nums = np.zeros(system.order, dtype=np.int64)
-    nums[first], nums[second] = 3, 5
+    nums = np.zeros((3, system.order), dtype=np.int64)
+    nums[1, first], nums[1, second] = 3, 5
+    # row 2 fails too, at a later element: the first row that fails, and
+    # its first element off its class, name the mask
+    nums[2, np.flatnonzero(system.rasc == later)[1]] = 7
+    nums[2, first] = 1
     with pytest.raises(NotInDescentAlgebra,
                        match=r"descent class of mask %d$" % mask):
-        alg._fold_group(system, nums, 1, alg.BASIS_X)
+        alg._fold_group(system, nums, [1, 1, 1], alg.BASIS_X)
+    with pytest.raises(NotInDescentAlgebra,
+                       match=r"descent class of mask %d$" % later):
+        alg._fold_group(system, nums[[0, 2]], [1, 1], alg.BASIS_X)
     # constant on that class, it folds to the y-basis element
-    nums[system.rasc == mask] = 3
-    assert alg._fold_group(system, nums, 1, alg.BASIS_Y) == 3 * alg.basis_y(
-        system, mask)
+    nums[1, system.rasc == mask] = 3
+    zero, folded = alg._fold_group(system, nums[:2], [1, 2], alg.BASIS_Y)
+    assert zero.is_zero()
+    assert folded == Fraction(3, 2) * alg.basis_y(system, mask)
 
 
 def test_centralizer_of_unit_is_everything(system_factory):
@@ -706,7 +791,7 @@ def test_convolve_matches_per_element_translations(system_factory, label):
     else:
         masks = [size - 1 - m for m in ((0, 8) if label == "H4"
                                         else (0, 1, 2, 5, 6))]
-    basis = [alg._group_ints(alg.basis_x(system, m))[0] for m in masks]
+    basis = [oracles.group_ints(alg.basis_x(system, m))[0] for m in masks]
     pairs = [(a, b) for a in basis for b in basis]
     # the left factor is the sparser and the denser
     assert {np.count_nonzero(a) <= np.count_nonzero(b)

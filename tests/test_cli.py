@@ -10,9 +10,12 @@ import os
 
 import pytest
 
+import descent.algebra as alg
 import descent.cache as ca
 import descent.cli as cli
 import descent.verify as vfy
+from descent.coxeter import MULTIPLICATION_TABLE_ORDER, CoxeterSystem
+from descent.errors import GroupTooLarge
 
 
 def run(capsys, *argv):
@@ -138,6 +141,25 @@ class TestVerify:
         assert "PASS" in out
         assert "64 ordered basis pairs checked" in out
         assert out.strip().endswith("all checks passed")
+
+    def test_oracle_suite_refuses_above_the_table_order(self, capsys,
+                                                        monkeypatch):
+        # H4 has 14,400 elements: refused before any product is formed
+        def refuse(*args):
+            raise AssertionError("a product was formed")
+
+        for name in ("multiply", "products", "oracle_multiply", "convolve"):
+            monkeypatch.setattr(alg, name, refuse)
+        monkeypatch.setattr(CoxeterSystem, "multiplication_table", refuse)
+        code, out, err = run(capsys, "verify", "--suite", "solomon-oracle",
+                             "--type", "H4")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: solomon-oracle multiplies in the group "
+                       "algebra of |W| = 14400 elements, above the limit "
+                       "of %d\n" % MULTIPLICATION_TABLE_ORDER)
+        with pytest.raises(GroupTooLarge):
+            vfy.run_suite("solomon-oracle", "H4")
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "loewy-bounds",
