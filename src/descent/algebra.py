@@ -6,7 +6,7 @@ basis y_J, and the signed half-weight basis xp_I. Coordinates are integer
 numerators over one positive common denominator. Products come from one
 batched contraction with the integer structure constants of the ambient
 Coxeter system, over their support, K inside J; an independent slow path
-multiplies honest group-algebra vectors and folds the result back.
+counts the products of the equal-ascent-set classes in the group itself.
 """
 
 from __future__ import annotations
@@ -391,26 +391,8 @@ def coset_sum(system, subset):
     return (system.rasc & subset) == subset
 
 
-def _fold_group(system, nums, dens, tag):
-    """The descent vectors with group coordinates nums[r] / dens[r], one
-    per row of the integer array nums, after checking every row constant
-    on each equal-ascent-set class; the first entry off its class's
-    value, in row-major order, raises."""
-    rasc = system.rasc
-    masks, first = np.unique(rasc, return_index=True)
-    y = np.zeros((len(nums), 1 << system.rank), dtype=nums.dtype)
-    y[:, masks] = nums[:, first]
-    off = np.argwhere(y[:, rasc] != nums)
-    if off.size:
-        raise NotInDescentAlgebra(
-            "group vector is not constant on the descent class of "
-            "mask %d" % int(rasc[off[0, 1]]))
-    return [DescentVector.from_ints(system, row, den, BASIS_Y).in_basis(tag)
-            for row, den in zip(y.tolist(), dens)]
-
-
-# at most this many cells are scattered or counted in one block of
-# ``convolve`` or ``_class_products``, so their index arrays stay bounded
+# at most this many cells are scattered, gathered or counted in one block
+# of ``convolve`` or ``_class_counts``, so their index arrays stay bounded
 _SCATTER_CELLS = 1 << 16
 
 
@@ -452,33 +434,65 @@ def convolve(system, na, nb):
 
 
 @memoized
-def _class_products(system):
-    """C[K, L, w] = #{(u, v) : R(u) = K, R(v) = L, uv = w} in int32 (each
-    count is at most |W|), counted from the multiplication table and the
-    ascent masks alone: one ``np.bincount`` of the cells (R(v), uv) per
-    ascent class K of u and block of at most ``_SCATTER_CELLS`` cells."""
-    mt, rasc = system.multiplication_table(), system.rasc
+def _class_counts(system):
+    """D[J, K, L] = #{u : R(u) = K, R(u^-1 w) = L} at a w with R(w) = J,
+    the coefficient of w in y_K y_L, as a read-only int64 array.
+
+    Read from the ascent masks, the inverses and the group tables alone:
+    R(u^-1 w) is the left ascent set of w^-1 u, so one row of the
+    multiplication table (of ``left_translation`` above
+    ``MULTIPLICATION_TABLE_ORDER``) gives the count at w, one
+    ``np.bincount`` per block of at most ``_SCATTER_CELLS`` cells.
+    Solomon's theorem says the count does not depend on the choice of w:
+    D[J] is read at the first witness of class J and checked at the
+    others, every member up to the table order and the first and the last
+    member above it. A class whose witnesses disagree raises.
+    """
+    rasc, lasc, inv = system.rasc, system.lasc, system.inv
     order, size = system.order, 1 << system.rank
-    at = rasc.astype(np.intp) * order
-    out = np.zeros((size, size * order), dtype=np.int32)
-    block = max(1, _SCATTER_CELLS // order)
-    for k in np.unique(rasc):
-        us = np.flatnonzero(rasc == k)
-        for first in range(0, len(us), block):
-            out[k] += np.bincount((at + mt[us[first:first + block]]).ravel(),
-                                  minlength=size * order)
-    return out.reshape(size, size, order)
+    if order <= MULTIPLICATION_TABLE_ORDER:
+        mt = system.multiplication_table()
+        witnesses = np.arange(order)
+
+        def rows(ws):
+            return mt[inv[ws]]
+    else:
+        witnesses = np.concatenate([
+            np.unique(rasc, return_index=True)[1],
+            order - 1 - np.unique(rasc[::-1], return_index=True)[1]])
+
+        def rows(ws):
+            return np.array([system.left_translation(int(inv[w]))
+                             for w in ws])
+    block = max(1, _SCATTER_CELLS // max(order, size * size))
+    D = np.zeros((size, size, size), dtype=np.int64)
+    seen = np.zeros(size, dtype=bool)
+    for lo in range(0, len(witnesses), block):
+        ws = witnesses[lo:lo + block]
+        cells = ((np.arange(len(ws))[:, None] * size + rasc) * size
+                 + lasc[rows(ws)])
+        counts = np.bincount(cells.ravel(), minlength=len(ws) * size * size
+                             ).reshape(len(ws), size, size)
+        J = rasc[ws]
+        D[J[~seen[J]]] = counts[~seen[J]]
+        seen[J] = True
+        off = np.flatnonzero((counts != D[J]).any(axis=(1, 2)))
+        if off.size:
+            raise NotInDescentAlgebra(
+                "group products are not constant on the descent class of "
+                "mask %d" % int(J[off[0]]))
+    D.flags.writeable = False
+    return D
 
 
 def oracle_multiply(left, right):
     """Slow reference product in the group algebra, never read off the
     structure constants: of two vectors, or of two lists of vectors of one
     system as the nested list with row i, column j left[i] * right[j].
-    The group coordinate at u is the y-coordinate at R(u), so a product is
-    y_a . C . y_b with C from ``_class_products``, exact under the bound
-    max|y_a| max|y_b| |W|; groups above ``MULTIPLICATION_TABLE_ORDER``
-    ``convolve`` pair by pair. Each product is folded back through the
-    equal-ascent-class constancy check.
+    The group coordinate at u is the y-coordinate at R(u), so the
+    y-coordinate at J of a product is y_a . D[J] . y_b with D from
+    ``_class_counts``, exact under the bound max|y_a| max|y_b| |W|, since
+    the entries of each D[J] sum to |W|.
     """
     pair = isinstance(left, DescentVector) and isinstance(right, DescentVector)
     left, right = ([left], [right]) if pair else (list(left), list(right))
@@ -491,26 +505,13 @@ def oracle_multiply(left, right):
         left[0]._check_peer(v)
     system = left[0].system
     (ya, da), (yb, db) = _y_rows(left), _y_rows(right)
-    if system.order > MULTIPLICATION_TABLE_ORDER:
-        rasc = system.rasc
-        rows = (np.array([convolve(system, a[rasc], b[rasc]) for b in yb])
-                for a in ya)
-    else:
-        C = _class_products(system)
-        amax, bmax = linalg.absmax(ya), linalg.absmax(yb)
-        dtype = linalg.exact_dtype(max(amax * bmax * system.order, amax,
-                                       bmax))
-        ya, yb = ya.astype(dtype), yb.astype(dtype)
-
-        def group_row(a):
-            # the sum over K of y_a[K] C[K], then over L against y_b
-            ca = np.zeros(C.shape[1:], dtype=dtype)
-            for k in np.flatnonzero(a):
-                ca += a[k] * C[k].astype(dtype)
-            return yb @ ca
-        rows = map(group_row, ya)
-    out = [_fold_group(system, row, [d * e for e in db], v.tag)
-           for row, d, v in zip(rows, da, left)]
+    dtype = linalg.exact_dtype(max(linalg.absmax(ya), 1)
+                               * max(linalg.absmax(yb), 1) * system.order)
+    D = _class_counts(system).astype(dtype, copy=False)
+    prods = ya.astype(dtype, copy=False) @ D @ yb.astype(dtype, copy=False).T
+    out = [[DescentVector.from_ints(system, row, d * e, BASIS_Y).in_basis(
+        v.tag) for row, e in zip(rows, db)]
+        for rows, d, v in zip(prods.transpose(1, 2, 0).tolist(), da, left)]
     return out[0][0] if pair else out
 
 

@@ -346,8 +346,9 @@ class CoxeterSystem:
     @memoized
     def multiplication_table(self):
         """Full index table mt[u, v] = index of u*v, quadratic in memory,
-        so built only up to order ``MULTIPLICATION_TABLE_ORDER``; larger
-        groups use left_translation row by row instead."""
+        so built only up to order ``MULTIPLICATION_TABLE_ORDER``; above
+        it, the oracle's class counts read the rows they need one at a
+        time from ``left_translation``."""
         if self.order > MULTIPLICATION_TABLE_ORDER:
             raise MemoryError(
                 "multiplication table for |W| = %d would be too large"

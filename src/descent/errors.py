@@ -17,10 +17,6 @@ class UnsupportedType(DescentError):
     """Type label that cannot be parsed or built."""
 
 
-class GroupTooLarge(DescentError):
-    """Group order above the limit of an operation on the whole group."""
-
-
 class SystemMismatch(DescentError):
     """Operands belong to different Coxeter systems."""
 

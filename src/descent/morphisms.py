@@ -295,10 +295,12 @@ def sigma_n_automorphism(dn):
 def res_BD(bn):
     """Restriction from a doubled-bond algebra onto the fork subalgebra
     of its index-two reflection subgroup. The fork system is built from
-    its label, fork twin first, and uses the cache only if the domain does."""
+    its label, fork twin first, and uses the cache only if the domain does;
+    at rank 7 the domain was already admitted, so the fork system is too."""
     alg.require_standard(bn, "B")
     n = bn.rank
-    dn = build_system(type="D%d" % n, cache=bn.cache_enabled)
+    dn = build_system(type="D%d" % n, allow_rank7=n == 7,
+                      cache=bn.cache_enabled)
     size = 1 << n
     cols = np.zeros((size, size), dtype=np.int64)
     for imask in range(size):

@@ -18,9 +18,8 @@ import numpy as np
 from . import algebra as alg
 from . import automorphisms as auto
 from . import morphisms as mor
-from .coxeter import (MULTIPLICATION_TABLE_ORDER, build_system, iter_bits,
-                      popcount)
-from .errors import GroupTooLarge, UnknownSuite
+from .coxeter import build_system, iter_bits, popcount
+from .errors import UnknownSuite
 from .linalg import Span
 
 SUITES = (
@@ -121,11 +120,6 @@ def _partitions(k):
 
 
 def _suite_solomon_oracle(system, report, seed):
-    if system.order > MULTIPLICATION_TABLE_ORDER:
-        raise GroupTooLarge(
-            "solomon-oracle multiplies in the group algebra of |W| = %d "
-            "elements, above the limit of %d"
-            % (system.order, MULTIPLICATION_TABLE_ORDER))
     size = 1 << system.rank
     basis = [alg.basis_x(system, i) for i in range(size)]
     slow = alg.oracle_multiply(basis, basis)

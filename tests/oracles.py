@@ -25,7 +25,8 @@ from descent import linalg
 from descent import morphisms as mo
 from descent.algebra import DescentVector
 from descent.coxeter import subset_sums, support_pairs
-from descent.errors import DescentError, InvalidSubset, WrongType
+from descent.errors import (DescentError, InvalidSubset, NotInDescentAlgebra,
+                            WrongType)
 from descent.linalg import Span
 
 # ---------------------------------------------------------------------------
@@ -407,8 +408,26 @@ def vector_from_group(system, gcoeffs, tag=alg.BASIS_X):
     """Fold group-algebra coordinates back onto the descent basis; the
     coordinates must be constant on each equal-ascent-set class."""
     nums, den = linalg.scaled_integers(gcoeffs)
-    return alg._fold_group(
+    return fold_group(
         system, linalg.integer_rows([nums], len(nums)), [den], tag)[0]
+
+
+def fold_group(system, nums, dens, tag):
+    """The descent vectors with group coordinates nums[r] / dens[r], one
+    per row of the integer array nums, after checking every row constant
+    on each equal-ascent-set class; the first entry off its class's
+    value, in row-major order, raises."""
+    rasc = system.rasc
+    masks, first = np.unique(rasc, return_index=True)
+    y = np.zeros((len(nums), 1 << system.rank), dtype=nums.dtype)
+    y[:, masks] = nums[:, first]
+    off = np.argwhere(y[:, rasc] != nums)
+    if off.size:
+        raise NotInDescentAlgebra(
+            "group vector is not constant on the descent class of "
+            "mask %d" % int(rasc[off[0, 1]]))
+    return [DescentVector.from_ints(system, row, den, alg.BASIS_Y).in_basis(
+        tag) for row, den in zip(y.tolist(), dens)]
 
 
 # ---------------------------------------------------------------------------

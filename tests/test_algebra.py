@@ -22,12 +22,15 @@ import oracles
 from test_coxeter import permuted_system
 
 # every named system of rank <= 3, plus the two mandated larger ones
-ORACLE_ROSTER = [
+TABLE_ROSTER = [
     "A1", "A2", "A3", "B2", "B3", "D3", "H3",
     "I2(3)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
     "A1xA1", "A2xA1", "B2xA1", "A1xA1xA1",
     "B4",
 ]
+# and the roster types above MULTIPLICATION_TABLE_ORDER, whose class
+# counts come from translations
+ORACLE_ROSTER = TABLE_ROSTER + ["H4", "D6", "B6", "E6"]
 
 
 def random_vector(system, rng, span=9):
@@ -55,11 +58,11 @@ def convolved_product(left, right):
     system = left.system
     na, da = oracles.group_ints(left)
     nb, db = oracles.group_ints(right)
-    return alg._fold_group(system, alg.convolve(system, na, nb)[None],
-                           [da * db], left.tag)[0]
+    return oracles.fold_group(system, alg.convolve(system, na, nb)[None],
+                              [da * db], left.tag)[0]
 
 
-@pytest.mark.parametrize("label", ORACLE_ROSTER + ["F4"])
+@pytest.mark.parametrize("label", TABLE_ROSTER + ["F4"])
 def test_oracle_lists_match_pairs_and_convolution(system_factory, label):
     # the list call against the two-vector call and the per-pair convolve
     system = system_factory(label)
@@ -94,10 +97,16 @@ def test_oracle_lists_beyond_int64_and_zero(system_factory, label):
     assert alg.oracle_multiply(left, []) == [[]] * len(left)
 
 
-def test_oracle_lists_above_the_table_order_convolve(system_factory):
-    # H4 (order 14,400): each pair convolves; x[0,1,2] has 120 group terms
+def test_oracle_lists_above_the_table_order(system_factory, monkeypatch):
+    # H4 (order 14,400) reads its class counts from translations and
+    # never builds the multiplication table; 2**55 |W| needs Python ints
     h4 = system_factory("H4")
     assert h4.order > MULTIPLICATION_TABLE_ORDER
+
+    def refuse(*args):
+        raise AssertionError("the oracle built the multiplication table")
+
+    monkeypatch.setattr(type(h4), "multiplication_table", refuse)
     unit, h1, h3 = (alg.unit(h4), alg.basis_x(h4, 0b0001),
                     alg.basis_x(h4, 0b0111))
     left, right = [2**55 * unit, h3], [h1, h3]
@@ -126,6 +135,37 @@ def test_oracle_never_reads_the_structure_constants(monkeypatch):
         [str(v) for v in row] for row in want]
 
 
+@pytest.mark.parametrize("label", ["B3", "H4"])
+def test_class_counts_reject_a_corrupted_group_table(monkeypatch, label):
+    # B3 reads the rows of its multiplication table, H4 (above the table
+    # order) left translations. The row of w^-1, for the last member w of
+    # a class, gets the entries at 1 and at some u swapped: the pairs
+    # (R(u), L(w^-1 u)) counted there change, and that class's counts
+    # disagree with those at its first member
+    fresh = build_system(type=label, cache=False)
+    rasc, lasc, inv = fresh.rasc, fresh.lasc, fresh.inv
+    masks, sizes = np.unique(rasc, return_counts=True)
+    mask = int(masks[sizes > 1][0])
+    w = int(np.flatnonzero(rasc == mask)[-1])
+
+    def corrupt(row):
+        row = row.copy()
+        u = next(u for u in range(1, len(row)) if lasc[row[u]] != mask)
+        row[[0, u]] = row[[u, 0]]
+        return row
+
+    if fresh.order <= MULTIPLICATION_TABLE_ORDER:
+        mt = fresh.multiplication_table()
+        mt[inv[w]] = corrupt(mt[inv[w]])
+    else:
+        original = fresh.left_translation
+        monkeypatch.setattr(fresh, "left_translation", lambda v: (
+            corrupt(original(v)) if v == inv[w] else original(v)))
+    with pytest.raises(NotInDescentAlgebra,
+                       match=r"descent class of mask %d$" % mask):
+        alg.oracle_multiply(alg.unit(fresh), alg.unit(fresh))
+
+
 def test_frozen_a2_table(system_factory):
     system = system_factory("A2")
     x = [alg.basis_x(system, m) for m in range(4)]
@@ -148,13 +188,12 @@ def test_frozen_a2_table(system_factory):
 
 
 def test_oracle_takes_coefficients_beyond_int64(system_factory):
-    # the group vector of the unit is supported on the identity alone, so
-    # both products are one translation each
+    # both contractions with the class counts run on Python integers:
+    # 10**20 is beyond int64, and 2**55 is within it but 2**55 |W| is not
     a3 = system_factory("A3")
     x1 = alg.basis_x(a3, 0b001)
     assert alg.oracle_multiply(10**20 * alg.unit(a3), x1) == 10**20 * x1
-    # |W| > MULTIPLICATION_TABLE_ORDER: translations, never the full
-    # multiplication table
+    # |W| > MULTIPLICATION_TABLE_ORDER: the counts come from translations
     h4 = system_factory("H4")
     h1 = alg.basis_x(h4, 0b0001)
     assert alg.oracle_multiply(2**55 * alg.unit(h4), h1) == 2**55 * h1
@@ -683,13 +722,13 @@ def test_fold_rejects_a_vector_not_constant_on_a_descent_class(
     nums[2, np.flatnonzero(system.rasc == later)[1]] = 7
     with pytest.raises(NotInDescentAlgebra,
                        match=r"descent class of mask %d$" % mask):
-        alg._fold_group(system, nums, [1, 1, 1], alg.BASIS_X)
+        oracles.fold_group(system, nums, [1, 1, 1], alg.BASIS_X)
     with pytest.raises(NotInDescentAlgebra,
                        match=r"descent class of mask %d$" % later):
-        alg._fold_group(system, nums[[0, 2]], [1, 1], alg.BASIS_X)
+        oracles.fold_group(system, nums[[0, 2]], [1, 1], alg.BASIS_X)
     # constant on that class, it folds to the y-basis element
     nums[1, system.rasc == mask] = 3
-    zero, folded = alg._fold_group(system, nums[:2], [1, 2], alg.BASIS_Y)
+    zero, folded = oracles.fold_group(system, nums[:2], [1, 2], alg.BASIS_Y)
     assert zero.is_zero()
     assert folded == Fraction(3, 2) * alg.basis_y(system, mask)
 

@@ -330,6 +330,12 @@ class TestForkRestriction:
         uncached = build_system(type="B4", cache=False)
         assert not mo.res_BD(uncached).codomain.cache_enabled
 
+    def test_rank_seven_fork_codomain_is_admitted(self):
+        # the B7 domain was admitted with allow_rank7, so its D7 fork is
+        b7 = build_system(type="B7", allow_rank7=True, cache=False)
+        d7 = mo.res_BD(b7).codomain
+        assert (d7.type_label, d7.order) == ("D7", 322560)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_group_algebra_identity(self, system_factory, n):
         assert mo.res_bd_a_check(fork(system_factory, n))
