@@ -17,8 +17,8 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from .coxeter import (MULTIPLICATION_TABLE_ORDER, iter_bits, memoized,
-                      popcount, subset_sums, support_pairs)
+from .coxeter import (iter_bits, memoized, popcount, subset_sums,
+                      support_pairs)
 from .errors import (
     InvalidSubset,
     NotInDescentAlgebra,
@@ -391,46 +391,46 @@ def coset_sum(system, subset):
     return (system.rasc & subset) == subset
 
 
-# at most this many cells are scattered, gathered or counted in one block
-# of ``convolve`` or ``_class_counts``, so their index arrays stay bounded
-_SCATTER_CELLS = 1 << 16
+# at most this many cells are walked, scattered or counted in one block of
+# ``convolve`` or ``_class_counts``: each block asks ``multiplication_table``
+# for at most max(1, _SCATTER_CELLS // |W|) rows, so no |W| x |W| array
+# is ever formed
+_SCATTER_CELLS = 1 << 18
 
 
 def convolve(system, na, nb):
     """Product of two integer group-algebra vectors.
 
-    When the group is small enough for the full multiplication table,
-    every product of a support element u of the sparser factor with every
-    element of the other lands at mt[u] (or at column u when the right
-    factor is the sparser), added in with one ``np.add.at`` scatter per
-    block of at most ``_SCATTER_CELLS`` products. Larger groups translate
-    by one element of the sparser factor at a time; translation index
-    arrays are permutations, so fancy-indexed += is exact. In int64 when
-    the coefficient bound allows and on Python integers beyond it.
+    Every product of a support element of the sparser factor with every
+    element of the other is added in with one ``np.add.at`` scatter per
+    block of at most ``_SCATTER_CELLS`` products. A block of left factors
+    u lands at the rows ``multiplication_table(u)``; a block of right
+    factors v at the inverses of the rows at v^-1, read at u^-1, since
+    u v = (v^-1 u^-1)^-1. In int64 when the coefficient bound allows and
+    on Python integers beyond it.
     """
-    order = system.order
+    order, inv = system.order, system.inv
     amax, bmax = linalg.absmax(na), linalg.absmax(nb)
     dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
     na, nb = na.astype(dtype), nb.astype(dtype)
     out = np.zeros(order, dtype=dtype)
     left_sparser = np.count_nonzero(na) <= np.count_nonzero(nb)
-    if order <= MULTIPLICATION_TABLE_ORDER:
-        mt = system.multiplication_table()
-        block = max(1, _SCATTER_CELLS // order)
-        sparse, dense = (na, nb) if left_sparser else (nb, na)
-        support = np.flatnonzero(sparse)
-        for first in range(0, len(support), block):
-            blk = support[first:first + block]
-            at = mt[blk] if left_sparser else mt[:, blk].T
-            np.add.at(out, at.astype(np.intp).ravel(),
-                      np.multiply.outer(sparse[blk], dense).ravel())
-    elif left_sparser:
-        for u in np.flatnonzero(na):
-            out[system.left_translation(int(u))] += na[u] * nb
-    else:
-        for v in np.flatnonzero(nb):
-            out[system.right_translation(int(v))] += nb[v] * na
+    sparse, dense = (na, nb) if left_sparser else (nb, na)
+    support = np.flatnonzero(sparse)
+    block = max(1, _SCATTER_CELLS // order)
+    for first in range(0, len(support), block):
+        blk = support[first:first + block]
+        if left_sparser:
+            at = system.multiplication_table(blk)
+        else:
+            at = inv[system.multiplication_table(inv[blk])[:, inv]]
+        np.add.at(out, at, np.multiply.outer(sparse[blk], dense))
     return out
+
+
+# up to this order every element is a witness of Solomon's theorem in
+# ``_class_counts``; above it, the first and the last member of each class
+ALL_WITNESS_ORDER = 6000
 
 
 @memoized
@@ -439,38 +439,31 @@ def _class_counts(system):
     the coefficient of w in y_K y_L, as a read-only int64 array.
 
     Read from the ascent masks, the inverses and the group tables alone:
-    R(u^-1 w) is the left ascent set of w^-1 u, so one row of the
-    multiplication table (of ``left_translation`` above
-    ``MULTIPLICATION_TABLE_ORDER``) gives the count at w, one
-    ``np.bincount`` per block of at most ``_SCATTER_CELLS`` cells.
-    Solomon's theorem says the count does not depend on the choice of w:
-    D[J] is read at the first witness of class J and checked at the
-    others, every member up to the table order and the first and the last
-    member above it. A class whose witnesses disagree raises.
+    R(u^-1 w) is the left ascent set of w^-1 u, so the row of w^-1 in
+    ``multiplication_table`` gives the count at w, one ``np.bincount``
+    per block of at most ``_SCATTER_CELLS`` cells. Solomon's theorem
+    says the count does not depend on the choice of w: D[J] is read at
+    the first witness of class J and checked at the others, every member
+    up to ``ALL_WITNESS_ORDER`` and the first and the last member above
+    it. A class whose witnesses disagree raises.
     """
     rasc, lasc, inv = system.rasc, system.lasc, system.inv
     order, size = system.order, 1 << system.rank
-    if order <= MULTIPLICATION_TABLE_ORDER:
-        mt = system.multiplication_table()
+    if order <= ALL_WITNESS_ORDER:
         witnesses = np.arange(order)
-
-        def rows(ws):
-            return mt[inv[ws]]
     else:
         witnesses = np.concatenate([
             np.unique(rasc, return_index=True)[1],
             order - 1 - np.unique(rasc[::-1], return_index=True)[1]])
-
-        def rows(ws):
-            return np.array([system.left_translation(int(inv[w]))
-                             for w in ws])
-    block = max(1, _SCATTER_CELLS // max(order, size * size))
+    block = max(1, min(len(witnesses),
+                       _SCATTER_CELLS // max(order, size * size)))
+    # the cell of (witness i of a block, R(u), L(w^-1 u)) less L(w^-1 u)
+    base = (np.arange(block)[:, None] * size + rasc) * size
     D = np.zeros((size, size, size), dtype=np.int64)
     seen = np.zeros(size, dtype=bool)
     for lo in range(0, len(witnesses), block):
         ws = witnesses[lo:lo + block]
-        cells = ((np.arange(len(ws))[:, None] * size + rasc) * size
-                 + lasc[rows(ws)])
+        cells = base[:len(ws)] + lasc[system.multiplication_table(inv[ws])]
         counts = np.bincount(cells.ravel(), minlength=len(ws) * size * size
                              ).reshape(len(ws), size, size)
         J = rasc[ws]

@@ -28,10 +28,6 @@ from . import cartan, rootperm
 from .errors import InvalidSubset, UnsupportedType
 
 
-# the largest order whose full multiplication table is built
-MULTIPLICATION_TABLE_ORDER = 6000
-
-
 def memoized(f):
     """f(obj, *args), computed once per object and hashable arguments and
     kept in the object's own ``__dict__``, so it lives and dies with the
@@ -337,30 +333,30 @@ class CoxeterSystem:
 
     def left_translation(self, u):
         """Index array t with t[v] = index of u*v."""
-        idx = np.arange(self.order, dtype=np.int32)
-        lm = self.lmul()
-        for s in reversed(self.word(u)):
-            idx = lm[idx, s]
-        return idx
+        return self.multiplication_table([u])[0]
 
-    @memoized
-    def multiplication_table(self):
-        """Full index table mt[u, v] = index of u*v, quadratic in memory,
-        so built only up to order ``MULTIPLICATION_TABLE_ORDER``; above
-        it, the oracle's class counts read the rows they need one at a
-        time from ``left_translation``."""
-        if self.order > MULTIPLICATION_TABLE_ORDER:
-            raise MemoryError(
-                "multiplication table for |W| = %d would be too large"
-                % self.order)
-        lm = self.lmul()
-        mt = np.empty((self.order, self.order), dtype=np.int32)
-        mt[0] = np.arange(self.order, dtype=np.int32)
-        # walk elements in discovery order: each index > 0 has a parent
-        # of smaller index, so rows can be filled by one pass
-        for w in range(1, self.order):
-            mt[w] = mt[int(self.parent[w])][lm[:, int(self.lastgen[w])]]
-        return mt
+    def multiplication_table(self, us):
+        """Rows mt[i, v] = index of us[i]*v, for a batch of elements us,
+        walked over ``rmul`` one length level at a time; each row costs
+        |W| cells. Nothing is kept, so callers ask for rows in blocks."""
+        return self._level_walk(us, self.rmul)
+
+    def _level_walk(self, starts, step):
+        """r[:, 0] = starts and r[:, w] = step[r[:, parent[w]],
+        lastgen[w]], one length level at a time, as a (len(starts), |W|)
+        view of a walk that fills the transpose, so a level gathers whole
+        rows. Flat indices r n + s < step.size stay in step's dtype."""
+        n = step.shape[1]
+        flat = step.ravel()
+        r = np.empty((self.order, len(starts)), dtype=step.dtype)
+        r[0] = starts
+        bounds = np.searchsorted(self.length, np.arange(self.nroots + 2))
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            at = r[self.parent[lo:hi]]
+            at *= n
+            at += self.lastgen[lo:hi, None]
+            flat.take(at, out=r[lo:hi])
+        return r.T
 
     def order_of(self, i):
         k, w = 1, int(i)
@@ -371,17 +367,12 @@ class CoxeterSystem:
 
     def homomorphism_images(self, target, gens):
         """Index in ``target`` of the image of every element under the
-        homomorphism s -> gens[s], one length level at a time: w =
-        parent[w] s_{lastgen[w]} goes to image(parent[w]) gens[lastgen[w]].
-        """
+        homomorphism s -> gens[s]: w = parent[w] s_{lastgen[w]} goes to
+        image(parent[w]) gens[lastgen[w]], a level walk over the target's
+        right translations by the gens."""
         rt = np.array([target.right_translation(g) for g in gens],
                       dtype=np.int64).reshape(len(gens), target.order)
-        images = np.zeros(self.order, dtype=np.int64)
-        starts = np.searchsorted(self.length, np.arange(self.nroots + 2))
-        for lo, hi in zip(starts[1:-1], starts[2:]):
-            images[lo:hi] = rt[self.lastgen[lo:hi],
-                               images[self.parent[lo:hi]]]
-        return images
+        return self._level_walk([0], rt.T)[0]
 
     # ------------------------------------------------------------------
     # subsets of generators

@@ -13,8 +13,7 @@ import pytest
 
 from descent import algebra as alg
 from descent import morphisms as mo
-from descent.coxeter import (MULTIPLICATION_TABLE_ORDER, build_system,
-                             iter_bits, popcount)
+from descent.coxeter import build_system, iter_bits, popcount
 from descent.errors import NotInDescentAlgebra, SystemMismatch, WrongType
 from descent import linalg
 from descent.table import SUPPORTED_TYPES
@@ -28,8 +27,8 @@ TABLE_ROSTER = [
     "A1xA1", "A2xA1", "B2xA1", "A1xA1xA1",
     "B4",
 ]
-# and the roster types above MULTIPLICATION_TABLE_ORDER, whose class
-# counts come from translations
+# and the roster types above ALL_WITNESS_ORDER, whose class counts are
+# checked at two witnesses per class
 ORACLE_ROSTER = TABLE_ROSTER + ["H4", "D6", "B6", "E6"]
 
 
@@ -97,16 +96,29 @@ def test_oracle_lists_beyond_int64_and_zero(system_factory, label):
     assert alg.oracle_multiply(left, []) == [[]] * len(left)
 
 
-def test_oracle_lists_above_the_table_order(system_factory, monkeypatch):
-    # H4 (order 14,400) reads its class counts from translations and
-    # never builds the multiplication table; 2**55 |W| needs Python ints
-    h4 = system_factory("H4")
-    assert h4.order > MULTIPLICATION_TABLE_ORDER
+def bound_row_batches(monkeypatch, system_class):
+    """Make every ``multiplication_table`` call assert that it asks for at
+    most one block of rows, max(1, _SCATTER_CELLS // |W|); return the
+    list of the batch sizes asked for."""
+    original = system_class.multiplication_table
+    sizes = []
 
-    def refuse(*args):
-        raise AssertionError("the oracle built the multiplication table")
+    def bounded(system, us):
+        sizes.append(len(us))
+        assert 1 <= len(us) <= max(1, alg._SCATTER_CELLS // system.order)
+        return original(system, us)
 
-    monkeypatch.setattr(type(h4), "multiplication_table", refuse)
+    monkeypatch.setattr(system_class, "multiplication_table", bounded)
+    return sizes
+
+
+def test_oracle_lists_read_rows_in_blocks(monkeypatch):
+    # H4 (order 14,400) reads its witness rows one bounded block at a
+    # time, never a |W| x |W| table; 2**55 |W| needs Python ints. A new
+    # system, since the class counts are memoized per system
+    h4 = build_system(type="H4")
+    assert h4.order > alg.ALL_WITNESS_ORDER
+    sizes = bound_row_batches(monkeypatch, type(h4))
     unit, h1, h3 = (alg.unit(h4), alg.basis_x(h4, 0b0001),
                     alg.basis_x(h4, 0b0111))
     left, right = [2**55 * unit, h3], [h1, h3]
@@ -115,6 +127,8 @@ def test_oracle_lists_above_the_table_order(system_factory, monkeypatch):
     for a, row in zip(left, table):
         for b, got in zip(right, row):
             assert got == alg.multiply(a, b)
+    # the first and the last member of each of the 16 classes
+    assert sum(sizes) == 32
 
 
 def test_oracle_never_reads_the_structure_constants(monkeypatch):
@@ -137,11 +151,11 @@ def test_oracle_never_reads_the_structure_constants(monkeypatch):
 
 @pytest.mark.parametrize("label", ["B3", "H4"])
 def test_class_counts_reject_a_corrupted_group_table(monkeypatch, label):
-    # B3 reads the rows of its multiplication table, H4 (above the table
-    # order) left translations. The row of w^-1, for the last member w of
-    # a class, gets the entries at 1 and at some u swapped: the pairs
-    # (R(u), L(w^-1 u)) counted there change, and that class's counts
-    # disagree with those at its first member
+    # B3 checks every element, H4 (above the all-witness order) the first
+    # and the last member of each class. The row of w^-1, for the last
+    # member w of a class, gets the entries at 1 and at some u swapped:
+    # the pairs (R(u), L(w^-1 u)) counted there change, and that class's
+    # counts disagree with those at its first member
     fresh = build_system(type=label, cache=False)
     rasc, lasc, inv = fresh.rasc, fresh.lasc, fresh.inv
     masks, sizes = np.unique(rasc, return_counts=True)
@@ -154,13 +168,15 @@ def test_class_counts_reject_a_corrupted_group_table(monkeypatch, label):
         row[[0, u]] = row[[u, 0]]
         return row
 
-    if fresh.order <= MULTIPLICATION_TABLE_ORDER:
-        mt = fresh.multiplication_table()
-        mt[inv[w]] = corrupt(mt[inv[w]])
-    else:
-        original = fresh.left_translation
-        monkeypatch.setattr(fresh, "left_translation", lambda v: (
-            corrupt(original(v)) if v == inv[w] else original(v)))
+    original = fresh.multiplication_table
+
+    def corrupted(us):
+        rows = original(us).copy()
+        for i in np.flatnonzero(us == inv[w]):
+            rows[i] = corrupt(rows[i])
+        return rows
+
+    monkeypatch.setattr(fresh, "multiplication_table", corrupted)
     with pytest.raises(NotInDescentAlgebra,
                        match=r"descent class of mask %d$" % mask):
         alg.oracle_multiply(alg.unit(fresh), alg.unit(fresh))
@@ -193,7 +209,7 @@ def test_oracle_takes_coefficients_beyond_int64(system_factory):
     a3 = system_factory("A3")
     x1 = alg.basis_x(a3, 0b001)
     assert alg.oracle_multiply(10**20 * alg.unit(a3), x1) == 10**20 * x1
-    # |W| > MULTIPLICATION_TABLE_ORDER: the counts come from translations
+    # |W| > ALL_WITNESS_ORDER: the counts come from two witnesses a class
     h4 = system_factory("H4")
     h1 = alg.basis_x(h4, 0b0001)
     assert alg.oracle_multiply(2**55 * alg.unit(h4), h1) == 2**55 * h1
@@ -797,32 +813,36 @@ def test_positivity_predicate(system_factory):
 
 
 def loop_convolve(system, na, nb):
-    """The per-element route of ``alg.convolve``: one translation of the
-    denser factor per support element of the sparser one."""
+    """One translation of the denser factor per support element of the
+    sparser one, each a word walk: u v for every v applies the letters of
+    u's reduced word, last first, as left multiplications by generators
+    (``lmul``); u v for every u is a ``right_translation`` by v."""
     order = system.order
     amax, bmax = linalg.absmax(na), linalg.absmax(nb)
     dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
     na, nb = na.astype(dtype), nb.astype(dtype)
-    mt = (system.multiplication_table()
-          if order <= MULTIPLICATION_TABLE_ORDER else None)
     out = np.zeros(order, dtype=dtype)
     if np.count_nonzero(na) <= np.count_nonzero(nb):
+        lm = system.lmul()
         for u in np.flatnonzero(na):
-            at = mt[u] if mt is not None else system.left_translation(int(u))
+            at = np.arange(order)
+            for s in reversed(system.word(u)):
+                at = lm[at, s]
             out[at] += na[u] * nb
     else:
         for v in np.flatnonzero(nb):
-            at = (mt[:, v] if mt is not None
-                  else system.right_translation(int(v)))
-            out[at] += nb[v] * na
+            out[system.right_translation(v)] += nb[v] * na
     return out
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "F4", "B5", "H4"])
-def test_convolve_matches_per_element_translations(system_factory, label):
-    # H4 (order 14,400) translates; the others scatter through the table.
-    # Beyond rank 3, large subsets: x_I has |W| / |W_I| group terms
+def test_convolve_matches_per_element_translations(system_factory,
+                                                   monkeypatch, label):
+    # H4 (order 14,400) walks at most 18 rows a block, A3 the whole group
+    # in one block. Beyond rank 3, large subsets: x_I has |W| / |W_I|
+    # group terms
     system = system_factory(label)
+    sizes = bound_row_batches(monkeypatch, type(system))
     size = 1 << system.rank
     if system.rank <= 3:
         masks = range(size)
@@ -841,6 +861,7 @@ def test_convolve_matches_per_element_translations(system_factory, label):
         got, want = alg.convolve(system, na, nb), loop_convolve(
             system, na, nb)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert sizes
 
 
 def direct_convolution(system, na, nb):
@@ -853,7 +874,7 @@ def direct_convolution(system, na, nb):
 
 @pytest.mark.parametrize("label,dense", [("A3", 24), ("H4", 30)])
 def test_convolve_matches_direct_double_sum(system_factory, label, dense):
-    # A3 translates through the full table, H4 through translations
+    # A3 walks all its rows in one block, H4 18 rows a block
     system = system_factory(label)
     rng = np.random.default_rng(17)
     for scale in (9, 2**40):

@@ -18,8 +18,8 @@ import oracles
 from descent import algebra, automorphisms, build_system, cartan, rootperm
 from descent import morphisms
 from descent.algebra import bhs_pairing, multiply, theta_value_table
-from descent.coxeter import (MULTIPLICATION_TABLE_ORDER, check_tensor,
-                             expand_masks, iter_bits, memoized, popcount)
+from descent.coxeter import (check_tensor, expand_masks, iter_bits, memoized,
+                             popcount)
 from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
                             UnsupportedType)
 from descent.exprs import parse_expression
@@ -80,13 +80,27 @@ def test_inverse_and_support_tables(system_factory, label):
         assert int(system.supp[w]) == msk
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "A3", "I2(5)"])
+@pytest.mark.parametrize("label", ["A2", "B2", "A3", "I2(5)", "H4"])
 def test_multiplication_table_matches_word_walk(system_factory, label):
+    # every row of the small groups at every column; a random batch of H4
+    # rows, in random order and with a repeat, at random columns
     system = system_factory(label)
-    mt = system.multiplication_table()
-    for a in range(system.order):
-        for b in range(system.order):
-            assert int(mt[a, b]) == system.mul(a, b)
+    rng = np.random.default_rng(5)
+    if system.order < 100:
+        us = np.arange(system.order)
+        vs = range(system.order)
+    else:
+        us = rng.choice(system.order, 8, replace=False)
+        us = np.append(us, us[0])
+        vs = np.append(rng.choice(system.order, 200, replace=False),
+                       [0, system.order - 1])
+    mt = system.multiplication_table(us)
+    assert mt.shape == (len(us), system.order)
+    for u, row in zip(us, mt):
+        assert np.array_equal(np.sort(row), np.arange(system.order))
+        for v in vs:
+            assert int(row[v]) == system.mul(u, v)
+    assert np.array_equal(system.left_translation(us[1]), mt[1])
 
 
 @pytest.mark.parametrize("label", SMALL)
@@ -1125,10 +1139,10 @@ class TestMemoized:
         gc.collect()
         assert ref() is None
 
-    def test_a_refused_multiplication_table_is_not_stored(self):
+    def test_a_row_batch_is_not_stored(self):
         system = build_system(type="H4", cache=False)
-        assert system.order > MULTIPLICATION_TABLE_ORDER
-        for _ in range(2):
-            with pytest.raises(MemoryError, match="14400"):
-                system.multiplication_table()
-        assert system.__dict__.get("_memo", {}) == {}
+        system.rmul    # enumerating memoizes the root action
+        memo = dict(system.__dict__["_memo"])
+        system.multiplication_table([0, 1, system.order - 1])
+        system.left_translation(2)
+        assert system.__dict__["_memo"] == memo

@@ -216,6 +216,18 @@ class TestOpenQuestionReport:
         for r in report.results:
             assert r.kind != ve.CHECK
 
+    def test_b7_top_radical_power_is_the_witness_line(self):
+        # the paper's question at n = 7: rad^3 of the descent algebra of
+        # B7 is one-dimensional and is the line of the witness element
+        report = ve.run_suite("b-tau-question", "B7", allow_rank7=True)
+        assert report.passed
+        assert [(r.name, r.detail) for r in report.results] == [
+            ("radical-power-dimension", "dim of radical power 3 is 1"),
+            ("radical-power-is-line", "dimension equals 1: True"),
+            ("radical-power-equals-witness-line",
+             "equality with the witness line: True"),
+        ]
+
     @pytest.mark.parametrize("label", ["B4", "A3", "I2(5)"])
     def test_out_of_family_says_not_applicable(self, label):
         report = ve.run_suite("b-tau-question", label)
