@@ -391,41 +391,10 @@ def coset_sum(system, subset):
     return (system.rasc & subset) == subset
 
 
-# at most this many cells are walked, scattered or counted in one block of
-# ``convolve`` or ``_class_counts``: each block asks ``multiplication_table``
-# for at most max(1, _SCATTER_CELLS // |W|) rows, so no |W| x |W| array
-# is ever formed
+# at most this many cells are counted in one block of ``_class_counts``:
+# each block asks ``multiplication_table`` for at most
+# max(1, _SCATTER_CELLS // |W|) rows, so no |W| x |W| array is ever formed
 _SCATTER_CELLS = 1 << 18
-
-
-def convolve(system, na, nb):
-    """Product of two integer group-algebra vectors.
-
-    Every product of a support element of the sparser factor with every
-    element of the other is added in with one ``np.add.at`` scatter per
-    block of at most ``_SCATTER_CELLS`` products. A block of left factors
-    u lands at the rows ``multiplication_table(u)``; a block of right
-    factors v at the inverses of the rows at v^-1, read at u^-1, since
-    u v = (v^-1 u^-1)^-1. In int64 when the coefficient bound allows and
-    on Python integers beyond it.
-    """
-    order, inv = system.order, system.inv
-    amax, bmax = linalg.absmax(na), linalg.absmax(nb)
-    dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
-    na, nb = na.astype(dtype), nb.astype(dtype)
-    out = np.zeros(order, dtype=dtype)
-    left_sparser = np.count_nonzero(na) <= np.count_nonzero(nb)
-    sparse, dense = (na, nb) if left_sparser else (nb, na)
-    support = np.flatnonzero(sparse)
-    block = max(1, _SCATTER_CELLS // order)
-    for first in range(0, len(support), block):
-        blk = support[first:first + block]
-        if left_sparser:
-            at = system.multiplication_table(blk)
-        else:
-            at = inv[system.multiplication_table(inv[blk])[:, inv]]
-        np.add.at(out, at, np.multiply.outer(sparse[blk], dense))
-    return out
 
 
 # up to this order every element is a witness of Solomon's theorem in

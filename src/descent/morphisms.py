@@ -128,20 +128,27 @@ def res_K(system, K):
 
 
 def factorization_check(morphism):
-    """x_L = x_K * (embedded x_L-within-K), verified in the group algebra.
+    """x_L = x_K * (embedded x_L-within-K) for every L in K, verified in
+    the group algebra by one level walk of the codomain.
 
-    The parabolic's x_c embeds as the coset sum of its mask L in the big
-    group cut to the subgroup: for w in W_K the ascents inside K are
-    R(w) cap K, so L sits among them exactly when it sits in R(w).
+    x_K's group vector is X_K, the u with K among their ascents, and the
+    embedded x_L-within-K is the v of W_K with L among their ascents in
+    W_K. Walking the codomain's length levels over the right
+    multiplications by K from each u gives the |X_K| x |W_K| products
+    u v. Every identity holds exactly when these hit every element of W
+    once (L empty) and each R(u v) cap K is the ascent set of v in W_K
+    (L a singleton): W = X_K W_K with unique factorization.
     """
-    system, kmask = morphism.domain, morphism.kmask
-    xk = alg.coset_sum(system, kmask)
-    inside = (system.supp & ~kmask) == 0
-    for big in expand_masks(mask_positions(kmask)):
-        want = alg.coset_sum(system, int(big))
-        if not np.array_equal(alg.convolve(system, xk, want & inside), want):
-            return False
-    return True
+    system, codomain = morphism.domain, morphism.codomain
+    kmask = morphism.kmask
+    positions = list(mask_positions(kmask))
+    us = np.flatnonzero(alg.coset_sum(system, kmask))
+    if len(us) * codomain.order != system.order:
+        return False
+    uv = codomain._level_walk(us, system.rmul[:, positions])
+    return bool((np.bincount(uv.ravel(), minlength=system.order) == 1).all()
+                and ((system.rasc[uv] & kmask)
+                     == expand_masks(positions)[codomain.rasc]).all())
 
 
 def res_linear_check(morphism):

@@ -378,7 +378,7 @@ def _suite_morphisms(system, report, seed):
         _check(report, "fork-swap-parity", swap_is_w0 == (n % 2 == 1),
                "swap is the longest-element automorphism iff rank is odd")
 
-    if len(comps) == 1 and comps[0][0] == "D":
+    if len(comps) == 1 and comps[0][0] == "D" and system.rank >= 3:
         _check(report, "fork-chain-image-is-swap-fixed",
                mor.res_d_image_check(system),
                "exact span equality")

@@ -1,9 +1,10 @@
 """Paper facts and reference routes that only the tests use.
 
 The package computes each result one way. The helpers here are the second
-routes the tests check it against (group-algebra coordinates, a product
-compared one pair at a time, the multiplicative pairs of a morphism summed
-one segment of the support at a time, a commuting square of morphisms,
+routes the tests check it against (group-algebra coordinates, the
+convolution of two group vectors, a product compared one pair at a time,
+the multiplicative pairs of a morphism summed one segment of the support
+at a time, a commuting square of morphisms,
 conjugacy decided one element, member or point at a time, w_K and
 subgroup embeddings found one element at a time, span helpers, the
 polynomial gcd that decides squarefreeness, character values one element
@@ -428,6 +429,36 @@ def fold_group(system, nums, dens, tag):
             "mask %d" % int(rasc[off[0, 1]]))
     return [DescentVector.from_ints(system, row, den, alg.BASIS_Y).in_basis(
         tag) for row, den in zip(y.tolist(), dens)]
+
+
+def convolve(system, na, nb):
+    """Product of two integer group-algebra vectors.
+
+    Every product of a support element of the sparser factor with every
+    element of the other is added in with one ``np.add.at`` scatter per
+    block of at most ``_SCATTER_CELLS`` products. A block of left factors
+    u lands at the rows ``multiplication_table(u)``; a block of right
+    factors v at the inverses of the rows at v^-1, read at u^-1, since
+    u v = (v^-1 u^-1)^-1. In int64 when the coefficient bound allows and
+    on Python integers beyond it.
+    """
+    order, inv = system.order, system.inv
+    amax, bmax = linalg.absmax(na), linalg.absmax(nb)
+    dtype = linalg.exact_dtype(max(amax * bmax * order, amax, bmax))
+    na, nb = na.astype(dtype), nb.astype(dtype)
+    out = np.zeros(order, dtype=dtype)
+    left_sparser = np.count_nonzero(na) <= np.count_nonzero(nb)
+    sparse, dense = (na, nb) if left_sparser else (nb, na)
+    support = np.flatnonzero(sparse)
+    block = max(1, alg._SCATTER_CELLS // order)
+    for first in range(0, len(support), block):
+        blk = support[first:first + block]
+        if left_sparser:
+            at = system.multiplication_table(blk)
+        else:
+            at = inv[system.multiplication_table(inv[blk])[:, inv]]
+        np.add.at(out, at, np.multiply.outer(sparse[blk], dense))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ def bbht_a_check_direct(system, kmask):
         xi = alg.basis_x(system, imask)
         emb = oracles.iota_group_vector(
             system, kmask, oracles.apply_morphism(morphism, xi))
-        lhs = alg.convolve(system, xk, emb)
-        rhs = alg.convolve(system, oracles.int_group_vector(xi), xk)
+        lhs = oracles.convolve(system, xk, emb)
+        rhs = oracles.convolve(system, oracles.int_group_vector(xi), xk)
         if not np.array_equal(lhs, rhs):
             return False
     return True
@@ -109,13 +109,29 @@ class TestMaskHelpers:
 
 
 class TestRestriction:
-    @pytest.mark.parametrize("label", ["A2", "A3", "B3", "I2(5)"])
+    @pytest.mark.parametrize("label", ["A2", "A3", "B3", "I2(5)", "B4",
+                                       "D4"])
     def test_group_level_factorization(self, system_factory, label):
         system = system_factory(label)
         for kmask in all_masks(system):
             assert mo.factorization_check(mo.res_K(system, kmask))
             assert mo.res_linear_check(mo.res_K(system, kmask))
             assert bbht_a_check_direct(system, kmask)
+
+    @pytest.mark.parametrize("label", ["B4", "D4", "H4"])
+    def test_factorization_reads_no_product_rows(self, system_factory,
+                                                 monkeypatch, label):
+        # one level walk of each codomain from the coset representatives
+        # gives every product u v; no row of the group's multiplication
+        # table is asked for
+        system = system_factory(label)
+        morphisms = [mo.res_K(system, k) for k in all_masks(system)]
+
+        def refuse(system, us):
+            raise AssertionError("multiplication_table was asked for rows")
+
+        monkeypatch.setattr(type(system), "multiplication_table", refuse)
+        assert all(mo.factorization_check(m) for m in morphisms)
 
     @pytest.mark.parametrize("label", ["A3", "B3"])
     def test_multiplicative_on_all_pairs(self, system_factory, label):
@@ -700,6 +716,20 @@ class TestChecksRejectCorruptedInput:
         failing = [k for k, m in enumerate(morphisms)
                    if not mo.factorization_check(m)]
         assert failing == [1, 2, 3, 5, 6]
+        assert [k for k, m in enumerate(morphisms)
+                if not mo.bbht_a_check(m)] == failing
+
+    def test_group_checks_see_swapped_products(self):
+        # a fresh system as above; right multiplication by generator 2
+        # swaps two of its products, so every subset holding generator 2
+        # walks a wrong product, and no other subset reads that column
+        system = build_system(type="B3", cache=False)
+        morphisms = [mo.res_K(system, k) for k in all_masks(system)]
+        rmul = system.rmul
+        rmul[[5, 9], 2] = rmul[[9, 5], 2]
+        failing = [k for k, m in enumerate(morphisms)
+                   if not mo.factorization_check(m)]
+        assert failing == [4, 5, 6, 7]
         assert [k for k, m in enumerate(morphisms)
                 if not mo.bbht_a_check(m)] == failing
 

@@ -66,6 +66,17 @@ def test_rank_one_checks_each_quotient_once():
         "2 self-opposed subsets (empty, full, singletons)")
 
 
+@pytest.mark.parametrize("label", ["A1", "D2", "D3", "B2", "A1xA1",
+                                   "I2(5)", "B2xA1"])
+def test_every_suite_reports_on_small_types(label):
+    # rank one, the rank-two B and D, reducible and dihedral types: each
+    # suite runs only the checks the rank allows, so D2 skips the
+    # fork-chain check that drops a generator
+    for suite in ve.SUITES:
+        report = ve.run_suite(suite, label, seed=0)
+        assert report.suite == suite and report.passed, (label, suite)
+
+
 # (type, subset mask, row, column): the restriction onto that subset gets
 # its entry at (row, column) raised by one
 CORRUPTIONS = [("B4", 0b0110, 5, 1), ("D5", 0b01011, 9, 2)]
