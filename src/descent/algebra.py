@@ -470,10 +470,19 @@ def oracle_multiply(left, right):
     dtype = linalg.exact_dtype(max(linalg.absmax(ya), 1)
                                * max(linalg.absmax(yb), 1) * system.order)
     D = _class_counts(system).astype(dtype, copy=False)
-    prods = ya.astype(dtype, copy=False) @ D @ yb.astype(dtype, copy=False).T
-    out = [[DescentVector.from_ints(system, row, d * e, BASIS_Y).in_basis(
-        v.tag) for row, e in zip(rows, db)]
-        for rows, d, v in zip(prods.transpose(1, 2, 0).tolist(), da, left)]
+    prods = (ya.astype(dtype, copy=False) @ D
+             @ yb.astype(dtype, copy=False).T).transpose(1, 2, 0)
+    out = [None] * len(left)
+    # one change of basis per distinct left tag, over all its products
+    for tag in {v.tag for v in left}:
+        at = [i for i, v in enumerate(left) if v.tag == tag]
+        nums, scale = prods[at].tolist(), 1
+        if tag != BASIS_Y:
+            nums, _ = _change_basis(nums, BASIS_Y, system.rank, -1)
+            nums, scale = _change_basis(nums, tag, system.rank, 1)
+        for i, rows in zip(at, nums):
+            out[i] = [DescentVector.from_ints(system, row, da[i] * e * scale,
+                                              tag) for row, e in zip(rows, db)]
     return out[0][0] if pair else out
 
 

@@ -1,28 +1,29 @@
 """Persistent structure-constant cache: one binary file per type label.
 
-A file ``<label>.npz`` is an uncompressed numpy archive of two members:
+A file ``<label>.tensor`` holds three parts back to back:
 
-- ``support``: the (2^n, 3^n) support matrix T[:, J, K] over the pairs
-  (J, K) of :func:`coxeter.support_pairs`, K inside J, in their order;
-  by Solomon's Mackey formula it holds every nonzero structure constant.
-  It is int32 when every value fits;
-- ``header``: UTF-8 JSON holding the schema version, the type label, the
-  rank, the group order, the sha256 of the raw support bytes, and a
-  digest of the Coxeter matrix, the generator labels and the schema
-  version.
+- the header, one line of canonical JSON (sorted keys, then a newline):
+  the schema version, the type label, the rank, the group order, a digest
+  of the Coxeter matrix, the generator labels and the schema version, and
+  the ``dtype`` string and ``shape`` of the support;
+- the raw bytes of the support: the (2^n, 3^n) matrix T[:, J, K] over
+  the pairs (J, K) of :func:`coxeter.support_pairs`, K inside J, in their
+  order; by Solomon's Mackey formula it holds every nonzero structure
+  constant. It is int32 when every value fits;
+- the 32-byte sha256 of everything before it.
 
-The zip metadata is fixed, so equal content gives equal bytes. A load
-checks, in this order: the file parses and is byte for byte the archive
-its content encodes; the schema version and the matrix digest are
-current (otherwise the entry is stale); the sha256 matches; the label,
-rank and order match the system; the support is an integer array of
-shape (2^n, 3^n); and the tensor has the unit rows, the support and the
-Mackey counts of :func:`coxeter.check_tensor`. Everything a warm system
-needs, the shapes included, is derived from the tensor, so a load
-enumerates nothing. No failure aborts a computation: the caller
-recomputes (with a warning unless the entry is merely missing or stale)
-and overwrites the file. Files of schema 1 (``<label>.json``) are never
-read and can be deleted; files of schema 2 are stale.
+Equal content gives equal bytes. A load checks, in this order: the
+trailing sha256 matches; the header is a JSON object and byte for byte
+its canonical dump; the schema version and the matrix digest are current
+(otherwise the entry is stale); the bytes fill the declared dtype and
+shape; the label, rank and order match the system; the support is an
+integer array of shape (2^n, 3^n); and the tensor has the unit rows, the
+support and the Mackey counts of :func:`coxeter.check_tensor`.
+Everything a warm system needs, the shapes included, is derived from the
+tensor, so a load enumerates nothing. No failure aborts a computation:
+the caller recomputes (with a warning unless the entry is merely missing
+or stale) and overwrites the file. Files of earlier schemas
+(``<label>.json``, ``<label>.npz``) are never read and can be deleted.
 
 Events go to the ``descent.cache`` logger: hits, misses and stale entries
 at debug level, corrupt or malformed entries at warning level, the latter
@@ -32,13 +33,11 @@ also through ``warnings.warn``.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import os
 import tempfile
 import warnings
-import zipfile
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from . import cartan
 from .coxeter import check_tensor, support_pairs
 from .errors import CorruptCache
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _log = logging.getLogger(__name__)
 # warnings already reach the user; keep logging's last-resort handler
@@ -63,7 +62,7 @@ def cache_dir():
 
 def path_for(type_label):
     safe = type_label.replace("(", "_").replace(")", "")
-    return os.path.join(cache_dir(), safe + ".npz")
+    return os.path.join(cache_dir(), safe + ".tensor")
 
 
 def matrix_digest(matrix, labels):
@@ -77,10 +76,6 @@ def _label_system(type_label):
     return cartan.matrix_for_components(cartan.parse_label(type_label))
 
 
-def _sha256(support):
-    return hashlib.sha256(support.tobytes()).hexdigest()
-
-
 def make_entry(system, tensor):
     J, K, _starts = support_pairs(system.rank)
     support = np.ascontiguousarray(tensor[:, J, K])
@@ -92,8 +87,9 @@ def make_entry(system, tensor):
         "type_label": system.type_label,
         "rank": system.rank,
         "group_order": system.order,
-        "sha256": _sha256(support),
         "matrix_digest": matrix_digest(system.matrix, system.labels),
+        "dtype": support.dtype.str,
+        "shape": list(support.shape),
         "support": support,
     }
 
@@ -101,19 +97,9 @@ def make_entry(system, tensor):
 def encode(entry):
     """The bytes of the file holding `entry`."""
     header = {k: v for k, v in entry.items() if k != "support"}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
-        for name, arr in (("header", np.frombuffer(blob, dtype=np.uint8)),
-                          ("support", entry["support"])):
-            member = io.BytesIO()
-            np.lib.format.write_array(member, arr, allow_pickle=False)
-            # ZipInfo stamps 1980-01-01; fix the host field too, so the
-            # bytes do not depend on the platform
-            info = zipfile.ZipInfo(name + ".npy")
-            info.create_system = 3
-            zf.writestr(info, member.getvalue())
-    return buf.getvalue()
+    body = (json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+            + entry["support"].tobytes())
+    return body + hashlib.sha256(body).digest()
 
 
 def cache_store(entry):
@@ -148,32 +134,29 @@ def cache_load(type_label):
         return None
     except OSError as exc:
         raise CorruptCache("unreadable cache file %s: %s" % (target, exc))
+    # a file shorter than the 32-byte digest never matches it
+    body, digest = data[:-32], data[-32:]
+    if hashlib.sha256(body).digest() != digest:
+        raise CorruptCache("checksum mismatch in %s" % target)
+    line, _, support = body.partition(b"\n")
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            entry = json.loads(npz["header"].tobytes())
-            if not isinstance(entry, dict):
-                raise CorruptCache("header of %s is not an object" % target)
-            # a file of another schema holds other members
-            current = entry.get("schema_version") == SCHEMA_VERSION
-            if current:
-                entry["support"] = npz["support"]
-        canonical = not current or encode(entry) == data
-    # a damaged archive fails in zipfile, in numpy's reader or in json;
-    # zipfile refuses a flipped compression method or version with
-    # NotImplementedError and a flipped encryption flag with RuntimeError
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError,
-            NotImplementedError, RuntimeError) as exc:
-        raise CorruptCache("unreadable cache file %s: %s" % (target, exc))
-    if not canonical:
-        raise CorruptCache("%s is not the archive its content encodes"
-                           % target)
+        entry = json.loads(line)
+    except ValueError as exc:
+        raise CorruptCache("unreadable header in %s: %s" % (target, exc))
+    if not isinstance(entry, dict):
+        raise CorruptCache("header of %s is not an object" % target)
+    if json.dumps(entry, sort_keys=True).encode("utf-8") != line:
+        raise CorruptCache("header of %s is not canonical JSON" % target)
     labels, matrix = _label_system(type_label)
-    if not current or (entry.get("matrix_digest")
-                       != matrix_digest(matrix, labels)):
+    if (entry.get("schema_version") != SCHEMA_VERSION
+            or entry.get("matrix_digest") != matrix_digest(matrix, labels)):
         _log.debug("stale %s", target)
         return None
-    if entry.get("sha256") != _sha256(entry["support"]):
-        raise CorruptCache("checksum mismatch in %s" % target)
+    try:
+        entry["support"] = np.frombuffer(
+            support, entry["dtype"]).reshape(entry["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCache("unreadable support in %s: %s" % (target, exc))
     return entry
 
 

@@ -9,8 +9,8 @@ deterministic across runs.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import types
 from dataclasses import dataclass
 
 from . import algebra as alg
@@ -118,8 +118,9 @@ def render_json(rows):
 
 
 def render_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    out = []
+    writer = csv.writer(types.SimpleNamespace(write=out.append),
+                        lineterminator="\n")
     writer.writerow(["type", "sigma_order", "dim", "lambda_orbits",
                      "loewy_length", "radical_dims"])
     for r in rows:
@@ -127,7 +128,7 @@ def render_csv(rows):
         writer.writerow([d["type"], d["sigma_order"], d["dim"],
                          d["lambda_orbits"], d["loewy_length"],
                          ",".join(str(x) for x in d["radical_dims"])])
-    return buf.getvalue()
+    return "".join(out)
 
 
 def render(rows, fmt="text"):

@@ -82,7 +82,8 @@ def test_oracle_lists_beyond_int64_and_zero(system_factory, label):
     zero = alg.DescentVector.zero(system)
     big = 10**20 + rng.randrange(10**6)
     left = [big * random_vector(system, rng), zero,
-            random_vector(system, rng), alg.basis_y(system, 0b011)]
+            random_vector(system, rng), alg.basis_y(system, 0b011),
+            alg.basis_y(system, 0b101).in_basis(alg.BASIS_XPRIME)]
     right = [random_vector(system, rng), big * random_vector(system, rng),
              zero]
     assert alg._y_rows(left)[0].dtype == object

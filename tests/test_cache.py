@@ -1,6 +1,7 @@
 """Structure-constant cache: round trips, corruption handling, and the
 environment override for the directory."""
 
+import hashlib
 import json
 import logging
 import os
@@ -31,26 +32,28 @@ def fresh_system(label):
 
 
 def read_entry(path):
-    """The header and support matrix of a cache file, unchecked."""
-    with np.load(path) as npz:
-        entry = json.loads(npz["header"].tobytes())
-        entry["support"] = npz["support"]
+    """The header and a writable copy of the support matrix of a cache
+    file, unchecked."""
+    line, _, payload = Path(path).read_bytes()[:-32].partition(b"\n")
+    entry = json.loads(line)
+    entry["support"] = np.frombuffer(payload, entry["dtype"]).reshape(
+        entry["shape"]).copy()
     return entry
 
 
 def write_entry(path, entry):
-    """Write `entry` with a sha256 that matches its support matrix."""
-    entry["sha256"] = ca._sha256(entry["support"])
-    with open(path, "wb") as fh:
-        fh.write(ca.encode(entry))
+    """Write `entry` with a dtype and shape that match its support
+    matrix."""
+    entry["dtype"] = entry["support"].dtype.str
+    entry["shape"] = list(entry["support"].shape)
+    Path(path).write_bytes(ca.encode(entry))
 
 
-def write_archive(path, header, **members):
-    """Write an archive of the JSON `header` and the array `members`,
-    not in the canonical encoding."""
-    blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        np.savez(fh, header=np.frombuffer(blob, dtype=np.uint8), **members)
+def write_archive(path, header, payload):
+    """Write the JSON `header` over the raw bytes `payload`, with a
+    matching sha256 trailer."""
+    body = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
 def nonzero_triples(tensor):
@@ -77,7 +80,7 @@ class TestPaths:
 
     def test_parenthesized_labels_are_sanitized(self, cache_env):
         path = ca.path_for("I2(5)")
-        assert os.path.basename(path) == "I2_5.npz"
+        assert os.path.basename(path) == "I2_5.tensor"
         assert os.path.dirname(path) == str(cache_env)
 
 
@@ -118,24 +121,38 @@ class TestRoundTrip:
         system.structure_tensor()
         assert not os.path.exists(ca.path_for("A2"))
 
-    def test_schema_2_triples_file_is_stale(self, cache_env):
-        # the layout before the support matrix: a silent miss, then
-        # recomputed and overwritten
+    def test_files_of_earlier_schemas_are_never_read(self, cache_env,
+                                                     monkeypatch):
+        # a schema-3 numpy archive and a schema-1 JSON file of the label:
+        # neither is opened, and the flat file is written beside them
         system = fresh_system("B2")
         tensor = system.structure_tensor()
-        header = {k: v for k, v in ca.make_entry(system, tensor).items()
-                  if k != "support"}
-        header["schema_version"] = 2
-        write_archive(ca.path_for("B2"), header,
-                      triples=nonzero_triples(tensor))
+        entry = ca.make_entry(system, tensor)
+        header = {k: v for k, v in entry.items()
+                  if k not in ("support", "dtype", "shape")}
+        header["schema_version"] = 3
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        with open(cache_env / "B2.npz", "wb") as fh:
+            np.savez(fh, header=np.frombuffer(blob, dtype=np.uint8),
+                     support=entry["support"])
+        (cache_env / "B2.json").write_text(
+            '{"schema_version": 1, "triples": []}')
+        old = {p.name: p.read_bytes() for p in cache_env.iterdir()}
+        opened = []
+
+        def recording(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ca, "open", recording, raising=False)
         warm = build_system(type="B2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ca.cache_load("B2") is None
             assert ca.load_tensor(warm) is None
             assert np.array_equal(warm.structure_tensor(), tensor)
-        assert Path(ca.path_for("B2")).read_bytes() == ca.encode(
-            ca.make_entry(system, tensor))
+        assert set(opened) == {"B2.tensor"}
+        assert {p: (cache_env / p).read_bytes() for p in old} == old
+        assert Path(ca.path_for("B2")).read_bytes() == ca.encode(entry)
 
     def test_leftover_schema_1_json_file_is_never_read(self, cache_env):
         old = cache_env / "B2.json"
@@ -166,17 +183,29 @@ class TestCorruption:
     def test_checksum_tamper_raises(self, cache_env):
         # a changed constant under the old sha256
         _, path = self.entry_path(cache_env)
+        blob = Path(path).read_bytes()
         entry = read_entry(path)
         entry["support"][0, 0] += 1
-        with open(path, "wb") as fh:
-            fh.write(ca.encode(entry))
+        Path(path).write_bytes(ca.encode(entry)[:-32] + blob[-32:])
         with pytest.raises(CorruptCache, match="checksum"):
             ca.cache_load("A2")
 
     def test_non_object_payload_raises(self, cache_env):
         system, path = self.entry_path(cache_env)
-        write_archive(path, [1, 2, 3], support=read_entry(path)["support"])
+        write_archive(path, [1, 2, 3],
+                      read_entry(path)["support"].tobytes())
         with pytest.raises(CorruptCache, match="not an object"):
+            ca.cache_load("A2")
+
+    def test_non_canonical_header_raises(self, cache_env):
+        # the same header with other whitespace, under a matching sha256
+        system, path = self.entry_path(cache_env)
+        entry = read_entry(path)
+        support = entry.pop("support")
+        body = json.dumps(entry, sort_keys=True, indent=0).replace(
+            "\n", " ").encode("utf-8") + b"\n" + support.tobytes()
+        Path(path).write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CorruptCache, match="canonical"):
             ca.cache_load("A2")
 
     def test_load_tensor_warns_and_recomputes(self, cache_env):
@@ -222,12 +251,12 @@ class TestCorruption:
 
     def test_malformed_triples_warn(self, cache_env):
         # a header of the current schema over the triples of schema 2:
-        # the support member is missing
+        # the bytes do not fill the declared support
         system, path = self.entry_path(cache_env)
         entry = read_entry(path)
         header = {k: v for k, v in entry.items() if k != "support"}
-        write_archive(path, header, triples=nonzero_triples(
-            system.structure_tensor()))
+        write_archive(path, header, nonzero_triples(
+            system.structure_tensor()).tobytes())
         with pytest.warns(UserWarning, match="corrupt"):
             assert ca.load_tensor(system) is None
 
@@ -347,7 +376,7 @@ class TestPermutedMatrix:
         base = {label: build_system(type=label).structure_tensor()
                 for label in ("F4", "A5")}
         before = {p.name: p.read_bytes() for p in cache_env.iterdir()}
-        assert set(before) == {"F4.npz", "A5.npz"}
+        assert set(before) == {"F4.tensor", "A5.tensor"}
 
         def refuse(*args):
             raise AssertionError("a matrix-built system touched the cache")
@@ -450,7 +479,8 @@ class TestEntryContents:
         assert entry["type_label"] == "B2"
         assert entry["rank"] == 2
         assert entry["group_order"] == 8
-        assert len(entry["sha256"]) == 64
+        assert entry["dtype"] == np.dtype(np.int32).str
+        assert entry["shape"] == [4, 9]
         assert entry["matrix_digest"] == ca.matrix_digest(system.matrix,
                                                           system.labels)
         assert entry["support"].shape == (4, 9)
@@ -478,14 +508,31 @@ class TestEntryContents:
         assert entry["support"].dtype == np.int64
         assert entry["support"][0, 0] == 1 << 40
 
+    @pytest.mark.parametrize("big,digest", [
+        (False, "7123cbcefae4c0450e06f5734b0f71f9"
+                "b801cbbb3a4fa168ec272377f52fad7b"),
+        (True, "e9633a26b9f058c8c7184400b45090d8"
+               "0388dcf66bbda9b1ee162d7fe2a44bce"),
+    ], ids=["int32", "int64"])
+    def test_file_format_is_pinned(self, cache_env, big, digest):
+        # a change to these bytes needs a new SCHEMA_VERSION and a new pin
+        system = fresh_system("A2")
+        tensor = system.structure_tensor().copy()
+        if big:
+            tensor[0, 0, 0] = 1 << 40
+        blob = ca.encode(ca.make_entry(system, tensor))
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_encoding_is_canonical(self, cache_env):
-        # equal content, equal bytes: the zip metadata carries no clock
+        # equal content, equal bytes: the header is sorted JSON and the
+        # trailer is the sha256 of what comes before it
         system = fresh_system("B3")
         entry = ca.make_entry(system, system.structure_tensor())
         first = ca.encode(entry)
-        assert ca.encode(dict(entry)) == first
-        assert read_entry(ca.cache_store(entry))["sha256"] == \
-            entry["sha256"]
+        assert ca.encode(dict(reversed(entry.items()))) == first
+        blob = Path(ca.cache_store(entry)).read_bytes()
+        assert blob == first
+        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
     def test_entry_holds_no_shape_classes(self, cache_env):
         system = fresh_system("B3")
