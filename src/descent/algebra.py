@@ -41,6 +41,14 @@ def _as_mask(system, subset):
     return system.mask_of_labels(subset)
 
 
+@lru_cache(maxsize=None)
+def _text_order(n):
+    """The subset masks of n generators in the order a vector's text lists
+    them: larger subsets first, then by their sorted members."""
+    return tuple(sorted(range(1 << n),
+                        key=lambda m: (-popcount(m), tuple(iter_bits(m)))))
+
+
 # ---------------------------------------------------------------------------
 # coordinate transforms between the three bases (all invertible, per-bit)
 
@@ -211,9 +219,7 @@ class DescentVector:
 
     def __str__(self):
         parts = []
-        order = sorted(range(len(self.nums)),
-                       key=lambda m: (-popcount(m), tuple(iter_bits(m))))
-        for mask in order:
+        for mask in _text_order(self.system.rank):
             if self.nums[mask] == 0:
                 continue
             c = Fraction(self.nums[mask], self.den)

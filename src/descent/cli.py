@@ -42,10 +42,11 @@ def rank7_memory_estimate(type_label):
     the int64 element keys and their sort; the root permutations of one
     length level are not counted. On top come the interpreter with numpy
     and the int64 structure tensor over all triples of subsets. A cold
-    ``descent table`` in a fresh process peaks at 399 MB on E7 and
-    123 MB on B7 (estimates 417 and 131 MB), but at 104 MB on D7 and
-    99 MB on A7 (estimates 90 and 54 MB), where the linear algebra of
-    the row sets the peak (Python 3.11.7).
+    ``descent table`` builds no group table, since its structure tensor
+    streams the enumeration: in a fresh process it peaks at 155 MB on E7,
+    84 MB on B7, 85 MB on D7 and 97 MB on A7 (estimates 417, 131, 90 and
+    54 MB); the linear algebra of the row sets the A7 peak (Python
+    3.11.7, 2 cores).
     """
     comps = cartan.parse_label(type_label)
     order = cartan.order_for_components(comps)

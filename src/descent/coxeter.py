@@ -10,11 +10,15 @@ derives from that action.
 The group is enumerated on first use, not on construction: the first read
 of any group table (``parent``, ``lastgen``, ``length``, ``supp``,
 ``rmul``, ``rasc``, ``lasc``, ``csany``, ``inv``) builds all nine,
-in the element order described above. The structure tensor, loaded from
-the cache, and the root action answer the rest without enumerating: the
-shapes are read off the tensor and the twist of the longest element off
-one walk on the roots, so a warm ``descent table`` row or ``descent mult``
-product never enumerates.
+in the element order described above. A cold structure tensor reads none
+of them: it walks the same length levels, makes each element once, from
+its smallest right descent, and counts one level's element signatures
+before it moves on. The structure tensor, loaded from the cache, and the
+root action, built on first use too, answer the rest without enumerating:
+the shapes are read off the tensor and the twist of the longest element
+off one walk on the roots, so a warm ``descent table`` row or ``descent
+mult`` product never enumerates, and a warm product never builds the root
+action.
 """
 
 from __future__ import annotations
@@ -151,8 +155,7 @@ class CoxeterSystem:
         self.order = cartan.order_for_components(components)
         self.full_mask = (1 << n) - 1
         self.nroots = nroots
-        self.sperm, self.simple_index, first_root = (
-            rootperm.build_root_action(n, parts))
+        self._parts = parts
         # w sends alpha_t into the root block of t's component, so the
         # element key codes that image inside the block: twice its offset
         # there, plus one if it is negative
@@ -166,43 +169,111 @@ class CoxeterSystem:
             # 4 * 10**8 elements and 4104 roots
             raise UnsupportedType(
                 "the elements of %s do not fit one int64 key" % type_label)
-        self._key_layout = first_root, [sum(width[:t]) for t in range(n)]
+        self._key_shift = [sum(width[:t]) for t in range(n)]
 
     # ------------------------------------------------------------------
     # enumeration
 
     @memoized
     def _root_action(self):
-        """The generators' signed root permutations, decoded once:
-        (spos, sperm, gidx, gsgn, root_to_gen) with spos[t] the index of
-        the simple root alpha_t, sperm the (n, N) signed permutations,
-        gidx and gsgn the index and sign of the image of each root under
-        each generator, and root_to_gen[i] the generator whose simple root
-        is root i, else -1."""
+        """The generators' signed root permutations, built on first use:
+        (spos, sperm, gidx, gsgn, root_to_gen, first_root) with spos[t]
+        the index of the simple root alpha_t, sperm the (n, N) int16
+        signed permutations, gidx and gsgn the index and sign of the image
+        of each root under each generator, root_to_gen[i] the generator
+        whose simple root is root i, else -1, and first_root[t] the first
+        index of the root block of t's component."""
         n, N = self.rank, self.nroots
-        spos = np.asarray(self.simple_index, dtype=np.intp)
-        sperm = np.asarray(self.sperm, dtype=np.intp).reshape(n, N)
+        sperm, spos, first_root = rootperm.build_root_action(n, self._parts)
+        spos = np.asarray(spos, dtype=np.intp)
+        sperm = np.asarray(sperm, dtype=np.int16).reshape(n, N)
         root_to_gen = np.full(N, -1, dtype=np.int8)
         root_to_gen[spos] = np.arange(n)
-        return (spos, sperm, np.abs(sperm) - 1,
-                np.sign(sperm).astype(np.int16), root_to_gen)
+        return (spos, sperm, np.abs(sperm).astype(np.intp) - 1,
+                np.sign(sperm), root_to_gen, first_root)
+
+    def _levels(self, choose):
+        """Walk W up its length levels from the identity, holding the root
+        permutations of the current level only.
+
+        At each level, choose(w, s, cols) gets the pairs (w, s) with s a
+        right ascent of w, in row-major order with w numbered within the
+        level, and cols, the images of the simple roots under ws, one row
+        per pair. It returns (pick, info): the indices of the pairs that
+        make the next level's elements, one pair each, and anything the
+        caller wants back. Yields (w, s, pick, right, left, info) per
+        level past the identity's, with right and left the images of the
+        simple roots under the picked elements ws and under their
+        inverses.
+        """
+        n, order = self.rank, self.order
+        spos, sperm, gidx, gsgn, _, _ = self._root_action()
+        # where each generator sends the simple roots, as one row of
+        # (generator, simple root) pairs
+        sidx, ssgn = gidx[:, spos].ravel(), gsgn[:, spos].ravel()
+        level = np.arange(1, self.nroots + 1, dtype=np.int16)[None]
+        right = left = level[:, spos]
+        count = 1
+        while True:
+            ascents = np.flatnonzero(right > 0)     # w n + s
+            if not ascents.size:
+                # the level of the longest element: leave before its
+                # length plus one can overflow int16
+                break
+            w, s = np.divmod(ascents, n)
+            # images of the simple roots under ws for every s, then the
+            # rows of the pairs
+            images = level.take(sidx, axis=1)
+            images *= ssgn
+            cols = images.reshape(-1, n).take(ascents, axis=0)
+            pick, info = choose(w, s, cols)
+            count += len(pick)
+            if count > order:
+                raise AssertionError(
+                    "enumeration found more than %d elements" % order)
+            pw, ps = w[pick], s[pick]
+            right = cols[pick]
+            # (ws)^{-1} = s w^{-1}
+            up = left[pw]
+            left = np.sign(up) * sperm[ps[:, None], np.abs(up) - 1]
+            # one generator at a time: whole rows, then one column order,
+            # so no index array of the level's size is formed
+            new = np.empty((len(pick), self.nroots), dtype=np.int16)
+            for t in range(n):
+                at = np.flatnonzero(ps == t)
+                rows = level.take(pw[at], axis=0).take(gidx[t], axis=1)
+                rows *= gsgn[t]
+                new[at] = rows
+            level = new
+            yield w, s, pick, right, left, info
+        if count != order:
+            raise AssertionError(
+                "enumeration found %d elements, expected %d" % (count, order))
+
+    def _descent_data(self, right, left):
+        """(rasc, lasc, csany) of the elements whose rows of simple-root
+        images under themselves and their inverses are right and left."""
+        root_to_gen = self._root_action()[4]
+        bits = np.arange(self.rank, dtype=np.int16)
+        rasc = ((right > 0) << bits).sum(axis=1, dtype=np.int16)
+        lasc = ((left > 0) << bits).sum(axis=1, dtype=np.int16)
+        return rasc, lasc, root_to_gen[np.abs(left) - 1]
 
     def _build(self):
-        """Enumerate W and fill the group tables, one vectorized step per
-        length level.
+        """Enumerate W and fill the group tables, one vectorized step of
+        ``_levels`` per length level.
 
         The pairs (w, s) of a level with s a right ascent of w are taken in
         row-major order; the new element ws is numbered by its first pair,
         which becomes its parent and last generator. Elements are told
         apart by one int64 key packing the images of the simple roots.
-        Only the current level's root permutations are held; each element
-        keeps the images of the simple roots under itself and its inverse.
+        Each element keeps the images of the simple roots under itself and
+        its inverse; an inverse has the length of its element, so it is
+        looked up among the keys of its own level.
         """
-        n, N, order = self.rank, self.nroots, self.order
-        spos, sperm, gidx, gsgn, root_to_gen = self._root_action()
-        # where each generator sends the simple roots
-        sidx, ssgn = gidx[:, spos], gsgn[:, spos]
-        first_root, shift = self._key_layout
+        n, order = self.rank, self.order
+        spos, *_, first_root = self._root_action()
+        shift = self._key_shift
 
         def pack(cols):
             """One key per row of signed root numbers, one per generator."""
@@ -213,81 +284,56 @@ class CoxeterSystem:
                         ) << shift[t]
             return key
 
-        parent = np.empty(order, dtype=np.int32)
-        lastgen = np.empty(order, dtype=np.int8)
-        length = np.empty(order, dtype=np.int16)
-        supp = np.empty(order, dtype=np.int16)
-        parent[0], lastgen[0], length[0], supp[0] = -1, -1, 0, 0
-        rmul = np.full((order, n), -1, dtype=np.int32)
-        keys = np.empty(order, dtype=np.int64)
-        right = np.empty((order, n), dtype=np.int16)   # w(alpha_t)
-        left = np.empty((order, n), dtype=np.int16)    # w^{-1}(alpha_t)
-        # the root permutations of the level lo:hi
-        level = np.arange(1, N + 1, dtype=np.int16)[None]
-        right[0] = left[0] = level[0, spos]
-        keys[0] = pack(right[:1])[0]
-
-        lo, hi = 0, 1
-        while True:
-            w, s = np.nonzero(right[lo:hi] > 0)
-            if not w.size:
-                # the level of the longest element: leave before its
-                # length plus one can overflow int16
-                break
-            # images of the simple roots under ws
-            cols = ssgn[s] * level[w[:, None], sidx[s]]
-            w += lo
+        def first_pairs(w, s, cols):
             uniq, first, which = np.unique(
                 pack(cols), return_index=True, return_inverse=True)
             by_first = np.argsort(first)
             number = np.empty_like(by_first)
-            number[by_first] = np.arange(hi, hi + len(uniq))
-            if hi + len(uniq) > order:
-                raise AssertionError(
-                    "enumeration found more than %d elements" % order)
-            v = number[which]
+            number[by_first] = np.arange(len(uniq))
+            return first[by_first], (uniq, number, which)
+
+        parent = np.empty(order, dtype=np.int32)
+        lastgen = np.empty(order, dtype=np.int8)
+        length = np.empty(order, dtype=np.int16)
+        supp = np.empty(order, dtype=np.int16)
+        inv = np.empty(order, dtype=np.int32)
+        parent[0], lastgen[0], length[0], supp[0], inv[0] = -1, -1, 0, 0, 0
+        rmul = np.full((order, n), -1, dtype=np.int32)
+        right = np.empty((order, n), dtype=np.int16)   # w(alpha_t)
+        left = np.empty((order, n), dtype=np.int16)    # w^{-1}(alpha_t)
+        right[0] = left[0] = spos + 1
+
+        lo, hi = 0, 1
+        for w, s, pick, up, down, (uniq, number, which) in self._levels(
+                first_pairs):
+            new = slice(hi, hi + len(pick))
+            w = w + lo
+            v = number[which] + hi
             rmul[w, s] = v
             rmul[v, s] = w
-            new = slice(hi, hi + len(uniq))
-            pick = first[by_first]
             pw, ps = w[pick], s[pick]
             parent[new] = pw
             lastgen[new] = ps
             length[new] = length[lo] + 1
             supp[new] = supp[pw] | (1 << ps)
-            keys[new] = uniq[by_first]
-            right[new] = cols[pick]
-            # (ws)^{-1} = s w^{-1}
-            up = left[pw]
-            left[new] = np.sign(up) * sperm[ps[:, None], np.abs(up) - 1]
-            level = gsgn[ps] * level[pw[:, None] - lo, gidx[ps]]
-            lo, hi = hi, hi + len(uniq)
-        if hi != order:
-            raise AssertionError(
-                "enumeration found %d elements, expected %d" % (hi, order))
-
-        bits = np.arange(n, dtype=np.int16)
-        rasc = ((right > 0) << bits).sum(axis=1, dtype=np.int16)
-        lasc = ((left > 0) << bits).sum(axis=1, dtype=np.int16)
-        csany = root_to_gen[np.abs(left) - 1]
-
-        ranked = np.argsort(keys)
-        inv_keys = pack(left)
-        at = np.minimum(np.searchsorted(keys[ranked], inv_keys), order - 1)
-        missing = np.flatnonzero(keys[ranked[at]] != inv_keys)
-        if missing.size:
-            raise AssertionError(
-                "inverse of element %d is not enumerated" % missing[0])
-        inv = ranked[at].astype(np.int32)
+            right[new] = up
+            left[new] = down
+            inv_keys = pack(down)
+            at = np.minimum(np.searchsorted(uniq, inv_keys), len(uniq) - 1)
+            missing = np.flatnonzero(uniq[at] != inv_keys)
+            if missing.size:
+                raise AssertionError(
+                    "inverse of element %d is not enumerated"
+                    % (hi + missing[0]))
+            inv[new] = number[at] + hi
+            lo, hi = new.start, new.stop
 
         self.parent = parent
         self.lastgen = lastgen
         self.length = length
         self.supp = supp
         self.rmul = rmul
-        self.rasc = rasc
-        self.lasc = lasc
-        self.csany = csany
+        self.rasc, self.lasc, self.csany = self._descent_data(right, left)
         self.inv = inv
 
     # ------------------------------------------------------------------
@@ -406,7 +452,7 @@ class CoxeterSystem:
         root has w(alpha_s) > 0; each step adds one to the length, so after
         at most N steps w = w0, and w0(alpha_t) = -alpha_{sigma_0(t)}.
         """
-        spos, _sperm, gidx, gsgn, root_to_gen = self._root_action()
+        spos, _sperm, gidx, gsgn, root_to_gen, _ = self._root_action()
         w = np.arange(1, self.nroots + 1, dtype=np.int16)
         while True:
             up = np.flatnonzero(w[spos] > 0)
@@ -536,63 +582,105 @@ class CoxeterSystem:
         return T
 
     def _compute_tensor(self):
-        """T[I, J, K] from a histogram of element signatures.
+        """T[I, J, K] from the histogram of element signatures, streamed
+        over the length levels without the group tables.
 
-        d counts towards T[I, J, K] when I is among its left ascents a,
-        J among its right ascents b, and (d^{-1} I d) cap J = K, so only
-        the signature of d matters: a, b and, for each s in a, the
-        generator d^{-1} s d when it is one. Four vectorized passes:
-
-        1. one int64 key per element packs its signature, and
-           ``np.unique`` counts the keys;
-        2. H[I, D, b] sums the counts of the signatures with I a subset
-           of a, image D = (d^{-1} I d) cap S and right ascents b, filled
-           one left-ascent mask a at a time;
-        3. n in-place steps of a superset sum over the last axis give
-           G[I, D, J] = sum of H[I, D, b] over b containing J;
-        4. T[I, J, D cap J] += G[I, D, J], one I row at a time, each
-           row of T written over the row of G it came from.
+        Each element ws of the next level is made once, from the one pair
+        (w, s) with s its smallest right descent; each level's signature
+        keys are counted before the walk moves on, and the level counts
+        are merged at the end, or every 64 levels when the levels are many
+        and short, as with a large dihedral factor.
         """
+        def smallest_descent(w, s, cols):
+            return np.flatnonzero((cols < 0).argmax(axis=1) == s), None
+
+        def count(right, left):
+            return np.unique(signature_keys(
+                n, *self._descent_data(right, left)), return_counts=True)
+
+        def merge(counted):
+            keys, counts = (np.concatenate(part) for part in zip(*counted))
+            sigs, which = np.unique(keys, return_inverse=True)
+            mult = np.zeros(len(sigs), dtype=np.int64)
+            np.add.at(mult, which, counts)
+            return [(sigs, mult)]
+
         n = self.rank
-        full = 1 << n
-        # the image code of s is 0 (s not a left ascent, or d^{-1} s d not
-        # a generator) or t + 1 for d^{-1} s d = s_t, so it lies in 0..n
-        # and takes n.bit_length() <= 3 bits for n <= 7, so the key
-        # (codes, then b, then a) takes n (3 + 2) <= 35 bits
-        width = n.bit_length()
-        if n * (width + 2) > 63:
-            raise AssertionError(
-                "signature keys of rank %d do not fit 63 bits" % n)
-        lasc = self.lasc.astype(np.int64)
-        key = (lasc << n | self.rasc) << (n * width)
-        for s in range(n):
-            t = self.csany[:, s].astype(np.int64)
-            ascent = (lasc >> s & 1).astype(bool)
-            key |= np.where(ascent & (t >= 0), t + 1, 0) << (s * width)
-        sigs, mult = np.unique(key, return_counts=True)
+        one = (self._root_action()[0] + 1).astype(np.int16)[None]
+        counted = [count(one, one)]
+        for *_, right, left, _ in self._levels(smallest_descent):
+            counted.append(count(right, left))
+            if len(counted) > 64:
+                counted = merge(counted)
+        [(sigs, mult)] = merge(counted)
+        return tensor_from_signatures(n, sigs, mult)
 
-        # sorted keys group the signatures by a, the top field
-        amask = sigs >> (n * width + n)
-        bmask = sigs >> (n * width) & (full - 1)
-        masks = np.arange(full)
-        G = np.zeros((full, full, full), dtype=np.int64)
-        starts = np.flatnonzero(np.diff(amask, prepend=-1))
-        for lo, hi in zip(starts, np.append(starts[1:], len(sigs))):
-            a = int(amask[lo])
-            subs = masks[(masks & ~a) == 0]
-            D = np.zeros((hi - lo, len(subs)), dtype=np.intp)
-            for s in iter_bits(a):
-                code = sigs[lo:hi] >> (s * width) & ((1 << width) - 1)
-                D |= np.where(subs >> s & 1, ((1 << code) >> 1)[:, None], 0)
-            np.add.at(G, (subs, D, bmask[lo:hi, None]), mult[lo:hi, None])
 
-        subset_sums(G, n, supersets=True)
-        meet = masks[:, None] & masks    # D cap J, indexed [D, J]
-        for i in range(full):
-            row = np.zeros((full, full), dtype=np.int64)
-            np.add.at(row, (masks, meet), G[i])
-            G[i] = row
-        return G
+def signature_keys(n, rasc, lasc, csany):
+    """One int64 key per element of rank n, packing its signature: its
+    left ascents a, its right ascents b and, for each s in a, the code of
+    d^{-1} s d: t + 1 when it is the generator s_t, else 0.
+
+    The code lies in 0..n and takes n.bit_length() <= 3 bits for n <= 7,
+    so the key (codes, then b, then a) takes n (3 + 2) <= 35 bits.
+    """
+    width = n.bit_length()
+    if n * (width + 2) > 63:
+        raise AssertionError(
+            "signature keys of rank %d do not fit 63 bits" % n)
+    lasc = lasc.astype(np.int64)
+    key = (lasc << n | rasc) << (n * width)
+    for s in range(n):
+        t = csany[:, s].astype(np.int64)
+        ascent = (lasc >> s & 1).astype(bool)
+        key |= np.where(ascent & (t >= 0), t + 1, 0) << (s * width)
+    return key
+
+
+def tensor_from_signatures(n, sigs, mult):
+    """T[I, J, K] of rank n from the sorted signature keys ``sigs`` (see
+    ``signature_keys``) and their counts ``mult``.
+
+    d counts towards T[I, J, K] when I is among its left ascents a,
+    J among its right ascents b, and (d^{-1} I d) cap J = K, so only
+    the signature of d matters. Three vectorized passes:
+
+    1. H[I, D, b] sums the counts of the signatures with I a subset
+       of a, image D = (d^{-1} I d) cap S and right ascents b, filled
+       one left-ascent mask a at a time;
+    2. n in-place steps of a superset sum over the last axis give
+       G[I, D, J] = sum of H[I, D, b] over b containing J;
+    3. T[I, J, D cap J] += G[I, D, J], one I row at a time, each
+       row of T written over the row of G it came from.
+    """
+    full = 1 << n
+    width = n.bit_length()
+    # sorted keys group the signatures by a, the top field
+    amask = sigs >> (n * width + n)
+    bmask = sigs >> (n * width) & (full - 1)
+    masks = np.arange(full)
+    # every np.add.at below takes one flat index, its fast path
+    G = np.zeros((full, full, full), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(amask, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(sigs))):
+        a = int(amask[lo])
+        subs = masks[(masks & ~a) == 0]
+        D = np.zeros((hi - lo, len(subs)), dtype=np.intp)
+        for s in iter_bits(a):
+            code = sigs[lo:hi] >> (s * width) & ((1 << width) - 1)
+            D |= np.where(subs >> s & 1, ((1 << code) >> 1)[:, None], 0)
+        at = (subs * full + D) * full + bmask[lo:hi, None]
+        np.add.at(G.reshape(-1), at.ravel(),
+                  np.repeat(mult[lo:hi], len(subs)))
+
+    subset_sums(G, n, supersets=True)
+    # [D, J] -> J full + (D cap J), a flat index into one row of T
+    meet = (masks * full + (masks[:, None] & masks)).ravel()
+    for i in range(full):
+        row = np.zeros(full * full, dtype=np.int64)
+        np.add.at(row, meet, G[i].reshape(-1))
+        G[i] = row.reshape(full, full)
+    return G
 
 
 def check_tensor(T, matrix, order, type_label):

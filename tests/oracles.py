@@ -1,7 +1,8 @@
 """Paper facts and reference routes that only the tests use.
 
 The package computes each result one way. The helpers here are the second
-routes the tests check it against (group-algebra coordinates, the
+routes the tests check it against (the structure tensor from the
+signature histogram of the group tables, group-algebra coordinates, the
 convolution of two group vectors, a product compared one pair at a time,
 the multiplicative pairs of a morphism summed one segment of the support
 at a time, a commuting square of morphisms,
@@ -25,10 +26,26 @@ from descent import automorphisms as auto
 from descent import linalg
 from descent import morphisms as mo
 from descent.algebra import DescentVector
-from descent.coxeter import subset_sums, support_pairs
+from descent.coxeter import (signature_keys, subset_sums, support_pairs,
+                             tensor_from_signatures)
 from descent.errors import (DescentError, InvalidSubset, NotInDescentAlgebra,
                             WrongType)
 from descent.linalg import Span
+
+# ---------------------------------------------------------------------------
+# the structure tensor from the group tables
+
+
+def tensor_by_table_histogram(system):
+    """Reference structure tensor: the signature of every element read
+    off the ``rasc``, ``lasc`` and ``csany`` tables at once and counted
+    with one ``np.unique``, then the production passes from the histogram
+    to the tensor."""
+    keys = signature_keys(system.rank, system.rasc, system.lasc,
+                          system.csany)
+    return tensor_from_signatures(system.rank,
+                                  *np.unique(keys, return_counts=True))
+
 
 # ---------------------------------------------------------------------------
 # polynomials over Q, coefficient lists with index = degree: the gcd route

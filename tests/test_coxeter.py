@@ -394,9 +394,9 @@ def enumerate_by_element(system):
     """Reference enumeration: one element and one generator at a time,
     new elements found through a dict keyed by their root permutation."""
     n, N, order = system.rank, system.nroots, system.order
-    gidx = [np.abs(s).astype(np.intp) - 1 for s in system.sperm]
-    gsgn = [np.sign(s).astype(np.int16) for s in system.sperm]
-    spos = system.simple_index
+    spos, sperm, *_ = system._root_action()
+    gidx = [np.abs(s).astype(np.intp) - 1 for s in sperm]
+    gsgn = [np.sign(s).astype(np.int16) for s in sperm]
 
     P = np.empty((order, N), dtype=np.int16)
     P[0] = np.arange(1, N + 1, dtype=np.int16)
@@ -522,8 +522,14 @@ def test_element_key_overflow_raises_on_construction():
     assert not set(GROUP_TABLES) & set(system.__dict__)
 
 
-def test_warm_multiply_never_enumerates(system_factory):
+def test_warm_multiply_never_enumerates(system_factory, monkeypatch):
     system_factory("B4").structure_tensor()     # primes the cache
+
+    # nor does it build the root action
+    def refuse(*args):
+        raise AssertionError("root action built for a warm product")
+
+    monkeypatch.setattr(rootperm, "build_root_action", refuse)
     system = build_system(type="B4")
     left = parse_expression(system, "x[1,2] + 2*x[3]")
     right = parse_expression(system, "x[2,4] - x[]")
@@ -791,24 +797,39 @@ def tensor_by_signature_loop(system):
     return T
 
 
-def assert_tensor_matches_reference(system):
+def assert_tensor_matches_reference(system, loop=True):
+    """The streamed tensor, computed before any group table is built,
+    against the table histogram and, with ``loop``, the per-signature
+    loop."""
     got = system._compute_tensor()
     assert got.dtype == np.int64
-    assert np.array_equal(got, tensor_by_signature_loop(system))
+    assert np.array_equal(got, oracles.tensor_by_table_histogram(system))
+    if loop:
+        assert np.array_equal(got, tensor_by_signature_loop(system))
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
-def test_tensor_matches_signature_loop(system_factory, label):
-    assert_tensor_matches_reference(system_factory(label))
+def test_tensor_matches_signature_loop(label):
+    assert_tensor_matches_reference(build_system(type=label, cache=False))
 
 
 @pytest.mark.parametrize("system", [
     lambda: build_system(type="A7", allow_rank7=True, cache=False),
     lambda: build_system(matrix=[]),
     lambda: build_system(type="I2(509)xA1xA1xA1xA1", cache=False),
-], ids=["A7", "rank0", "I2(509)xA1xA1xA1xA1"])
+    lambda: build_system(type="I2(251)xA1xA1xA1xA1xA1", allow_rank7=True,
+                         cache=False),
+    lambda: build_system(type="A1xI2(300)xA2", cache=False),
+], ids=["A7", "rank0", "I2(509)xA1xA1xA1xA1", "I2(251)xA1xA1xA1xA1xA1",
+        "A1xI2(300)xA2"])
 def test_more_tensors_match_signature_loop(system):
     assert_tensor_matches_reference(system())
+
+
+@pytest.mark.parametrize("label", ["B7", "D7"])
+def test_rank7_tensors_match_table_histogram(label):
+    assert_tensor_matches_reference(
+        build_system(type=label, allow_rank7=True, cache=False), loop=False)
 
 
 @pytest.mark.parametrize("label,perm", [
@@ -818,6 +839,24 @@ def test_permuted_matrix_tensor_matches_signature_loop(label, perm):
     _labels, mat = cartan.matrix_for_components(cartan.parse_label(label))
     permuted = [[mat[a][b] for b in perm] for a in perm]
     assert_tensor_matches_reference(build_system(matrix=permuted))
+
+
+def test_cold_tensor_leaves_the_group_tables_unbuilt():
+    system = build_system(type="D5", cache=False)
+    system.structure_tensor()
+    assert not set(GROUP_TABLES) & set(system.__dict__)
+
+
+@pytest.mark.parametrize("walk", ["_build", "_compute_tensor"])
+@pytest.mark.parametrize("order,problem", [
+    (40, "more than 40 elements"), (49, "found 48 elements, expected 49"),
+])
+def test_both_walks_count_the_elements(walk, order, problem):
+    # B3 has 48 elements
+    system = build_system(type="B3", cache=False)
+    system.order = order
+    with pytest.raises(AssertionError, match=problem):
+        getattr(system, walk)()
 
 
 @pytest.mark.parametrize("index,delta,problem", [
