@@ -504,32 +504,49 @@ def psi_K(context):
     return AlgebraMorphism(system, context.quotient, cols, kmask)
 
 
-def goetz1_set_check(context, imask, jmask):
-    """Set-level equality of the refining double-coset pieces, for one pair
-    of subsets containing K: the quotient's pieces, pushed through the
-    embedding, must coincide exactly with the big group's pieces.
+def goetz1_set_check(context):
+    """The first pair I, J of subsets containing K, I outer and J inner
+    with masks ascending, whose refined structure sets differ from the
+    quotient's pushed through the embedding, or None.
 
-    Each structure set is split by the piece subset of its elements. The
-    (element, piece subset) pairs of the big group's members of the
-    quotient group must be the images of the quotient's pairs, and every
-    other element of the big set must lie in a piece whose subset misses
-    part of K.
+    Pair I, J passes when the quotient-group members of X_{I,J} are the
+    images d of the e in X_{qI,qJ}, with (d^-1 I d) cap J equal to
+    bb[(e^-1 qI e) cap qJ], bb = K | expand_masks(outer), and every other
+    element of X_{I,J} has a piece missing part of K. Let hit(d) say I in
+    L(d) and K in R(d), ref(d) = (d^-1 I d) cap S, ref'(e) = bb[ref_q(e)]
+    and R'(e) = bb[R_q(e)]. As bb[qJ] = J, bb[m cap qJ] = bb[m] cap J and
+    d is in X_{I,J} iff hit(d) and K <= J <= R(d), every J passes iff
+    1. no non-member has hit(d) and K in ref(d) (else J = K fails);
+    2. hit(d) is qI in L_q(e) for each e, images being injective (else
+       J = K fails), and where it holds R(d) = R'(e): two sets holding K
+       with the same subsets holding K are equal;
+    3. there (ref(d) xor ref'(e)) cap R(d) = 0: the pieces agree on every
+       J inside R(d) iff on R(d) itself.
+    Only an I that fails 3 alone is swept over J.
     """
-    system, kmask = context.system, context.kmask
-    q = context.quotient
-    qI = context.quotient_mask(imask)
-    qJ = context.quotient_mask(jmask)
-    big = system.structure_set(imask, jmask)
-    small = q.structure_set(qI, qJ)
-    big_l = system._refine_masks(big, imask, jmask)
-    small_l = (kmask | expand_masks(context.outer_positions))[
-        q._refine_masks(small, qI, qJ)]
-    member = np.isin(big, context.images)
-    if np.any((big_l[~member] & kmask) == kmask):
-        return False
-    size = 1 << system.rank
-    return np.array_equal(np.sort(big[member] * size + big_l[member]),
-                          np.sort(context.images[small] * size + small_l))
+    system, kmask, q = context.system, context.kmask, context.quotient
+    bb = kmask | expand_masks(context.outer_positions)
+    member = np.zeros(system.order, dtype=bool)
+    member[context.images] = True
+    above = [m for m in range(1 << system.rank) if m & kmask == kmask]
+    for imask in above:
+        qI = context.quotient_mask(imask)
+        big = system.structure_set(imask, kmask)
+        small = q.structure_set(qI, 0)
+        ref = np.full(system.order, -1, dtype=np.int64)  # -1 off X_{I,K}
+        ref[big] = system._refine_masks(big, imask, system.full_mask)
+        d = context.images[small]
+        if (((ref[big] & kmask) == kmask) & ~member[big]).any() or (
+                member[big].sum() != len(d) or (ref[d] < 0).any()):
+            return imask, kmask
+        rd, rq = system.rasc[d], bb[q.rasc[small]]
+        x = (ref[d] ^ bb[q._refine_masks(small, qI, q.full_mask)]) & rd
+        for jmask in above if (rd != rq).any() or x.any() else ():
+            under = (rd & jmask) == jmask
+            if ((under != ((rq & jmask) == jmask)).any()
+                    or (x[under] & jmask).any()):
+                return imask, jmask
+    return None
 
 
 def varpi_tau_check(context):

@@ -390,16 +390,14 @@ def _suite_morphisms(system, report, seed):
 
         def quotient_failure(K):
             ctx = mor.build_context(system, K)
-            above = [i for i in all_masks if i & K == K]
-            bad = _first_failure(
-                None if mor.goetz1_set_check(ctx, i, j)
-                else {"K": _mask_name(system, K),
-                      "I": _mask_name(system, i),
-                      "J": _mask_name(system, j)}
-                for i in above for j in above)[1]
-            if bad is None and not mor.varpi_tau_check(ctx):
-                bad = {"K": _mask_name(system, K), "stage": "characters"}
-            return bad
+            pair = mor.goetz1_set_check(ctx)
+            if pair is not None:
+                return {"K": _mask_name(system, K),
+                        "I": _mask_name(system, pair[0]),
+                        "J": _mask_name(system, pair[1])}
+            if not mor.varpi_tau_check(ctx):
+                return {"K": _mask_name(system, K), "stage": "characters"}
+            return None
 
         ran, bad = _first_failure(
             quotient_failure(K) for K in candidates

@@ -5,7 +5,8 @@ routes the tests check it against (the structure tensor from the
 signature histogram of the group tables, group-algebra coordinates, the
 convolution of two group vectors, a product compared one pair at a time,
 the multiplicative pairs of a morphism summed one segment of the support
-at a time, a commuting square of morphisms,
+at a time, a commuting square of morphisms, the quotient's refined
+structure sets compared one pair of subsets at a time,
 conjugacy decided one element, member or point at a time, w_K and
 subgroup embeddings found one element at a time, span helpers, the
 polynomial gcd that decides squarefreeness, character values one element
@@ -678,3 +679,41 @@ def commuting_square_check(system, K, L):
     left = mo.compose(psi_bottom, res_left)
     right = mo.compose(res_right, psi_top)
     return right.equal_matrix(left)
+
+
+def goetz1_pair_check(context, imask, jmask):
+    """Set-level equality of the refining double-coset pieces, for one pair
+    of subsets containing K: the quotient's pieces, pushed through the
+    embedding, must coincide exactly with the big group's pieces.
+
+    Each structure set is split by the piece subset of its elements. The
+    (element, piece subset) pairs of the big group's members of the
+    quotient group must be the images of the quotient's pairs, and every
+    other element of the big set must lie in a piece whose subset misses
+    part of K.
+    """
+    system, kmask = context.system, context.kmask
+    q = context.quotient
+    qI = context.quotient_mask(imask)
+    qJ = context.quotient_mask(jmask)
+    big = system.structure_set(imask, jmask)
+    small = q.structure_set(qI, qJ)
+    big_l = system._refine_masks(big, imask, jmask)
+    small_l = (kmask | mo.expand_masks(context.outer_positions))[
+        q._refine_masks(small, qI, qJ)]
+    member = np.isin(big, context.images)
+    if np.any((big_l[~member] & kmask) == kmask):
+        return False
+    size = 1 << system.rank
+    return np.array_equal(np.sort(big[member] * size + big_l[member]),
+                          np.sort(context.images[small] * size + small_l))
+
+
+def goetz1_first_failure(context):
+    """The first pair I, J of subsets containing K, I outer and J inner
+    with masks ascending, that fails ``goetz1_pair_check``, or None."""
+    kmask = context.kmask
+    above = [m for m in range(1 << context.system.rank)
+             if m & kmask == kmask]
+    return next(((i, j) for i in above for j in above
+                 if not goetz1_pair_check(context, i, j)), None)

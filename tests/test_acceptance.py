@@ -219,7 +219,8 @@ def test_criterion_6_morphism_identities(system_factory):
                     continue
                 assert oracles.is_multiplicative_pair(
                     psi, xi, alg.basis_x(system, jmask))
-                assert mo.goetz1_set_check(ctx, imask, jmask)
+        # the set identities of every pair of subsets containing {1}
+        assert mo.goetz1_set_check(ctx) is None
     print("criterion 6 (morphism identities and inventories): PASS")
 
 

@@ -426,19 +426,16 @@ class TestQuotients:
             for jmask in all_masks(system):
                 assert oracles.is_multiplicative_pair(
                     psi, xi, alg.basis_x(system, jmask))
-                if imask & 0b001 == 0b001 and jmask & 0b001 == 0b001:
-                    assert mo.goetz1_set_check(ctx, imask, jmask)
+        # every pair of subsets containing the short generator
+        assert mo.goetz1_set_check(ctx) is None
         assert mo.varpi_tau_check(ctx)
 
     def test_quotient_of_b4_by_short_generator(self, system_factory):
         system = system_factory("B4")
         ctx = mo.build_context(system, 0b0001)
         assert ctx.quotient.type_label == "B3"
-        rng = random.Random("b4quot")
-        for _ in range(40):
-            imask = rng.randrange(system.full_mask + 1) | 0b0001
-            jmask = rng.randrange(system.full_mask + 1) | 0b0001
-            assert mo.goetz1_set_check(ctx, imask, jmask)
+        # every pair of subsets containing the short generator
+        assert mo.goetz1_set_check(ctx) is None
         assert mo.varpi_tau_check(ctx)
 
     def test_quotient_by_antipodal_pair(self, system_factory):
@@ -772,11 +769,9 @@ class TestChecksRejectCorruptedInput:
         images = ctx.images.copy()
         images[[0, 1]] = images[[1, 0]]
         bad = dataclasses.replace(ctx, images=images)
-        pairs = [(i, j) for i in all_masks(system) for j in all_masks(system)
-                 if i & 1 and j & 1]
-        assert all(mo.goetz1_set_check(ctx, i, j) for i, j in pairs)
-        assert not all(mo.goetz1_set_check(bad, i, j)
-                       for i, j in pairs)
+        assert mo.goetz1_set_check(ctx) is None
+        assert mo.goetz1_set_check(bad) is not None
+        assert mo.goetz1_set_check(bad) == oracles.goetz1_first_failure(bad)
 
     def test_goetz1_set_check_rejects_non_member_in_k_piece(
             self, system_factory, monkeypatch):
@@ -791,6 +786,70 @@ class TestChecksRejectCorruptedInput:
             out[~np.isin(idxs, ctx.images)] |= ctx.kmask
             return out
 
-        assert mo.goetz1_set_check(ctx, 0b001, 0b001)
+        assert mo.goetz1_set_check(ctx) is None
         monkeypatch.setattr(system, "_refine_masks", moved)
-        assert not mo.goetz1_set_check(ctx, 0b001, 0b001)
+        # the first pair, I = J = K, already fails
+        assert mo.goetz1_set_check(ctx) == (0b001, 0b001)
+        assert oracles.goetz1_first_failure(ctx) == (0b001, 0b001)
+
+    def test_goetz1_set_check_sees_a_lost_quotient_ascent(
+            self, system_factory, monkeypatch):
+        # a quotient element loses a left ascent: it leaves X_{qI,0} for
+        # the I holding it while its image stays in X_{I,K}, so only the
+        # count of members in X_{I,K} shows the pieces differ
+        system = system_factory("B3")
+        ctx = mo.build_context(system, 0b001)
+        lasc = ctx.quotient.lasc.copy()
+        e = int(np.flatnonzero(lasc)[0])
+        lasc[e] &= lasc[e] - 1
+        monkeypatch.setattr(ctx.quotient, "lasc", lasc)
+        assert mo.goetz1_set_check(ctx) is not None
+        assert mo.goetz1_set_check(ctx) == oracles.goetz1_first_failure(ctx)
+
+    @pytest.mark.parametrize("label", [
+        label for label in SUPPORTED_TYPES
+        if label.startswith("I") or int(label[1:]) <= 5])
+    def test_goetz1_set_check_matches_pair_oracle(self, system_factory,
+                                                  monkeypatch, label):
+        # on every self-opposed subset: the context itself, six swaps of
+        # two images, and for three non-members each, the non-member put
+        # in place of one image or moved into a piece holding K. The one
+        # pass names the pair-by-pair oracle's first failing pair.
+        system = system_factory(label)
+        refine = system._refine_masks
+        moved = {"element": -1, "kmask": 0}
+
+        def refine_moved(idxs, imask, jmask):
+            out = refine(idxs, imask, jmask)
+            out[idxs == moved["element"]] |= moved["kmask"]
+            return out
+
+        def agreed(context):
+            found = mo.goetz1_set_check(context)
+            assert found == oracles.goetz1_first_failure(context)
+            return found
+
+        monkeypatch.setattr(system, "_refine_masks", refine_moved)
+        corrupted_found = []
+        for kmask in all_masks(system):
+            if not mo.is_self_opposed(system, kmask):
+                continue
+            ctx = mo.build_context(system, kmask)
+            assert agreed(ctx) is None
+            rng = random.Random("goetz1:%s:%d" % (label, kmask))
+            for _ in range(6 if len(ctx.images) > 1 else 0):
+                images = ctx.images.copy()
+                pair = rng.sample(range(len(images)), 2)
+                images[pair] = images[pair[::-1]]
+                corrupted_found.append(
+                    agreed(dataclasses.replace(ctx, images=images)))
+            outside = np.setdiff1d(np.arange(system.order), ctx.images)
+            for element in rng.sample(list(outside), min(3, len(outside))):
+                images = ctx.images.copy()
+                images[rng.randrange(len(images))] = element
+                corrupted_found.append(
+                    agreed(dataclasses.replace(ctx, images=images)))
+                moved.update(element=element, kmask=kmask)
+                corrupted_found.append(agreed(ctx))
+                moved["element"] = -1
+        assert any(corrupted_found)

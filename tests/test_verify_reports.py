@@ -17,13 +17,16 @@ wrong, and pin that element as the counterexample.
 
 The ``-corrupt-`` files under ``tests/data/solomon-oracle``,
 ``tests/data/positivity`` and ``tests/data/morphisms`` listed in
-``BRANCH_CORRUPTIONS`` pin the payloads of three more failure branches:
+``BRANCH_CORRUPTIONS`` pin the payloads of four more failure branches:
 a product on which the two multiplication routes disagree, a character
-value that rises from a subset to a larger one, and a quotient whose
-character identity fails after its set-level identities hold. The
+value that rises from a subset to a larger one, a quotient whose
+character identity fails after its set-level identities hold, and a
+quotient whose set-level identities first fail at a pair of subsets
+larger than its own. The
 ``.txt`` file is the text report, with its counterexample line.
 """
 
+import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -184,6 +187,22 @@ def corrupt_quotient_characters(monkeypatch):
                         lambda ctx: ctx.kmask != 0b001 and original(ctx))
 
 
+def corrupt_quotient_sets(monkeypatch):
+    # two images of the quotient by {1} trade places, so its set
+    # identities first fail at a pair I, J both larger than {1}
+    original = mo.build_context
+
+    def build_context(system, K):
+        ctx = original(system, K)
+        if ctx.kmask != 0b001:
+            return ctx
+        images = ctx.images.copy()
+        images[[1, 5]] = images[[5, 1]]
+        return dataclasses.replace(ctx, images=images)
+
+    monkeypatch.setattr(mo, "build_context", build_context)
+
+
 # (reference, suite, type, format, corruption)
 BRANCH_CORRUPTIONS = [
     ("A3-corrupt-group-route", "solomon-oracle", "A3", "json",
@@ -194,6 +213,10 @@ BRANCH_CORRUPTIONS = [
      corrupt_character_rise),
     ("B3-corrupt-quotient-characters", "morphisms", "B3", "json",
      corrupt_quotient_characters),
+    ("B3-corrupt-quotient-sets", "morphisms", "B3", "json",
+     corrupt_quotient_sets),
+    ("B3-corrupt-quotient-sets", "morphisms", "B3", "txt",
+     corrupt_quotient_sets),
 ]
 
 
