@@ -13,12 +13,20 @@ of any group table (``parent``, ``lastgen``, ``length``, ``supp``,
 in the element order described above. A cold structure tensor reads none
 of them: it walks the same length levels, makes each element once, from
 its smallest right descent, and counts one level's element signatures
-before it moves on. The structure tensor, loaded from the cache, and the
-root action, built on first use too, answer the rest without enumerating:
-the shapes are read off the tensor and the twist of the longest element
-off one walk on the roots, so a warm ``descent table`` row or ``descent
-mult`` product never enumerates, and a warm product never builds the root
-action.
+before it moves on. It walks only levels 0 to floor(N/2), N the number of
+positive roots, and counts the signature of w0 w with that of each w
+below the middle: l(w0 w) = N - l(w), so w -> w0 w, its own inverse, maps
+level l one-to-one onto level N - l, and the middle level of an even N
+onto itself. With sigma the twist, w0 s w0 = sigma(s), the right ascents
+of w0 w are the right descents of w, s is a left ascent of w0 w iff
+sigma(s) is a left descent of w, and (w0 w)^{-1} s (w0 w) =
+w^{-1} sigma(s) w.
+
+The structure tensor, loaded from the cache, and the root action, built
+on first use too, answer the rest without enumerating: the shapes are
+read off the tensor and the twist of the longest element off one walk on
+the roots, so a warm ``descent table`` row or ``descent mult`` product
+never enumerates, and a warm product never builds the root action.
 """
 
 from __future__ import annotations
@@ -170,6 +178,8 @@ class CoxeterSystem:
             raise UnsupportedType(
                 "the elements of %s do not fit one int64 key" % type_label)
         self._key_shift = [sum(width[:t]) for t in range(n)]
+        # _bits[t] = 1 << t, and _bits[-1] = 0 for a csany entry of -1
+        self._bits = np.append(1 << np.arange(n, dtype=np.int64), 0)
 
     # ------------------------------------------------------------------
     # enumeration
@@ -192,7 +202,7 @@ class CoxeterSystem:
         return (spos, sperm, np.abs(sperm).astype(np.intp) - 1,
                 np.sign(sperm), root_to_gen, first_root)
 
-    def _levels(self, choose):
+    def _levels(self, choose, mirrored=False):
         """Walk W up its length levels from the identity, holding the root
         permutations of the current level only.
 
@@ -204,30 +214,39 @@ class CoxeterSystem:
         caller wants back. Yields (w, s, pick, right, left, info) per
         level past the identity's, with right and left the images of the
         simple roots under the picked elements ws and under their
-        inverses.
+        inverses. The last level is N, the number of positive roots: it
+        holds the longest element w0 alone.
+
+        With ``mirrored`` the walk stops at level floor(N/2) and counts
+        each level l < N/2 twice: w -> w0 w maps level l one-to-one onto
+        level N - l, so the levels walked and the images of those below
+        the middle make up W.
         """
-        n, order = self.rank, self.order
+        n, N, order = self.rank, self.nroots, self.order
         spos, sperm, gidx, gsgn, _, _ = self._root_action()
         # where each generator sends the simple roots, as one row of
         # (generator, simple root) pairs
         sidx, ssgn = gidx[:, spos].ravel(), gsgn[:, spos].ravel()
-        level = np.arange(1, self.nroots + 1, dtype=np.int16)[None]
+        level = np.arange(1, N + 1, dtype=np.int16)[None]
         right = left = level[:, spos]
-        count = 1
-        while True:
+
+        def copies(depth):
+            # the level, and with mirrored its image under w -> w0 w
+            return 2 if mirrored and 2 * depth < N else 1
+
+        count = copies(0)
+        for depth in range(1, (N // 2 if mirrored else N) + 1):
             ascents = np.flatnonzero(right > 0)     # w n + s
-            if not ascents.size:
-                # the level of the longest element: leave before its
-                # length plus one can overflow int16
-                break
             w, s = np.divmod(ascents, n)
             # images of the simple roots under ws for every s, then the
             # rows of the pairs
             images = level.take(sidx, axis=1)
             images *= ssgn
             cols = images.reshape(-1, n).take(ascents, axis=0)
+            # freed before the next level is made, the peak of the walk
+            del images, ascents
             pick, info = choose(w, s, cols)
-            count += len(pick)
+            count += len(pick) * copies(depth)
             if count > order:
                 raise AssertionError(
                     "enumeration found more than %d elements" % order)
@@ -238,7 +257,7 @@ class CoxeterSystem:
             left = np.sign(up) * sperm[ps[:, None], np.abs(up) - 1]
             # one generator at a time: whole rows, then one column order,
             # so no index array of the level's size is formed
-            new = np.empty((len(pick), self.nroots), dtype=np.int16)
+            new = np.empty((len(pick), N), dtype=np.int16)
             for t in range(n):
                 at = np.flatnonzero(ps == t)
                 rows = level.take(pw[at], axis=0).take(gidx[t], axis=1)
@@ -476,11 +495,10 @@ class CoxeterSystem:
     def _refine_masks(self, idxs, imask, jmask):
         """(d^{-1} I d) cap J as masks, for each d in idxs with I among its
         left ascents."""
-        rows = self.csany[idxs]
+        rows = self.csany.take(idxs, axis=0)
         out = np.zeros(len(idxs), dtype=np.int64)
         for s in iter_bits(imask):
-            t = rows[:, s].astype(np.int64)
-            out |= np.where(t >= 0, 1 << np.maximum(t, 0), 0)
+            out |= self._bits.take(rows[:, s])
         return out & jmask
 
     def structure_set(self, imask, jmask, kmask=None):
@@ -590,13 +608,32 @@ class CoxeterSystem:
         keys are counted before the walk moves on, and the level counts
         are merged at the end, or every 64 levels when the levels are many
         and short, as with a large dihedral factor.
+
+        The walk stops at level floor(N/2). As l(w0 w) = N - l(w) and
+        w -> w0 w is its own inverse, it maps level l one-to-one onto
+        level N - l, so the levels l < N/2 and their images are W less
+        the middle level of an even N, which maps onto itself and is
+        counted once. With sigma the twist, w0 s w0 = sigma(s), the
+        signature of w0 w is read off that of w:
+        - R(w0 w) = S minus R(w), as l(w0 w s) = N - l(w s);
+        - s is in L(w0 w) iff sigma(s) is not in L(w), as
+          s w0 w = w0 sigma(s) w;
+        - (w0 w)^{-1} s (w0 w) = w^{-1} sigma(s) w, so the code of s is
+          csany[w, sigma(s)].
+        In root images: w0 flips the sign of every root, and
+        (w0 w)^{-1}(alpha_t) = -w^{-1}(alpha_sigma(t)), so the rows of
+        w0 w are -right and -left[:, sigma] for those descent data.
         """
         def smallest_descent(w, s, cols):
             return np.flatnonzero((cols < 0).argmax(axis=1) == s), None
 
-        def count(right, left):
-            return np.unique(signature_keys(
-                n, *self._descent_data(right, left)), return_counts=True)
+        def count(depth, right, left):
+            keys = signature_keys(n, *self._descent_data(right, left))
+            if 2 * depth < N:
+                # the w0 w of this level, on level N - depth
+                keys = np.concatenate([keys, signature_keys(
+                    n, *self._descent_data(-right, -left[:, sigma]))])
+            return np.unique(keys, return_counts=True)
 
         def merge(counted):
             keys, counts = (np.concatenate(part) for part in zip(*counted))
@@ -605,14 +642,17 @@ class CoxeterSystem:
             np.add.at(mult, which, counts)
             return [(sigs, mult)]
 
-        n = self.rank
+        n, N = self.rank, self.nroots
+        sigma = list(self.w0_twist())
         one = (self._root_action()[0] + 1).astype(np.int16)[None]
-        counted = [count(one, one)]
-        for *_, right, left, _ in self._levels(smallest_descent):
-            counted.append(count(right, left))
+        counted = [count(0, one, one)]
+        for depth, (*_, right, left, _) in enumerate(
+                self._levels(smallest_descent, mirrored=True), 1):
+            counted.append(count(depth, right, left))
             if len(counted) > 64:
                 counted = merge(counted)
-        [(sigs, mult)] = merge(counted)
+        # the level counts go before the tensor is made
+        [(sigs, mult)] = counted = merge(counted)
         return tensor_from_signatures(n, sigs, mult)
 
 

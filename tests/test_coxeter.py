@@ -820,8 +820,12 @@ def test_tensor_matches_signature_loop(label):
     lambda: build_system(type="I2(251)xA1xA1xA1xA1xA1", allow_rank7=True,
                          cache=False),
     lambda: build_system(type="A1xI2(300)xA2", cache=False),
+    # w0 twists both factors; N = 9 and N = 10, so the half walk ends
+    # below the middle and on a middle level mapped onto itself
+    lambda: build_system(type="A2xA3", cache=False),
+    lambda: build_system(type="I2(7)xA2", cache=False),
 ], ids=["A7", "rank0", "I2(509)xA1xA1xA1xA1", "I2(251)xA1xA1xA1xA1xA1",
-        "A1xI2(300)xA2"])
+        "A1xI2(300)xA2", "A2xA3", "I2(7)xA2"])
 def test_more_tensors_match_signature_loop(system):
     assert_tensor_matches_reference(system())
 
@@ -839,6 +843,30 @@ def test_permuted_matrix_tensor_matches_signature_loop(label, perm):
     _labels, mat = cartan.matrix_for_components(cartan.parse_label(label))
     permuted = [[mat[a][b] for b in perm] for a in perm]
     assert_tensor_matches_reference(build_system(matrix=permuted))
+
+
+@pytest.mark.parametrize("system", [
+    lambda: build_system(type="B3", cache=False),
+    lambda: build_system(type="D4", cache=False),
+    lambda: build_system(type="A1", cache=False),
+    lambda: build_system(matrix=[]),
+], ids=["B3", "D4", "A1", "rank0"])
+def test_cold_tensor_walks_the_lower_half(monkeypatch, system):
+    system = system()
+    walk = system._levels
+    depths = {}
+
+    def counted(choose, mirrored=False):
+        depths[mirrored] = 0
+        for level in walk(choose, mirrored):
+            depths[mirrored] += 1
+            yield level
+
+    monkeypatch.setattr(system, "_levels", counted)
+    system._compute_tensor()
+    assert depths == {True: system.nroots // 2}
+    system._build()
+    assert depths == {True: system.nroots // 2, False: system.nroots}
 
 
 def test_cold_tensor_leaves_the_group_tables_unbuilt():
