@@ -128,7 +128,7 @@ def render_csv(rows):
         writer.writerow([d["type"], d["sigma_order"], d["dim"],
                          d["lambda_orbits"], d["loewy_length"],
                          ",".join(str(x) for x in d["radical_dims"])])
-    return "".join(out)
+    return "".join(out).removesuffix("\n")
 
 
 def render(rows, fmt="text"):

@@ -253,13 +253,9 @@ def _suite_morphisms(system, report, seed):
             None if check(m) else {"K": _mask_name(system, K)}
             for K, m in enumerate(morphisms))[1]
 
-    group_level = system.rank <= 4
-    bad = every_subset(mor.bbht_a_check if group_level
-                       else mor.res_linear_check)
+    bad = every_subset(mor.bbht_a_check)
     _check(report, "restriction-factorization", bad is None,
-           "%d subsets%s" % (size,
-                             "" if group_level else " (linear level)"),
-           bad)
+           "%d subsets" % size, bad)
 
     def sampled_pairs(count):
         if system.rank <= 3:
@@ -281,15 +277,7 @@ def _suite_morphisms(system, report, seed):
     _check(report, "restriction-multiplicative", bad is None,
            "%d (K, pair) combinations" % pair_count, bad)
 
-    if system.rank <= 4:
-        nested = [(K, L) for L in all_masks for K in all_masks
-                  if not K & ~L]
-    else:
-        nested = []
-        while len(nested) < 40:
-            L = rng.randrange(size)
-            K = rng.randrange(size) & L
-            nested.append((K, L))
+    nested = [(K, L) for L in all_masks for K in all_masks if not K & ~L]
 
     def transitive(K, L):
         mL = morphisms[L]
@@ -383,28 +371,27 @@ def _suite_morphisms(system, report, seed):
                mor.res_d_image_check(system),
                "exact span equality")
 
-    if system.rank <= 4:
-        # at rank 1 the full mask is the only singleton
-        candidates = list(dict.fromkeys([0, system.full_mask] + [
-            1 << p for p in range(system.rank)]))
+    # at rank 1 the full mask is the only singleton
+    candidates = list(dict.fromkeys([0, system.full_mask] + [
+        1 << p for p in range(system.rank)]))
 
-        def quotient_failure(K):
-            ctx = mor.build_context(system, K)
-            pair = mor.goetz1_set_check(ctx)
-            if pair is not None:
-                return {"K": _mask_name(system, K),
-                        "I": _mask_name(system, pair[0]),
-                        "J": _mask_name(system, pair[1])}
-            if not mor.varpi_tau_check(ctx):
-                return {"K": _mask_name(system, K), "stage": "characters"}
-            return None
+    def quotient_failure(K):
+        ctx = mor.build_context(system, K)
+        pair = mor.goetz1_set_check(ctx)
+        if pair is not None:
+            return {"K": _mask_name(system, K),
+                    "I": _mask_name(system, pair[0]),
+                    "J": _mask_name(system, pair[1])}
+        if not mor.varpi_tau_check(ctx):
+            return {"K": _mask_name(system, K), "stage": "characters"}
+        return None
 
-        ran, bad = _first_failure(
-            quotient_failure(K) for K in candidates
-            if mor.is_self_opposed(system, K))
-        _check(report, "quotient-morphism-identities", bad is None,
-               "%d self-opposed subsets (empty, full, singletons)" % ran,
-               bad)
+    ran, bad = _first_failure(
+        quotient_failure(K) for K in candidates
+        if mor.is_self_opposed(system, K))
+    _check(report, "quotient-morphism-identities", bad is None,
+           "%d self-opposed subsets (empty, full, singletons)" % ran,
+           bad)
 
 
 def _suite_loewy_bounds(system, report, seed):

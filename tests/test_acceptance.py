@@ -171,9 +171,10 @@ def test_criterion_5_counterexamples_exact(system_factory):
 
 
 def test_criterion_6_morphism_identities(system_factory):
-    # (a)-(e) for every subset of every rank <= 4 system
+    # (a)-(e) for every subset of every rank <= 4 system, and of B5, D5
+    # and E6, where the suite runs the same group-level checks
     for label in ["A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "H4",
-                  "I2(5)", "I2(6)", "A2xA1"]:
+                  "I2(5)", "I2(6)", "A2xA1", "B5", "D5", "E6"]:
         report = ve.run_suite("morphisms", label, seed=0)
         assert report.passed, (label, report.render_text())
 

@@ -5,6 +5,8 @@ contract (0 success, 1 failed suite, 2 bad input), the cache flags, and
 the rank-7 gate with its memory estimate.
 """
 
+import csv
+import io
 import json
 import os
 
@@ -96,6 +98,9 @@ class TestTable:
                            "--format", "csv")
         assert code == 0
         assert out.splitlines()[1] == 'H3,1,8,6,2,"8,2"'
+        # print() ends the last row; no empty record follows it
+        records = list(csv.reader(io.StringIO(out)))
+        assert len(records) == 2 and [] not in records
 
     def test_roster_filters_by_order(self, capsys):
         # only the rank-4 fork carries an order-3 diagram symmetry

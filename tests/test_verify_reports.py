@@ -4,10 +4,10 @@ references.
 ``tests/data/morphisms`` holds ``descent verify --suite morphisms --format
 json`` output as the CLI prints it. The ``-seed<k>`` files are passing
 reports; together they reach every surjectivity rule, the fork block, the
-quotient block and the rank-5 random-pair branch. The ``-corrupt`` files
-are the reports produced when the restriction onto one subset has one
-wrong entry: they pin which checks fail, their partial counts and their
-first counterexamples.
+quotient block and the random-pair branch at ranks 4 and 5. The
+``-corrupt`` files are the reports produced when the restriction onto one
+subset has one wrong entry: they pin which checks fail, their partial
+counts and their first counterexamples.
 
 ``tests/data/positivity`` holds the positivity suite's reports the same
 way, at seeds 0 and 7; its ``-corrupt-`` files are the reports produced
@@ -230,3 +230,37 @@ def test_failure_branch_payload(monkeypatch, capsys, ref, suite, label, ext,
                      "--format", "json" if ext == "json" else "text"])
     assert code == 1
     assert capsys.readouterr().out == reference(ref, suite, ext)
+
+
+def failed_checks(report):
+    return {r["name"]: r for r in report.to_dict()["results"]
+            if r["passed"] is False}
+
+
+def test_factorization_failure_names_its_subset_at_rank_five(monkeypatch):
+    # the coset-sum factorization of the restriction onto {1,2,4} fails
+    original = mo.factorization_check
+    monkeypatch.setattr(
+        mo, "factorization_check",
+        lambda morphism: morphism.kmask != 0b10110 and original(morphism))
+    failed = failed_checks(ve.run_suite("morphisms", "D5", seed=0))
+    assert list(failed) == ["restriction-factorization"]
+    assert failed["restriction-factorization"]["counterexample"] == {
+        "K": "{1,2,4}"}
+
+
+def test_quotient_set_failure_names_its_pair_at_rank_five(monkeypatch):
+    # the set identities of the quotient by {1} fail at I = {1,3},
+    # J = {1,3,4}; the empty and full quotients come first, and the other
+    # singletons are conjugate to each other
+    original = mo.goetz1_set_check
+    monkeypatch.setattr(
+        mo, "goetz1_set_check",
+        lambda ctx: (0b00101, 0b01101) if ctx.kmask == 0b00001
+        else original(ctx))
+    failed = failed_checks(ve.run_suite("morphisms", "B5", seed=0))
+    assert list(failed) == ["quotient-morphism-identities"]
+    check = failed["quotient-morphism-identities"]
+    assert check["counterexample"] == {"K": "{1}", "I": "{1,3}",
+                                       "J": "{1,3,4}"}
+    assert check["detail"].startswith("3 self-opposed subsets")
