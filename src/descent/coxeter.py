@@ -20,7 +20,9 @@ level l one-to-one onto level N - l, and the middle level of an even N
 onto itself. With sigma the twist, w0 s w0 = sigma(s), the right ascents
 of w0 w are the right descents of w, s is a left ascent of w0 w iff
 sigma(s) is a left descent of w, and (w0 w)^{-1} s (w0 w) =
-w^{-1} sigma(s) w.
+w^{-1} sigma(s) w, so the descent data of w0 w are bit operations on
+those of w. The signature histogram goes to the tensor in one fill and n
+in-place folds, one generator at a time (``tensor_from_signatures``).
 
 The structure tensor, loaded from the cache, and the root action, built
 on first use too, answer the rest without enumerating: the shapes are
@@ -467,23 +469,29 @@ class CoxeterSystem:
     def w0_twist(self):
         """The permutation t -> sigma_0(t) with w0 s_t w0 = s_{sigma_0(t)}.
 
-        Walks w <- w s on the signed root permutation while some simple
-        root has w(alpha_s) > 0; each step adds one to the length, so after
-        at most N steps w = w0, and w0(alpha_t) = -alpha_{sigma_0(t)}.
+        On I2(m) it swaps the two nodes iff m is odd: for even m,
+        w0 = (st)^{m/2} is central. On the other components it walks
+        w <- w s on the signed root permutation while some of their simple
+        roots has w(alpha_s) > 0; each step adds one to the length, so at
+        the end w(alpha_t) = -alpha_{sigma_0(t)} for their generators t.
         """
         spos, _sperm, gidx, gsgn, root_to_gen, _ = self._root_action()
+        perm = list(range(self.rank))
+        walked = []
+        for fam, p, order in self._parts:
+            if fam != "I":
+                walked += order
+            elif p % 2:
+                perm[order[0]], perm[order[1]] = order[1], order[0]
         w = np.arange(1, self.nroots + 1, dtype=np.int16)
-        while True:
-            up = np.flatnonzero(w[spos] > 0)
-            if not up.size:
-                break
-            s = up[0]
-            w = gsgn[s] * w[gidx[s]]
-        perm = tuple(int(t) for t in root_to_gen[-w[spos] - 1])
+        while up := [s for s in walked if w[spos[s]] > 0]:
+            w = gsgn[up[0]] * w[gidx[up[0]]]
+        for t in walked:
+            perm[t] = int(root_to_gen[-w[spos[t]] - 1])
         if any(t < 0 for t in perm):
             raise AssertionError("longest element does not normalize the "
                                  "generator set")
-        return perm
+        return tuple(perm)
 
     def parabolic_indices(self, mask):
         mask = self.check_mask(mask)
@@ -620,19 +628,20 @@ class CoxeterSystem:
           s w0 w = w0 sigma(s) w;
         - (w0 w)^{-1} s (w0 w) = w^{-1} sigma(s) w, so the code of s is
           csany[w, sigma(s)].
-        In root images: w0 flips the sign of every root, and
-        (w0 w)^{-1}(alpha_t) = -w^{-1}(alpha_sigma(t)), so the rows of
-        w0 w are -right and -left[:, sigma] for those descent data.
+        So the descent data of w0 w are rasc ^ S, twist[lasc] ^ S and
+        csany[:, sigma], with bit s of twist[m] the bit sigma(s) of m, read
+        off those of w without a second pass over the root images.
         """
         def smallest_descent(w, s, cols):
             return np.flatnonzero((cols < 0).argmax(axis=1) == s), None
 
         def count(depth, right, left):
-            keys = signature_keys(n, *self._descent_data(right, left))
+            rasc, lasc, csany = self._descent_data(right, left)
+            keys = signature_keys(n, rasc, lasc, csany)
             if 2 * depth < N:
                 # the w0 w of this level, on level N - depth
                 keys = np.concatenate([keys, signature_keys(
-                    n, *self._descent_data(-right, -left[:, sigma]))])
+                    n, rasc ^ S, twist[lasc] ^ S, csany[:, sigma])])
             return np.unique(keys, return_counts=True)
 
         def merge(counted):
@@ -642,8 +651,10 @@ class CoxeterSystem:
             np.add.at(mult, which, counts)
             return [(sigs, mult)]
 
-        n, N = self.rank, self.nroots
+        n, N, S = self.rank, self.nroots, self.full_mask
         sigma = list(self.w0_twist())
+        # bit s of twist[m] is bit sigma(s) of m, sigma an involution
+        twist = expand_masks(sigma)
         one = (self._root_action()[0] + 1).astype(np.int16)[None]
         counted = [count(0, one, one)]
         for depth, (*_, right, left, _) in enumerate(
@@ -682,45 +693,57 @@ def tensor_from_signatures(n, sigs, mult):
     ``signature_keys``) and their counts ``mult``.
 
     d counts towards T[I, J, K] when I is among its left ascents a,
-    J among its right ascents b, and (d^{-1} I d) cap J = K, so only
-    the signature of d matters. Three vectorized passes:
+    J among its right ascents b, and D cap J = K, D = (d^{-1} I d) cap S,
+    so only the signature of d matters, and for a fixed I the conditions
+    on J and K hold one generator s at a time:
 
-    1. H[I, D, b] sums the counts of the signatures with I a subset
-       of a, image D = (d^{-1} I d) cap S and right ascents b, filled
-       one left-ascent mask a at a time;
-    2. n in-place steps of a superset sum over the last axis give
-       G[I, D, J] = sum of H[I, D, b] over b containing J;
-    3. T[I, J, D cap J] += G[I, D, J], one I row at a time, each
-       row of T written over the row of G it came from.
+    1. H[I, c] sums the counts of the signatures with I a subset of a
+       and c = sum_s (2 b_s + D_s) 4^s, one left-ascent mask a at a
+       time; conjugation is injective, so c is a sum over the s in I;
+    2. n in-place passes fold the four states (b_s, D_s) of one
+       generator onto the three of (J_s, K_s), K inside J: (0, 0) takes
+       all four, (1, 0) takes (1, 0) and (1, 1) takes (1, 1);
+    3. the 3^n columns left are scattered into T once.
+
+    For a fixed I every entry counts distinct elements, so it is at most
+    mult.sum(), and H is int32 below 2^31.
     """
     full = 1 << n
     width = n.bit_length()
     # sorted keys group the signatures by a, the top field
     amask = sigs >> (n * width + n)
     bmask = sigs >> (n * width) & (full - 1)
-    masks = np.arange(full)
-    # every np.add.at below takes one flat index, its fast path
-    G = np.zeros((full, full, full), dtype=np.int64)
+    acc = np.int32 if mult.sum() < 2 ** 31 else np.int64
+    spread = expand_masks(range(0, 2 * n, 2))    # bit t to bit 2t
+    H = np.zeros(full << 2 * n, dtype=acc)
     starts = np.flatnonzero(np.diff(amask, prepend=-1))
     for lo, hi in zip(starts, np.append(starts[1:], len(sigs))):
-        a = int(amask[lo])
-        subs = masks[(masks & ~a) == 0]
-        D = np.zeros((hi - lo, len(subs)), dtype=np.intp)
-        for s in iter_bits(a):
-            code = sigs[lo:hi] >> (s * width) & ((1 << width) - 1)
-            D |= np.where(subs >> s & 1, ((1 << code) >> 1)[:, None], 0)
-        at = (subs * full + D) * full + bmask[lo:hi, None]
-        np.add.at(G.reshape(-1), at.ravel(),
-                  np.repeat(mult[lo:hi], len(subs)))
-
-    subset_sums(G, n, supersets=True)
-    # [D, J] -> J full + (D cap J), a flat index into one row of T
-    meet = (masks * full + (masks[:, None] & masks)).ravel()
-    for i in range(full):
-        row = np.zeros(full * full, dtype=np.int64)
-        np.add.at(row, meet, G[i].reshape(-1))
-        G[i] = row.reshape(full, full)
-    return G
+        # I << 2n | c for every I inside a, one bit of a at a time
+        at = spread[bmask[lo:hi], None] << 1
+        for s in iter_bits(int(amask[lo])):
+            code = sigs[lo:hi, None] >> (s * width) & ((1 << width) - 1)
+            at = np.hstack([at, at + (1 << 2 * n + s)
+                            + ((1 << 2 * code) >> 2)])
+        # one flat index, the fast path of np.add.at
+        np.add.at(H, at.ravel(),
+                  np.repeat(mult[lo:hi].astype(acc), at.shape[1]))
+    H = H.reshape((full,) + (4,) * n)
+    for k in range(1, n + 1):
+        # axis k holds the states of generator n - k
+        axis = (slice(None),) * k
+        for state in (0, 2, 3):
+            H[axis + (1,)] += H[axis + (state,)]
+        H = H[axis + (slice(1, None),)]
+    # a copy of the strided view, so the fill is freed before T is made;
+    # column sum_s t_s 3^s holds (J, K) with t_s = [s in J] + [s in K]
+    folded = H.reshape(full, -1)
+    del H
+    J, K, _starts = support_pairs(n)
+    bits = np.arange(n)
+    ternary = (np.arange(full)[:, None] >> bits & 1) @ 3 ** bits
+    T = np.zeros((full, full, full), dtype=np.int64)
+    T[:, J, K] = folded[:, ternary[J] + ternary[K]]
+    return T
 
 
 def check_tensor(T, matrix, order, type_label):

@@ -2,7 +2,9 @@
 
 The package computes each result one way. The helpers here are the second
 routes the tests check it against (the structure tensor from the
-signature histogram of the group tables, group-algebra coordinates, the
+signature histogram of the group tables, and from any histogram in three
+passes over a dense array, the twist of the longest element walked over
+every generator, group-algebra coordinates, the
 convolution of two group vectors, a product compared one pair at a time,
 the multiplicative pairs of a morphism summed one segment of the support
 at a time, a commuting square of morphisms, the quotient's refined
@@ -27,14 +29,14 @@ from descent import automorphisms as auto
 from descent import linalg
 from descent import morphisms as mo
 from descent.algebra import DescentVector
-from descent.coxeter import (signature_keys, subset_sums, support_pairs,
-                             tensor_from_signatures)
+from descent.coxeter import (iter_bits, signature_keys, subset_sums,
+                             support_pairs, tensor_from_signatures)
 from descent.errors import (DescentError, InvalidSubset, NotInDescentAlgebra,
                             WrongType)
 from descent.linalg import Span
 
 # ---------------------------------------------------------------------------
-# the structure tensor from the group tables
+# the structure tensor from the group tables, and the twist of w0
 
 
 def tensor_by_table_histogram(system):
@@ -46,6 +48,63 @@ def tensor_by_table_histogram(system):
                           system.csany)
     return tensor_from_signatures(system.rank,
                                   *np.unique(keys, return_counts=True))
+
+
+def tensor_from_signatures_three_pass(n, sigs, mult):
+    """Reference route from the signature histogram to T, in three
+    vectorized passes:
+
+    1. H[I, D, b] sums the counts of the signatures with I a subset
+       of a, image D = (d^{-1} I d) cap S and right ascents b, filled
+       one left-ascent mask a at a time;
+    2. n in-place steps of a superset sum over the last axis give
+       G[I, D, J] = sum of H[I, D, b] over b containing J;
+    3. T[I, J, D cap J] += G[I, D, J], one I row at a time, each
+       row of T written over the row of G it came from.
+    """
+    full = 1 << n
+    width = n.bit_length()
+    # sorted keys group the signatures by a, the top field
+    amask = sigs >> (n * width + n)
+    bmask = sigs >> (n * width) & (full - 1)
+    masks = np.arange(full)
+    # every np.add.at below takes one flat index, its fast path
+    G = np.zeros((full, full, full), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(amask, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(sigs))):
+        a = int(amask[lo])
+        subs = masks[(masks & ~a) == 0]
+        D = np.zeros((hi - lo, len(subs)), dtype=np.intp)
+        for s in iter_bits(a):
+            code = sigs[lo:hi] >> (s * width) & ((1 << width) - 1)
+            D |= np.where(subs >> s & 1, ((1 << code) >> 1)[:, None], 0)
+        at = (subs * full + D) * full + bmask[lo:hi, None]
+        np.add.at(G.reshape(-1), at.ravel(),
+                  np.repeat(mult[lo:hi], len(subs)))
+
+    subset_sums(G, n, supersets=True)
+    # [D, J] -> J full + (D cap J), a flat index into one row of T
+    meet = (masks * full + (masks[:, None] & masks)).ravel()
+    for i in range(full):
+        row = np.zeros(full * full, dtype=np.int64)
+        np.add.at(row, meet, G[i].reshape(-1))
+        G[i] = row.reshape(full, full)
+    return G
+
+
+def w0_twist_walk(system):
+    """Reference twist of the longest element: w <- w s on the signed
+    root permutation, over every generator, while some simple root has
+    w(alpha_s) > 0, then w0(alpha_t) = -alpha_{sigma_0(t)}."""
+    spos, _sperm, gidx, gsgn, root_to_gen, _ = system._root_action()
+    w = np.arange(1, system.nroots + 1, dtype=np.int16)
+    while True:
+        up = np.flatnonzero(w[spos] > 0)
+        if not up.size:
+            break
+        s = up[0]
+        w = gsgn[s] * w[gidx[s]]
+    return tuple(int(t) for t in root_to_gen[-w[spos] - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from descent import algebra, automorphisms, build_system, cartan, rootperm
+from descent import (algebra, automorphisms, build_system, cartan, coxeter,
+                     rootperm)
 from descent import morphisms
 from descent.algebra import bhs_pairing, multiply, theta_value_table
 from descent.coxeter import (check_tensor, expand_masks, iter_bits, memoized,
@@ -261,6 +262,14 @@ def test_walked_w0_twist_matches_enumerated_w0(system_factory, label, perm):
     w0 = system.order - 1
     assert int(system.length[w0]) == system.nroots
     assert twist == tuple(int(t) for t in system.csany[w0])
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES + tuple(
+    "I2(%d)" % m for m in range(3, 13)) + (
+    "I2(4001)xA3", "A1xI2(300)xA2", "I2(7)xA2"))
+def test_w0_twist_matches_the_walk_over_every_generator(label):
+    system = build_system(type=label, cache=False)
+    assert system.w0_twist() == oracles.w0_twist_walk(system)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
@@ -867,6 +876,106 @@ def test_cold_tensor_walks_the_lower_half(monkeypatch, system):
     assert depths == {True: system.nroots // 2}
     system._build()
     assert depths == {True: system.nroots // 2, False: system.nroots}
+
+
+@pytest.mark.parametrize("label,twisted", [
+    ("A3", True), ("D5", True), ("E6", True), ("I2(5)", True),
+    ("A2xA3", True), ("I2(7)xA2", True), ("B3", False),
+])
+def test_cold_tensor_mirrors_the_descent_data(monkeypatch, label, twisted):
+    # the signature of w0 w is read off the descent data of w: each level
+    # below the middle must give the descent data of the rows of w0 w
+    system = build_system(type=label, cache=False)
+    sigma = list(system.w0_twist())
+    assert (sigma != list(range(system.rank))) == twisted
+    identity = (system._root_action()[0] + 1).astype(np.int16)[None]
+    rows, keyed = [(identity, identity)], []
+    walk, keys = system._levels, coxeter.signature_keys
+
+    def walked(choose, mirrored=False):
+        for level in walk(choose, mirrored):
+            rows.append(level[3:5])
+            yield level
+
+    def recorded(n, *data):
+        keyed.append(data)
+        return keys(n, *data)
+
+    monkeypatch.setattr(system, "_levels", walked)
+    monkeypatch.setattr(coxeter, "signature_keys", recorded)
+    system._compute_tensor()
+    calls = iter(keyed)
+    for depth, (right, left) in enumerate(rows):
+        expected = [system._descent_data(right, left)]
+        if 2 * depth < system.nroots:
+            expected.append(system._descent_data(-right, -left[:, sigma]))
+        for want in expected:
+            got = next(calls)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert next(calls, None) is None
+
+
+def streamed_histogram(system):
+    """(n, sigs, mult) that the cold tensor of ``system`` folds, taken
+    from its streamed walk, which builds no group table."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coxeter, "tensor_from_signatures",
+                      lambda *args: seen.append(args))
+        system._compute_tensor()
+    assert not set(GROUP_TABLES) & set(system.__dict__)
+    return seen[0]
+
+
+def assert_fold_matches_three_pass(n, sigs, mult):
+    got = coxeter.tensor_from_signatures(n, sigs, mult)
+    assert got.dtype == np.int64
+    assert np.array_equal(
+        got, oracles.tensor_from_signatures_three_pass(n, sigs, mult))
+    return got
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES + ("A7", "D7"))
+def test_fold_matches_three_pass_on_group_histograms(label):
+    assert_fold_matches_three_pass(*streamed_histogram(
+        build_system(type=label, allow_rank7=True, cache=False)))
+
+
+def synthetic_histogram(n, seed, size=300):
+    """Sorted signature keys of random (a, b, codes), the codes of a
+    injective like those of a conjugation, with random counts."""
+    rng = np.random.default_rng(seed)
+    width = n.bit_length()
+    a, b = rng.integers(0, 1 << n, size=(2, size))
+    # one permutation of the generators per key, each image kept or not
+    perms = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+    key = (a << n | b) << (n * width)
+    for s in range(n):
+        code = np.where(rng.random(size) < 0.7, perms[:, s] + 1, 0)
+        key |= np.where(a >> s & 1, code, 0) << (s * width)
+    sigs = np.unique(key)
+    return n, sigs, rng.integers(1, 1000, size=len(sigs))
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fold_matches_three_pass_on_synthetic_histograms(n, seed):
+    assert_fold_matches_three_pass(*synthetic_histogram(n, seed))
+
+
+@pytest.mark.parametrize("mult,top", [
+    # past the int32 accumulator, and just inside it
+    ([2 ** 31 + 5], 2 ** 31 + 5), ([2 ** 30, 2 ** 30 - 1], 2 ** 31 - 1),
+])
+def test_fold_counts_past_int32(mult, top):
+    n, width = 3, 2
+    # a = b = S with 1 -> 2, 2 -> 3 and 3 -> none; a = {1}, b = {}, 1 -> 1
+    keys = [(0b111 << n | 0b111) << n * width | 2 | 3 << width,
+            0b001 << n << n * width | 1]
+    sigs = np.sort(np.array(keys[:len(mult)], dtype=np.int64))
+    T = assert_fold_matches_three_pass(n, sigs, np.array(mult))
+    # every element counts towards T[{}, {}, {}]
+    assert T[0, 0, 0] == top
 
 
 def test_cold_tensor_leaves_the_group_tables_unbuilt():
