@@ -18,7 +18,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .coxeter import (iter_bits, memoized, popcount, subset_sums,
-                      support_pairs)
+                      support_index, support_pairs)
 from .errors import (
     InvalidSubset,
     NotInDescentAlgebra,
@@ -303,12 +303,12 @@ def unit(system, tag=BASIS_X):
 @memoized
 def _tensor_support(system):
     """(Tc, its largest absolute entry), Tc[I, p] = T[I, J_p, K_p] over
-    the pairs of ``coxeter.support_pairs``: Solomon's Mackey formula makes
-    x_I x_J a sum of x_K with K inside J, and ``coxeter.check_tensor``
-    proves T vanishes elsewhere on every load and build, so Tc holds
-    every nonzero entry of T. It is the matrix a cache file stores."""
-    J, K, _starts = support_pairs(system.rank)
-    Tc = system.structure_tensor()[:, J, K]
+    the pairs of ``coxeter.support_pairs``, one gather over the index
+    that T is scattered from: by Solomon's Mackey formula x_I x_J sums
+    x_K with K inside J, and T is only ever scattered from the checked
+    support matrix, so Tc holds every nonzero entry of T."""
+    Tc = system.structure_tensor().reshape(1 << system.rank, -1).take(
+        support_index(system.rank)[0], axis=1)
     Tc.flags.writeable = False
     return Tc, linalg.absmax(Tc)
 
@@ -320,7 +320,7 @@ def products(system, A, B):
     the result is the x_k-coordinate of A[a] * B[b]: the sum over I, J of
     A[a, I] T[I, J, k] B[b, J] with T the structure tensor. Only the
     pairs (J, k) of ``coxeter.support_pairs``, k inside J, enter, the
-    support that ``coxeter.check_tensor`` proves on every load: AT =
+    support that T is scattered from on every load and build: AT =
     A @ Tc with Tc the support matrix of ``_tensor_support``, and row a
     of the result sums AT[a] * B[:, J] over each k segment, one row at a
     time so no (a, b, 3^n) array is formed.

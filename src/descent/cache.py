@@ -17,10 +17,10 @@ trailing sha256 matches; the header is a JSON object and byte for byte
 its canonical dump; the schema version and the matrix digest are current
 (otherwise the entry is stale); the bytes fill the declared dtype and
 shape; the label, rank and order match the system; the support is an
-integer array of shape (2^n, 3^n); and the tensor has the unit rows, the
-support and the Mackey counts of :func:`coxeter.check_tensor`.
-Everything a warm system needs, the shapes included, is derived from the
-tensor, so a load enumerates nothing. No failure aborts a computation:
+integer array of shape (2^n, 3^n); and it passes
+:func:`coxeter.check_support`, before the dense tensor is scattered from
+it. Everything a warm system needs, the shapes included, is derived from
+the tensor, so a load enumerates nothing. No failure aborts a computation:
 the caller recomputes (with a warning unless the entry is merely missing
 or stale) and overwrites the file. Files of earlier schemas
 (``<label>.json``, ``<label>.npz``) are never read and can be deleted.
@@ -38,11 +38,12 @@ import logging
 import os
 import tempfile
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
 from . import cartan
-from .coxeter import check_tensor, support_pairs
+from .coxeter import check_support, dense_tensor
 from .errors import CorruptCache
 
 SCHEMA_VERSION = 4
@@ -70,15 +71,15 @@ def matrix_digest(matrix, labels):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@lru_cache(maxsize=None)
 def _label_system(type_label):
-    """(generator labels, Coxeter matrix) that ``build_system`` gives the
-    label."""
-    return cartan.matrix_for_components(cartan.parse_label(type_label))
+    """(Coxeter matrix, digest) that ``build_system`` gives the label."""
+    labels, matrix = cartan.matrix_for_components(
+        cartan.parse_label(type_label))
+    return matrix, matrix_digest(matrix, labels)
 
 
-def make_entry(system, tensor):
-    J, K, _starts = support_pairs(system.rank)
-    support = np.ascontiguousarray(tensor[:, J, K])
+def make_entry(system, support):
     small = np.iinfo(np.int32)
     if small.min <= support.min() and support.max() <= small.max:
         support = support.astype(np.int32)
@@ -147,9 +148,8 @@ def cache_load(type_label):
         raise CorruptCache("header of %s is not an object" % target)
     if json.dumps(entry, sort_keys=True).encode("utf-8") != line:
         raise CorruptCache("header of %s is not canonical JSON" % target)
-    labels, matrix = _label_system(type_label)
     if (entry.get("schema_version") != SCHEMA_VERSION
-            or entry.get("matrix_digest") != matrix_digest(matrix, labels)):
+            or entry.get("matrix_digest") != _label_system(type_label)[1]):
         _log.debug("stale %s", target)
         return None
     try:
@@ -164,7 +164,7 @@ def load_tensor(system):
     """Dense structure tensor from cache, or None to force a recompute.
 
     Reads only ``type_label``, ``rank`` and ``order`` of `system`; the
-    matrix the tensor is checked against is the label's.
+    matrix the support is checked against is the label's.
     """
     label = system.type_label
     try:
@@ -177,22 +177,18 @@ def load_tensor(system):
             or entry.get("group_order") != system.order):
         return _reject("cache entry for %s does not match the built system"
                        % label)
-    full = 1 << system.rank
-    J, K, _starts = support_pairs(system.rank)
+    shape = (1 << system.rank, 3 ** system.rank)
     support = entry["support"]
-    if support.dtype.kind != "i" or support.shape != (full, len(J)):
+    if support.dtype.kind != "i" or support.shape != shape:
         return _reject("malformed cache support for %s: expected an "
-                       "integer array of shape (%d, %d)"
-                       % (label, full, len(J)))
-    T = np.zeros((full, full, full), dtype=np.int64)
-    T[:, J, K] = support
+                       "integer array of shape %s" % (label, shape))
     try:
-        check_tensor(T, _label_system(label)[1], system.order, label)
+        check_support(support, _label_system(label)[0], system.order, label)
     except AssertionError as exc:
         return _reject("cache entry for %s fails the tensor invariants: %s"
                        % (label, exc))
     _log.debug("hit %s", path_for(label))
-    return T
+    return dense_tensor(system.rank, support)
 
 
 def _reject(message):
@@ -201,8 +197,8 @@ def _reject(message):
     return None
 
 
-def store_tensor(system, tensor):
+def store_tensor(system, support):
     try:
-        return cache_store(make_entry(system, tensor))
+        return cache_store(make_entry(system, support))
     except OSError as exc:
         return _reject("could not write cache: %s" % exc)

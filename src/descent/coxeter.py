@@ -21,8 +21,8 @@ onto itself. With sigma the twist, w0 s w0 = sigma(s), the right ascents
 of w0 w are the right descents of w, s is a left ascent of w0 w iff
 sigma(s) is a left descent of w, and (w0 w)^{-1} s (w0 w) =
 w^{-1} sigma(s) w, so the descent data of w0 w are bit operations on
-those of w. The signature histogram goes to the tensor in one fill and n
-in-place folds, one generator at a time (``tensor_from_signatures``).
+those of w. The signature histogram goes to the support matrix T[:, J, K],
+K inside J, in one fill and n folds, checked, cached and scattered once.
 
 The structure tensor, loaded from the cache, and the root action, built
 on first use too, answer the rest without enumerating: the shapes are
@@ -99,6 +99,25 @@ def support_pairs(n):
     for arr in (J, K, starts):
         arr.flags.writeable = False
     return J, K, starts
+
+
+@lru_cache(maxsize=None)
+def support_index(n):
+    """(J << n | K, by_j, K[by_j], J starts) over the pairs of
+    ``support_pairs``: the index of each pair in a row T[I] of the dense
+    tensor, flattened, then the pairs by J, K ascending in each J."""
+    J, K, _starts = support_pairs(n)
+    by_j = np.argsort(J, kind="stable")
+    return (J << n | K, by_j, K[by_j],
+            np.searchsorted(J[by_j], np.arange(1 << n)))
+
+
+def dense_tensor(n, Tc):
+    """The dense int64 tensor of the support matrix Tc of rank n."""
+    full = 1 << n
+    T = np.zeros((full, full * full), dtype=np.int64)
+    T[:, support_index(n)[0]] = Tc
+    return T.reshape(full, full, full)
 
 
 class _GroupTable:
@@ -601,15 +620,15 @@ class CoxeterSystem:
             T = cache_mod.load_tensor(self)
             if T is not None:
                 return T
-        T = self._compute_tensor()
-        check_tensor(T, self.matrix, self.order, self.type_label)
+        Tc = self._compute_tensor()
+        check_support(Tc, self.matrix, self.order, self.type_label)
         if self.cache_enabled:
-            cache_mod.store_tensor(self, T)
-        return T
+            cache_mod.store_tensor(self, Tc)
+        return dense_tensor(self.rank, Tc)
 
     def _compute_tensor(self):
-        """T[I, J, K] from the histogram of element signatures, streamed
-        over the length levels without the group tables.
+        """The support matrix of T from the histogram of element
+        signatures, streamed over the length levels without group tables.
 
         Each element ws of the next level is made once, from the one pair
         (w, s) with s its smallest right descent; each level's signature
@@ -689,23 +708,25 @@ def signature_keys(n, rasc, lasc, csany):
 
 
 def tensor_from_signatures(n, sigs, mult):
-    """T[I, J, K] of rank n from the sorted signature keys ``sigs`` (see
-    ``signature_keys``) and their counts ``mult``.
+    """The int64 support matrix Tc[I, p] = T[I, J_p, K_p] of rank n over
+    the pairs of ``support_pairs``, from the sorted signature keys
+    ``sigs`` (see ``signature_keys``) and their counts ``mult``.
 
     d counts towards T[I, J, K] when I is among its left ascents a,
-    J among its right ascents b, and D cap J = K, D = (d^{-1} I d) cap S,
-    so only the signature of d matters, and for a fixed I the conditions
-    on J and K hold one generator s at a time:
+    J among its right ascents b, and D cap J = K, D = (d^{-1} I d) cap S.
+    D lies inside b: s in D is d^{-1} t d, t in I, so ds = td is one
+    longer than d. So (b_s, D_s) is (0, 0), (1, 0) or (1, 1), the digit
+    b_s + D_s = [s in J] + [s in K], and for a fixed I the conditions
+    hold one s at a time:
 
-    1. H[I, c] sums the counts of the signatures with I a subset of a
-       and c = sum_s (2 b_s + D_s) 4^s, one left-ascent mask a at a
-       time; conjugation is injective, so c is a sum over the s in I;
-    2. n in-place passes fold the four states (b_s, D_s) of one
-       generator onto the three of (J_s, K_s), K inside J: (0, 0) takes
-       all four, (1, 0) takes (1, 0) and (1, 1) takes (1, 1);
-    3. the 3^n columns left are scattered into T once.
+    1. H[I, c] sums the counts of the signatures with I inside a and
+       c = tern(b) + tern(D), tern(m) = sum_{s in m} 3^s, one mask a at
+       a time; conjugation is injective, so tern(D) sums over s in I;
+    2. n in-place passes add digits 1 and 2 of a generator into its 0
+       (s not in J); one gather puts the columns into pair order.
 
-    For a fixed I every entry counts distinct elements, so it is at most
+    Codes that are not distinct generators inside b raise AssertionError.
+    For a fixed I an entry counts distinct elements, so it is at most
     mult.sum(), and H is int32 below 2^31.
     """
     full = 1 << n
@@ -713,62 +734,60 @@ def tensor_from_signatures(n, sigs, mult):
     # sorted keys group the signatures by a, the top field
     amask = sigs >> (n * width + n)
     bmask = sigs >> (n * width) & (full - 1)
+    # D as the sum and as the union of the bits t - 1 of the codes t > 0
+    image, union = np.zeros((2, len(sigs)), dtype=np.int64)
+    for s in range(n):
+        bit = (1 << (sigs >> s * width & (1 << width) - 1)) >> 1
+        image += bit
+        union |= bit
+    if ((image != union) | (union & ~bmask != 0)).any():
+        raise AssertionError("a signature's codes are not distinct "
+                             "generators among its right ascents")
+    tern = (np.arange(full)[:, None] >> np.arange(n) & 1) @ 3 ** np.arange(n)
+    by_code = tern[(1 << np.arange(n + 1)) >> 1]     # 3^(t - 1), 0 for 0
     acc = np.int32 if mult.sum() < 2 ** 31 else np.int64
-    spread = expand_masks(range(0, 2 * n, 2))    # bit t to bit 2t
-    H = np.zeros(full << 2 * n, dtype=acc)
+    H = np.zeros(full * 3 ** n, dtype=acc)
     starts = np.flatnonzero(np.diff(amask, prepend=-1))
     for lo, hi in zip(starts, np.append(starts[1:], len(sigs))):
-        # I << 2n | c for every I inside a, one bit of a at a time
-        at = spread[bmask[lo:hi], None] << 1
-        for s in iter_bits(int(amask[lo])):
-            code = sigs[lo:hi, None] >> (s * width) & ((1 << width) - 1)
-            at = np.hstack([at, at + (1 << 2 * n + s)
-                            + ((1 << 2 * code) >> 2)])
+        # I 3^n + c for every I inside a, doubled over the bits of a
+        a = int(amask[lo])
+        at = np.empty((hi - lo, 1 << popcount(a)), dtype=np.intp)
+        at[:, 0] = tern[bmask[lo:hi]]
+        for i, s in enumerate(iter_bits(a)):
+            step = by_code[sigs[lo:hi, None] >> s * width & (1 << width) - 1]
+            np.add(at[:, :1 << i], step + (3 ** n << s),
+                   out=at[:, 1 << i:2 << i])
         # one flat index, the fast path of np.add.at
         np.add.at(H, at.ravel(),
                   np.repeat(mult[lo:hi].astype(acc), at.shape[1]))
-    H = H.reshape((full,) + (4,) * n)
-    for k in range(1, n + 1):
-        # axis k holds the states of generator n - k
-        axis = (slice(None),) * k
-        for state in (0, 2, 3):
-            H[axis + (1,)] += H[axis + (state,)]
-        H = H[axis + (slice(1, None),)]
-    # a copy of the strided view, so the fill is freed before T is made;
-    # column sum_s t_s 3^s holds (J, K) with t_s = [s in J] + [s in K]
-    folded = H.reshape(full, -1)
-    del H
+    for s in range(n):
+        digits = H.reshape(-1, 3, 3 ** s)       # axis 1: the digit of s
+        digits[:, 0] += digits[:, 1]
+        digits[:, 0] += digits[:, 2]
     J, K, _starts = support_pairs(n)
-    bits = np.arange(n)
-    ternary = (np.arange(full)[:, None] >> bits & 1) @ 3 ** bits
-    T = np.zeros((full, full, full), dtype=np.int64)
-    T[:, J, K] = folded[:, ternary[J] + ternary[K]]
-    return T
+    return H.reshape(full, -1).take(tern[J] + tern[K], axis=1).astype(
+        np.int64, copy=False)
 
 
-def check_tensor(T, matrix, order, type_label):
-    """Raise AssertionError unless T has the unit rows, the support and
-    the Mackey counts of the structure tensor of the group of order
-    `order` with Coxeter matrix `matrix`. Fresh and cached tensors pass
-    the same check; |W_K| comes from classifying each parabolic
-    subsystem, so it enumerates nothing."""
-    full = 1 << len(matrix)
-    S = full - 1
-    eye = np.eye(full, dtype=T.dtype)
-    if not (np.array_equal(T[S], eye) and np.array_equal(T[:, S], eye)):
+def check_support(Tc, matrix, order, type_label):
+    """Raise AssertionError unless the support matrix Tc has the unit row
+    T[S, J, K] = [J = K], the unit column T[I, S, K] = [I = K] and the
+    Mackey counts of the group of order `order` with Coxeter matrix
+    `matrix` (|W_K| from classifying, not enumerating). T vanishes off
+    the support, as it is only ever scattered from Tc."""
+    n = len(matrix)
+    J, K, _starts = support_pairs(n)
+    if not (np.array_equal(Tc[-1], J == K) and np.array_equal(
+            Tc[:, J == len(Tc) - 1], np.eye(len(Tc)))):
         raise AssertionError(
             "structure tensor of %s: T[S, J, K] or T[J, S, K] is not "
             "the identity" % type_label)
-    masks = np.arange(full)
-    outside = (masks[None, :] & ~masks[:, None]) != 0   # [J, K]
-    if T.any(axis=0)[outside].any():
-        raise AssertionError(
-            "structure tensor of %s: T[I, J, K] is nonzero for some K "
-            "not inside J" % type_label)
     # |W : W_K| = |X_K|
-    index = order // np.array(cartan.parabolic_orders(matrix),
-                              dtype=np.int64)
-    if not np.array_equal(T @ index, np.outer(index, index)):
+    index = order // np.array(cartan.parabolic_orders(matrix), np.int64)
+    _flat, by_j, k_by_j, j_starts = support_index(n)
+    counts = np.add.reduceat(Tc.take(by_j, axis=1) * index[k_by_j],
+                             j_starts, axis=1)
+    if not np.array_equal(counts, np.outer(index, index)):
         raise AssertionError(
             "structure tensor of %s fails the Mackey count "
             "|X_I| |X_J| = sum_K T[I, J, K] |X_K|" % type_label)

@@ -3,7 +3,8 @@
 The package computes each result one way. The helpers here are the second
 routes the tests check it against (the structure tensor from the
 signature histogram of the group tables, and from any histogram in three
-passes over a dense array, the twist of the longest element walked over
+passes over a dense array, the unit rows, support and Mackey counts of a
+dense tensor, the twist of the longest element walked over
 every generator, group-algebra coordinates, the
 convolution of two group vectors, a product compared one pair at a time,
 the multiplicative pairs of a morphism summed one segment of the support
@@ -26,11 +27,12 @@ import numpy as np
 
 from descent import algebra as alg
 from descent import automorphisms as auto
-from descent import linalg
+from descent import cartan, linalg
 from descent import morphisms as mo
 from descent.algebra import DescentVector
-from descent.coxeter import (iter_bits, signature_keys, subset_sums,
-                             support_pairs, tensor_from_signatures)
+from descent.coxeter import (dense_tensor, iter_bits, signature_keys,
+                             subset_sums, support_pairs,
+                             tensor_from_signatures)
 from descent.errors import (DescentError, InvalidSubset, NotInDescentAlgebra,
                             WrongType)
 from descent.linalg import Span
@@ -43,11 +45,38 @@ def tensor_by_table_histogram(system):
     """Reference structure tensor: the signature of every element read
     off the ``rasc``, ``lasc`` and ``csany`` tables at once and counted
     with one ``np.unique``, then the production passes from the histogram
-    to the tensor."""
+    to the support and the dense tensor."""
     keys = signature_keys(system.rank, system.rasc, system.lasc,
                           system.csany)
-    return tensor_from_signatures(system.rank,
-                                  *np.unique(keys, return_counts=True))
+    return dense_tensor(system.rank, tensor_from_signatures(
+        system.rank, *np.unique(keys, return_counts=True)))
+
+
+def check_tensor(T, matrix, order, type_label):
+    """Reference check of a dense tensor: raise AssertionError unless T
+    has the unit rows, the support and the Mackey counts of the
+    structure tensor of the group of order `order` with Coxeter matrix
+    `matrix`."""
+    full = 1 << len(matrix)
+    S = full - 1
+    eye = np.eye(full, dtype=T.dtype)
+    if not (np.array_equal(T[S], eye) and np.array_equal(T[:, S], eye)):
+        raise AssertionError(
+            "structure tensor of %s: T[S, J, K] or T[J, S, K] is not "
+            "the identity" % type_label)
+    masks = np.arange(full)
+    outside = (masks[None, :] & ~masks[:, None]) != 0   # [J, K]
+    if T.any(axis=0)[outside].any():
+        raise AssertionError(
+            "structure tensor of %s: T[I, J, K] is nonzero for some K "
+            "not inside J" % type_label)
+    # |W : W_K| = |X_K|
+    index = order // np.array(cartan.parabolic_orders(matrix),
+                              dtype=np.int64)
+    if not np.array_equal(T @ index, np.outer(index, index)):
+        raise AssertionError(
+            "structure tensor of %s fails the Mackey count "
+            "|X_I| |X_J| = sum_K T[I, J, K] |X_K|" % type_label)
 
 
 def tensor_from_signatures_three_pass(n, sigs, mult):

@@ -56,6 +56,13 @@ def write_archive(path, header, payload):
     Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
+def support_of(tensor):
+    """The support matrix T[:, J, K] of a dense tensor over the pairs of
+    ``support_pairs``, the matrix a cache entry holds."""
+    J, K, _starts = support_pairs(tensor.shape[0].bit_length() - 1)
+    return tensor[:, J, K]
+
+
 def nonzero_triples(tensor):
     """The [I, J, K, value] rows of the nonzero entries of `tensor`, the
     member that files of schema 2 held."""
@@ -88,14 +95,29 @@ class TestRoundTrip:
     def test_store_then_load_tensor(self, cache_env):
         system = fresh_system("B2")
         tensor = system.structure_tensor()
-        target = ca.store_tensor(system, tensor)
+        target = ca.store_tensor(system, support_of(tensor))
         assert target and os.path.exists(target)
         again = ca.load_tensor(system)
         assert np.array_equal(again, tensor)
 
+    def test_repeated_loads_parse_the_label_once(self, cache_env,
+                                                 monkeypatch):
+        # the label's matrix and its digest are kept per label
+        system = build_system(type="B3")
+        tensor = system.structure_tensor()      # primes the file
+        ca._label_system.cache_clear()
+        calls = []
+        for module, name in ((cartan, "parse_label"), (ca, "matrix_digest")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=original, n=name:
+                                calls.append(n) or f(*args))
+        for _ in range(3):
+            assert np.array_equal(ca.load_tensor(system), tensor)
+        assert calls == ["parse_label", "matrix_digest"]
+
     def test_atomic_write_leaves_no_temp_files(self, cache_env):
         system = fresh_system("A2")
-        ca.store_tensor(system, system.structure_tensor())
+        ca.store_tensor(system, support_of(system.structure_tensor()))
         leftovers = [f for f in os.listdir(cache_env)
                      if f.endswith(".tmp")]
         assert leftovers == []
@@ -127,7 +149,7 @@ class TestRoundTrip:
         # neither is opened, and the flat file is written beside them
         system = fresh_system("B2")
         tensor = system.structure_tensor()
-        entry = ca.make_entry(system, tensor)
+        entry = ca.make_entry(system, support_of(tensor))
         header = {k: v for k, v in entry.items()
                   if k not in ("support", "dtype", "shape")}
         header["schema_version"] = 3
@@ -170,7 +192,7 @@ class TestRoundTrip:
 class TestCorruption:
     def entry_path(self, cache_env, label="A2"):
         system = fresh_system(label)
-        ca.store_tensor(system, system.structure_tensor())
+        ca.store_tensor(system, support_of(system.structure_tensor()))
         return system, ca.path_for(label)
 
     def test_truncation_raises(self, cache_env):
@@ -304,7 +326,7 @@ def _stored_a2():
     # reads through no cache directory: make_entry and encode are pure
     system = fresh_system("A2")
     tensor = system.structure_tensor()
-    return ca.encode(ca.make_entry(system, tensor)), tensor
+    return ca.encode(ca.make_entry(system, support_of(tensor))), tensor
 
 
 _GOOD_A2, _A2_TENSOR = _stored_a2()
@@ -474,7 +496,7 @@ class TestEntryContents:
     def test_entry_fields(self, cache_env):
         system = fresh_system("B2")
         tensor = system.structure_tensor()
-        entry = ca.make_entry(system, tensor)
+        entry = ca.make_entry(system, support_of(tensor))
         assert entry["schema_version"] == ca.SCHEMA_VERSION
         assert entry["type_label"] == "B2"
         assert entry["rank"] == 2
@@ -491,7 +513,7 @@ class TestEntryContents:
     def test_store_writes_int32_support_in_pair_order(self, cache_env):
         system = fresh_system("B4")
         tensor = system.structure_tensor()
-        entry = ca.make_entry(system, tensor)
+        entry = ca.make_entry(system, support_of(tensor))
         path = ca.cache_store(entry)
         with open(path, "rb") as fh:
             assert fh.read() == ca.encode(entry)
@@ -504,7 +526,7 @@ class TestEntryContents:
         system = fresh_system("A2")
         tensor = system.structure_tensor().copy()
         tensor[0, 0, 0] = 1 << 40
-        entry = ca.make_entry(system, tensor)
+        entry = ca.make_entry(system, support_of(tensor))
         assert entry["support"].dtype == np.int64
         assert entry["support"][0, 0] == 1 << 40
 
@@ -520,14 +542,14 @@ class TestEntryContents:
         tensor = system.structure_tensor().copy()
         if big:
             tensor[0, 0, 0] = 1 << 40
-        blob = ca.encode(ca.make_entry(system, tensor))
+        blob = ca.encode(ca.make_entry(system, support_of(tensor)))
         assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_encoding_is_canonical(self, cache_env):
         # equal content, equal bytes: the header is sorted JSON and the
         # trailer is the sha256 of what comes before it
         system = fresh_system("B3")
-        entry = ca.make_entry(system, system.structure_tensor())
+        entry = ca.make_entry(system, support_of(system.structure_tensor()))
         first = ca.encode(entry)
         assert ca.encode(dict(reversed(entry.items()))) == first
         blob = Path(ca.cache_store(entry)).read_bytes()
@@ -536,7 +558,7 @@ class TestEntryContents:
 
     def test_entry_holds_no_shape_classes(self, cache_env):
         system = fresh_system("B3")
-        ca.store_tensor(system, system.structure_tensor())
+        ca.store_tensor(system, support_of(system.structure_tensor()))
         assert "shape_classes" not in read_entry(ca.path_for("B3"))
 
     def test_entry_with_shape_classes_still_loads(self, cache_env):
@@ -544,7 +566,7 @@ class TestEntryContents:
         # its sha256 matches; the shapes are still read off the tensor
         system = fresh_system("B3")
         tensor = system.structure_tensor()
-        entry = ca.make_entry(system, tensor)
+        entry = ca.make_entry(system, support_of(tensor))
         entry["shape_classes"] = [list(s.members) for s in system.shapes()]
         write_entry(ca.path_for("B3"), entry)
         warm = build_system(type="B3")

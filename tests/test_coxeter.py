@@ -19,8 +19,8 @@ from descent import (algebra, automorphisms, build_system, cartan, coxeter,
                      rootperm)
 from descent import morphisms
 from descent.algebra import bhs_pairing, multiply, theta_value_table
-from descent.coxeter import (check_tensor, expand_masks, iter_bits, memoized,
-                             popcount)
+from descent.coxeter import (check_support, dense_tensor, expand_masks,
+                             iter_bits, memoized, popcount, support_pairs)
 from descent.errors import (InfiniteGroup, InvalidSubset, RankCapExceeded,
                             UnsupportedType)
 from descent.exprs import parse_expression
@@ -810,8 +810,7 @@ def assert_tensor_matches_reference(system, loop=True):
     """The streamed tensor, computed before any group table is built,
     against the table histogram and, with ``loop``, the per-signature
     loop."""
-    got = system._compute_tensor()
-    assert got.dtype == np.int64
+    got = dense_tensor(system.rank, system._compute_tensor())
     assert np.array_equal(got, oracles.tensor_by_table_histogram(system))
     if loop:
         assert np.array_equal(got, tensor_by_signature_loop(system))
@@ -930,8 +929,9 @@ def streamed_histogram(system):
 def assert_fold_matches_three_pass(n, sigs, mult):
     got = coxeter.tensor_from_signatures(n, sigs, mult)
     assert got.dtype == np.int64
+    J, K, _starts = support_pairs(n)
     assert np.array_equal(
-        got, oracles.tensor_from_signatures_three_pass(n, sigs, mult))
+        got, oracles.tensor_from_signatures_three_pass(n, sigs, mult)[:, J, K])
     return got
 
 
@@ -941,26 +941,48 @@ def test_fold_matches_three_pass_on_group_histograms(label):
         build_system(type=label, allow_rank7=True, cache=False)))
 
 
-def synthetic_histogram(n, seed, size=300):
+def synthetic_histogram(n, seed, inside, size=300):
     """Sorted signature keys of random (a, b, codes), the codes of a
-    injective like those of a conjugation, with random counts."""
+    injective like those of a conjugation, with random counts. With
+    ``inside`` the image D of a is added to b: D lies inside the right
+    ascents of every group element. Without, b is drawn apart from D, so
+    most keys belong to no element."""
     rng = np.random.default_rng(seed)
     width = n.bit_length()
     a, b = rng.integers(0, 1 << n, size=(2, size))
     # one permutation of the generators per key, each image kept or not
     perms = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-    key = (a << n | b) << (n * width)
+    codes = image = 0
     for s in range(n):
         code = np.where(rng.random(size) < 0.7, perms[:, s] + 1, 0)
-        key |= np.where(a >> s & 1, code, 0) << (s * width)
-    sigs = np.unique(key)
+        code = np.where(a >> s & 1, code, 0)
+        codes |= code << (s * width)
+        image |= (1 << code) >> 1
+    if inside:
+        b |= image
+    sigs = np.unique((a << n | b) << (n * width) | codes)
     return n, sigs, rng.integers(1, 1000, size=len(sigs))
 
 
 @pytest.mark.parametrize("n", range(8))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fold_matches_three_pass_on_synthetic_histograms(n, seed):
-    assert_fold_matches_three_pass(*synthetic_histogram(n, seed))
+    assert_fold_matches_three_pass(*synthetic_histogram(n, seed, True))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fold_rejects_codes_outside_the_right_ascents(n, seed):
+    with pytest.raises(AssertionError, match="right ascents"):
+        coxeter.tensor_from_signatures(*synthetic_histogram(n, seed, False))
+
+
+def test_fold_rejects_two_generators_with_one_image():
+    # a = b = {1, 2} with 1 -> 1 and 2 -> 1: no conjugation does that
+    n, width = 2, 2
+    sigs = np.array([(0b11 << n | 0b11) << n * width | 1 | 1 << width])
+    with pytest.raises(AssertionError, match="distinct"):
+        coxeter.tensor_from_signatures(n, sigs, np.array([1]))
 
 
 @pytest.mark.parametrize("mult,top", [
@@ -969,13 +991,13 @@ def test_fold_matches_three_pass_on_synthetic_histograms(n, seed):
 ])
 def test_fold_counts_past_int32(mult, top):
     n, width = 3, 2
-    # a = b = S with 1 -> 2, 2 -> 3 and 3 -> none; a = {1}, b = {}, 1 -> 1
+    # a = b = S with 1 -> 2, 2 -> 3 and 3 -> none; a = b = {1}, 1 -> 1
     keys = [(0b111 << n | 0b111) << n * width | 2 | 3 << width,
-            0b001 << n << n * width | 1]
+            (0b001 << n | 0b001) << n * width | 1]
     sigs = np.sort(np.array(keys[:len(mult)], dtype=np.int64))
-    T = assert_fold_matches_three_pass(n, sigs, np.array(mult))
-    # every element counts towards T[{}, {}, {}]
-    assert T[0, 0, 0] == top
+    Tc = assert_fold_matches_three_pass(n, sigs, np.array(mult))
+    # every element counts towards T[{}, {}, {}], the first pair
+    assert Tc[0, 0] == top
 
 
 def test_cold_tensor_leaves_the_group_tables_unbuilt():
@@ -999,24 +1021,45 @@ def test_both_walks_count_the_elements(walk, order, problem):
 @pytest.mark.parametrize("index,delta,problem", [
     ((0b111, 1, 1), 1, "is not the identity"),      # S = 0b111 in B3
     ((1, 0b111, 1), -1, "is not the identity"),
-    ((0, 0b001, 0b010), 1, "not inside J"),
     ((0, 0, 0), 1, "Mackey"),
-], ids=["unit-row", "unit-column", "support", "mackey"])
+], ids=["unit-row", "unit-column", "mackey"])
 def test_corrupted_tensor_trips_invariant(system_factory, index, delta,
                                           problem):
     system = system_factory("B3")
+    i, j, k = index
+    J, K, _starts = support_pairs(system.rank)
+    Tc = algebra._tensor_support(system)[0].copy()
+    args = (system.matrix, system.order, system.type_label)
+    check_support(Tc, *args)
+    Tc[i, (J == j) & (K == k)] += delta
+    with pytest.raises(AssertionError, match=problem):
+        check_support(Tc, *args)
+
+
+def test_reference_check_trips_outside_the_support(system_factory):
+    # the dense tensor is only scattered from the support, so only the
+    # reference check of a dense T can see an entry off it
+    system = system_factory("B3")
     T = system.structure_tensor().copy()
     args = (system.matrix, system.order, system.type_label)
-    check_tensor(T, *args)
-    T[index] += delta
-    with pytest.raises(AssertionError, match=problem):
-        check_tensor(T, *args)
+    oracles.check_tensor(T, *args)
+    T[0, 0b001, 0b010] += 1
+    with pytest.raises(AssertionError, match="not inside J"):
+        oracles.check_tensor(T, *args)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES + ("A7", "D7"))
+def test_dense_tensor_passes_the_reference_check(system_factory, label):
+    system = system_factory(label, allow_rank7=label.endswith("7"))
+    oracles.check_tensor(system.structure_tensor(), system.matrix,
+                         system.order, system.type_label)
 
 
 def test_fresh_tensor_is_checked(monkeypatch):
     system = build_system(type="A3", cache=False)
     bad = system._compute_tensor()
-    bad[0, 0, 0] += 1
+    # the first pair is (J, K) = ({}, {})
+    bad[0, 0] += 1
     monkeypatch.setattr(system, "_compute_tensor", lambda: bad)
     with pytest.raises(AssertionError, match="Mackey"):
         system.structure_tensor()
