@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -348,7 +348,9 @@ def products(system, A, B):
 def x_matrix(vectors, width):
     """Integer matrix with one row per vector: its x-coordinates times its
     own denominator, so each row spans the vector's line."""
-    return linalg.integer_rows([v.x_ints()[0] for v in vectors], width)
+    rows = [v.x_ints()[0] for v in vectors]
+    big = max((abs(c) for row in rows for c in row), default=0)
+    return np.array(rows, dtype=linalg.exact_dtype(big)).reshape(-1, width)
 
 
 def multiply(left, right):
@@ -367,10 +369,14 @@ def multiply(left, right):
 def left_multiplication(vectors):
     """Matrices of x -> vector * x, one per vector of one system: row J
     holds the x-coordinates of vector * x_J, times the vector's
-    denominator. The products of the vectors with the identity rows."""
-    size = 1 << vectors[0].system.rank
-    return products(vectors[0].system, x_matrix(vectors, size),
-                    np.eye(size, dtype=np.int64))
+    denominator. Entry [J, K] is sum_I vector[I] T[I, J, K], so the
+    matrices are the vectors times the support matrix, scattered."""
+    system = vectors[0].system
+    size = 1 << system.rank
+    AT = linalg.matmul(x_matrix(vectors, size), _tensor_support(system)[0])
+    out = np.zeros((len(AT), size * size), dtype=AT.dtype)
+    out[:, support_index(system.rank)[0]] = AT
+    return out.reshape(-1, size, size)
 
 
 def right_multiplication(vectors):
@@ -523,6 +529,42 @@ def character_values(vectors):
     return values, [v.x_ints()[1] for v in vectors]
 
 
+def _lower_solve(lower, rhs):
+    """X with lower @ X = rhs for a lower triangular integer matrix, by
+    forward substitution in Python integers; raises unless X is integral."""
+    out = np.zeros(rhs.shape, dtype=object)
+    for i, row in enumerate(lower.astype(object)):
+        rest = rhs[i] - row[:i] @ out[:i]
+        if (rest % row[i]).any():
+            raise AssertionError("triangular solve with a fractional entry")
+        out[i] = rest // row[i]
+    return out
+
+
+@memoized
+def cartan_invariants(system):
+    """The Cartan matrix C[k, l] = dim e_k Sigma e_l over the shape
+    classes, read-only int64. Sigma is basic and split with the characters
+    as its simple modules (Solomon), so the trace of x -> x_I x x_J,
+    Tr[I, J] = sum over K, M of T[I, K, M] T[M, J, K], is Theta^T C Theta
+    with Theta = tau_matrix, upper triangular in the shape order at the
+    canonical columns: two forward substitutions give C from that block.
+    C must be integral, with a unit diagonal and entries summing to 2^n.
+    """
+    canon = np.array([shape.canonical for shape in system.shapes()])
+    J, K, _starts = support_pairs(system.rank)
+    traces = linalg.matmul(
+        _tensor_support(system)[0][canon],
+        system.structure_tensor()[K[:, None], canon, J[:, None]])
+    lower = tau_matrix(system)[:, canon].T
+    C = _lower_solve(lower, _lower_solve(lower, traces).T).T
+    if (C.diagonal() != 1).any() or C.sum() != 1 << system.rank:
+        raise AssertionError("Cartan matrix of %s" % system.type_label)
+    C = C.astype(np.int64)
+    C.flags.writeable = False
+    return C
+
+
 @memoized
 def radical_basis(system):
     """Basis of the radical, the common kernel of all one-dimensional
@@ -565,48 +607,76 @@ def loewy_profile(system):
     return LoewyProfile([1 << system.rank] + [p.dim for p in powers])
 
 
+def _semisimple(matrices, values):
+    """Whether each vector a of a stack is semisimple, as a boolean array:
+    ``matrices[b]`` is the matrix of x -> den a x or x -> x den a, and
+    ``values[b]`` its character values times den. Sigma/rad is split and
+    commutative, so a is semisimple exactly when the chain prod_v
+    (den a - v) over its distinct values vanishes; a repeated value is an
+    identity factor, as a repeated root would make a nilpotent's chain
+    vanish. A factor multiplies the largest entry by at most its largest
+    column sum, below 2^bits, so a chain runs in int64 residues modulo
+    one modulus after another until their lcm covers the product of
+    those bounds, or until it no longer vanishes.
+    """
+    size = matrices.shape[-1]
+    roots = np.sort(values, axis=1)
+    repeat = np.zeros(roots.shape, dtype=bool)
+    repeat[:, 1:] = roots[:, 1:] == roots[:, :-1]
+    colsum = np.abs(matrices).sum(axis=1, dtype=linalg.exact_dtype(
+        linalg.absmax(matrices) * size)).max(axis=1)
+    bits = (~repeat).sum(axis=1) * [
+        int(c).bit_length() for c in colsum + np.abs(roots).max(axis=1)]
+    out = np.ones(len(roots), dtype=bool)
+    # a residue row times a residue matrix stays below size * m^2
+    m, cover = isqrt(linalg.INT64_SAFE // size), 1
+    while (todo := np.flatnonzero(out & (bits >= cover.bit_length()))).size:
+        factor = (matrices[todo] % m).astype(np.int64)
+        shift = (roots[todo] % m).astype(np.int64)
+        chain = np.zeros((len(todo), size), dtype=np.int64)
+        chain[:, -1] = 1
+        for k in range(roots.shape[1]):
+            step = ((chain[:, None] @ factor)[:, 0]
+                    - shift[:, k, None] * chain) % m
+            chain = np.where(repeat[todo, k, None], chain, step)
+        out[todo] = ~chain.any(axis=1)
+        cover, m = lcm(cover, m), m - 1
+    return out
+
+
 def minimal_polynomial(vectors):
     """Monic minimal polynomial of each vector of one system, as a
-    low-to-high coefficient tuple.
-
-    Krylov stacks on integer rows: L_b = left_multiplication(a_b) is
-    den_b * a_b on the x-basis, so p_0 = 1 and p_k = p_{k-1} L_b are the
-    integer x-coordinates of den_b^k a_b^k, one batched contraction per
-    power. One AugSpan reads each stack's first dependency
-    p_m = sum c_k p_k, and the coefficient of x^k is -c_k den_b^(k-m).
-    The roots are the character values, so a vector with d distinct ones
-    and a squarefree minimal polynomial has m = d: the stacks first run to
-    the largest d, and only the vectors without a dependency by then run
-    again up to k = 2^n, where a dependency must have occurred.
+    low-to-high coefficient tuple: the product of (x - v) over the
+    distinct character values v of a semisimple vector (``_semisimple``).
+    The others take Krylov stacks: with L_b = left_multiplication(a_b),
+    p_0 = 1 and p_k = p_{k-1} L_b up to k = 2^n are the integer
+    x-coordinates of den_b^k a_b^k; one AugSpan reads each stack's first
+    dependency p_m = sum c_k p_k, and x^k has coefficient -c_k den_b^(k-m).
     """
-    system = vectors[0].system
-    size = 1 << system.rank
+    size = 1 << vectors[0].system.rank
     L = left_multiplication(vectors)
     values, dens = character_values(vectors)
-    count = max(len(set(row)) for row in values.tolist()) + 1
     out = [None] * len(vectors)
-    todo = list(range(len(vectors)))
-    while todo:
-        p = np.zeros((len(todo), 1, size), dtype=np.int64)
-        p[:, 0, system.full_mask] = 1
-        powers = [p]
-        for _ in range(count - 1):
-            p = linalg.matmul(p, L[todo])
-            powers.append(p)
-        dtype = object if any(q.dtype == object for q in powers) else np.int64
+    for b in np.flatnonzero(_semisimple(L, values)):
+        # prod_v (den x - v) is den^d times the monic product
+        roots, coeffs = set(values[b].tolist()), [1]
+        for v in roots:
+            coeffs = [dens[b] * c - v * d
+                      for c, d in zip([0] + coeffs, coeffs + [0])]
+        out[b] = tuple(Fraction(c, dens[b] ** len(roots)) for c in coeffs)
+    todo = [b for b in range(len(vectors)) if out[b] is None]
+    if todo:
+        powers = [np.zeros((len(todo), 1, size), dtype=np.int64)]
+        powers[0][:, 0, -1] = 1
+        for _ in range(size):
+            powers.append(linalg.matmul(powers[-1], L[todo]))
         span = AugSpan(size)
-        span.add(np.concatenate([q.astype(dtype, copy=False)
-                                 for q in powers], axis=1))
-        for b, dep in zip(todo, span.dependencies()):
-            if dep is not None:
-                m, combo = dep
-                den = Fraction(dens[b])
-                coeffs = [ZERO] * m + [ONE]
-                for k, c in combo.items():
-                    coeffs[k] = -c * den ** (k - m)
-                out[b] = tuple(coeffs)
-        todo = [b for b in todo if out[b] is None]
-        count = size + 1
+        span.add(np.concatenate(powers, axis=1))
+        for b, (m, combo) in zip(todo, span.dependencies()):
+            coeffs = [ZERO] * m + [ONE]
+            for k, c in combo.items():
+                coeffs[k] = -c * Fraction(dens[b]) ** (k - m)
+            out[b] = tuple(coeffs)
     return out
 
 
@@ -642,17 +712,37 @@ def _spans(matrices, width):
             for rows, pivots in linalg.eliminate(matrices)]
 
 
+def _ideals(vectors, matrices, axis):
+    """The row spaces of the multiplication matrices of the vectors. The
+    matrix of a has eigenvalue v as often as the composition factors of
+    Sigma as a left or right module with value v, the sums along ``axis``
+    of ``cartan_invariants``: its rank is at least their count over the
+    nonzero values. When that many columns hold a nonzero entry, the
+    ideal is their coordinate span; the other vectors are eliminated."""
+    size = 1 << vectors[0].system.rank
+    support = (matrices != 0).any(axis=1)
+    coordinate = support.sum(axis=1) == (
+        character_values(vectors)[0] != 0).astype(np.int64) @ (
+        cartan_invariants(vectors[0].system).sum(axis=axis))
+    eye = np.eye(size, dtype=np.int64)
+    out = [Span._canonical(size, eye[row], np.flatnonzero(row).tolist())
+           for row in support]
+    rest = np.flatnonzero(~coordinate)
+    for b, span in zip(rest, _spans(matrices[rest], size)):
+        out[b] = span
+    return out
+
+
 def right_ideal(vectors):
     """Spans of the products (vector * x_J), one per vector of one system:
     the principal right ideals."""
-    return _spans(left_multiplication(vectors), 1 << vectors[0].system.rank)
+    return _ideals(vectors, left_multiplication(vectors), 1)
 
 
 def left_ideal(vectors):
     """Spans of the products (x_J * vector), one per vector of one system:
     the principal left ideals."""
-    return _spans(right_multiplication(vectors),
-                  1 << vectors[0].system.rank)
+    return _ideals(vectors, right_multiplication(vectors), 0)
 
 
 def commutator_image(vectors):
@@ -665,9 +755,18 @@ def commutator_image(vectors):
 
 def centralizer_dimension(vectors):
     """Dimensions of the commutants {x : vector*x = x*vector}, one per
-    vector of one system."""
-    size = 1 << vectors[0].system.rank
-    return [size - span.dim for span in commutator_image(vectors)]
+    vector of one system: for a semisimple vector, the sum of e_v Sigma e_v
+    over its values v, the Cartan invariants C[k, l] over the classes k, l
+    where its values agree; the others count the commutator image."""
+    values, _dens = character_values(vectors)
+    C = cartan_invariants(vectors[0].system)
+    out = [int(C[row[:, None] == row].sum()) for row in values]
+    rest = np.flatnonzero(~_semisimple(left_multiplication(vectors), values))
+    if rest.size:
+        images = commutator_image([vectors[b] for b in rest])
+        for b, span in zip(rest, images):
+            out[b] = (1 << vectors[0].system.rank) - span.dim
+    return out
 
 
 # ---------------------------------------------------------------------------

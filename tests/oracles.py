@@ -11,7 +11,9 @@ the multiplicative pairs of a morphism summed one segment of the support
 at a time, a commuting square of morphisms, the quotient's refined
 structure sets compared one pair of subsets at a time,
 conjugacy decided one element, member or point at a time, w_K and
-subgroup embeddings found one element at a time, span helpers, the
+subgroup embeddings found one element at a time, span helpers, the row
+spaces of a stack by elimination, multiplication matrices as products
+with the identity rows, the positivity suite's seeded vectors, the
 polynomial gcd that decides squarefreeness, character values one element
 at a time), and the closed forms the paper proves for special elements
 (the split characteristic polynomial and the regular-representation
@@ -20,6 +22,7 @@ y-basis criterion for a central longest element). The error those closed
 forms raise on an element that is not positive is defined here too.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -29,6 +32,7 @@ from descent import algebra as alg
 from descent import automorphisms as auto
 from descent import cartan, linalg
 from descent import morphisms as mo
+from descent import verify
 from descent.algebra import DescentVector
 from descent.coxeter import (dense_tensor, iter_bits, signature_keys,
                              subset_sums, support_pairs,
@@ -248,6 +252,31 @@ def radical_vectors(system):
     """Solomon's radical basis as DescentVectors, in its row order."""
     return [DescentVector.from_ints(system, row)
             for row in alg.radical_basis(system).tolist()]
+
+
+def positivity_vectors(system, seed):
+    """The positivity suite's 100 seeded elements of the system, then
+    their 100 squares: the stack that its ideal checks read."""
+    rng = random.Random("positivity:%d:%s" % (seed, system.type_label))
+    elements = [verify._random_positive(system, rng) for _ in range(100)]
+    return elements + [alg.multiply(a, a) for a in elements]
+
+
+def multiplication_matrices(vectors):
+    """(left, right): the matrices of x -> a x and of x -> x a of each
+    vector a, times its denominator, as the products of its row with the
+    identity rows on either side."""
+    system = vectors[0].system
+    size = 1 << system.rank
+    rows, eye = alg.x_matrix(vectors, size), np.eye(size, dtype=np.int64)
+    return (alg.products(system, rows, eye),
+            alg.products(system, eye, rows).swapaxes(0, 1))
+
+
+def eliminated_spans(matrices):
+    """The row space of each matrix of a stack, by elimination."""
+    return [Span._canonical(matrices.shape[-1], rows, pivots)
+            for rows, pivots in linalg.eliminate(list(matrices))]
 
 
 def span_copy(span):

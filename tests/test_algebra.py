@@ -500,6 +500,34 @@ def test_radical_is_character_kernel(system_factory, label):
 
 @pytest.mark.parametrize(
     "label", SUPPORTED_TYPES + ("A2xA1", "A1xA1xA1", "H3xA1"))
+def test_cartan_invariants(system_factory, label):
+    # integral, nonnegative, upper unitriangular in the shape order, with
+    # entries summing to 2^n and row sums the shape sizes (the left
+    # regular module); the trace identity Theta^T C Theta = Tr holds on
+    # every (I, J), with Tr from the whole tensor
+    system = system_factory(label)
+    C = alg.cartan_invariants(system)
+    assert C.dtype == np.int64 and not C.flags.writeable
+    assert (C >= 0).all() and (np.tril(C, -1) == 0).all()
+    assert (C.diagonal() == 1).all() and C.sum() == 1 << system.rank
+    assert C.sum(axis=1).tolist() == [len(shape.members)
+                                      for shape in system.shapes()]
+    T = system.structure_tensor()
+    theta = alg.tau_matrix(system)
+    assert np.array_equal(theta.T @ C @ theta,
+                          np.einsum("ikm,mjk->ij", T, T))
+
+
+def test_lower_solve_refuses_a_fractional_solution():
+    lower = np.array([[1, 0], [1, 2]])
+    assert alg._lower_solve(lower, np.array([[3], [5]])).tolist() == [[3],
+                                                                      [1]]
+    with pytest.raises(AssertionError):
+        alg._lower_solve(lower, np.array([[3], [4]]))
+
+
+@pytest.mark.parametrize(
+    "label", SUPPORTED_TYPES + ("A2xA1", "A1xA1xA1", "H3xA1"))
 def test_radical_basis_spans_character_nullspace(system_factory, label):
     # Solomon's differences x_J - x_c against the exact nullspace of the
     # character table

@@ -491,15 +491,72 @@ def positivity_elements(system, count):
     return [verify._random_positive(system, rng) for _ in range(count)]
 
 
+def assert_krylov_minimal_polynomials(vectors):
+    for a, got in zip(vectors, alg.minimal_polynomial(vectors), strict=True):
+        assert got == fraction_krylov_minimal_polynomial(a), str(a)
+
+
+def assert_suite_minimal_polynomials(vectors):
+    """The positivity suite's elements against the Krylov oracle, then
+    their squares: each element is semisimple, so its square's roots are
+    the squares of its character values, once each."""
+    count = len(vectors) // 2
+    polys = alg.minimal_polynomial(vectors)
+    assert_krylov_minimal_polynomials(vectors[:count])
+    for a, square in zip(vectors, polys[count:]):
+        assert square == oracles.poly_from_roots(
+            {v * v for v in oracles.tau_values(a)}), str(a)
+
+
+POSITIVITY_ROSTER = ["A3", "B3", "H3", "I2(5)", "B4", "D4", "F4", "H4"]
+
+
 class TestMinimalPolynomialAgainstFractionKrylov:
     # each test reads the minimal polynomials of a whole stack at once
     @pytest.mark.parametrize("label,count", [
         ("A3", 100), ("B3", 100), ("H3", 100), ("I2(5)", 100), ("B4", 100),
-        ("D4", 100)])
+        ("D4", 100), ("F4", 100), ("H4", 100)])
     def test_positivity_suite_elements(self, system_factory, label, count):
-        elements = positivity_elements(system_factory(label), count)
-        for a, got in zip(elements, alg.minimal_polynomial(elements)):
-            assert got == fraction_krylov_minimal_polynomial(a), str(a)
+        # the suite's elements, then their squares
+        vectors = oracles.positivity_vectors(system_factory(label), 0)
+        assert len(vectors) == 2 * count
+        assert_suite_minimal_polynomials(vectors)
+
+    @pytest.mark.parametrize("label", POSITIVITY_ROSTER)
+    def test_positivity_suite_elements_at_seed_seven(self, system_factory,
+                                                      label):
+        assert_suite_minimal_polynomials(
+            oracles.positivity_vectors(system_factory(label), 7))
+
+    def test_non_semisimple_elements_take_the_krylov_fallback(
+            self, system_factory):
+        # x_J - x_c and the unit plus it, with polynomials x^2 and
+        # (x - 1)^2: their chains do not vanish
+        system = system_factory("A3")
+        nilpotent = oracles.radical_vectors(system)[0]
+        stack = [nilpotent, alg.unit(system) + nilpotent]
+        values = alg.character_values(stack)[0]
+        assert not alg._semisimple(alg.left_multiplication(stack),
+                                   values).any()
+        assert alg.minimal_polynomial(stack) == [
+            (0, 0, 1), (1, -2, 1)]
+        assert_krylov_minimal_polynomials(stack)
+
+    @pytest.mark.parametrize("label", ["A3", "B4"])
+    def test_short_chains_are_padded_with_the_identity(self, system_factory,
+                                                       label):
+        # a nilpotent has one value, a positive element many: padding the
+        # nilpotent's chain with its repeated root 0 would make it vanish
+        system = system_factory(label)
+        nilpotent = oracles.radical_vectors(system)[0]
+        stack = [nilpotent, positivity_elements(system, 1)[0]]
+        values = alg.character_values(stack)[0]
+        assert len(set(values[0].tolist())) == 1
+        assert len(set(values[1].tolist())) > 2
+        assert alg._semisimple(alg.left_multiplication(stack),
+                               values).tolist() == [False, True]
+        assert alg.minimal_polynomial(stack)[0] == (0, 0, 1)
+        assert_krylov_minimal_polynomials(stack)
 
     @pytest.mark.parametrize("label", ["B3", "D4"])
     def test_shifted_scaled_and_fractional_elements(self, system_factory,

@@ -4,6 +4,7 @@ counterexamples showing where positivity is really needed."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from descent import algebra as alg
@@ -130,6 +131,57 @@ def test_root_certificate_matches_gcd(system_factory, label, seed):
     certificate, gcd = certificate_and_gcd(elements)
     assert certificate == gcd
     assert certificate[-3:] == [False, False, True]
+
+
+# the positivity golden types and I2(5)
+ORACLE_ROSTER = ["A3", "B3", "H3", "I2(5)", "B4", "D4", "F4", "H4"]
+
+
+def assert_ideals_and_centralizers_match_elimination(vectors):
+    left, right = oracles.multiplication_matrices(vectors)
+    assert np.array_equal(alg.left_multiplication(vectors), left)
+    for got, want in [(alg.right_ideal(vectors), left),
+                      (alg.left_ideal(vectors), right)]:
+        assert all(a.equals(b) for a, b in
+                   zip(got, oracles.eliminated_spans(want), strict=True))
+    size = 1 << vectors[0].system.rank
+    assert alg.centralizer_dimension(vectors) == [
+        size - span.dim for span in oracles.eliminated_spans(left - right)]
+
+
+@pytest.mark.parametrize("label", ORACLE_ROSTER)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_suite_ideals_and_centralizers_match_elimination(system_factory,
+                                                         label, seed):
+    # the suite's 100 elements and their squares: every right ideal is a
+    # coordinate span, and so is every left ideal of a unit
+    system = system_factory(label)
+    vectors = oracles.positivity_vectors(system, seed)
+    values = alg.character_values(vectors)[0]
+    assert alg._semisimple(alg.left_multiplication(vectors), values).all()
+    assert_ideals_and_centralizers_match_elimination(vectors)
+    for span in alg.right_ideal(vectors):
+        assert span.equals(alg.family_span(system, span.pivots))
+    for row, span in zip(values, alg.left_ideal(vectors)):
+        assert (0 in row) or span.dim == 1 << system.rank
+
+
+def test_non_semisimple_elements_take_the_elimination_fallback(
+        system_factory):
+    # x_J - x_c has minimal polynomial x^2, the unit plus it (x - 1)^2:
+    # neither chain vanishes, so neither centralizer is read off C; the
+    # nilpotent's ideals are no coordinate spans, and the unit plus it is
+    # invertible, so both of its ideals are the whole algebra
+    system = system_factory("A3")
+    nilpotent = oracles.radical_vectors(system)[0]
+    stack = [nilpotent, alg.unit(system) + nilpotent]
+    values = alg.character_values(stack)[0]
+    assert not alg._semisimple(alg.left_multiplication(stack), values).any()
+    assert_ideals_and_centralizers_match_elimination(stack)
+    right, left = alg.right_ideal(stack), alg.left_ideal(stack)
+    assert [span.dim for span in right + left] == [2, 8, 1, 8]
+    assert not any(span.equals(alg.family_span(system, span.pivots))
+                   for span in (right[0], left[0]))
 
 
 def test_root_certificate_on_a2_nilpotent(system_factory):
