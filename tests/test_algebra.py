@@ -520,8 +520,8 @@ def test_cartan_invariants(system_factory, label):
 
 def test_lower_solve_refuses_a_fractional_solution():
     lower = np.array([[1, 0], [1, 2]])
-    assert alg._lower_solve(lower, np.array([[3], [5]])).tolist() == [[3],
-                                                                      [1]]
+    solved = alg._lower_solve(lower, np.array([[3], [5]]))
+    assert solved.tolist() == [[3], [1]]
     with pytest.raises(AssertionError):
         alg._lower_solve(lower, np.array([[3], [4]]))
 
