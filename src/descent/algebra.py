@@ -324,21 +324,23 @@ def products(system, A, B):
     A @ Tc with Tc the support matrix of ``_tensor_support``, and row a
     of the result sums AT[a] * B[:, J] over each k segment, one row at a
     time so no (a, b, 3^n) array is formed.
-    Computed in int64 when a bound on that sum proves it exact, on Python
-    integers otherwise.
+    Each step is computed in int64 when a bound on its sums proves it
+    exact, on Python integers otherwise: a sum of AT has 2^n terms
+    A[a, I] Tc[I, p], a k segment at most 2^n terms AT[a, p] B[b, J].
     """
     size = 1 << system.rank
     A = linalg.integer_rows(A, size)
     B = linalg.integer_rows(B, size)
     Tc, tmax = _tensor_support(system)
-    # the bound also covers A and B themselves when the other is zero
-    Tc = Tc.astype(linalg.exact_dtype(
-        tmax * (linalg.absmax(A) + 1) * (linalg.absmax(B) + 1)
-        * size * size), copy=False)
+    # each bound also covers its factors alone when the other is zero
+    dtype = linalg.exact_dtype((tmax + 1) * (linalg.absmax(A) + 1) * size)
+    AT = A.astype(dtype, copy=False) @ Tc.astype(dtype, copy=False)
+    dtype = linalg.exact_dtype(
+        (linalg.absmax(AT) + 1) * (linalg.absmax(B) + 1) * size)
+    AT = AT.astype(dtype, copy=False)
     J, _K, starts = support_pairs(system.rank)
-    AT = A.astype(Tc.dtype, copy=False) @ Tc
-    BJ = B.astype(Tc.dtype, copy=False)[:, J]
-    out = np.empty((len(A), len(B), size), dtype=Tc.dtype)
+    BJ = B.astype(dtype, copy=False)[:, J]
+    out = np.empty((len(A), len(B), size), dtype=dtype)
     # every k segment holds the pair (k, k), so none is empty
     for a, row in enumerate(AT):
         out[a] = np.add.reduceat(row * BJ, starts, axis=1)
@@ -706,12 +708,6 @@ def family_span(system, family):
     return Span._canonical(size, np.eye(size, dtype=np.int64)[masks], masks)
 
 
-def _spans(matrices, width):
-    """The row spaces of a stack of matrices, from one elimination."""
-    return [Span._canonical(width, rows, pivots)
-            for rows, pivots in linalg.eliminate(matrices)]
-
-
 def _ideals(vectors, matrices, axis):
     """The row spaces of the multiplication matrices of the vectors. The
     matrix of a has eigenvalue v as often as the composition factors of
@@ -727,9 +723,8 @@ def _ideals(vectors, matrices, axis):
     eye = np.eye(size, dtype=np.int64)
     out = [Span._canonical(size, eye[row], np.flatnonzero(row).tolist())
            for row in support]
-    rest = np.flatnonzero(~coordinate)
-    for b, span in zip(rest, _spans(matrices[rest], size)):
-        out[b] = span
+    for b in np.flatnonzero(~coordinate):
+        out[b] = Span(size, matrices[b])
     return out
 
 
@@ -748,9 +743,9 @@ def left_ideal(vectors):
 def commutator_image(vectors):
     """Spans of the values of x -> vector*x - x*vector on the basis, one
     per vector of one system."""
-    return _spans(left_multiplication(vectors)
-                  - right_multiplication(vectors),
-                  1 << vectors[0].system.rank)
+    size = 1 << vectors[0].system.rank
+    return [Span(size, m) for m in left_multiplication(vectors)
+            - right_multiplication(vectors)]
 
 
 def centralizer_dimension(vectors):

@@ -101,51 +101,34 @@ def _primitive(block):
     return block // g[:, None]
 
 
-def eliminate(matrices) -> list[tuple[np.ndarray, list[int]]]:
-    """Reduced echelon bases of the row spaces of a stack of integer
-    matrices of one width and any heights.
+def eliminate(matrix) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon basis of the row space of an integer matrix, an
+    int64 array or an object array of Python integers.
 
-    Fraction-free Gauss-Jordan on all rows at once: the rows lie flat, each
-    with the index of its matrix, its owner. Per pivot column every owner
-    with a live row there takes its smallest entry as pivot, since the
-    smallest keeps the cross-multiplied rows small; the pivot row ``p``
-    clears its column from every other row ``r`` of its owner by
-    ``r * p[c] - r[c] * p``, and each changed row is divided by the gcd of
-    its entries. Rows that become zero are dropped. (Bareiss's exact
-    division by the previous pivot keeps entries as minors of the input;
-    on radical power spans those reach hundreds of digits, while primitive
-    rows stay a few digits wide.) Entries stay in int64 while a bound
-    proves the next step exact; the matrices whose rows leave that bound
-    go on alone in Python integers.
+    Fraction-free Gauss-Jordan: per pivot column the live row with the
+    smallest entry there is the pivot, since the smallest keeps the
+    cross-multiplied rows small; the pivot row ``p`` clears its column
+    from every other row ``r`` by ``r * p[c] - r[c] * p``, and each
+    changed row is divided by the gcd of its entries. Rows that become
+    zero are dropped. (Bareiss's exact division by the previous pivot
+    keeps entries as minors of the input; on radical power spans those
+    reach hundreds of digits, while primitive rows stay a few digits
+    wide.) Entries stay in int64 while a bound proves the next step exact;
+    once it does not, the matrix goes on in Python integers.
 
-    Returns ``(rows, pivots)`` per matrix, canonical: each row primitive
-    with a positive pivot, ordered by pivot column, every pivot column
-    zero outside its row; in int64 when every entry fits. The rank is
-    ``len(pivots)``.
+    Returns ``(rows, pivots)``, canonical: each row primitive with a
+    positive pivot, ordered by pivot column, every pivot column zero
+    outside its row; in int64 when every entry fits. The rank is
+    ``len(pivots)``. The input is not modified.
     """
-    mats = list(matrices)
-    if not mats:
-        return []
-    dtype = object if any(m.dtype == object for m in mats) else np.int64
-    R = np.concatenate([m.astype(dtype, copy=False) for m in mats])
-    own = np.repeat(np.arange(len(mats)), [len(m) for m in mats])
-    nonzero = R != 0
-    live = nonzero.any(axis=1)
-    if not live.all():
-        R, own, nonzero = R[live], own[live], nonzero[live]
+    live = (matrix != 0).any(axis=1)
+    R = matrix[live]
     # rows not yet pivots are zero before their leading column
-    lead = nonzero.argmax(axis=1)
-    # the pivot column of each row, -1 until it has one; the only live
-    # row of its matrix has one already
-    alone = np.ones(len(R), dtype=bool)
-    step = own[1:] != own[:-1]
-    alone[1:] &= step
-    alone[:-1] &= step
-    piv = np.where(alone, lead, -1)
+    lead = (R != 0).argmax(axis=1)
+    # the pivot column of each row, -1 until it has one
+    piv = np.full(len(R), -1)
     # the largest absolute entry of each row
     big = np.abs(R).max(axis=1, initial=0)
-    at = np.full(len(mats), -1)
-    done = {}
     while True:
         active = np.flatnonzero(piv < 0)
         if not active.size:
@@ -153,47 +136,17 @@ def eliminate(matrices) -> list[tuple[np.ndarray, list[int]]]:
         leads = lead[active]
         c = leads.min()
         cand = active[leads == c]
-        # rows lie in owner order, so cand is sorted by owner
-        if len(cand) == 1 or own[cand[0]] == own[cand[-1]]:
-            P = cand[[np.argmin(np.abs(R[cand, c]))]]
-        else:
-            o = own[cand]
-            key = np.abs(R[cand, c])
-            first = np.r_[True, o[1:] != o[:-1]]
-            seg = np.cumsum(first) - 1
-            hit = np.flatnonzero(
-                key == np.minimum.reduceat(key, np.flatnonzero(first))[seg])
-            P = cand[hit[np.r_[True, seg[hit][1:] != seg[hit][:-1]]]]
-        piv[P] = c
+        p = cand[np.argmin(np.abs(R[cand, c]))]
+        piv[p] = c
         t = np.flatnonzero(R[:, c])
-        if len(P) == 1:
-            tp = P[0]
-            t = t[(t != tp) & (own[t] == own[tp])]
-            pc = R[tp, c]
-        else:
-            at[own[P]] = P
-            tp = at[own[t]]
-            keep = (tp >= 0) & (tp != t)
-            t, tp = t[keep], tp[keep]
-            at[own[P]] = -1
-            pc = R[tp, c][:, None]
+        t = t[t != p]
         if not t.size:
             continue
-        if R.dtype != object:
-            # |r * p[c] - r[c] * p| <= 2 big[r] big[p]: the owners of the
-            # rows where that bound leaves int64 go on alone in Python
-            # integers, and the rest redo this column without them
-            over = big[t] >= -(-(INT64_SAFE // 2) // big[tp])
-            if over.any():
-                piv[P] = -1
-                slow = np.unique(own[t[over]])
-                done.update(zip(slow.tolist(), eliminate(
-                    [R[own == o].astype(object) for o in slow])))
-                keep = ~np.isin(own, slow)
-                R, own, piv, lead, big = (R[keep], own[keep], piv[keep],
-                                          lead[keep], big[keep])
-                continue
-        block = _primitive(R[t] * pc - R[t, c][:, None] * R[tp])
+        # |r * p[c] - r[c] * p| <= 2 big[r] big[p]
+        if R.dtype != object and (
+                big[t].max() >= -(-(INT64_SAFE // 2) // big[p])):
+            R, big = R.astype(object), big.astype(object)
+        block = _primitive(R[t] * R[p, c] - R[t, c][:, None] * R[p])
         R[t] = block
         big[t] = np.abs(block).max(axis=1)
         nonzero = block != 0
@@ -202,26 +155,14 @@ def eliminate(matrices) -> list[tuple[np.ndarray, list[int]]]:
         if dead.size:
             keep = np.ones(len(R), dtype=bool)
             keep[dead] = False
-            R, own, piv, lead, big = (R[keep], own[keep], piv[keep],
-                                      lead[keep], big[keep])
-    order = np.lexsort((piv, own))
+            R, piv, lead, big = R[keep], piv[keep], lead[keep], big[keep]
+    order = np.argsort(piv)
     rows, piv = _primitive(R[order]), piv[order]
     if len(rows):
         rows *= np.sign(rows[np.arange(len(rows)), piv])[:, None]
-    if len(mats) == 1:
-        parts = [(rows, piv)]
-    else:
-        bounds = np.cumsum(np.bincount(own, minlength=len(mats)))[:-1]
-        parts = zip(np.split(rows, bounds), np.split(piv, bounds))
-    out = []
-    for b, (r, p) in enumerate(parts):
-        if b in done:
-            out.append(done[b])
-            continue
-        if r.dtype == object and absmax(r) < INT64_SAFE:
-            r = r.astype(np.int64)
-        out.append((r, p.tolist()))
-    return out
+    if rows.dtype == object and absmax(rows) < INT64_SAFE:
+        rows = rows.astype(np.int64)
+    return rows, piv.tolist()
 
 
 class Span:
@@ -262,12 +203,11 @@ class Span:
         canonical form is unique, so one elimination of the basis stacked
         over the vectors gives it."""
         before = self.dim
-        ((self.rows, self.pivots),) = eliminate([self._stacked(vecs)])
+        self.rows, self.pivots = eliminate(self._stacked(vecs))
         return self.dim - before
 
     def contains(self, vec: Sequence) -> bool:
-        ((_, pivots),) = eliminate([self._stacked([vec])])
-        return len(pivots) == self.dim
+        return len(eliminate(self._stacked([vec]))[1]) == self.dim
 
     @property
     def dim(self) -> int:
@@ -286,8 +226,7 @@ class AugSpan:
     its member's next index. :meth:`dependencies` puts each member's rows
     as the columns of one matrix; the first basis vector k of its kernel
     (see :func:`nullspace`) has a 1 at the first free column m and zeros
-    after it, so ``vec_m = -sum k_j vec_j`` over j < m. One stacked
-    ``nullspace`` call serves every member.
+    after it, so ``vec_m = -sum k_j vec_j`` over j < m.
     """
 
     __slots__ = ("width", "rows")
@@ -322,7 +261,8 @@ class AugSpan:
         zero coefficients left out; None when its vectors are independent.
         """
         out = []
-        for kern in nullspace([rows.T for rows in self.rows], self.count):
+        for rows in self.rows:
+            kern = nullspace(rows.T)
             if not kern:
                 out.append(None)
                 continue
@@ -332,23 +272,22 @@ class AugSpan:
         return out
 
 
-def nullspace(stack, width: int) -> list[list[tuple[Fraction, ...]]]:
-    """Bases of the right kernels of a stack of matrices of one width: for
-    each, all v with row . v = 0 for every row, from one stacked
-    :func:`eliminate`.
+def nullspace(matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel of a 2-D array of rationals: all v with
+    row . v = 0 for every row, from :func:`eliminate` of the rows scaled
+    to integers.
 
     Vector k has a 1 at the k-th non-pivot column and zeros at the other
     non-pivot columns.
     """
-    out = []
-    for rows, pivots in eliminate([integer_rows(m, width) for m in stack]):
-        lead = [int(rows[i, p]) for i, p in enumerate(pivots)]
-        basis = []
-        for f in sorted(set(range(width)) - set(pivots)):
-            vec = [ZERO] * width
-            vec[f] = ONE
-            for i, p in enumerate(pivots):
-                vec[p] = Fraction(-int(rows[i, f]), lead[i])
-            basis.append(tuple(vec))
-        out.append(basis)
-    return out
+    width = matrix.shape[1]
+    rows, pivots = eliminate(integer_rows(matrix, width))
+    lead = [int(rows[i, p]) for i, p in enumerate(pivots)]
+    basis = []
+    for f in sorted(set(range(width)) - set(pivots)):
+        vec = [ZERO] * width
+        vec[f] = ONE
+        for i, p in enumerate(pivots):
+            vec[p] = Fraction(-int(rows[i, f]), lead[i])
+        basis.append(tuple(vec))
+    return basis

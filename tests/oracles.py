@@ -275,8 +275,8 @@ def multiplication_matrices(vectors):
 
 def eliminated_spans(matrices):
     """The row space of each matrix of a stack, by elimination."""
-    return [Span._canonical(matrices.shape[-1], rows, pivots)
-            for rows, pivots in linalg.eliminate(list(matrices))]
+    return [Span._canonical(matrices.shape[-1], *linalg.eliminate(m))
+            for m in matrices]
 
 
 def span_copy(span):

@@ -318,6 +318,23 @@ def test_support_contraction_beyond_int64_matches_dense_route(
     assert_matches_dense_route(system, 10**20, 12)
 
 
+def test_right_multiplication_of_large_entries_stays_in_int64(
+        system_factory):
+    # the identity operand adds no size: entries near 3e13 keep every
+    # sum of a B4 right multiplication matrix far inside int64
+    system = system_factory("B4")
+    size = 1 << system.rank
+    rng = random.Random("right:B4")
+    nums = [3 * 10**13 + rng.randrange(-10**6, 10**6) for _ in range(size)]
+    vector = alg.DescentVector.from_ints(system, nums)
+    got = alg.right_multiplication([vector])[0]
+    assert got.dtype == np.int64
+    # row J holds x_J * vector: sum over I of T[J, I, K] vector[I]
+    T = system.structure_tensor().astype(object)
+    want = np.tensordot(T, np.array(nums, dtype=object), axes=(1, 0))
+    assert (got.astype(object) == want).all()
+
+
 def test_coordinates_are_numerators_over_one_denominator(system_factory):
     system = system_factory("A2")
     coeffs = [Fraction(1, 2), Fraction(-1, 3), 0, Fraction(4, 6)]
@@ -534,7 +551,7 @@ def test_radical_basis_spans_character_nullspace(system_factory, label):
     system = system_factory(label)
     size = 1 << system.rank
     taus = alg.tau_matrix(system)
-    (kern,) = linalg.nullspace([taus], size)
+    kern = linalg.nullspace(taus)
     diffs = alg.radical_basis(system)
     assert not np.any(taus @ diffs.T)
     assert len(diffs) == len(kern) == size - len(system.shapes())

@@ -273,7 +273,7 @@ class TestElimination:
         rng = random.Random(7)
         for _ in range(20):
             rows = random_matrix(rng, rng.randint(1, 4), 5)
-            (ours,) = linalg.nullspace([rows], 5)
+            ours = linalg.nullspace(np.array(rows, dtype=object))
             theirs = sympy.Matrix(rows).nullspace()
             assert len(ours) == len(theirs)
             for vec in ours:
@@ -286,7 +286,8 @@ class TestElimination:
         for _ in range(20):
             rows = random_matrix(rng, rng.randint(1, 5), 6)
             assert (linalg.Span(6, rows).dim
-                    + len(linalg.nullspace([rows], 6)[0]) == 6)
+                    + len(linalg.nullspace(np.array(rows, dtype=object)))
+                    == 6)
 
     def test_rref_idempotent(self):
         rows = [[2, 4, 6], [1, 2, 4]]
@@ -322,7 +323,8 @@ class TestAgainstFractionOracle:
         oracle = FractionSpan(width, rows)
         assert linalg.Span(width, rows).dim == len(oracle.rows)
         assert oracles.span_basis(linalg.Span(width, rows)) == oracle.basis()
-        assert linalg.nullspace([rows], width) == [oracle.nullspace()]
+        matrix = np.array(rows, dtype=object).reshape(-1, width)
+        assert linalg.nullspace(matrix) == oracle.nullspace()
         span = linalg.Span(width, rows)
         for vec in oracle.nullspace():
             assert all(sum(x * v for x, v in zip(row, vec)) == 0
@@ -362,7 +364,7 @@ class TestAgainstFractionOracle:
             before = span.dim
             grew = span.add(block)
             stacked = np.array(rows[:start], dtype=object).reshape(-1, width)
-            ((want, pivots),) = linalg.eliminate([stacked])
+            want, pivots = linalg.eliminate(stacked)
             assert span.pivots == pivots
             assert span.rows.tolist() == want.tolist()
             assert grew == span.dim - before
@@ -391,30 +393,30 @@ def stacks(draw):
     return mats, width
 
 
-class TestStackedElimination:
+class TestEliminationOfEachMatrix:
     @settings(max_examples=150, deadline=None)
     @given(stacks())
     @example(([[[2**70, 1], [1, 1]], [[1, 2], [2, 4]], [], [[0, 0]]], 2))
-    def test_each_member_matches_the_oracle_and_a_stack_of_one(self, case):
+    # int64 entries whose first cross-multiplication leaves int64
+    @example(([[[3037000500, 1], [1, 3037000500]]], 2))
+    # leaves int64 on the way, and its reduced rows fit again
+    @example(([[[2**40, 1, 5 * 2**40 + 7], [1, 2**40, 7 * 2**40 + 5]]], 3))
+    def test_matches_the_oracle_and_leaves_its_input(self, case):
         mats, width = case
-        # int64 members and Python-integer members share the stack
-        arrays = [linalg.integer_rows(rows, width) for rows in mats]
-        copies = [arr.copy() for arr in arrays]
-        got = linalg.eliminate(arrays)
-        assert len(got) == len(mats)
-        for rows, arr, copy, (echelon, pivots) in zip(mats, arrays, copies,
-                                                       got):
-            assert np.array_equal(arr, copy)
+        for rows in mats:
+            # int64 when every entry fits, Python integers otherwise
+            arr = linalg.integer_rows(rows, width)
+            copy = arr.copy()
+            echelon, pivots = linalg.eliminate(arr)
+            assert np.array_equal(arr, copy) and arr.dtype == copy.dtype
             oracle = FractionSpan(width, rows)
             assert pivots == oracle.pivots
             assert [tuple(Fraction(int(v), int(row[p])) for v in row)
                     for row, p in zip(echelon, pivots)] == oracle.basis()
             for row, p in zip(echelon.tolist(), pivots):
                 assert row[p] > 0 and gcd(*row) == 1
-            ((alone, alone_pivots),) = linalg.eliminate([arr])
-            assert alone_pivots == pivots
-            assert alone.tolist() == echelon.tolist()
-            assert alone.dtype == echelon.dtype
+            assert (echelon.dtype == np.int64) == (
+                linalg.absmax(echelon) < 2**62)
 
 
 @st.composite
