@@ -41,12 +41,21 @@ def _as_mask(system, subset):
     return system.mask_of_labels(subset)
 
 
-@lru_cache(maxsize=None)
-def _text_order(n):
-    """The subset masks of n generators in the order a vector's text lists
-    them: larger subsets first, then by their sorted members."""
-    return tuple(sorted(range(1 << n),
-                        key=lambda m: (-popcount(m), tuple(iter_bits(m)))))
+_TERM_NAMES = {}  # (labels, tag) -> ((mask, name), ...)
+
+
+def _term_names(system, tag):
+    """The (mask, name) pairs of ``str``, larger subsets first, then by
+    their sorted members; made once per labels and tag."""
+    key = (tuple(system.labels), tag)
+    if key not in _TERM_NAMES:
+        order = sorted(range(1 << system.rank),
+                       key=lambda m: (-popcount(m), tuple(iter_bits(m))))
+        _TERM_NAMES[key] = tuple(
+            (m, "%sS" % tag if m == system.full_mask and system.rank
+             else "%s[%s]" % (tag, ",".join(system.labels_of_mask(m))))
+            for m in order)
+    return _TERM_NAMES[key]
 
 
 # ---------------------------------------------------------------------------
@@ -57,30 +66,35 @@ def _text_order(n):
 def _basis_weights(n, sign):
     """Per-mask weights of the subset-sum passes of ``_change_basis``:
     sign^|m|, and the xp weights sign^|m| 2^(n-|m|) before and
-    sign^|m| 2^|m| after, as Python integers."""
-    sgn = np.array([sign ** popcount(m) for m in range(1 << n)], dtype=object)
-    half = np.array([1 << popcount(m) for m in range(1 << n)], dtype=object)
+    sign^|m| 2^|m| after, as int64."""
+    sgn = np.array([sign ** popcount(m) for m in range(1 << n)])
+    half = np.array([1 << popcount(m) for m in range(1 << n)])
     return sgn, sgn * ((1 << n) // half), sgn * half
 
 
 def _change_basis(nums, tag, n, sign):
     """Integer numerators on the basis ``tag`` to x-coordinates (sign -1)
-    or back (sign +1). Returns the new numerators and the factor by which
-    the common denominator grows."""
+    or back (sign +1), along the last axis. Returns them as an int64 or
+    object array and the factor by which the common denominator grows.
+    Each pass scales by at most 2^n, sums at most 2^n values and scales
+    by at most 2^n, so the passes run in int64 when max|num| 2^(3n) is
+    below 2^62 and on Python integers otherwise."""
+    big = (linalg.absmax(nums) if isinstance(nums, np.ndarray)
+           else max(map(abs, nums), default=0))
+    v = np.asarray(nums, dtype=linalg.exact_dtype(big << 3 * n))
     if tag == BASIS_X:
-        return list(nums), 1
+        return v, 1
     sgn, pre, post = _basis_weights(n, sign)
-    v = np.array(nums, dtype=object)
     if tag == BASIS_Y:
         # y_J = sum over I >= J of (-1)^{|I|-|J|} x_I, so the y-coordinate
         # at J sums the x-coordinates at I <= J; the inverse is the same
         # sum with (-1)^|I| before and (-1)^|J| after
-        return (sgn * subset_sums(sgn * v, n)).tolist(), 1
+        return sgn * subset_sums(sgn * v, n), 1
     # xp_I = sum over K <= I of (-1/2)^{|I|-|K|} x_K, and x_I = sum over
     # K <= I of (1/2)^{|I|-|K|} xp_K: the coordinate at K is
     # sign^|K| 2^|K| times the sum over I >= K of sign^|I| 2^-|I| v_I,
     # exact after scaling by 2**n
-    return (post * subset_sums(pre * v, n, supersets=True)).tolist(), 1 << n
+    return post * subset_sums(pre * v, n, supersets=True), 1 << n
 
 
 class DescentVector:
@@ -109,7 +123,8 @@ class DescentVector:
         return out
 
     def _set(self, system, tag, nums, den):
-        nums = [int(v) for v in nums]
+        nums = (nums.tolist() if isinstance(nums, np.ndarray)
+                else [int(v) for v in nums])
         den = int(den)
         if den < 0:
             nums, den = [-v for v in nums], -den
@@ -188,10 +203,15 @@ class DescentVector:
 
     # -- coordinates ------------------------------------------------------
 
-    def x_ints(self):
-        """x-basis coordinates as (integer numerators, denominator)."""
+    def _x_array(self):
+        """x-basis coordinates as (an integer array, denominator)."""
         nums, scale = _change_basis(self.nums, self.tag, self.system.rank, -1)
         return nums, self.den * scale
+
+    def x_ints(self):
+        """x-basis coordinates as (Python-int numerators, denominator)."""
+        nums, den = self._x_array()
+        return nums.tolist(), den
 
     def x_coords(self):
         nums, den = self.x_ints()
@@ -202,7 +222,7 @@ class DescentVector:
             return self
         if tag not in _TAGS:
             raise ValueError("unknown basis tag %r" % (tag,))
-        xn, den = self.x_ints()
+        xn, den = self._x_array()
         nums, scale = _change_basis(xn, tag, self.system.rank, 1)
         return DescentVector.from_ints(self.system, nums, den * scale, tag)
 
@@ -211,25 +231,20 @@ class DescentVector:
 
     # -- text form --------------------------------------------------------
 
-    def _term_name(self, mask):
-        if mask == self.system.full_mask and self.system.rank > 0:
-            return "%sS" % self.tag
-        labels = self.system.labels_of_mask(mask)
-        return "%s[%s]" % (self.tag, ",".join(labels))
-
     def __str__(self):
         parts = []
-        for mask in _text_order(self.system.rank):
-            if self.nums[mask] == 0:
+        for mask, name in _term_names(self.system, self.tag):
+            num = self.nums[mask]
+            if num == 0:
                 continue
-            c = Fraction(self.nums[mask], self.den)
-            name = self._term_name(mask)
-            mag = abs(c)
-            body = name if mag == 1 else "%s*%s" % (mag, name)
+            g = gcd(num, self.den)
+            mag, den = abs(num) // g, self.den // g
+            body = (name if mag == den else "%d*%s" % (mag, name) if den == 1
+                    else "%d/%d*%s" % (mag, den, name))
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if num > 0 else "-" + body)
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+                parts.append(("+ " if num > 0 else "- ") + body)
         return " ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -361,11 +376,12 @@ def multiply(left, right):
             right, DescentVector):
         raise TypeError("multiply expects two DescentVector operands")
     left._check_peer(right)
-    a, da = left.x_ints()
-    b, db = right.x_ints()
-    nums = products(left.system, [a], [b])[0, 0]
-    return DescentVector.from_ints(
-        left.system, nums.tolist(), da * db).in_basis(left.tag)
+    a, da = left._x_array()
+    b, db = right._x_array()
+    nums, scale = _change_basis(products(left.system, a[None], b[None])[0, 0],
+                                left.tag, left.system.rank, 1)
+    return DescentVector.from_ints(left.system, nums, da * db * scale,
+                                   left.tag)
 
 
 def left_multiplication(vectors):
@@ -490,7 +506,7 @@ def oracle_multiply(left, right):
     # one change of basis per distinct left tag, over all its products
     for tag in {v.tag for v in left}:
         at = [i for i, v in enumerate(left) if v.tag == tag]
-        nums, scale = prods[at].tolist(), 1
+        nums, scale = prods[at], 1
         if tag != BASIS_Y:
             nums, _ = _change_basis(nums, BASIS_Y, system.rank, -1)
             nums, scale = _change_basis(nums, tag, system.rank, 1)
@@ -616,10 +632,11 @@ def _semisimple(matrices, values):
     commutative, so a is semisimple exactly when the chain prod_v
     (den a - v) over its distinct values vanishes; a repeated value is an
     identity factor, as a repeated root would make a nilpotent's chain
-    vanish. A factor multiplies the largest entry by at most its largest
-    column sum, below 2^bits, so a chain runs in int64 residues modulo
-    one modulus after another until their lcm covers the product of
-    those bounds, or until it no longer vanishes.
+    vanish. The factor of value v multiplies the largest entry by at most
+    c + |v|, c the largest column sum, so a chain runs in int64 residues
+    modulo one modulus after another until their lcm reaches 2^bits, bits
+    the sum over the distinct values of the bit length of c + |v|, or
+    until it no longer vanishes.
     """
     size = matrices.shape[-1]
     roots = np.sort(values, axis=1)
@@ -627,8 +644,9 @@ def _semisimple(matrices, values):
     repeat[:, 1:] = roots[:, 1:] == roots[:, :-1]
     colsum = np.abs(matrices).sum(axis=1, dtype=linalg.exact_dtype(
         linalg.absmax(matrices) * size)).max(axis=1)
-    bits = (~repeat).sum(axis=1) * [
-        int(c).bit_length() for c in colsum + np.abs(roots).max(axis=1)]
+    bits = np.array([sum(int(f).bit_length() for f in row[~rep])
+                     for row, rep in zip(colsum[:, None] + np.abs(roots),
+                                         repeat)], dtype=np.int64)
     out = np.ones(len(roots), dtype=bool)
     # a residue row times a residue matrix stays below size * m^2
     m, cover = isqrt(linalg.INT64_SAFE // size), 1

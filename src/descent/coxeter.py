@@ -403,12 +403,13 @@ class CoxeterSystem:
 
     @memoized
     def conj_tables(self):
-        """conj[w, s] = s w s."""
+        """conj[w, s] = s w s, the transpose of a C-contiguous (rank,
+        order) array: the column of each generator is contiguous."""
         lm = self.lmul()
-        out = np.empty_like(self.rmul)
+        out = np.empty((self.rank, self.order), dtype=self.rmul.dtype)
         for s in range(self.rank):
-            out[:, s] = lm[self.rmul[:, s], s]
-        return out
+            out[s] = lm[self.rmul[:, s], s]
+        return out.T
 
     def right_translation(self, v):
         """Index array t with t[u] = index of u*v."""
@@ -594,14 +595,15 @@ class CoxeterSystem:
         Each label stays inside its class and the least one never moves,
         so the fixed point labels every element with the smallest index
         of its class, the (length, word)-least element. Classes are
-        numbered by that index.
+        numbered by that index. The labels are int32, like the contiguous
+        column of ``conj_tables`` that each generator reads them over.
         """
-        conj = self.conj_tables()
-        lab = np.arange(self.order)
+        cols = self.conj_tables().T
+        lab = np.arange(self.order, dtype=np.int32)
         while True:
             prev = lab
-            for s in range(self.rank):
-                lab = np.minimum(lab, lab[conj[:, s]])
+            for col in cols:
+                lab = np.minimum(lab, lab[col])
             lab = lab[lab]
             if np.array_equal(lab, prev):
                 break

@@ -10,12 +10,13 @@ Grammar, informally:
 Labels are the system's own generator names, comma separated (1-based
 numbers, plus the primed fork label in the D family). 'xS' abbreviates
 the full subset, 'x[]' the empty one. Rationals look like '3' or '5/2'.
-A lone '0' is the zero element, as ``str`` prints it.
+A lone '0' is the zero element, as ``str`` prints it. The result is on
+the basis of the first atom; terms on other bases are changed to it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .algebra import DescentVector
 from .errors import InvalidSubset, ParseError
@@ -29,9 +30,15 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def run(self, accept):
+        """The characters that ``accept`` takes from here on, consumed."""
+        start = self.pos
+        while self.pos < len(self.text) and accept(self.text[self.pos]):
             self.pos += 1
+        return self.text[start:self.pos]
+
+    def skip_ws(self):
+        self.run(str.isspace)
 
     def peek(self):
         self.skip_ws()
@@ -55,40 +62,28 @@ class _Scanner:
         return None
 
     def number(self):
+        """(numerator, denominator) of a coefficient like '3' or '5/2'."""
         self.skip_ws()
         start = self.pos
-        digits = ""
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            digits += self.text[self.pos]
-            self.pos += 1
+        digits = self.run(str.isdigit)
         if not digits:
             raise ParseError("expected a number", start)
         num = int(digits)
-        if self.peek() == "/":
-            self.pos += 1
-            dstart = self.pos
-            dens = ""
-            while (self.pos < len(self.text)
-                   and self.text[self.pos].isdigit()):
-                dens += self.text[self.pos]
-                self.pos += 1
-            if not dens:
-                raise ParseError("expected a denominator", dstart)
-            den = int(dens)
-            if den == 0:
-                raise ParseError("zero denominator", dstart)
-            return Fraction(num, den)
-        return Fraction(num)
+        if self.peek() != "/":
+            return num, 1
+        self.pos += 1
+        dstart = self.pos
+        digits = self.run(str.isdigit)
+        if not digits:
+            raise ParseError("expected a denominator", dstart)
+        if int(digits) == 0:
+            raise ParseError("zero denominator", dstart)
+        return num, int(digits)
 
     def label(self):
         self.skip_ws()
         start = self.pos
-        out = ""
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isdigit()
-                    or self.text[self.pos] == "p")):
-            out += self.text[self.pos]
-            self.pos += 1
+        out = self.run(lambda ch: ch.isdigit() or ch == "p")
         if not out:
             raise ParseError("expected a generator label", start)
         return out, start
@@ -103,8 +98,7 @@ def _atom(scanner, system):
     if word is None:
         raise ParseError("expected a basis element like x[..] or xS",
                          scanner.pos)
-    ch = scanner.peek()
-    if ch == "S":
+    if scanner.peek() == "S":
         scanner.pos += 1
         return word, system.full_mask
     scanner.expect("[")
@@ -129,43 +123,44 @@ def _atom(scanner, system):
 
 
 def _term(scanner, system):
-    ch = scanner.peek()
-    if ch.isdigit():
-        coeff = scanner.number()
+    """(basis tag, mask, numerator, denominator) of one term."""
+    num, den = 1, 1
+    if scanner.peek().isdigit():
+        num, den = scanner.number()
         if scanner.peek() == "*":
             scanner.pos += 1
         else:
             raise ParseError("expected '*' after the coefficient",
                              scanner.pos)
-    else:
-        coeff = Fraction(1)
-    tag, mask = _atom(scanner, system)
-    nums = [0] * (1 << system.rank)
-    nums[mask] = coeff.numerator
-    return DescentVector.from_ints(system, nums, coeff.denominator, tag)
+    return _atom(scanner, system) + (num, den)
 
 
 def parse_expression(system, text):
-    """One linear combination, returned on the basis of its first atom."""
+    """One linear combination, returned on the basis of its first atom.
+
+    Each basis collects its terms' integer numerators over one common
+    denominator, the lcm of theirs; the vectors of the other bases are
+    then added to the first, one change of basis each."""
     scanner = _Scanner(text)
     if scanner.done():
         raise ParseError("empty expression", 0)
     if text.strip() == "0":
         return DescentVector.zero(system)
-    sign = 1
-    ch = scanner.peek()
-    if ch in "+-":
-        scanner.pos += 1
-        sign = -1 if ch == "-" else 1
-    total = sign * _term(scanner, system)
-    while not scanner.done():
+    terms = {}
+    while not terms or not scanner.done():
         ch = scanner.peek()
-        if ch == "+":
+        sign = -1 if ch == "-" else 1
+        if ch in "+-":
             scanner.pos += 1
-            total = total + _term(scanner, system)
-        elif ch == "-":
-            scanner.pos += 1
-            total = total - _term(scanner, system)
-        else:
+        elif terms:
             raise ParseError("expected '+' or '-'", scanner.pos)
-    return total
+        tag, mask, num, den = _term(scanner, system)
+        terms.setdefault(tag, []).append((mask, sign * num, den))
+    vecs = []
+    for tag, items in terms.items():
+        den = lcm(*(d for _m, _n, d in items))
+        nums = [0] * (1 << system.rank)
+        for mask, num, d in items:
+            nums[mask] += num * (den // d)
+        vecs.append(DescentVector.from_ints(system, nums, den, tag))
+    return sum(vecs[1:], vecs[0])

@@ -34,8 +34,8 @@ from descent import cartan, linalg
 from descent import morphisms as mo
 from descent import verify
 from descent.algebra import DescentVector
-from descent.coxeter import (dense_tensor, iter_bits, signature_keys,
-                             subset_sums, support_pairs,
+from descent.coxeter import (dense_tensor, iter_bits, popcount,
+                             signature_keys, subset_sums, support_pairs,
                              tensor_from_signatures)
 from descent.errors import (DescentError, InvalidSubset, NotInDescentAlgebra,
                             WrongType)
@@ -517,6 +517,76 @@ def shape_orbits_walk(system, sigma):
 def mask_orbits_walk(system, sigma):
     return [tuple(sorted(orbit)) for orbit in _orbits_walk(
         1 << system.rank, lambda m: apply_mask(sigma, m))]
+
+
+# ---------------------------------------------------------------------------
+# change of basis, text form and parsing, one Fraction or atom at a time
+
+
+def object_change_basis(nums, tag, n, sign):
+    """``algebra._change_basis`` on an object array of Python integers,
+    whatever the size of the entries, with its result as a list: the
+    reference for the passes that run in int64 under its bound."""
+    if tag == alg.BASIS_X:
+        return list(nums), 1
+    sgn = np.array([sign ** popcount(m) for m in range(1 << n)], dtype=object)
+    half = np.array([1 << popcount(m) for m in range(1 << n)], dtype=object)
+    v = np.array(nums, dtype=object)
+    if tag == alg.BASIS_Y:
+        return (sgn * subset_sums(sgn * v, n)).tolist(), 1
+    pre, post = sgn * ((1 << n) // half), sgn * half
+    return (post * subset_sums(pre * v, n, supersets=True)).tolist(), 1 << n
+
+
+def str_by_fractions(vector):
+    """The text of a vector with one Fraction per term."""
+    system = vector.system
+    parts = []
+    for mask in sorted(range(1 << system.rank),
+                       key=lambda m: (-popcount(m), tuple(iter_bits(m)))):
+        if vector.nums[mask] == 0:
+            continue
+        c = Fraction(vector.nums[mask], vector.den)
+        if mask == system.full_mask and system.rank > 0:
+            name = "%sS" % vector.tag
+        else:
+            name = "%s[%s]" % (vector.tag,
+                               ",".join(system.labels_of_mask(mask)))
+        mag = abs(c)
+        body = name if mag == 1 else "%s*%s" % (mag, name)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+def parse_per_atom(system, text):
+    """A well-formed expression parsed one atom at a time: each term's
+    x-coordinates in Fractions through ``object_change_basis``, summed,
+    then changed to the basis of the first atom."""
+    from descent import exprs
+    if text.strip() == "0":
+        return DescentVector.zero(system)
+    n, size = system.rank, 1 << system.rank
+    scanner = exprs._Scanner(text)
+    total, first, sign = [Fraction(0)] * size, None, 1
+    while not scanner.done():
+        ch = scanner.peek()
+        if ch in "+-":
+            scanner.pos += 1
+            sign = -1 if ch == "-" else 1
+        tag, mask, num, den = exprs._term(scanner, system)
+        first = first or tag
+        unit = [0] * size
+        unit[mask] = 1
+        xs, scale = object_change_basis(unit, tag, n, -1)
+        total = [t + Fraction(sign * num * x, den * scale)
+                 for t, x in zip(total, xs)]
+    den = lcm(*(t.denominator for t in total))
+    nums, scale = object_change_basis(
+        [t.numerator * (den // t.denominator) for t in total], first, n, 1)
+    return DescentVector.from_ints(system, nums, den * scale, first)
 
 
 # ---------------------------------------------------------------------------
