@@ -210,6 +210,8 @@ class DescentVector:
 
     def x_ints(self):
         """x-basis coordinates as (Python-int numerators, denominator)."""
+        if self.tag == BASIS_X:
+            return list(self.nums), self.den
         nums, den = self._x_array()
         return nums.tolist(), den
 
@@ -644,9 +646,10 @@ def _semisimple(matrices, values):
     repeat[:, 1:] = roots[:, 1:] == roots[:, :-1]
     colsum = np.abs(matrices).sum(axis=1, dtype=linalg.exact_dtype(
         linalg.absmax(matrices) * size)).max(axis=1)
-    bits = np.array([sum(int(f).bit_length() for f in row[~rep])
-                     for row, rep in zip(colsum[:, None] + np.abs(roots),
-                                         repeat)], dtype=np.int64)
+    bits = np.array([
+        sum(f.bit_length() for f, rep in zip(row, reps) if not rep)
+        for row, reps in zip((colsum[:, None] + np.abs(roots)).tolist(),
+                             repeat.tolist())], dtype=np.int64)
     out = np.ones(len(roots), dtype=bool)
     # a residue row times a residue matrix stays below size * m^2
     m, cover = isqrt(linalg.INT64_SAFE // size), 1
